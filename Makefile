@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test race bench bench-sim bench-engine bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -22,6 +22,14 @@ bench:
 # with allocation counts — the numbers EXPERIMENTS.md quotes.
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulator' -benchmem ./internal/machine/
+
+# Event-based engine benchmarks: default Analyze and the low-memory
+# stream on the million-event backward wave, plus the small-trace
+# throughput of both batch modes — the numbers EXPERIMENTS.md's engine
+# section quotes.
+bench-engine:
+	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput' -benchmem -count 5 ./internal/core/
 
 # The parallel sweep runner must not change a single output byte.
 workers-check:

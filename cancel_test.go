@@ -38,12 +38,11 @@ func cancelCal(cfg perturb.MachineConfig) perturb.Calibration {
 	return perturb.ExactCalibration(perturb.PaperOverheads(), cfg)
 }
 
-// analysisVariants covers both execution engines: the sequential resolver
-// and the sharded parallel scheduler.
+// analysisVariants lists the analysis configurations the cancellation
+// tests drive.
 func analysisVariants() map[string]perturb.AnalyzeOptions {
 	return map[string]perturb.AnalyzeOptions{
 		"sequential": {},
-		"parallel":   {Workers: 4},
 	}
 }
 
@@ -157,23 +156,22 @@ func TestAnalyzeContextCancelMidAnalysis(t *testing.T) {
 	}
 }
 
-// TestAnalyzeContextNoGoroutineLeak hammers the parallel engine with
-// mid-flight cancellations and checks the scheduler's workers all exit:
-// a leaked worker would show up as monotone goroutine growth.
+// TestAnalyzeContextNoGoroutineLeak hammers the analysis with mid-flight
+// cancellations and checks that nothing it starts outlives the call: a
+// leaked goroutine would show up as monotone goroutine growth.
 func TestAnalyzeContextNoGoroutineLeak(t *testing.T) {
 	tr := cancelTrace(t)
 	cal := cancelCal(perturb.Alliant())
-	opts := perturb.AnalyzeOptions{Workers: 4}
+	opts := perturb.AnalyzeOptions{}
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		// Cycle the expiry point through every cooperative check the
-		// pipeline reaches, so workers are cancelled at varying stages:
-		// parked, mid-shard and between passes.
+		// Cycle the expiry point through the cooperative checks the
+		// pipeline reaches, so runs are cancelled at varying stages.
 		perturb.AnalyzeContext(newCountdownCtx(2+i%8, context.Canceled), tr, cal, opts)
 	}
-	// Workers exit after the scheduler observes cancellation; give the
-	// runtime a moment to reap them before counting.
+	// Give the runtime a moment to reap exiting goroutines before
+	// counting.
 	var after int
 	for wait := 0; wait < 100; wait++ {
 		runtime.GC()
@@ -183,7 +181,7 @@ func TestAnalyzeContextNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("goroutines grew from %d to %d after 20 canceled parallel analyses", before, after)
+	t.Fatalf("goroutines grew from %d to %d after 20 canceled analyses", before, after)
 }
 
 // TestSimulateAndReadTraceContext exercises the other two cancellable

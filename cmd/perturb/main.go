@@ -10,7 +10,7 @@
 //
 //	-loop N        Livermore kernel number (default 17)
 //	-analysis S    time | event | liberal (default event)
-//	-workers N     run event analysis on N shard workers (0 = sequential)
+//	-workers N     accepted for compatibility and ignored
 //	-inject P      drop each probe record with probability P (fault model)
 //	-seed N        fault-injection seed (default 1)
 //	-repair        sanitize the trace and analyze in degraded mode
@@ -123,7 +123,7 @@ func main() {
 	var o options
 	flag.IntVar(&o.loop, "loop", 17, "Livermore kernel number (1-24)")
 	flag.StringVar(&o.analysis, "analysis", "event", "analysis: time, event or liberal")
-	flag.IntVar(&o.workers, "workers", 0, "shard workers for the event analysis (0 = sequential, -1 = GOMAXPROCS)")
+	flag.IntVar(&o.workers, "workers", 0, "accepted for compatibility and ignored (-1, 0 or positive)")
 	flag.Float64Var(&o.inject, "inject", 0, "drop each probe record with this probability before analyzing")
 	flag.Uint64Var(&o.seed, "seed", 1, "fault-injection seed")
 	flag.BoolVar(&o.repair, "repair", false, "sanitize the trace and analyze in degraded mode")
@@ -185,7 +185,7 @@ func validateOptions(o options, args []string) error {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(args, " "))
 	}
 	if o.workers < -1 {
-		return fmt.Errorf("-workers must be -1 (GOMAXPROCS), 0 (sequential) or positive, got %d", o.workers)
+		return fmt.Errorf("-workers must be -1, 0 or positive, got %d", o.workers)
 	}
 	if o.procs < 1 {
 		return fmt.Errorf("-procs must be at least 1, got %d", o.procs)
@@ -457,7 +457,7 @@ func loadPhase(o options, loop *perturb.Loop, cfg perturb.MachineConfig, ovh per
 func analyzePhase(o options, measured *perturb.Trace, cal perturb.Calibration, loop *perturb.Loop, cfg perturb.MachineConfig) (*perturb.Approximation, error) {
 	defer obs.StartSpan("pipeline.analyze").End()
 
-	opts := perturb.AnalyzeOptions{Workers: o.workers, Repair: o.repair}
+	opts := perturb.AnalyzeOptions{Repair: o.repair}
 	switch strings.ToLower(o.analysis) {
 	case "time":
 		opts.Mode = perturb.TimeBased
@@ -494,7 +494,7 @@ func remoteEndpoints(remote string) []string {
 func remotePhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.Trace, cal perturb.Calibration, actualDur perturb.Time, haveActual bool) error {
 	defer obs.StartSpan("pipeline.remote").End()
 
-	req := server.Request{Workers: o.workers, Repair: o.repair, Cal: &cal}
+	req := server.Request{Repair: o.repair, Cal: &cal}
 	if strings.ToLower(o.analysis) == "time" {
 		req.Mode = perturb.TimeBased
 	}

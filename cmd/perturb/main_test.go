@@ -66,8 +66,8 @@ func TestStudyAnalyses(t *testing.T) {
 	}
 }
 
-// TestStudyWorkersMatchesSequential: the -workers path must print the
-// exact summary of the sequential event analysis.
+// TestStudyWorkersMatchesSequential: -workers is accepted for
+// compatibility and ignored, so any value prints the default summary.
 func TestStudyWorkersMatchesSequential(t *testing.T) {
 	var seq bytes.Buffer
 	if err := study(&seq, defaults()); err != nil {
@@ -121,7 +121,6 @@ func TestStudyLoadBinary(t *testing.T) {
 	var fromTxt, fromBin bytes.Buffer
 	o2 := defaults()
 	o2.loadFile = txt
-	o2.workers = 2
 	if err := study(&fromTxt, o2); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +226,6 @@ func TestStudyStatsJSON(t *testing.T) {
 	var out, stats bytes.Buffer
 	o := defaults()
 	o.quiet = true
-	o.workers = 2 // sharded engine, so scheduler telemetry flows
 	o.stats = true
 	o.statsW = &stats
 	if err := study(&out, o); err != nil {
@@ -277,7 +275,7 @@ func TestStudyStatsJSON(t *testing.T) {
 		t.Error("simulator telemetry missing (machine.sim.runs = 0)")
 	}
 	if st.Counter("core.analysis.events") == 0 {
-		t.Error("scheduler telemetry missing (core.analysis.events = 0)")
+		t.Error("engine telemetry missing (core.analysis.events = 0)")
 	}
 	found := false
 	for _, c := range st.Counters {

@@ -48,12 +48,6 @@ func TestDeprecatedWrappers(t *testing.T) {
 	}
 	same(t, "AnalyzeEventBased", got, want)
 
-	got, err = perturb.AnalyzeEventBasedParallel(tr, cal, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same(t, "AnalyzeEventBasedParallel", got, want)
-
 	want, err = perturb.Analyze(tr, cal, perturb.AnalyzeOptions{Mode: perturb.TimeBased})
 	if err != nil {
 		t.Fatal(err)

@@ -249,30 +249,19 @@ func TestGoldenEncodings(t *testing.T) {
 	}
 }
 
-// TestGoldenAnalysis pins the event-based analysis output on each shape,
-// for the sequential fixpoint and the sharded engine alike.
+// TestGoldenAnalysis pins the event-based analysis output on each shape.
 func TestGoldenAnalysis(t *testing.T) {
 	cal := goldenCal()
 	for name, tr := range goldenTraces() {
 		t.Run(name, func(t *testing.T) {
 			want := readGolden(t, name, ".approx.txt")
 
-			seq, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{})
+			a, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := renderApprox(seq); !bytes.Equal(got, want) {
-				t.Errorf("sequential analysis drifted from %s:\n%s\nwant:\n%s", goldenPath(name, ".approx.txt"), got, want)
-			}
-
-			for _, workers := range []int{1, 3} {
-				par, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got := renderApprox(par); !bytes.Equal(got, want) {
-					t.Errorf("parallel analysis (workers=%d) drifted from %s", workers, goldenPath(name, ".approx.txt"))
-				}
+			if got := renderApprox(a); !bytes.Equal(got, want) {
+				t.Errorf("analysis drifted from %s:\n%s\nwant:\n%s", goldenPath(name, ".approx.txt"), got, want)
 			}
 		})
 	}

@@ -26,10 +26,10 @@ func TraceSHA256(t *trace.Trace) (string, error) {
 // Key renders the full content address of one analysis: the trace
 // fingerprint plus every analysis input that changes the result —
 // calibration constants, analysis mode, repair, and the liberal
-// parameters when the liberal mode is selected. Options that provably
-// never change a result byte are excluded: Workers selects an execution
-// engine whose output is byte-identical at any worker count, so all
-// worker counts share one key.
+// parameters when the liberal mode is selected. The service's workers
+// query parameter, accepted and ignored for compatibility, never reaches
+// the key: a request with any worker count shares the key of the same
+// request without one.
 //
 // The trace fingerprint is returned alongside the key so callers can
 // surface it (the service's input_sha256 field) without hashing twice.

@@ -146,18 +146,6 @@ func TestKeyDiscriminates(t *testing.T) {
 	if lib(core.LiberalOptions{Procs: 8, Distance: 1}) == lib(core.LiberalOptions{Procs: 8, Distance: 2}) {
 		t.Error("liberal distance does not discriminate")
 	}
-
-	// Workers is excluded by design: the sharded engine is byte-identical
-	// to the sequential fixpoint at every worker count.
-	for _, workers := range []int{-1, 1, 8} {
-		k, _, err := Key(tr, cal, core.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != base {
-			t.Errorf("workers=%d changed the key; worker count must share one entry", workers)
-		}
-	}
 }
 
 // TestKeyGolden pins the key and trace fingerprint of the canonical

@@ -28,7 +28,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"perturb/internal/instr"
 	"perturb/internal/trace"
@@ -150,130 +149,3 @@ var ErrUnresolvable = errors.New("core: analysis cannot resolve all events")
 // requested analysis can model (for example lock-based critical sections
 // under the liberal analysis, or a missing loop/barrier structure).
 var ErrUnsupported = errors.New("core: trace shape not supported by this analysis")
-
-// resolver carries the shared mechanics of constructive trace resolution.
-type resolver struct {
-	in  *trace.Trace
-	cal instr.Calibration
-
-	perProc [][]int // event indices per processor, in trace order
-	ta      []trace.Time
-	done    []bool
-
-	// Fork fences: every loop-begin event. A processor's first event
-	// after a fence (in trace order) is execution dependent on the fence
-	// rather than on its own, possibly long-idle, previous event — this
-	// is what anchors concurrent threads at each phase's fork. forkIdx
-	// is the first fence (-1 if none); forkIdxs lists all of them.
-	forkIdx  int
-	forkIdxs []int
-}
-
-func newResolver(in *trace.Trace, cal instr.Calibration) (*resolver, error) {
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid input trace: %w", err)
-	}
-	r := &resolver{
-		in:      in,
-		cal:     cal,
-		perProc: make([][]int, in.Procs),
-		ta:      make([]trace.Time, in.Len()),
-		done:    make([]bool, in.Len()),
-		forkIdx: -1,
-	}
-	for i, e := range in.Events {
-		r.perProc[e.Proc] = append(r.perProc[e.Proc], i)
-		if e.Kind == trace.KindLoopBegin {
-			if r.forkIdx < 0 {
-				r.forkIdx = i
-			}
-			r.forkIdxs = append(r.forkIdxs, i)
-		}
-	}
-	return r, nil
-}
-
-// fenceBetween returns the latest fork fence with trace index strictly
-// between prevIdx and idx that lies on a different processor than proc, or
-// -1 if none. Fences on the same processor are part of that processor's
-// own chain and never apply.
-func (r *resolver) fenceBetween(prevIdx, idx, proc int) int {
-	// forkIdxs is in increasing order; scan from the back (fence counts
-	// are tiny: one per loop phase).
-	for k := len(r.forkIdxs) - 1; k >= 0; k-- {
-		f := r.forkIdxs[k]
-		if f >= idx {
-			continue
-		}
-		if f <= prevIdx {
-			return -1
-		}
-		if r.in.Events[f].Proc != proc {
-			return f
-		}
-	}
-	return -1
-}
-
-// overhead returns the calibrated probe cost for the event kind.
-func (r *resolver) overhead(k trace.Kind) trace.Time {
-	return r.cal.Overheads.ForKind(k)
-}
-
-// basis returns the time basis (approximated time, measured time) for the
-// event at position pos within proc's event list, and whether the basis is
-// available yet. The basis is the same-processor predecessor, unless a
-// fork fence (loop-begin) separates the two in trace order — then the
-// fence is the basis, anchoring the processor at that phase's fork.
-func (r *resolver) basis(proc, pos int) (ta, tm trace.Time, ok bool) {
-	idx := r.perProc[proc][pos]
-	prevIdx := -1
-	if pos > 0 {
-		prevIdx = r.perProc[proc][pos-1]
-	}
-	if f := r.fenceBetween(prevIdx, idx, proc); f >= 0 {
-		if !r.done[f] {
-			return 0, 0, false
-		}
-		return r.ta[f], r.in.Events[f].Time, true
-	}
-	if prevIdx >= 0 {
-		if !r.done[prevIdx] {
-			return 0, 0, false
-		}
-		return r.ta[prevIdx], r.in.Events[prevIdx].Time, true
-	}
-	return 0, 0, true
-}
-
-// resolveDefault applies the execution-timing rule: the approximated time
-// is the basis plus the measured gap minus the event's probe overhead.
-func (r *resolver) resolveDefault(idx int, taBase, tmBase trace.Time) {
-	e := r.in.Events[idx]
-	gap := e.Time - tmBase - r.overhead(e.Kind)
-	if gap < 0 {
-		// Calibration error can slightly exceed a short measured gap;
-		// clamp so approximated per-thread time stays monotonic.
-		gap = 0
-	}
-	r.ta[idx] = taBase + gap
-	r.done[idx] = true
-}
-
-// finish assembles the Approximation from resolved times.
-func (r *resolver) finish() *Approximation {
-	a := &Approximation{
-		Trace: trace.New(r.in.Procs),
-		Times: r.ta,
-	}
-	// No renormalization: the basis rule anchors each thread at the
-	// execution origin (time zero), so approximated times are already in
-	// actual-execution coordinates.
-	for i, e := range r.in.Events {
-		e.Time = r.ta[i]
-		a.Trace.Append(e)
-	}
-	a.Trace.Sort()
-	a.Duration = a.Trace.End()
-	return a
-}

@@ -39,19 +39,11 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures Analyze. The zero value requests the classic
-// sequential event-based analysis of a well-formed trace — exactly
-// EventBased's behaviour.
+// Options configures Analyze. The zero value requests the event-based
+// analysis of a well-formed trace — exactly EventBased's behaviour.
 type Options struct {
 	// Mode selects the analysis family. Default: ModeEventBased.
 	Mode Mode
-
-	// Workers selects the event-based execution engine. 0 (default) runs
-	// the classic sequential fixpoint; n >= 1 runs the sharded
-	// dependency-scheduled engine with n workers; a negative value runs
-	// the sharded engine with GOMAXPROCS workers. Ignored by the
-	// time-based and liberal modes, which are inherently sequential.
-	Workers int
 
 	// Repair sanitizes the trace with trace.Repair before analysis and
 	// runs the analysis in degraded mode: defects are repaired or flagged,
@@ -80,9 +72,9 @@ func Analyze(m *trace.Trace, cal instr.Calibration, opts Options) (*Approximatio
 }
 
 // AnalyzeContext is Analyze under a context: the analysis polls ctx
-// cooperatively (between fixpoint passes, at scheduler park/wake
-// transitions, and every few thousand events inside the hot resolution
-// loops) and abandons the run with ErrCanceled or ErrDeadlineExceeded —
+// cooperatively (every few thousand events inside the hot resolution
+// loop, and between forced resolutions of a degraded run) and abandons
+// the run with ErrCanceled or ErrDeadlineExceeded —
 // matching both the package sentinels and the context causes under
 // errors.Is — without returning a partial Approximation. A background
 // context reproduces Analyze exactly.
@@ -106,7 +98,7 @@ func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, 
 	case ModeLiberal:
 		a, err = LiberalEventBased(m, cal, opts.Liberal)
 	case ModeEventBased:
-		a, err = analyzeEventBased(ctx, m, cal, opts)
+		a, err = eventBased(ctx, m, cal, opts.Repair)
 	default:
 		return nil, errors.New("core: unknown analysis mode")
 	}
@@ -119,23 +111,6 @@ func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, 
 		attachDefects(a, rep, m.Procs)
 	}
 	return a, nil
-}
-
-// analyzeEventBased dispatches between the sequential fixpoint and the
-// sharded engine, honoring Options.Workers, and falls back to the
-// sequential degraded analysis when the engine cannot resolve a repaired
-// trace (the engine has no stall-breaking).
-func analyzeEventBased(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
-	degraded := opts.Repair
-	if opts.Workers == 0 {
-		return eventBased(ctx, m, cal, degraded)
-	}
-	a, err := eventBasedParallel(ctx, m, cal, opts.Workers, degraded)
-	if degraded && errors.Is(err, ErrUnresolvable) {
-		// Only the sequential analysis can break resolution stalls.
-		return eventBased(ctx, m, cal, degraded)
-	}
-	return a, err
 }
 
 // attachDefects folds the sanitizer's per-processor repair counts into the

@@ -35,27 +35,6 @@ func TestAnalyzeZeroOptionsMatchesEventBased(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWorkersMatchesParallel: Options.Workers selects the sharded
-// engine with identical results; negative Workers means GOMAXPROCS.
-func TestAnalyzeWorkersMatchesParallel(t *testing.T) {
-	r := rand.New(rand.NewSource(78))
-	for i := 0; i < 40; i++ {
-		l := testgen.Loop(r)
-		cfg := testgen.Config(r)
-		ovh := testgen.Overheads(r)
-		measured, err := machine.Run(l, instr.FullPlan(ovh, true), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cal := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
-		for _, w := range []int{1, 4, -1} {
-			want, wantErr := core.EventBasedParallel(measured.Trace, cal, w)
-			got, gotErr := core.Analyze(measured.Trace, cal, core.Options{Workers: w})
-			assertSameApproximation(t, l.Name, want, wantErr, got, gotErr)
-		}
-	}
-}
-
 // TestAnalyzeModeDispatch: the time-based and liberal modes route to their
 // analyses unchanged.
 func TestAnalyzeModeDispatch(t *testing.T) {
@@ -166,31 +145,17 @@ func TestAnalyzeRepairDroppedAdvance(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRepairParallelMatchesSequentialPlaceholders: the sharded
-// engine applies the same placeholder rule, so degraded parallel runs
-// agree with degraded sequential runs on repaired traces.
-func TestAnalyzeRepairParallelMatchesSequential(t *testing.T) {
+// TestAnalyzeRepairMatchesOracle: the degraded analysis of a trace with
+// a dropped advance — sanitizer, placeholder rule and confidence scores —
+// equals the oracle's.
+func TestAnalyzeRepairMatchesOracle(t *testing.T) {
 	cfg := machine.Alliant()
 	ovh := instr.Uniform(5 * us)
 	cal := exactCalFor(cfg, ovh)
 	l := liberalLoop(64, 0)
 	measured := runMeasured(t, l, cfg, ovh)
 	holed := dropAdvance(t, measured.Trace, 12)
-
-	seq, seqErr := core.Analyze(holed, cal, core.Options{Repair: true})
-	for _, w := range []int{1, 2, 4} {
-		par, parErr := core.Analyze(holed, cal, core.Options{Repair: true, Workers: w})
-		assertSameApproximation(t, "degraded", seq, seqErr, par, parErr)
-		if parErr != nil {
-			continue
-		}
-		for p := range seq.Confidence {
-			if par.Confidence[p].Placeholders != seq.Confidence[p].Placeholders {
-				t.Fatalf("workers=%d: proc %d placeholders %d, want %d", w, p,
-					par.Confidence[p].Placeholders, seq.Confidence[p].Placeholders)
-			}
-		}
-	}
+	checkOracle(t, oracleCase{label: "degraded", m: holed, cal: cal, repair: true})
 }
 
 // TestAnalyzeRepairCleanTraceByteIdentical: Repair on an already-clean

@@ -9,10 +9,9 @@ import (
 	"perturb/internal/trace"
 )
 
-// cycleTrace builds the cross-processor await cycle from the parallel
-// engine's deadlock test: each processor's awaitE pairs with an advance
-// the other processor only reaches after its own await, so constructive
-// resolution can never complete.
+// cycleTrace builds a cross-processor await cycle: each processor's
+// awaitE pairs with an advance the other processor only reaches after its
+// own await, so constructive resolution can never complete.
 func cycleTrace() *trace.Trace {
 	tr := trace.New(2)
 	tr.Append(trace.Event{Time: 10, Proc: 0, Stmt: 1, Kind: trace.KindAwaitB, Iter: 1, Var: 0})
@@ -24,7 +23,7 @@ func cycleTrace() *trace.Trace {
 	return tr
 }
 
-// TestDegradedStallBreaking: the sequential degraded analysis resolves a
+// TestDegradedStallBreaking: the degraded analysis resolves a
 // dependency cycle by force-resolving blocked events instead of failing,
 // and tallies the forced events in the confidence summary.
 func TestDegradedStallBreaking(t *testing.T) {
@@ -48,34 +47,5 @@ func TestDegradedStallBreaking(t *testing.T) {
 	}
 	if a.Trace.Len() != tr.Len() {
 		t.Fatalf("degraded output has %d events, want %d", a.Trace.Len(), tr.Len())
-	}
-}
-
-// TestDegradedParallelFallsBackToSequential: the sharded engine has no
-// stall-breaking, so on a cyclic trace the degraded dispatch falls back to
-// the sequential analysis and still succeeds.
-func TestDegradedParallelFallsBackToSequential(t *testing.T) {
-	cal := instr.Calibration{Overheads: instr.Uniform(1), SNoWait: 1, SWait: 2}
-	tr := cycleTrace()
-
-	if _, err := eventBasedParallel(context.Background(), tr, cal, 2, true); !errors.Is(err, ErrUnresolvable) {
-		t.Fatalf("engine should not stall-break: got %v", err)
-	}
-
-	want, err := eventBased(context.Background(), tr, cal, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := analyzeEventBased(context.Background(), tr, cal, Options{Repair: true, Workers: 2})
-	if err != nil {
-		t.Fatalf("fallback failed: %v", err)
-	}
-	if got.Duration != want.Duration {
-		t.Fatalf("fallback duration %d, want sequential degraded %d", got.Duration, want.Duration)
-	}
-	for i := range want.Times {
-		if got.Times[i] != want.Times[i] {
-			t.Fatalf("fallback time %d = %d, want %d", i, got.Times[i], want.Times[i])
-		}
 	}
 }

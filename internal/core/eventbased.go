@@ -33,19 +33,18 @@ import (
 //
 // Because an awaitE cannot be resolved before its paired advance — which
 // typically occurs on another processor and possibly later in the measured
-// total order — resolution is a worklist fixpoint over processors: each
-// pass resolves every processor's events up to its first blocked
-// synchronization event, and terminates when all events are resolved or no
-// progress is possible (ErrUnresolvable).
+// total order — resolution is a worklist fixpoint over processors: a
+// processor resolves its events in order until one blocks on a
+// dependency, parks there, and resumes when the dependency resolves. The
+// analysis terminates when all events are resolved or no progress is
+// possible (ErrUnresolvable).
 func EventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 	return eventBased(context.Background(), m, cal, false)
 }
 
-// eventBased is the sequential worklist analysis: a feed-everything-
-// then-close run of the incremental engine (stream.go), where the
-// resolution rules live, shared with the streaming sessions. Sealing is
-// off — with the whole trace fed before close, absence decisions are
-// never needed early.
+// eventBased is the event-based analysis over a whole trace: a
+// feed-everything-then-close run of the engine (stream.go), where the
+// resolution rules live, shared with the streaming sessions.
 //
 // With degraded set, the analysis tolerates sanitized-but-incomplete
 // traces instead of insisting on exact reconstruction:
@@ -66,14 +65,5 @@ func EventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 // The engine polls ctx every cancel.CheckEvery resolved events,
 // abandoning the run with the mapped cancellation sentinel.
 func eventBased(ctx context.Context, m *trace.Trace, cal instr.Calibration, degraded bool) (*Approximation, error) {
-	g := newIncEngine(m.Procs, cal, engineOptions{
-		mode:       ModeEventBased,
-		degraded:   degraded,
-		retain:     true,
-		fixedProcs: true,
-	})
-	if err := g.feed(ctx, m.Events); err != nil {
-		return nil, err
-	}
-	return g.close(ctx)
+	return analyzeBatch(ctx, m, cal, ModeEventBased, degraded)
 }

@@ -1,7 +1,10 @@
 package core_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"perturb/internal/core"
@@ -116,4 +119,97 @@ func TestEventBasedOrphanBarrierRelease(t *testing.T) {
 	if a.Trace.Events[0].Time != 3 {
 		t.Errorf("orphan release at %d, want 3", a.Trace.Events[0].Time)
 	}
+}
+
+// FuzzAnalyze differentially fuzzes the engine against the oracle. Each
+// input seeds a random testgen loop and machine configuration, simulated
+// by internal/machine, and picks the analysis: event- or time-based,
+// optionally corrupted or repaired, run in batch and as a stream that is
+// fed whole, one event at a time or in random chunks, with LowMemory on
+// or off; event-based inputs also run the degraded analysis without the
+// sanitizer. Every run must equal the oracle or fail with an exported
+// sentinel error; it must never panic.
+func FuzzAnalyze(f *testing.F) {
+	for knobs := 0; knobs < 64; knobs += 5 {
+		f.Add(int64(knobs), uint8(knobs))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, knobs uint8) {
+		r := rand.New(rand.NewSource(seed))
+		m, cal, _ := randomCase(r)
+		c := oracleCase{label: "fuzz", m: m, cal: cal}
+		if knobs&1 != 0 {
+			c.mode = core.ModeTimeBased
+		}
+		if knobs&2 != 0 {
+			c.m = mutate(r, m)
+		}
+		lowMem := knobs&4 != 0
+		c.repair = !lowMem && knobs&8 != 0
+		want, wantErr := oracleFor(c)
+
+		got, gotErr := core.Analyze(c.m, cal, core.Options{Mode: c.mode, Repair: c.repair})
+		if gotErr != nil && !isSentinel(gotErr) {
+			t.Fatalf("batch: unexported error %v", gotErr)
+		}
+		assertSameApproximation(t, "batch", want, wantErr, got, gotErr)
+		if gotErr == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
+			t.Fatalf("batch: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
+		}
+		if c.mode == core.ModeEventBased {
+			checkDegraded(t, "degraded", c.m, cal)
+		}
+
+		var chunks [][]trace.Event
+		switch (knobs >> 4) % 3 {
+		case 0:
+			chunks = wholeChunk(c.m.Events)
+		case 1:
+			chunks = singletonChunks(c.m.Events)
+		default:
+			chunks = randomChunks(c.m.Events, seed)
+		}
+		s, err := core.NewStream(cal, core.StreamOptions{
+			Mode: c.mode, Repair: c.repair, LowMemory: lowMem, Procs: c.m.Procs, Window: c.m.End()/5 + 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range chunks {
+			if err = s.Feed(context.Background(), chunk); err != nil {
+				break
+			}
+			s.Windows()
+		}
+		if err == nil {
+			got, err = s.Close(context.Background())
+		}
+		switch {
+		case err != nil && !isSentinel(err):
+			t.Fatalf("stream: unexported error %v", err)
+		case err != nil && wantErr == nil && lowMem && errors.Is(err, core.ErrUnsupported):
+			// A causality-violating feed needs the exact redo, which
+			// low-memory sessions refuse.
+		case lowMem && err == nil && wantErr == nil:
+			if got.Duration != want.Duration || got.WaitsKept != want.WaitsKept ||
+				got.WaitsRemoved != want.WaitsRemoved || got.WaitsIntroduced != want.WaitsIntroduced {
+				t.Fatalf("low-memory stream summary differs from the oracle")
+			}
+		case lowMem:
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("low-memory stream: error %v, oracle %v", err, wantErr)
+			}
+		default:
+			assertSameApproximation(t, "stream", want, wantErr, got, err)
+			if err == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
+				t.Fatalf("stream: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
+			}
+		}
+	})
+}
+
+// isSentinel reports whether err matches one of the exported analysis or
+// trace error sentinels.
+func isSentinel(err error) bool {
+	return errors.Is(err, core.ErrUnresolvable) || errors.Is(err, core.ErrUnsupported) ||
+		errors.Is(err, trace.ErrMalformedTrace)
 }

@@ -1,23 +1,25 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"perturb/internal/cancel"
 	"perturb/internal/instr"
+	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
 
-// This file implements the incremental analysis engine: the constructive
-// resolution of eventbased.go restructured to ingest events in arrival
-// order and resolve them as their dependencies become available, instead
-// of requiring the whole trace up front. The batch entry points
-// (EventBased, TimeBased) are thin wrappers — feed every event, then
-// close — so there is one engine, not two, and the golden tests that pin
-// the batch outputs cover the incremental machinery byte for byte.
+// This file implements the event-based analysis engine: constructive
+// resolution (eventbased.go documents the rules) that ingests events in
+// arrival order and resolves each as soon as its dependencies are
+// available. The batch entry points (EventBased, TimeBased) feed the whole
+// trace and close; streaming sessions feed chunks as they arrive. There is
+// one engine, so the golden tests that pin the batch outputs cover the
+// streaming machinery byte for byte.
 //
 // Correctness rests on three properties of the constructive resolution:
 //
@@ -26,7 +28,7 @@ import (
 //     fence, paired advance, previous lock holder, barrier participants),
 //     so the order in which resolvable events are resolved never changes
 //     a value. Resolving eagerly as events arrive therefore yields the
-//     same times the batch fixpoint computes.
+//     same times as a fixpoint over the whole trace.
 //
 //   - Arrival order is trace order: advance pairing (first occurrence
 //     wins), lock serialization (previous release in trace order) and
@@ -45,10 +47,25 @@ import (
 //     retained events (or fails in low-memory mode, which retains
 //     nothing). Unsorted feeds simply defer absence decisions to close.
 //
+// Scheduling is a park/wake worklist. Each event links to its dependency
+// record once, when fed: an awaitE to its advance's pairing record, a
+// lock acquisition to the previous release, a barrier release to its
+// participant set. A blocked queue head parks its processor on the record
+// it waits for, or on an absence decision; resolving the record, or the
+// watermark passing the decision's time, wakes it. The work is O(events +
+// dependencies): no key lookups and no processor rescans while resolving.
+//
 // Stall-breaking (degraded mode's forced resolution) runs only at close,
-// where the engine has exactly the batch fixpoint's knowledge: the set of
-// events still unresolved at a stall is the unique maximal-progress
-// fixpoint, so the forced-resolution sequence matches the batch engine's.
+// where the engine has whole-trace knowledge: the set of events still
+// unresolved at a stall is the unique maximal-progress fixpoint, so the
+// forced-resolution sequence does not depend on how the feed arrived.
+
+// Engine telemetry, flushed once per analysis (batch close and
+// Stream.Close) when the obs layer is enabled.
+var (
+	obsAnaRuns   = obs.NewCounter("core.analysis.runs")
+	obsAnaEvents = obs.NewCounter("core.analysis.events")
+)
 
 // WindowResult is one window of streaming analysis output: the measured
 // time interval [Start, End) with the waiting and parallelism the
@@ -120,49 +137,44 @@ type engineOptions struct {
 	fixedProcs bool
 }
 
-// advRec is the pairing record of the first advance seen for a PairKey.
-type advRec struct {
-	ta   trace.Time
-	done bool
+// rec is a dependency record queue heads wait on: the first advance of a
+// pairing key (its awaitE events link to it), a lock release (the next
+// acquisition of the lock links to it), a barrier's participant set
+// (arrivals and releases link to it) or a fork fence. Events link to their
+// record once, when fed, so resolution never looks a key up.
+type rec struct {
+	ta trace.Time // resolved time; for a barrier, the latest resolved arrival
+	// fed and resolved count a barrier's arrivals; for a pairing key, fed
+	// is 1 once the advance has arrived.
+	fed, resolved int32
+	waiters       int32 // first processor parked on it, plus one; 0 for none
+	done          bool  // resolved (advance, release, fence)
+	sealed        bool  // an absence decision was taken against it mid-stream
 }
 
-// relRec is the resolution record of a lock-rel event, referenced by the
-// following acquisition of the same lock.
-type relRec struct {
-	ta   trace.Time
-	done bool
+// fence is a fork fence (loop-begin event) in arrival order.
+type fence struct {
+	seq, proc int
+	tm        trace.Time
+	rec       *rec
 }
 
-// barRec accumulates one barrier's participant state.
-type barRec struct {
-	fed      int        // arrive events fed so far
-	resolved int        // arrive events resolved so far
-	maxTA    trace.Time // max approximated arrival over resolved participants
-	sealed   bool       // a release resolved mid-stream against this set
-}
-
-// fenceRec is a fork fence (loop-begin event) in arrival order.
-type fenceRec struct {
-	seq  int
-	proc int
-	tm   trace.Time
-	ta   trace.Time
-	done bool
-}
-
-// pend is one unresolved event waiting in its processor's queue.
+// pend is one unresolved event waiting in its processor's queue, with its
+// dependency record (nil for none).
 type pend struct {
-	seq     int
-	ev      trace.Event
-	prevRel int     // KindLockAcq: seq of the previous holder's lock-rel, -1 if first
-	adv     *advRec // KindAdvance: pairing record to fill on resolution (nil for duplicates)
-	bar     *barRec // KindBarrierArrive: barrier to fold into on resolution
-	fence   int     // KindLoopBegin: index into fences
+	seq  int
+	ev   trace.Event
+	link *rec
 }
 
 // procState is one processor's frontier: the resolved prefix is
 // summarized by (prevSeq, taPrev, tmPrev); the unresolved suffix waits in
-// queue[qhead:].
+// queue[qhead:]. A processor with unresolved events is either queued to
+// run or parked: on the record its head waits for (wait), on an absence
+// decision at measured time waitAt (waitAbs), or on both. The processors
+// parked on one record form a list through prevW and nextW (processor
+// plus one, 0 ends it); those parked on an absence decision sit in the
+// engine's absParked at absIdx.
 type procState struct {
 	queue   []pend
 	qhead   int
@@ -170,6 +182,19 @@ type procState struct {
 	taPrev  trace.Time
 	tmPrev  trace.Time
 	events  int // events fed (Confidence denominator)
+
+	queued, parked bool
+	wait           *rec
+	prevW, nextW   int32
+	waitAbs        bool
+	waitAt         trace.Time
+	absIdx         int
+
+	// wslot[i] is the processor's entry in window wfirst+i's procs, for
+	// the windows its latest resolved events fell into. A processor's
+	// events resolve in time order, so its windows only move forward.
+	wfirst int
+	wslot  []int
 }
 
 // resolveNote carries one event's resolution to the window accumulator.
@@ -185,13 +210,17 @@ type resolveNote struct {
 
 // winAcc accumulates one window's statistics as its events resolve.
 type winAcc struct {
+	index    int
+	pending  int // fed-but-unresolved events
 	events   int
 	impaired int
 	waiting  trace.Time
-	procs    map[int]*winProcAcc
+	amended  bool         // emitted, then received late events
+	procs    []winProcAcc // in order of each processor's first event
 }
 
 type winProcAcc struct {
+	proc         int
 	events       int
 	minTM, maxTM trace.Time
 	minTA, maxTA trace.Time
@@ -205,20 +234,17 @@ type engine struct {
 	opts engineOptions
 
 	ps        []procState
-	fences    []fenceRec
-	advances  map[trace.PairKey]*advRec
-	rels      map[int]*relRec
-	lastRel   map[int]int // lock var -> seq of latest lock-rel fed
-	barriers  map[trace.PairKey]*barRec
+	recs      []rec // current allocation chunk; records never move
+	fences    []fence
+	pairVars  map[int]*iterTable     // advance pairing records by variable
+	pairs     map[trace.PairKey]*rec // pairing keys too sparse for a table
+	barriers  map[trace.PairKey]*rec // barrier key -> record
+	lastRel   map[int]*rec           // lock var -> record of the latest release
 	validator *trace.EventValidator
 
-	// sealedAwaits records PairKeys whose awaitE resolved mid-stream on
-	// the absent-partner path; a later advance for one of these is the
-	// contradiction that forces a redo.
-	sealedAwaits map[trace.PairKey]bool
-	// sealedBarriers records pairs whose release resolved mid-stream
-	// before any participant was fed.
-	sealedBarriers map[trace.PairKey]bool
+	runq      []int32    // processors ready to run
+	absParked []int32    // processors parked on an absence decision, unordered
+	absMin    trace.Time // lower bound on waitAt over absParked
 
 	n         int // events fed
 	remaining int // events fed but not resolved
@@ -232,67 +258,104 @@ type engine struct {
 	stats struct{ kept, removed, introduced int }
 	conf  []ProcConfidence // degraded-mode impairment tallies, indexed by proc
 
-	// Windowing. window <= 0 means a single unbounded window emitted at
-	// close; otherwise window k covers [k*slide, k*slide+window) in
-	// measured time.
+	// Windowing, for streaming sessions only (windowed). window <= 0
+	// means a single unbounded window emitted at close; otherwise window k
+	// covers [k*slide, k*slide+window) in measured time. wins holds every
+	// window an event fell into, in index order, except those an unsorted
+	// feed opened below the newest one, which wait in winLate until close;
+	// windows before winHead have been emitted or passed over.
+	windowed      bool
 	window, slide trace.Time
-	winAccs       map[int]*winAcc
-	winPending    map[int]int // fed-but-unresolved events per window index
-	winMaxIdx     int         // largest window index any fed event touches
-	winNext       int         // next window index to consider for emission
+	wins          []winAcc
+	winLate       map[int]*winAcc
+	winHead       int
+	winMaxIdx     int // largest window index any fed event touches
+	winNext       int // next window index to consider for emission
 	winQ          []WindowResult
-	winAmended    map[int]bool         // emitted windows that later received events
 	drainedWin    map[int]WindowResult // last content handed out per index
 
 	// Retained input (opts.retain): events in arrival order with their
-	// resolution state, for finish() and for the exact redo pass.
-	all     []trace.Event
-	taAll   []trace.Time
-	doneAll []bool
+	// approximated times, for finish() and for the exact redo pass.
+	all   []trace.Event
+	taAll []trace.Time
 
 	sinceCheck int
 }
 
 func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine {
 	g := &engine{
-		cal:            cal,
-		opts:           opts,
-		advances:       make(map[trace.PairKey]*advRec),
-		rels:           make(map[int]*relRec),
-		lastRel:        make(map[int]int),
-		barriers:       make(map[trace.PairKey]*barRec),
-		sealedAwaits:   make(map[trace.PairKey]bool),
-		sealedBarriers: make(map[trace.PairKey]bool),
-		winAccs:        make(map[int]*winAcc),
-		winPending:     make(map[int]int),
-		winMaxIdx:      -1,
-		winAmended:     make(map[int]bool),
-		drainedWin:     make(map[int]WindowResult),
-		watermark:      math.MinInt64,
-		sorted:         true,
+		cal:        cal,
+		opts:       opts,
+		pairVars:   make(map[int]*iterTable),
+		pairs:      make(map[trace.PairKey]*rec),
+		barriers:   make(map[trace.PairKey]*rec),
+		lastRel:    make(map[int]*rec),
+		absMin:     math.MaxInt64,
+		winMaxIdx:  -1,
+		drainedWin: make(map[int]WindowResult),
+		watermark:  math.MinInt64,
+		sorted:     true,
 	}
-	if opts.fixedProcs {
-		g.ps = make([]procState, procs)
-		for p := range g.ps {
-			g.ps[p].prevSeq = -1
-		}
-		g.validator = trace.NewEventValidator(procs)
-	} else {
-		g.validator = trace.NewEventValidator(0)
+	if !opts.fixedProcs {
+		procs = 0
 	}
+	g.growProcs(procs)
+	g.validator = trace.NewEventValidator(procs)
 	return g
 }
 
-// setWindows configures the window geometry. Must be called before the
-// first feed. slide <= 0 means tumbling (slide = window).
+// batchEngine returns an engine set up to analyze the whole trace m. It
+// aliases the caller's events instead of copying them, and it decides
+// absence from the watermark like a stream does, so a time-sorted trace
+// never queues behind a missing partner.
+func batchEngine(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) *engine {
+	g := newIncEngine(m.Procs, cal, engineOptions{
+		mode:       mode,
+		degraded:   degraded,
+		retain:     true,
+		seal:       true,
+		fixedProcs: true,
+	})
+	g.all, g.taAll = m.Events, make([]trace.Time, len(m.Events))
+	return g
+}
+
+// analyzeBatch is the batch entry points' engine run: feed every event,
+// then close.
+func analyzeBatch(ctx context.Context, m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) (*Approximation, error) {
+	g := batchEngine(m, cal, mode, degraded)
+	defer g.flushTelemetry()
+	if err := g.feed(ctx, m.Events); err != nil {
+		return nil, err
+	}
+	return g.close(ctx)
+}
+
+// flushTelemetry publishes one analysis run to the obs counters.
+func (g *engine) flushTelemetry() {
+	if obs.Enabled() {
+		obsAnaRuns.Add(1)
+		obsAnaEvents.Add(int64(g.n))
+	}
+}
+
+// setWindows turns on window accounting with the given geometry. Must be
+// called before the first feed. slide <= 0 means tumbling (slide =
+// window).
 func (g *engine) setWindows(window, slide trace.Time) {
 	if window > 0 && slide <= 0 {
 		slide = window
 	}
-	g.window, g.slide = window, slide
+	g.windowed, g.window, g.slide = true, window, slide
 }
 
 func (g *engine) procs() int { return len(g.ps) }
+
+func (g *engine) growProcs(n int) {
+	for len(g.ps) < n {
+		g.ps = append(g.ps, procState{prevSeq: -1})
+	}
+}
 
 // feed ingests events in arrival order, validating each, and resolves
 // everything their arrival makes resolvable. Each event is processed
@@ -306,10 +369,9 @@ func (g *engine) feed(ctx context.Context, events []trace.Event) error {
 		seq := g.n
 		g.n++
 		g.remaining++
-		if g.opts.retain {
+		if g.opts.retain && seq == len(g.all) { // batch runs alias the events up front
 			g.all = append(g.all, e)
 			g.taAll = append(g.taAll, 0)
-			g.doneAll = append(g.doneAll, false)
 		}
 		if seq > 0 && e.Time < g.watermark {
 			g.sorted = false
@@ -317,63 +379,159 @@ func (g *engine) feed(ctx context.Context, events []trace.Event) error {
 		if e.Time > g.watermark {
 			g.watermark = e.Time
 		}
-		for e.Proc >= len(g.ps) {
-			g.ps = append(g.ps, procState{prevSeq: -1})
+		g.growProcs(e.Proc + 1)
+
+		if g.windowed {
+			kmin, kmax := g.winRange(e.Time)
+			for k := kmin; k <= kmax; k++ {
+				g.win(k).pending++
+			}
+			g.winMaxIdx = max(g.winMaxIdx, kmax)
 		}
+
 		ps := &g.ps[e.Proc]
 		ps.events++
-
-		kmin, kmax := g.winRange(e.Time)
-		for k := kmin; k <= kmax; k++ {
-			g.winPending[k]++
+		ps.queue = append(ps.queue, pend{seq: seq, ev: e, link: g.link(seq, e)})
+		if !ps.queued && !ps.parked {
+			g.enqueue(e.Proc)
 		}
-		if kmax > g.winMaxIdx {
-			g.winMaxIdx = kmax
+		if len(g.absParked) > 0 && g.absenceKnown(g.absMin) {
+			g.wakeAbsent()
 		}
-
-		pe := pend{seq: seq, ev: e, prevRel: -1, fence: -1}
-		switch e.Kind {
-		case trace.KindAdvance:
-			k := e.Pair()
-			if g.sealedAwaits[k] {
-				g.needRedo = true
-			}
-			if _, dup := g.advances[k]; !dup {
-				rec := &advRec{}
-				g.advances[k] = rec
-				pe.adv = rec
-			}
-		case trace.KindBarrierArrive:
-			k := e.Pair()
-			b := g.barriers[k]
-			if b == nil {
-				b = &barRec{}
-				g.barriers[k] = b
-			}
-			if b.sealed || g.sealedBarriers[k] {
-				g.needRedo = true
-			}
-			b.fed++
-			pe.bar = b
-		case trace.KindLockAcq:
-			if ri, ok := g.lastRel[e.Var]; ok {
-				pe.prevRel = ri
-			}
-		case trace.KindLockRel:
-			g.rels[seq] = &relRec{}
-			g.lastRel[e.Var] = seq
-		case trace.KindLoopBegin:
-			pe.fence = len(g.fences)
-			g.fences = append(g.fences, fenceRec{seq: seq, proc: e.Proc, tm: e.Time})
-		}
-		ps.queue = append(ps.queue, pe)
-
-		if err := g.pass(ctx); err != nil {
+		if err := g.run(ctx); err != nil {
 			return err
 		}
-		g.emitWindows()
+		if g.windowed {
+			g.emitWindows()
+		}
 	}
 	return nil
+}
+
+// link resolves the dependency record an arriving event produces or
+// consumes, creating it on first use, and flags the run for an exact redo
+// when the event contradicts an absence decision already taken. Pairing
+// is first-occurrence-wins per key; a lock acquisition serializes on the
+// latest release fed before it.
+func (g *engine) link(seq int, e trace.Event) *rec {
+	if g.opts.mode == ModeTimeBased && e.Kind != trace.KindLoopBegin {
+		return nil // only fork fences matter to the execution-timing rule
+	}
+	switch e.Kind {
+	case trace.KindAdvance:
+		r := g.pair(e)
+		if r.sealed {
+			g.needRedo = true
+		}
+		if r.fed > 0 {
+			return nil // duplicate advance
+		}
+		r.fed = 1
+		return r
+	case trace.KindAwaitE:
+		return g.pair(e)
+	case trace.KindBarrierArrive:
+		r := g.keyed(g.barriers, e.Pair())
+		if r.sealed {
+			g.needRedo = true
+		}
+		r.fed++
+		return r
+	case trace.KindBarrierRelease:
+		return g.keyed(g.barriers, e.Pair())
+	case trace.KindLockAcq:
+		return g.lastRel[e.Var]
+	case trace.KindLockRel:
+		r := g.newRec()
+		g.lastRel[e.Var] = r
+		return r
+	case trace.KindLoopBegin:
+		r := g.newRec()
+		g.fences = append(g.fences, fence{seq: seq, proc: e.Proc, tm: e.Time, rec: r})
+		return r
+	}
+	return nil
+}
+
+// newRec allocates a record. Records come from fixed-size chunks, so
+// growth never copies them and links stay valid.
+func (g *engine) newRec() *rec {
+	if len(g.recs) == cap(g.recs) {
+		g.recs = make([]rec, 0, 1024)
+	}
+	g.recs = append(g.recs, rec{})
+	return &g.recs[len(g.recs)-1]
+}
+
+// pair returns the pairing record of an advance or awaitE. A DOACROSS
+// loop's iterations are dense, so records live in per-variable tables
+// indexed by iteration: with a map keyed by PairKey instead, the million-
+// event wave took 1.8x as long, and 1.4x with a packed uint64 key
+// (EXPERIMENTS.md). Keys that would leave a table mostly empty go to the
+// pairs map instead.
+func (g *engine) pair(e trace.Event) *rec {
+	t := g.pairVars[e.Var]
+	if t == nil {
+		t = &iterTable{base: e.Iter}
+		g.pairVars[e.Var] = t
+	}
+	slot := t.slot(e.Iter)
+	if slot == nil {
+		return g.keyed(g.pairs, e.Pair())
+	}
+	if *slot == nil {
+		if len(g.pairs) > 0 { // the table may have grown over a sparse key
+			*slot = g.pairs[e.Pair()]
+		}
+		if *slot == nil {
+			*slot = g.newRec()
+		}
+	}
+	return *slot
+}
+
+// iterTable holds one variable's pairing records, recs[i] for iteration
+// base+i.
+type iterTable struct {
+	base int
+	recs []*rec
+}
+
+// slot returns the cell for iteration it, growing the table to reach it,
+// or nil when it lies so far out that the table would be mostly empty.
+func (t *iterTable) slot(it int) **rec {
+	if i := it - t.base; i >= 0 && i < len(t.recs) {
+		return &t.recs[i]
+	}
+	if int(int32(it)) != it || int(int32(t.base)) != t.base {
+		return nil // keep the arithmetic below far from overflow
+	}
+	lo, hi := min(t.base, it), max(t.base+len(t.recs), it+1)
+	if hi-lo > 2*len(t.recs)+1024 {
+		return nil
+	}
+	if lo == t.base {
+		t.recs = slices.Grow(t.recs, hi-lo-len(t.recs))[:hi-lo]
+	} else {
+		// Leave as much room below as the table already spans, so a
+		// feed that walks iterations downward grows the table
+		// geometrically, as slices.Grow does upward.
+		lo = max(min(lo, t.base-len(t.recs)), math.MinInt32)
+		grown := make([]*rec, hi-lo)
+		copy(grown[t.base-lo:], t.recs)
+		t.base, t.recs = lo, grown
+	}
+	return &t.recs[it-t.base]
+}
+
+// keyed returns the record for key k in m, creating it on first use.
+func (g *engine) keyed(m map[trace.PairKey]*rec, k trace.PairKey) *rec {
+	r := m[k]
+	if r == nil {
+		r = g.newRec()
+		m[k] = r
+	}
+	return r
 }
 
 // winRange returns the inclusive window index range an event at measured
@@ -407,43 +565,85 @@ func (g *engine) winEnd(k int) trace.Time {
 	return trace.Time(k)*g.slide + g.window
 }
 
-// fenceBetween returns the index (into g.fences) of the latest fork fence
-// with arrival position strictly between prevSeq and seq that lies on a
-// different processor than proc, or -1 — the incremental form of
-// resolver.fenceBetween.
-func (g *engine) fenceBetween(prevSeq, seq, proc int) int {
+// win returns window k's accumulator, creating it when no event has
+// fallen into the window yet. A window above the newest one is appended,
+// which is all a time-sorted feed ever does. Only an unsorted feed opens a
+// window below the newest one; it waits in winLate, because an unsorted
+// feed emits nothing before close, and close merges it in.
+func (g *engine) win(k int) *winAcc {
+	n := len(g.wins)
+	if n == 0 || g.wins[n-1].index < k {
+		g.wins = append(g.wins, winAcc{index: k})
+		return &g.wins[n]
+	}
+	if g.wins[n-1].index == k {
+		return &g.wins[n-1]
+	}
+	if i, ok := slices.BinarySearchFunc(g.wins, k, winCmp); ok {
+		return &g.wins[i]
+	}
+	w := g.winLate[k]
+	if w == nil {
+		if g.winLate == nil {
+			g.winLate = make(map[int]*winAcc)
+		}
+		w = &winAcc{index: k}
+		g.winLate[k] = w
+	}
+	return w
+}
+
+func winCmp(w winAcc, k int) int { return cmp.Compare(w.index, k) }
+
+// mergeLate moves the windows in winLate into wins, in index order, and
+// recounts winHead as the windows below winNext.
+func (g *engine) mergeLate() {
+	if len(g.winLate) == 0 {
+		return
+	}
+	for _, w := range g.winLate {
+		g.wins = append(g.wins, *w)
+	}
+	g.winLate = nil
+	slices.SortFunc(g.wins, func(a, b winAcc) int { return cmp.Compare(a.index, b.index) })
+	g.winHead, _ = slices.BinarySearchFunc(g.wins, g.winNext, winCmp)
+}
+
+// fenceBetween returns the latest fork fence with arrival position
+// strictly between prevSeq and seq that lies on a different processor
+// than proc, or nil.
+func (g *engine) fenceBetween(prevSeq, seq, proc int) *fence {
 	for k := len(g.fences) - 1; k >= 0; k-- {
 		f := &g.fences[k]
 		if f.seq >= seq {
 			continue
 		}
 		if f.seq <= prevSeq {
-			return -1
+			return nil
 		}
 		if f.proc != proc {
-			return k
+			return f
 		}
 	}
-	return -1
+	return nil
 }
 
 // basis returns the time basis for processor p's queue head: the fork
 // fence between it and its predecessor if one applies, the predecessor's
-// frontier otherwise, the origin for a processor's first event.
-func (g *engine) basis(p int) (ta, tm trace.Time, ok bool) {
+// frontier otherwise, the origin for a processor's first event. wait is
+// the record of a fence that has not resolved yet, nil otherwise.
+func (g *engine) basis(p int) (ta, tm trace.Time, wait *rec) {
 	ps := &g.ps[p]
-	head := &ps.queue[ps.qhead]
-	if fi := g.fenceBetween(ps.prevSeq, head.seq, p); fi >= 0 {
-		f := &g.fences[fi]
-		if !f.done {
-			return 0, 0, false
+	if f := g.fenceBetween(ps.prevSeq, ps.queue[ps.qhead].seq, p); f != nil {
+		if !f.rec.done {
+			return 0, 0, f.rec
 		}
-		return f.ta, f.tm, true
+		return f.rec.ta, f.tm, nil
 	}
 	if ps.prevSeq >= 0 {
-		return ps.taPrev, ps.tmPrev, true
+		return ps.taPrev, ps.tmPrev, nil
 	}
-	return 0, 0, true
+	return 0, 0, nil
 }
 
 // absenceKnown reports whether the engine may decide that no partner for
@@ -462,39 +662,52 @@ func (g *engine) overhead(k trace.Kind) trace.Time {
 	return g.cal.Overheads.ForKind(k)
 }
 
-// resolveHead applies the resolution rules to processor p's queue head,
-// whose basis (taBase, tmBase) is available. It reports whether the event
-// resolved or is still blocked on a dependency.
-func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
+// step resolves processor p's queue head, or parks p on what the head
+// waits for and reports false.
+func (g *engine) step(p int) bool {
 	ps := &g.ps[p]
 	pe := &ps.queue[ps.qhead]
+	taBase, tmBase, wait := g.basis(p)
+	if wait != nil {
+		g.park(p, wait, false, 0)
+		return false
+	}
+	note := resolveNote{ev: pe.ev}
+	if wait, abs, ok := g.resolveHead(pe, taBase, tmBase, &note); !ok {
+		g.park(p, wait, abs, pe.ev.Time)
+		return false
+	}
+	g.commit(p, pe, note)
+	return true
+}
+
+// resolveHead applies the resolution rules to a queue head whose basis
+// (taBase, tmBase) is available, filling note. When a dependency is still
+// missing it reports ok == false with the record to wait for and whether
+// the head also waits for an absence decision.
+func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveNote) (wait *rec, abs, ok bool) {
 	e := pe.ev
 	cal := g.cal
-	note := resolveNote{ev: e}
-
 	if g.opts.mode == ModeTimeBased {
-		g.resolveDefaultInc(pe, taBase, tmBase, &note)
-		g.commit(p, pe, note)
-		return true
+		g.resolveDefault(e, taBase, tmBase, note)
+		return nil, false, true
 	}
 
 	switch e.Kind {
 	case trace.KindAwaitE:
 		taAwaitB := taBase // predecessor of awaitE is its awaitB
-		rec, paired := g.advances[e.Pair()]
-		if paired && !rec.done {
-			return false // blocked on the advance
+		r := pe.link
+		paired := r.fed > 0
+		if paired && !r.done {
+			return r, false, false // blocked on the advance
 		}
 		if !paired && !g.absenceKnown(e.Time) {
-			return false // the advance may still arrive
+			return r, true, false // the advance may still arrive
 		}
 		if !paired && !g.closed {
-			g.sealedAwaits[e.Pair()] = true
+			r.sealed = true
 		}
-		var taA trace.Time
-		if paired {
-			taA = rec.ta
-		}
+		taA := r.ta
 		// Classify against the measured behaviour (Figure 2): the
 		// await waited in the measurement iff its measured gap
 		// exceeds the no-wait processing plus probe cost.
@@ -515,41 +728,35 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 				note.introduced = 1
 			}
 			note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
-			g.commit(p, pe, note)
-			return true
+			return nil, false, true
 		}
-		if paired && taA > taAwaitB {
+		waitedApprox := paired && taA > taAwaitB
+		if waitedApprox {
 			note.ta = taA + cal.SWait
 			note.kept = 1
 		} else {
 			note.ta = taAwaitB + cal.SNoWait
 		}
-		waitedApprox := paired && taA > taAwaitB
 		if waitedMeasured && !waitedApprox {
 			note.removed = 1
 		} else if !waitedMeasured && waitedApprox {
 			note.introduced = 1
 		}
 		note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
-		g.commit(p, pe, note)
-		return true
 
 	case trace.KindLockAcq:
 		taReq := taBase // predecessor of lock-acq is its lock-req
-		ri := pe.prevRel
-		var rr *relRec
-		if ri >= 0 {
-			rr = g.rels[ri]
-			if !rr.done {
-				return false // blocked on the previous holder's release
-			}
-		}
+		r := pe.link
+		held := r != nil
 		var taRel trace.Time
-		held := ri >= 0
 		if held {
-			taRel = rr.ta
+			if !r.done {
+				return r, false, false // blocked on the previous holder's release
+			}
+			taRel = r.ta
 		}
-		if held && taRel > taReq {
+		waitedApprox := held && taRel > taReq
+		if waitedApprox {
 			note.ta = taRel + cal.SWait
 			note.kept = 1
 		} else {
@@ -557,45 +764,31 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 		}
 		measuredGap := e.Time - tmBase
 		waitedMeasured := measuredGap > cal.SNoWait+cal.Overheads.ForKind(e.Kind)+cal.SNoWait/2
-		waitedApprox := held && taRel > taReq
 		if waitedMeasured && !waitedApprox {
 			note.removed = 1
 		} else if !waitedMeasured && waitedApprox {
 			note.introduced = 1
 		}
 		note.waiting = waitAbove(note.ta, taReq, cal.SNoWait)
-		g.commit(p, pe, note)
-		return true
 
 	case trace.KindBarrierRelease:
-		b := g.barriers[e.Pair()]
+		r := pe.link
 		if !g.absenceKnown(e.Time) {
-			return false // more participants may still arrive
+			return nil, true, false // more participants may still arrive
 		}
-		if b != nil && b.resolved < b.fed {
-			return false // a fed participant is still unresolved
-		}
-		var latest trace.Time
-		if b != nil {
-			latest = b.maxTA
+		if r.resolved < r.fed {
+			return r, false, false // a fed participant is still unresolved
 		}
 		if !g.closed {
-			if b != nil {
-				b.sealed = true
-			} else {
-				g.sealedBarriers[e.Pair()] = true
-			}
+			r.sealed = true
 		}
-		note.ta = latest + cal.Barrier
+		note.ta = r.ta + cal.Barrier
 		note.waiting = waitAbove(note.ta, taBase, cal.Barrier)
-		g.commit(p, pe, note)
-		return true
 
 	default:
-		g.resolveDefaultInc(pe, taBase, tmBase, &note)
-		g.commit(p, pe, note)
-		return true
+		g.resolveDefault(e, taBase, tmBase, note)
 	}
+	return nil, false, true
 }
 
 // waitAbove is the window accumulator's waiting attribution: the part of
@@ -609,10 +802,9 @@ func waitAbove(ta, taBase, cost trace.Time) trace.Time {
 	return w
 }
 
-// resolveDefaultInc applies the execution-timing rule (resolveDefault's
-// incremental twin).
-func (g *engine) resolveDefaultInc(pe *pend, taBase, tmBase trace.Time, note *resolveNote) {
-	e := pe.ev
+// resolveDefault applies the execution-timing rule: the approximated time
+// is the basis plus the measured gap minus the event's probe overhead.
+func (g *engine) resolveDefault(e trace.Event, taBase, tmBase trace.Time, note *resolveNote) {
 	gap := e.Time - tmBase - g.overhead(e.Kind)
 	if gap < 0 {
 		// Calibration error can slightly exceed a short measured gap;
@@ -622,37 +814,28 @@ func (g *engine) resolveDefaultInc(pe *pend, taBase, tmBase trace.Time, note *re
 	note.ta = taBase + gap
 }
 
-// commit finalizes a resolution: records the approximated time, folds
-// sync bookkeeping, advances the processor frontier and accumulates the
-// event into its windows.
+// commit finalizes a resolution: records the approximated time, resolves
+// the event's dependency record (waking the heads parked on it), advances
+// the processor frontier and accumulates the event into its windows.
 func (g *engine) commit(p int, pe *pend, note resolveNote) {
 	e := pe.ev
 	ta := note.ta
-	ps := &g.ps[p]
 
 	if g.opts.retain {
 		g.taAll[pe.seq] = ta
-		g.doneAll[pe.seq] = true
 	}
-	switch e.Kind {
-	case trace.KindAdvance:
-		if pe.adv != nil {
-			pe.adv.ta = ta
-			pe.adv.done = true
+	if r := pe.link; r != nil {
+		switch e.Kind {
+		case trace.KindAdvance, trace.KindLockRel, trace.KindLoopBegin:
+			r.ta, r.done = ta, true
+			g.publish(r)
+		case trace.KindBarrierArrive:
+			r.resolved++
+			r.ta = max(r.ta, ta)
+			if r.resolved == r.fed { // a release needs every fed arrival
+				g.publish(r)
+			}
 		}
-	case trace.KindLockRel:
-		rr := g.rels[pe.seq]
-		rr.ta = ta
-		rr.done = true
-	case trace.KindBarrierArrive:
-		pe.bar.resolved++
-		if ta > pe.bar.maxTA {
-			pe.bar.maxTA = ta
-		}
-	case trace.KindLoopBegin:
-		f := &g.fences[pe.fence]
-		f.ta = ta
-		f.done = true
 	}
 	g.stats.kept += note.kept
 	g.stats.removed += note.removed
@@ -661,15 +844,20 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 		g.maxTA = ta
 	}
 
-	g.foldWindow(&note)
+	if g.windowed {
+		g.foldWindow(&note)
+	}
 
+	ps := &g.ps[p]
 	ps.prevSeq = pe.seq
 	ps.taPrev = ta
 	ps.tmPrev = e.Time
 	ps.qhead++
-	// Compact the queue once the resolved prefix dominates, keeping
-	// amortized O(1) pops without unbounded growth.
-	if ps.qhead > 32 && ps.qhead*2 >= len(ps.queue) {
+	// Reset an emptied queue; compact one whose resolved prefix
+	// dominates, keeping amortized O(1) pops without unbounded growth.
+	if ps.qhead == len(ps.queue) {
+		ps.queue, ps.qhead = ps.queue[:0], 0
+	} else if ps.qhead > 32 && ps.qhead*2 >= len(ps.queue) {
 		n := copy(ps.queue, ps.queue[ps.qhead:])
 		ps.queue = ps.queue[:n]
 		ps.qhead = 0
@@ -677,48 +865,140 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 	g.remaining--
 }
 
+// enqueue marks processor p runnable.
+func (g *engine) enqueue(p int) {
+	g.ps[p].queued = true
+	g.runq = append(g.runq, int32(p))
+}
+
+// park records what processor p's head waits for: record wait (nil for
+// none) and, with abs, an absence decision at measured time at.
+func (g *engine) park(p int, wait *rec, abs bool, at trace.Time) {
+	ps := &g.ps[p]
+	ps.parked, ps.wait, ps.waitAbs, ps.waitAt = true, wait, abs, at
+	if wait != nil {
+		ps.prevW, ps.nextW = 0, wait.waiters
+		if wait.waiters != 0 {
+			g.ps[wait.waiters-1].prevW = int32(p + 1)
+		}
+		wait.waiters = int32(p + 1)
+	}
+	if abs {
+		ps.absIdx = len(g.absParked)
+		g.absParked = append(g.absParked, int32(p))
+		g.absMin = min(g.absMin, at)
+	}
+}
+
+// wake takes parked processor p off what it waits for and makes it
+// runnable.
+func (g *engine) wake(p int) {
+	ps := &g.ps[p]
+	if r := ps.wait; r != nil {
+		if ps.prevW != 0 {
+			g.ps[ps.prevW-1].nextW = ps.nextW
+		} else {
+			r.waiters = ps.nextW
+		}
+		if ps.nextW != 0 {
+			g.ps[ps.nextW-1].prevW = ps.prevW
+		}
+	}
+	if ps.waitAbs {
+		last := len(g.absParked) - 1
+		moved := g.absParked[last]
+		g.absParked[ps.absIdx] = moved
+		g.ps[moved].absIdx = ps.absIdx
+		g.absParked = g.absParked[:last]
+	}
+	ps.parked, ps.wait, ps.waitAbs = false, nil, false
+	g.enqueue(p)
+}
+
+// publish wakes every processor parked on record r, which just resolved
+// or had its last fed participant resolve.
+func (g *engine) publish(r *rec) {
+	for r.waiters != 0 {
+		g.wake(int(r.waiters - 1))
+	}
+}
+
+// wakeAbsent wakes every processor parked on an absence decision that is
+// now known, and recomputes absMin over the rest.
+func (g *engine) wakeAbsent() {
+	g.absMin = math.MaxInt64
+	for i := 0; i < len(g.absParked); {
+		p := int(g.absParked[i])
+		if at := g.ps[p].waitAt; !g.absenceKnown(at) {
+			g.absMin = min(g.absMin, at)
+			i++
+		} else {
+			g.wake(p) // moves the last entry to i
+		}
+	}
+}
+
+// run drains the runnable processors: each resolves its queue until the
+// queue empties or its head parks. Parked processors cost nothing until
+// what they wait for resolves.
+func (g *engine) run(ctx context.Context) error {
+	for len(g.runq) > 0 {
+		last := len(g.runq) - 1
+		p := int(g.runq[last])
+		g.runq = g.runq[:last]
+		g.ps[p].queued = false
+		for g.ps[p].qhead < len(g.ps[p].queue) {
+			if !g.step(p) {
+				break
+			}
+			if g.sinceCheck++; g.sinceCheck >= cancel.CheckEvery {
+				g.sinceCheck = 0
+				if err := cancel.Err(ctx); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // foldWindow accumulates a resolved event into every window containing
 // its measured time.
 func (g *engine) foldWindow(note *resolveNote) {
 	e := note.ev
 	kmin, kmax := g.winRange(e.Time)
+	ps := &g.ps[e.Proc]
+	if kmin > ps.wfirst { // forget the windows the processor has left
+		drop := min(kmin-ps.wfirst, len(ps.wslot))
+		ps.wslot = ps.wslot[:copy(ps.wslot, ps.wslot[drop:])]
+		ps.wfirst = kmin
+	}
 	for k := kmin; k <= kmax; k++ {
-		g.winPending[k]--
+		w := g.win(k)
+		w.pending--
 		if k < g.winNext {
-			g.winAmended[k] = true
+			w.amended = true
 		}
-		acc := g.winAccs[k]
-		if acc == nil {
-			acc = &winAcc{procs: make(map[int]*winProcAcc)}
-			g.winAccs[k] = acc
-		}
-		acc.events++
-		acc.waiting += note.waiting
+		w.events++
+		w.waiting += note.waiting
 		if note.impaired {
-			acc.impaired++
+			w.impaired++
 		}
-		pa := acc.procs[e.Proc]
-		if pa == nil {
-			pa = &winProcAcc{
+		if k-ps.wfirst == len(ps.wslot) { // the processor's first event here
+			ps.wslot = append(ps.wslot, len(w.procs))
+			w.procs = append(w.procs, winProcAcc{
+				proc:  e.Proc,
 				minTM: e.Time, maxTM: e.Time,
 				minTA: note.ta, maxTA: note.ta,
-			}
-			acc.procs[e.Proc] = pa
+			})
 		}
+		pa := &w.procs[ps.wslot[k-ps.wfirst]]
 		pa.events++
 		pa.waiting += note.waiting
-		if e.Time < pa.minTM {
-			pa.minTM = e.Time
-		}
-		if e.Time > pa.maxTM {
-			pa.maxTM = e.Time
-		}
-		if note.ta < pa.minTA {
-			pa.minTA = note.ta
-		}
-		if note.ta > pa.maxTA {
-			pa.maxTA = note.ta
-		}
+		pa.minTM = min(pa.minTM, e.Time)
+		pa.maxTM = max(pa.maxTM, e.Time)
+		pa.minTA = min(pa.minTA, note.ta)
+		pa.maxTA = max(pa.maxTA, note.ta)
 	}
 }
 
@@ -734,19 +1014,23 @@ func (g *engine) foldWindow(note *resolveNote) {
 // keep folding, the window is marked amended, and close re-emits its
 // corrected content (emitAmended).
 func (g *engine) emitWindows() {
-	for {
+	for g.winNext <= g.winMaxIdx {
 		k := g.winNext
-		if k > g.winMaxIdx {
-			return
+		var w *winAcc
+		if g.winHead < len(g.wins) && g.wins[g.winHead].index == k {
+			w = &g.wins[g.winHead]
 		}
-		if g.winPending[k] > 0 {
+		if w != nil && w.pending > 0 {
 			return
 		}
 		if !g.closed && !(g.sorted && g.watermark >= g.winEnd(k)) {
 			return
 		}
-		if acc := g.winAccs[k]; acc != nil {
-			g.winQ = append(g.winQ, g.buildWindow(k, acc))
+		if w != nil {
+			if w.events > 0 {
+				g.winQ = append(g.winQ, g.buildWindow(w))
+			}
+			g.winHead++
 		}
 		g.winNext++
 	}
@@ -758,25 +1042,18 @@ func (g *engine) emitWindows() {
 // corrected content; for a given Index, the latest emission supersedes
 // earlier ones.
 func (g *engine) emitAmended() {
-	if len(g.winAmended) == 0 {
-		return
-	}
-	ks := make([]int, 0, len(g.winAmended))
-	for k := range g.winAmended {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	for _, k := range ks {
-		if acc := g.winAccs[k]; acc != nil {
-			g.winQ = append(g.winQ, g.buildWindow(k, acc))
+	for i := range g.wins {
+		if w := &g.wins[i]; w.amended {
+			w.amended = false
+			g.winQ = append(g.winQ, g.buildWindow(w))
 		}
 	}
-	g.winAmended = make(map[int]bool)
 }
 
-// buildWindow assembles the WindowResult for window k from its
+// buildWindow assembles the WindowResult for a window from its
 // accumulator.
-func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
+func (g *engine) buildWindow(acc *winAcc) WindowResult {
+	k := acc.index
 	w := WindowResult{
 		Index:       k,
 		Start:       trace.Time(k) * g.slide,
@@ -785,6 +1062,7 @@ func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
 		ActiveProcs: len(acc.procs),
 		Waiting:     acc.waiting,
 		Confidence:  1,
+		Procs:       make([]WindowProc, 0, len(acc.procs)),
 	}
 	if g.window <= 0 {
 		w.Start = 0
@@ -793,17 +1071,11 @@ func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
 			w.End = g.watermark
 		}
 	}
-	procIDs := make([]int, 0, len(acc.procs))
-	for p := range acc.procs {
-		procIDs = append(procIDs, p)
-	}
-	sort.Ints(procIDs)
 	var busy trace.Time
 	minTA, maxTA := trace.Time(math.MaxInt64), trace.Time(math.MinInt64)
-	for _, p := range procIDs {
-		pa := acc.procs[p]
+	for _, pa := range acc.procs {
 		w.Procs = append(w.Procs, WindowProc{
-			Proc:          p,
+			Proc:          pa.proc,
 			Events:        pa.events,
 			MeasuredStart: pa.minTM,
 			MeasuredEnd:   pa.maxTM,
@@ -811,28 +1083,20 @@ func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
 			ApproxEnd:     pa.maxTA,
 			Waiting:       pa.waiting,
 		})
-		b := pa.maxTA - pa.minTA - pa.waiting
-		if b > 0 {
+		if b := pa.maxTA - pa.minTA - pa.waiting; b > 0 {
 			busy += b
 		}
-		if pa.minTA < minTA {
-			minTA = pa.minTA
-		}
-		if pa.maxTA > maxTA {
-			maxTA = pa.maxTA
-		}
+		minTA = min(minTA, pa.minTA)
+		maxTA = max(maxTA, pa.maxTA)
 	}
+	slices.SortFunc(w.Procs, func(a, b WindowProc) int { return cmp.Compare(a.Proc, b.Proc) })
 	if span := maxTA - minTA; span > 0 {
 		w.AvgParallelism = float64(busy) / float64(span)
 	} else {
-		w.AvgParallelism = float64(len(procIDs))
+		w.AvgParallelism = float64(len(acc.procs))
 	}
 	if g.opts.degraded && acc.events > 0 {
-		c := 1 - float64(acc.impaired)/float64(acc.events)
-		if c < 0 {
-			c = 0
-		}
-		w.Confidence = c
+		w.Confidence = max(0, 1-float64(acc.impaired)/float64(acc.events))
 	}
 	return w
 }
@@ -845,8 +1109,10 @@ func (g *engine) drainWindows() []WindowResult {
 	}
 	out := g.winQ
 	g.winQ = nil
-	for _, w := range out {
-		g.drainedWin[w.Index] = w
+	if g.opts.retain { // only a redo, which needs retention, reads them
+		for _, w := range out {
+			g.drainedWin[w.Index] = w
+		}
 	}
 	return out
 }
@@ -876,44 +1142,14 @@ func (g *engine) confFor(proc int) *ProcConfidence {
 	return &g.conf[proc]
 }
 
-// pass runs the worklist to a local fixpoint: repeated rounds over the
-// processors, resolving every queue head whose dependencies are
-// available, until a round makes no progress.
-func (g *engine) pass(ctx context.Context) error {
-	for {
-		progress := false
-		for p := range g.ps {
-			ps := &g.ps[p]
-			for ps.qhead < len(ps.queue) {
-				taBase, tmBase, ok := g.basis(p)
-				if !ok {
-					break
-				}
-				if !g.resolveHead(p, taBase, tmBase) {
-					break
-				}
-				progress = true
-				if g.sinceCheck++; g.sinceCheck >= cancel.CheckEvery {
-					g.sinceCheck = 0
-					if err := cancel.Err(ctx); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		if !progress {
-			return nil
-		}
-	}
-}
-
 // close finishes the analysis: every event has arrived, so absence
 // decisions are final, stalls are broken (degraded mode) or reported, and
 // a contradiction-flagged run is re-resolved exactly from the retained
 // events.
 func (g *engine) close(ctx context.Context) (*Approximation, error) {
 	g.closed = true
-	if err := g.pass(ctx); err != nil {
+	g.wakeAbsent()
+	if err := g.run(ctx); err != nil {
 		return nil, err
 	}
 	for g.remaining > 0 {
@@ -933,31 +1169,27 @@ func (g *engine) close(ctx context.Context) (*Approximation, error) {
 		// processor order with the execution-timing rule, so a
 		// dependency cycle degrades one event instead of failing the
 		// whole analysis. Deterministic: lowest processor id wins.
-		forced := false
-		for p := 0; p < len(g.ps) && !forced; p++ {
-			ps := &g.ps[p]
-			if ps.qhead >= len(ps.queue) {
-				continue
-			}
-			pe := &ps.queue[ps.qhead]
-			taBase, tmBase, ok := g.basis(p)
-			if !ok {
-				// Basis itself unresolved (cross-processor fence in
-				// the cycle): anchor at the measured time.
-				taBase, tmBase = pe.ev.Time, pe.ev.Time
-			}
-			var note resolveNote
-			note.ev = pe.ev
-			g.resolveDefaultInc(pe, taBase, tmBase, &note)
-			note.impaired = true
-			g.confFor(p).Forced++
-			g.commit(p, pe, note)
-			forced = true
+		p := 0
+		for p < len(g.ps) && g.ps[p].qhead == len(g.ps[p].queue) {
+			p++
 		}
-		if !forced {
+		if p == len(g.ps) || !g.ps[p].parked {
 			return nil, fmt.Errorf("%w: %d events unresolved", ErrUnresolvable, g.remaining)
 		}
-		if err := g.pass(ctx); err != nil {
+		g.wake(p)
+		ps := &g.ps[p]
+		pe := &ps.queue[ps.qhead]
+		taBase, tmBase, wait := g.basis(p)
+		if wait != nil {
+			// Basis itself unresolved (cross-processor fence in the
+			// cycle): anchor at the measured time.
+			taBase, tmBase = pe.ev.Time, pe.ev.Time
+		}
+		note := resolveNote{ev: pe.ev, impaired: true}
+		g.resolveDefault(pe.ev, taBase, tmBase, &note)
+		g.confFor(p).Forced++
+		g.commit(p, pe, note)
+		if err := g.run(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -965,20 +1197,23 @@ func (g *engine) close(ctx context.Context) (*Approximation, error) {
 	if g.needRedo {
 		return g.redo(ctx)
 	}
-	g.emitWindows()
-	g.emitAmended()
-	return g.finish()
+	if g.windowed {
+		g.mergeLate()
+		g.emitWindows()
+		g.emitAmended()
+	}
+	return g.finish(), nil
 }
 
 // redo re-resolves the retained events with sealing disabled: every
 // absence decision waits for close, where knowledge is complete, so the
-// result is exactly the batch fixpoint's. Reached only when a partner
-// event arrived after its absence had optimistically been decided —
-// possible only for feeds that violate causal order (a partner completing
-// after its dependent), which no measured execution produces. The window
-// queue is rebuilt from the exact run's emissions; any window already
-// drained with content the exact run confirms is not repeated, while a
-// corrected window is re-emitted and supersedes the drained one.
+// result is exactly the fixpoint over the whole trace. Reached only when
+// a partner event arrived after its absence had optimistically been
+// decided — possible only for feeds that violate causal order (a partner
+// completing after its dependent), which no measured execution produces.
+// The window queue is rebuilt from the exact run's emissions; any window
+// already drained with content the exact run confirms is not repeated,
+// while a corrected window is re-emitted and supersedes the drained one.
 func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	if !g.opts.retain {
 		return nil, fmt.Errorf("%w: synchronization partner arrived after its absence was decided; low-memory streaming cannot re-resolve (retain events or sort the feed)", ErrUnsupported)
@@ -986,13 +1221,11 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	opts := g.opts
 	opts.seal = false
 	g2 := newIncEngine(g.procs(), g.cal, opts)
-	if !opts.fixedProcs {
-		// Keep the discovered processor count.
-		for len(g2.ps) < len(g.ps) {
-			g2.ps = append(g2.ps, procState{prevSeq: -1})
-		}
+	g2.growProcs(g.procs()) // keep a discovered processor count
+	if g.windowed {
+		g2.setWindows(g.window, g.slide)
 	}
-	g2.setWindows(g.window, g.slide)
+	g2.all, g2.taAll = g.all, make([]trace.Time, len(g.all))
 	if err := g2.feed(ctx, g.all); err != nil {
 		return nil, err
 	}
@@ -1006,7 +1239,6 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	g.conf = g2.conf
 	g.maxTA = g2.maxTA
 	g.taAll = g2.taAll
-	g.doneAll = g2.doneAll
 	g.winQ = g.winQ[:0]
 	for _, w := range g2.winQ {
 		if prev, ok := g.drainedWin[w.Index]; ok && windowEqual(prev, w) {
@@ -1017,10 +1249,10 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	return a, nil
 }
 
-// finish assembles the Approximation. With retention it mirrors
-// resolver.finish (events re-timed, canonically sorted, Times aligned
-// with arrival order); without, it carries the summary only.
-func (g *engine) finish() (*Approximation, error) {
+// finish assembles the Approximation. With retention the events are
+// re-timed and put in canonical order, with Times aligned with arrival
+// order; without, it carries the summary only.
+func (g *engine) finish() *Approximation {
 	a := &Approximation{
 		WaitsKept:       g.stats.kept,
 		WaitsRemoved:    g.stats.removed,
@@ -1041,20 +1273,120 @@ func (g *engine) finish() (*Approximation, error) {
 	}
 	if !g.opts.retain {
 		a.Duration = g.maxTA
-		return a, nil
+		return a
 	}
-	a.Trace = trace.NewWithCap(g.procs(), len(g.all))
-	a.Times = g.taAll
 	// No renormalization: the basis rule anchors each thread at the
 	// execution origin (time zero), so approximated times are already in
 	// actual-execution coordinates.
-	for i, e := range g.all {
-		e.Time = g.taAll[i]
-		a.Trace.Append(e)
+	a.Times = g.taAll
+	a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(g.all, g.taAll, g.procs())}
+	if n := len(a.Trace.Events); n > 0 {
+		a.Duration = a.Trace.Events[n-1].Time // canonical order is by time
 	}
-	a.Trace.Sort()
-	a.Duration = a.Trace.End()
-	return a, nil
+	return a
+}
+
+// mergeRuns re-times events with ta and puts them in the canonical (Time,
+// Proc, Stmt) order with arrival-order tie-breaking — exactly the
+// permutation Trace.Sort's stable sort produces — by merging the
+// per-processor runs. Runs never share a processor, so the merge orders
+// run heads by (time, proc) alone, in a heap of the processors with events
+// left: O(log procs) per event. Within a run, arrival order is the
+// tie-breaking wherever (time, stmt) does not decrease; a run where it
+// does is stable-sorted first.
+func mergeRuns(events []trace.Event, ta []trace.Time, procs int) []trace.Event {
+	// next links each event to the next one of its run.
+	next := make([]int, len(events))
+	head := make([]int, procs)
+	for p := range head {
+		head[p] = -1
+	}
+	for i := len(events) - 1; i >= 0; i-- {
+		p := events[i].Proc
+		next[i], head[p] = head[p], i
+	}
+	before := func(a, b int) bool { // a sorts strictly before b
+		return ta[a] < ta[b] || ta[a] == ta[b] && events[a].Stmt < events[b].Stmt
+	}
+	var run []int
+	for p, h := range head {
+		i := h
+		for i >= 0 && next[i] >= 0 && !before(next[i], i) {
+			i = next[i]
+		}
+		if i < 0 || next[i] < 0 {
+			continue // sorted
+		}
+		run = run[:0]
+		for i := h; i >= 0; i = next[i] {
+			run = append(run, i)
+		}
+		slices.SortStableFunc(run, func(a, b int) int {
+			return cmp.Or(cmp.Compare(ta[a], ta[b]), cmp.Compare(events[a].Stmt, events[b].Stmt))
+		})
+		head[p] = run[0]
+		for k, i := range run[:len(run)-1] {
+			next[i] = run[k+1]
+		}
+		next[run[len(run)-1]] = -1
+	}
+	h := procHeap{ta: ta, head: head}
+	for p, i := range head {
+		if i >= 0 {
+			h.procs = append(h.procs, p)
+		}
+	}
+	for k := len(h.procs)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+	out := make([]trace.Event, 0, len(events))
+	for len(h.procs) > 0 {
+		p := h.procs[0]
+		i := head[p]
+		e := events[i]
+		e.Time = ta[i]
+		out = append(out, e)
+		if head[p] = next[i]; head[p] < 0 { // run exhausted
+			last := len(h.procs) - 1
+			h.procs[0] = h.procs[last]
+			h.procs = h.procs[:last]
+		}
+		h.down(0)
+	}
+	return out
+}
+
+// procHeap is a binary min-heap of processors ordered by the time of their
+// run's head event, ties toward the lower processor.
+type procHeap struct {
+	procs []int
+	ta    []trace.Time
+	head  []int // run head event per processor
+}
+
+func (h *procHeap) less(a, b int) bool {
+	pa, pb := h.procs[a], h.procs[b]
+	ta, tb := h.ta[h.head[pa]], h.ta[h.head[pb]]
+	return ta < tb || ta == tb && pa < pb
+}
+
+// down restores the heap order below position k.
+func (h *procHeap) down(k int) {
+	n := len(h.procs)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, k) {
+			return
+		}
+		h.procs[k], h.procs[c] = h.procs[c], h.procs[k]
+		k = c
+	}
 }
 
 // StreamOptions configures a streaming analysis session.
@@ -1177,6 +1509,8 @@ func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 		return s.result, nil
 	}
 	s.closed = true
+	var repaired *trace.Trace
+	var rep *trace.RepairReport
 	if s.buf != nil {
 		// Repair mode: sanitize the buffered feed, then run the engine
 		// in degraded mode over the repaired trace — exactly
@@ -1189,30 +1523,23 @@ func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 				}
 			}
 		}
-		repaired, rep := trace.Repair(s.buf)
-		g := newIncEngine(repaired.Procs, s.cal, engineOptions{
-			mode:       s.opts.Mode,
-			degraded:   s.opts.Mode == ModeEventBased,
-			retain:     true,
-			fixedProcs: true,
-		})
-		g.setWindows(s.opts.Window, s.opts.Slide)
-		s.g = g
-		if err := g.feed(ctx, repaired.Events); err != nil {
+		repaired, rep = trace.Repair(s.buf)
+		s.g = batchEngine(repaired, s.cal, s.opts.Mode, s.opts.Mode == ModeEventBased)
+		s.g.setWindows(s.opts.Window, s.opts.Slide)
+	}
+	defer s.g.flushTelemetry()
+	if repaired != nil {
+		if err := s.g.feed(ctx, repaired.Events); err != nil {
 			return nil, err
 		}
-		a, err := g.close(ctx)
-		if err != nil {
-			return nil, err
-		}
-		a.Repair = rep
-		attachDefects(a, rep, repaired.Procs)
-		s.result = a
-		return a, nil
 	}
 	a, err := s.g.close(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if rep != nil {
+		a.Repair = rep
+		attachDefects(a, rep, repaired.Procs)
 	}
 	s.result = a
 	return a, nil

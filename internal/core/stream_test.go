@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"perturb/internal/core"
 	"perturb/internal/instr"
@@ -213,6 +214,104 @@ func TestStreamUnsortedFeed(t *testing.T) {
 	// still match a sorted session's windows in content count.
 	if len(win) == 0 {
 		t.Error("unsorted feed emitted no windows at all")
+	}
+}
+
+// latestWindows keys a session's windows by index; a later emission of an
+// index supersedes an earlier one.
+func latestWindows(ws []core.WindowResult) map[int]core.WindowResult {
+	m := make(map[int]core.WindowResult, len(ws))
+	for _, w := range ws {
+		m[w.Index] = w
+	}
+	return m
+}
+
+// TestStreamFeedOrderScale feeds event orders that turn the engine
+// quadratic if it keeps windows, or a window's processors, in one sorted
+// slice, or if waking a processor means scanning every parked one or
+// regrowing an iteration table by one slot at a time:
+//
+//   - a processor-by-processor feed with a 1 ns window, where nearly
+//     every event of the second and later processors opens a window below
+//     the newest one;
+//   - a processor-by-processor feed of a 10000-processor wave, where every
+//     processor parks until its successor's events arrive, and each one
+//     starts below the lowest pairing iteration seen so far;
+//   - one window that many processors enter in descending order;
+//   - a DOACROSS loop run backward, whose every pairing iteration lies
+//     below all earlier ones.
+//
+// Each must take about as long as the same events in time order (for the
+// backward loop, the forward loop), and produce the same results.
+func TestStreamFeedOrderScale(t *testing.T) {
+	cal := instr.Exact(instr.Uniform(3), 50, 80, 30, 40)
+	run := func(events []trace.Event, opts core.StreamOptions) ([]core.WindowResult, *core.Approximation, time.Duration) {
+		start := time.Now()
+		win, a := feedChunks(t, wholeChunk(events), cal, opts)
+		return win, a, time.Since(start)
+	}
+	check := func(label string, easy, hard []trace.Event, opts core.StreamOptions) {
+		t.Helper()
+		wantWin, want, easyTime := run(easy, opts)
+		gotWin, got, hardTime := run(hard, opts)
+		if !reflect.DeepEqual(latestWindows(gotWin), latestWindows(wantWin)) {
+			t.Errorf("%s: windows differ from the time-ordered feed's", label)
+		}
+		if !bytes.Equal(traceBytes(t, got), traceBytes(t, want)) {
+			t.Errorf("%s: approximated trace differs from the time-ordered feed's", label)
+		}
+		if hardTime > 20*easyTime+time.Second {
+			t.Errorf("%s: took %v, the time-ordered feed %v", label, hardTime, easyTime)
+		}
+	}
+	byProc := func(m *trace.Trace) []trace.Event {
+		var out []trace.Event
+		for _, evs := range m.ByProc() {
+			out = append(out, evs...)
+		}
+		return out
+	}
+
+	m := testgen.BackwardWave(8, 12_500) // 100k events, 10 ns apart
+	check("processor-by-processor feed, 1 ns windows", m.Events, byProc(m), core.StreamOptions{Procs: m.Procs, Window: 1})
+	wide := testgen.BackwardWave(10_000, 50_000)
+	check("processor-by-processor feed, 10000 processors", wide.Events, byProc(wide), core.StreamOptions{Procs: wide.Procs})
+
+	const procs = 50_000
+	up := make([]trace.Event, procs)
+	down := make([]trace.Event, procs)
+	for p := range up {
+		up[p] = trace.Event{Time: 100, Proc: p, Kind: trace.KindCompute, Var: trace.NoVar}
+		down[procs-1-p] = up[p]
+	}
+	check("one window, processors descending", up, down, core.StreamOptions{})
+
+	// Iteration i of n runs on processor i%2, awaits iteration i-1 and
+	// advances i. The backward loop labels iteration i as n-1-i, which
+	// keeps every dependency, so the times must match the forward loop's.
+	loop := func(n int, label func(int) int) []trace.Event {
+		var out []trace.Event
+		now := trace.Time(0)
+		add := func(p int, k trace.Kind, iter int) {
+			now += 10
+			out = append(out, trace.Event{Time: now, Proc: p, Stmt: int(k), Kind: k, Iter: iter, Var: 0})
+		}
+		for i := 0; i < n; i++ {
+			add(i%2, trace.KindAwaitB, label(i-1))
+			add(i%2, trace.KindAwaitE, label(i-1))
+			add(i%2, trace.KindAdvance, label(i))
+		}
+		return out
+	}
+	const iters = 100_000
+	_, fwd, fwdTime := run(loop(iters, func(i int) int { return i }), core.StreamOptions{})
+	_, bwd, bwdTime := run(loop(iters, func(i int) int { return iters - 1 - i }), core.StreamOptions{})
+	if !reflect.DeepEqual(bwd.Times, fwd.Times) {
+		t.Error("backward loop: times differ from the forward loop's")
+	}
+	if bwdTime > 20*fwdTime+time.Second {
+		t.Errorf("backward loop: took %v, the forward loop %v", bwdTime, fwdTime)
 	}
 }
 

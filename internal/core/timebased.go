@@ -20,18 +20,8 @@ import (
 // of each thread other than the forking one is based on the loop-begin
 // event, without which concurrent threads would have no time origin.
 func TimeBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
-	// A feed-everything-then-close run of the incremental engine
-	// (stream.go) in time-based mode: every event resolves with the
-	// execution-timing rule, the fork fences ordering resolution across
-	// processors. The engine's worklist subsumes the fork-processor-first
-	// ordering the analysis used to hard-code.
-	g := newIncEngine(m.Procs, cal, engineOptions{
-		mode:       ModeTimeBased,
-		retain:     true,
-		fixedProcs: true,
-	})
-	if err := g.feed(context.Background(), m.Events); err != nil {
-		return nil, err
-	}
-	return g.close(context.Background())
+	// A feed-everything-then-close run of the engine (stream.go) in
+	// time-based mode: every event resolves with the execution-timing
+	// rule, the fork fences ordering resolution across processors.
+	return analyzeBatch(context.Background(), m, cal, ModeTimeBased, false)
 }

@@ -38,12 +38,12 @@ func (r *SelfPerturbResult) OverheadPercent() float64 {
 	return 100 * (float64(r.OnNS) - float64(r.OffNS)) / float64(r.OffNS)
 }
 
-// SelfPerturb times the sharded event-based analysis of a backward-wave
-// DOACROSS trace (procs processors, iters iterations, ~4*iters events)
-// with telemetry off and then on, taking the best of the given number of
-// rounds for each state. The analysis runs serially (workers=1) so the
-// comparison is not blurred by scheduler variance. The previous enabled
-// state of the telemetry layer is restored before returning.
+// SelfPerturb times the default event-based analysis (Analyze with zero
+// Options, the path every caller runs) of a backward-wave DOACROSS trace
+// (procs processors, iters iterations, ~4*iters events) with telemetry
+// off and then on, taking the best of the given number of rounds for each
+// state. The previous enabled state of the telemetry layer is restored
+// before returning.
 func SelfPerturb(procs, iters, rounds int) (*SelfPerturbResult, error) {
 	if rounds < 1 {
 		rounds = 1
@@ -63,13 +63,13 @@ func SelfPerturb(procs, iters, rounds int) (*SelfPerturbResult, error) {
 	timeOne := func(on bool) (int64, error) {
 		obs.SetEnabled(on)
 		t0 := time.Now()
-		_, err := core.EventBasedParallel(tr, cal, 1)
+		_, err := core.Analyze(tr, cal, core.Options{})
 		return time.Since(t0).Nanoseconds(), err
 	}
 
 	// One untimed warm-up run so neither state pays first-touch costs.
 	obs.SetEnabled(false)
-	if _, err := core.EventBasedParallel(tr, cal, 1); err != nil {
+	if _, err := core.Analyze(tr, cal, core.Options{}); err != nil {
 		return nil, err
 	}
 

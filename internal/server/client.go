@@ -44,11 +44,10 @@ type Client struct {
 }
 
 // Request selects the analysis the service should run; zero values mean
-// the service defaults (event-based, sequential, paper calibration).
+// the service defaults (event-based, paper calibration).
 type Request struct {
-	Mode    core.Mode
-	Workers int
-	Repair  bool
+	Mode   core.Mode
+	Repair bool
 	// Cal overrides the service's default calibration when non-nil; every
 	// field travels as a query parameter.
 	Cal *instr.Calibration
@@ -377,9 +376,6 @@ func (c *Client) analyzeURL(req Request) (string, error) {
 		q.Set("mode", "time")
 	default:
 		return "", fmt.Errorf("perturbd client: mode %v is not servable", req.Mode)
-	}
-	if req.Workers != 0 {
-		q.Set("workers", strconv.Itoa(req.Workers))
 	}
 	if req.Repair {
 		q.Set("repair", "1")

@@ -136,12 +136,12 @@ func TestClientRoundTripsAgainstRealServer(t *testing.T) {
 	_, base := startServer(t, Config{MaxConcurrency: 2})
 
 	cal := instr.Exact(instr.Uniform(100), 50, 80, 30, 40)
-	got, err := fastClient(base).Analyze(context.Background(), tr, Request{Workers: 2, Cal: &cal})
+	got, err := fastClient(base).Analyze(context.Background(), tr, Request{Cal: &cal})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	approx, err := core.Analyze(tr, cal, core.Options{Workers: 2})
+	approx, err := core.Analyze(tr, cal, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

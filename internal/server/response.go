@@ -147,7 +147,8 @@ func DefaultCalibration() instr.Calibration {
 // options and a calibration:
 //
 //	mode=event|time        analysis family (default event)
-//	workers=N              sharded engine workers (default 0, sequential)
+//	workers=N              accepted for compatibility and ignored: -1, 0
+//	                       or a positive count (the engine is sequential)
 //	repair=0|1             degraded-mode analysis of defective traces
 //	probe=N                uniform probe cost shorthand (all four kinds), ns
 //	event=N advance=N      per-kind probe costs, ns
@@ -174,11 +175,12 @@ func parseQuery(q url.Values) (core.Options, instr.Calibration, error) {
 	}
 
 	if v := q.Get("workers"); v != "" {
+		// Validated so existing callers see the same errors; the value
+		// selects nothing.
 		n, err := strconv.Atoi(v)
 		if err != nil || n < -1 {
 			return opts, cal, fmt.Errorf("bad workers %q (want -1, 0 or a positive count)", v)
 		}
-		opts.Workers = n
 	}
 	if v := q.Get("repair"); v != "" {
 		b, err := strconv.ParseBool(v)

@@ -441,8 +441,13 @@ func TestParseQueryCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Workers != 3 || !opts.Repair || opts.Mode != core.ModeEventBased {
+	if !opts.Repair || opts.Mode != core.ModeEventBased {
 		t.Errorf("opts = %+v", opts)
+	}
+	// workers is validated and otherwise ignored: the options, and so the
+	// cache key, are those of the same query without it.
+	if plain, _, err := parseQuery(q("mode=event&repair=1")); err != nil || plain != opts {
+		t.Errorf("workers=3 changed the options: %+v, without it %+v (%v)", opts, plain, err)
 	}
 	want := instr.Exact(instr.Uniform(100), 50, 80, 30, 40)
 	if cal != want {

@@ -296,8 +296,7 @@ func streamErrStatus(err error) int {
 //	           means a single cumulative window emitted at the end
 //	slide=N    window start spacing, ns; 0 means tumbling (slide=window)
 //
-// The workers parameter is accepted and ignored: the incremental engine
-// is sequential by construction.
+// Like parseQuery, it validates and ignores the workers parameter.
 func parseStreamQuery(q url.Values) (core.Options, instr.Calibration, trace.Time, trace.Time, error) {
 	opts, cal, err := parseQuery(q)
 	if err != nil {

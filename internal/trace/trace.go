@@ -272,13 +272,9 @@ func (v *EventValidator) Check(e Event) error {
 			return fmt.Errorf("event %d (%v): %w", i, e, ErrSyncNoVar)
 		}
 	}
-	if e.Proc >= len(v.last) {
-		grown := make([]Time, e.Proc+1)
-		copy(grown, v.last)
-		v.last = grown
-		grownSeen := make([]bool, e.Proc+1)
-		copy(grownSeen, v.seen)
-		v.seen = grownSeen
+	if e.Proc >= len(v.last) { // append grows geometrically: O(1) per new processor
+		v.last = append(v.last, make([]Time, e.Proc+1-len(v.last))...)
+		v.seen = append(v.seen, make([]bool, e.Proc+1-len(v.seen))...)
 	}
 	if v.seen[e.Proc] && e.Time < v.last[e.Proc] {
 		return fmt.Errorf("event %d (%v) precedes time %d on proc %d: %w",

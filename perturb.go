@@ -19,9 +19,8 @@
 //     execution, running with a Plan yields the measured one;
 //   - a unified analysis entry point (Analyze) selecting between
 //     time-based analysis (paper §3: per-event probe overhead removal),
-//     event-based analysis (paper §4: synchronization modeling, sequential
-//     or sharded-parallel execution), and the liberal reschedule-aware
-//     variant — see AnalyzeOptions;
+//     event-based analysis (paper §4: synchronization modeling), and the
+//     liberal reschedule-aware variant — see AnalyzeOptions;
 //   - a streaming session API (NewStreamAnalyzer) — the incremental form
 //     of Analyze and the primary surface for live data: feed events as
 //     they arrive, observe windowed intermediate results (waiting,
@@ -359,8 +358,8 @@ type (
 	// ProcConfidence is one processor's degraded-mode quality summary on
 	// an Approximation (see AnalyzeOptions.Repair).
 	ProcConfidence = core.ProcConfidence
-	// AnalyzeOptions configures Analyze. The zero value runs the classic
-	// sequential event-based analysis of a well-formed trace.
+	// AnalyzeOptions configures Analyze. The zero value runs the
+	// event-based analysis of a well-formed trace.
 	AnalyzeOptions = core.Options
 	// AnalyzeMode selects the analysis family in AnalyzeOptions.
 	AnalyzeMode = core.Mode
@@ -387,10 +386,6 @@ const (
 //
 //   - opts.Mode picks the analysis family (EventBased, TimeBased,
 //     Liberal);
-//   - opts.Workers picks the event-based engine: 0 the sequential
-//     fixpoint, n >= 1 the sharded concurrent engine with n workers
-//     (byte-identical output), negative the sharded engine with
-//     GOMAXPROCS workers;
 //   - opts.Repair sanitizes defective traces first (see RepairTrace) and
 //     tolerates the repairs, attaching the repair report and per-processor
 //     confidence scores to the result.
@@ -400,13 +395,10 @@ func Analyze(m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, er
 }
 
 // AnalyzeContext is Analyze under a context: the analysis polls ctx
-// cooperatively — between fixpoint passes, at scheduler park/wake
-// transitions, and every few thousand events inside the hot resolution
-// loops — and abandons the run with ErrCanceled or ErrDeadlineExceeded
+// cooperatively — every few thousand events inside the hot resolution
+// loop — and abandons the run with ErrCanceled or ErrDeadlineExceeded
 // (matching context.Canceled / context.DeadlineExceeded too under
-// errors.Is) without returning a partial Approximation. Both the
-// sequential and the sharded-parallel engines cancel this way, with every
-// scheduler goroutine joined before the error returns. A background
+// errors.Is) without returning a partial Approximation. A background
 // context reproduces Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, error) {
 	defer obs.StartSpan("perturb.analyze").End()
@@ -494,18 +486,6 @@ func AnalyzeTimeBased(m *Trace, cal Calibration) (*Approximation, error) {
 // Deprecated: use Analyze with the zero AnalyzeOptions.
 func AnalyzeEventBased(m *Trace, cal Calibration) (*Approximation, error) {
 	return Analyze(m, cal, AnalyzeOptions{})
-}
-
-// AnalyzeEventBasedParallel is AnalyzeEventBased computed by the sharded
-// concurrent engine; output is byte-identical. workers <= 0 uses
-// GOMAXPROCS.
-//
-// Deprecated: use Analyze with AnalyzeOptions{Workers: workers}.
-func AnalyzeEventBasedParallel(m *Trace, cal Calibration, workers int) (*Approximation, error) {
-	if workers <= 0 {
-		workers = -1 // Analyze maps negative Workers to GOMAXPROCS
-	}
-	return Analyze(m, cal, AnalyzeOptions{Workers: workers})
 }
 
 // AnalyzeTimeBasedTotal estimates only the total execution time with the

@@ -266,15 +266,6 @@ func TestCachedAnalyzer(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 hit, 2 misses, 2 entries", st)
 	}
 
-	// Workers selects an engine, not a result: any worker count is a hit.
-	_, cached, err = a.Analyze(ctx, measured.Trace, cal, perturb.AnalyzeOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Error("workers variant missed; worker count must not split the key")
-	}
-
 	// maxBytes <= 0 disables caching but stays usable.
 	off := perturb.NewCachedAnalyzer(0)
 	for i := 0; i < 2; i++ {
