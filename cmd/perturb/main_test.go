@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -384,5 +385,30 @@ func TestStudyFollow(t *testing.T) {
 	}
 	if !strings.Contains(out, "waits kept") {
 		t.Error("diagnostics missing")
+	}
+}
+
+// TestStudyFollowRejectsWindowGeometry: a -window/-slide ratio past the
+// streaming engine's cap is reported as an error before any event is
+// analyzed, instead of stalling on the first event.
+func TestStudyFollowRejectsWindowGeometry(t *testing.T) {
+	src := filepath.Join(t.TempDir(), "trace.txt")
+	o := defaults()
+	o.saveFile = src
+	o.quiet = true
+	if err := study(&bytes.Buffer{}, o); err != nil {
+		t.Fatal(err)
+	}
+	fo := defaults()
+	fo.followFile = src
+	fo.followIdle = time.Second
+	fo.window = time.Second
+	fo.slide = time.Nanosecond
+	if err := validateOptions(fo, nil); err != nil {
+		t.Fatalf("options rejected before the stream opened: %v", err)
+	}
+	err := study(&bytes.Buffer{}, fo)
+	if !errors.Is(err, perturb.ErrUnsupported) {
+		t.Fatalf("study = %v, want ErrUnsupported", err)
 	}
 }

@@ -1006,7 +1006,11 @@ func (g *engine) foldWindow(note *resolveNote) {
 // accumulators to the output queue. A window is finished when no fed
 // event that can fall in it is unresolved and (mid-stream) the sorted
 // feed's watermark has passed its end, so no future event can fall in it
-// either. Empty windows are skipped, not emitted.
+// either. Empty windows are skipped, not emitted: a run of indices no
+// event falls in is passed over in one step, up to the next window that
+// holds events or, mid-stream, the first window a future event could
+// still fall in — so sparse events under a fine window cost nothing per
+// empty index.
 //
 // The accumulators stay alive after emission: a feed that turns
 // out-of-order after a sorted prefix can deliver events into a window
@@ -1026,12 +1030,21 @@ func (g *engine) emitWindows() {
 		if !g.closed && !(g.sorted && g.watermark >= g.winEnd(k)) {
 			return
 		}
-		if w != nil {
-			if w.events > 0 {
-				g.winQ = append(g.winQ, g.buildWindow(w))
+		if w == nil {
+			next := g.winMaxIdx + 1
+			if g.winHead < len(g.wins) {
+				next = g.wins[g.winHead].index
 			}
-			g.winHead++
+			if !g.closed { // windows ending after the watermark stay open
+				next = min(next, int(floorDiv(g.watermark-g.window, g.slide))+1)
+			}
+			g.winNext = next
+			continue
 		}
+		if w.events > 0 {
+			g.winQ = append(g.winQ, g.buildWindow(w))
+		}
+		g.winHead++
 		g.winNext++
 	}
 }
@@ -1417,10 +1430,17 @@ type StreamOptions struct {
 	// over which intermediate results are emitted: window k covers
 	// [k*Slide, k*Slide+Window). Slide == 0 means tumbling windows
 	// (Slide = Window); Window == 0 disables intermediate windows — the
-	// session emits one unbounded window at Close.
+	// session emits one unbounded window at Close. An event falls in up
+	// to ceil(Window/Slide) windows; NewStream rejects a geometry above
+	// MaxWindowsPerEvent.
 	Window trace.Time
 	Slide  trace.Time
 }
+
+// MaxWindowsPerEvent caps how many sliding windows one event may fall in.
+// Every event is folded into each of its windows, so without a cap a
+// window/slide ratio like 1e12 would stall a session on its first event.
+const MaxWindowsPerEvent = 1000
 
 // Stream is an incremental analysis session: feed measured events in
 // arrival order, collect finished windows as they resolve, close to
@@ -1450,6 +1470,10 @@ func NewStream(cal instr.Calibration, opts StreamOptions) (*Stream, error) {
 	}
 	if opts.Repair && opts.LowMemory {
 		return nil, fmt.Errorf("%w: repair needs the complete feed buffered; it cannot run low-memory", ErrUnsupported)
+	}
+	if opts.Window > 0 && opts.Slide > 0 && (opts.Window-1)/opts.Slide >= MaxWindowsPerEvent {
+		return nil, fmt.Errorf("%w: window %d with slide %d puts each event in more than %d windows",
+			ErrUnsupported, opts.Window, opts.Slide, MaxWindowsPerEvent)
 	}
 	s := &Stream{cal: cal, opts: opts}
 	if opts.Repair {

@@ -409,6 +409,23 @@ func TestStreamOptionValidation(t *testing.T) {
 	if _, err := core.NewStream(cal, core.StreamOptions{Repair: true, LowMemory: true}); !errors.Is(err, core.ErrUnsupported) {
 		t.Errorf("repair+low-memory: err = %v, want ErrUnsupported", err)
 	}
+	// Sliding windows may overlap up to MaxWindowsPerEvent deep.
+	for _, g := range []struct {
+		window, slide trace.Time
+		ok            bool
+	}{
+		{core.MaxWindowsPerEvent, 1, true},
+		{core.MaxWindowsPerEvent + 1, 1, false},
+		{1_000_000_000_000, 1, false},
+		{1e8, 1e3, false},
+		{1e8, 1e5, true},
+		{1_000_000_000_000, 0, true}, // tumbling
+	} {
+		_, err := core.NewStream(cal, core.StreamOptions{Window: g.window, Slide: g.slide})
+		if g.ok != (err == nil) || (err != nil && !errors.Is(err, core.ErrUnsupported)) {
+			t.Errorf("window %d slide %d: err = %v, want ok=%v or ErrUnsupported", g.window, g.slide, err, g.ok)
+		}
+	}
 	s, err := core.NewStream(cal, core.StreamOptions{})
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)
@@ -421,6 +438,43 @@ func TestStreamOptionValidation(t *testing.T) {
 	}
 	if _, err := s.Close(context.Background()); err != nil {
 		t.Errorf("repeated Close: %v", err)
+	}
+}
+
+// TestStreamSparseWindows stretches a small trace's timestamps a
+// millionfold, so under a 1 ns window all but one index in a million is
+// empty. Emission must pass over the empty runs instead of stepping
+// through them: the session finishes promptly, and it emits one window
+// per event with the same content as a coarser geometry that also gives
+// every event a window of its own.
+func TestStreamSparseWindows(t *testing.T) {
+	m := testgen.BackwardWave(2, 20)
+	for i := range m.Events {
+		m.Events[i].Time *= 1_000_000
+	}
+	cal := instr.Exact(instr.Uniform(3), 50, 80, 30, 40)
+	start := time.Now()
+	fine, _ := feedChunks(t, singletonChunks(m.Events), cal, core.StreamOptions{Procs: m.Procs, Window: 1})
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("1 ns windows over an 850 ms span took %v", elapsed)
+	}
+	coarse, _ := feedChunks(t, singletonChunks(m.Events), cal, core.StreamOptions{Procs: m.Procs, Window: 1_000_000})
+	if len(fine) != len(m.Events) || len(coarse) != len(m.Events) {
+		t.Fatalf("%d fine and %d coarse windows for %d events", len(fine), len(coarse), len(m.Events))
+	}
+	for i, e := range m.Events {
+		f, c := fine[i], coarse[i]
+		if f.Index != int(e.Time) || f.Start != e.Time || f.End != e.Time+1 {
+			t.Fatalf("window %d is %d [%d, %d), want the event's own nanosecond %d", i, f.Index, f.Start, f.End, e.Time)
+		}
+		f.Index, f.Start, f.End = c.Index, c.Start, c.End
+		if !reflect.DeepEqual(f, c) {
+			t.Errorf("window %d content differs from the coarse geometry:\n fine   %+v\n coarse %+v", i, f, c)
+		}
+	}
+	// Chunking never changes the window sequence.
+	if whole, _ := feedChunks(t, wholeChunk(m.Events), cal, core.StreamOptions{Procs: m.Procs, Window: 1}); !reflect.DeepEqual(whole, fine) {
+		t.Error("whole-chunk feed emits different windows from the one-event feed")
 	}
 }
 

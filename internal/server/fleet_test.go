@@ -265,7 +265,22 @@ func TestFleetFailoverOn503(t *testing.T) {
 	s1.draining.Store(true)
 	defer s1.draining.Store(false)
 
-	for i, tr := range fleetTraces(t, 8) {
+	// The ring hashes the test's random ports, so pick traces the
+	// draining endpoint owns: every run then exercises the failover.
+	var owned []*trace.Trace
+	for _, tr := range fleetTraces(t, 64) {
+		sha, err := cache.TraceSHA256(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.route(sha)[0].base == base1 && len(owned) < 8 {
+			owned = append(owned, tr)
+		}
+	}
+	if len(owned) == 0 {
+		t.Fatal("consistent hashing assigned the draining endpoint no traces")
+	}
+	for i, tr := range owned {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		resp, err := f.Analyze(ctx, tr, Request{})
 		cancel()

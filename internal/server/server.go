@@ -21,13 +21,13 @@
 // decoded trace plus every result-affecting option (see internal/cache),
 // and concurrent identical uploads coalesce onto a single analysis
 // (singleflight). Cache hits bypass admission control entirely — they
-// cost a decode plus a hash, never an analysis slot. Disable with
-// Config.CacheBytes < 0 for the exact pre-cache wire format and
-// admission behavior.
+// cost a decode plus a hash, never an analysis slot. Config.CacheBytes < 0
+// disables the cache and keeps the pre-cache wire format; the request
+// runs through the same pipeline over an always-miss cache, so it has no
+// admission order of its own (see pipeline.go).
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/rand"
@@ -41,16 +41,12 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"runtime/debug"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"perturb/internal/buildinfo"
 	"perturb/internal/cache"
-	"perturb/internal/cancel"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/obs"
@@ -87,8 +83,8 @@ type Config struct {
 	MaxBodyBytes int64
 	// CacheBytes budgets the content-addressed result cache. 0 (the
 	// zero value) selects DefaultCacheBytes; a negative value disables
-	// caching entirely, reproducing the pre-cache request path and wire
-	// format byte for byte.
+	// caching entirely, reproducing the pre-cache wire format byte for
+	// byte.
 	CacheBytes int64
 	// MemoryBudgetBytes, when positive, is the largest upload the
 	// service will buffer in memory. Batch /analyze requests declaring a
@@ -307,10 +303,10 @@ const (
 // failures instead of silent wrong answers or spurious terminal 400s.
 const (
 	// contentSHAHeader carries the hex SHA-256 of the request body. When
-	// present, the server verifies it before decoding and rejects a
-	// mismatch with 400 + code "checksum_mismatch" — which clients treat
-	// as retryable, since resending is exactly the remedy for transit
-	// damage.
+	// present, the server verifies it (a buffered upload before decoding,
+	// a streamed one at EOF) and rejects a mismatch with 400 + code
+	// "checksum_mismatch" — which clients treat as retryable, since
+	// resending is exactly the remedy for transit damage.
 	contentSHAHeader = "X-Perturb-Content-SHA256"
 	// bodySHAHeader carries the hex SHA-256 of the response's JSON body.
 	// Clients verify it before decoding; a mismatch is a transport-grade
@@ -355,8 +351,9 @@ type requestLogLine struct {
 	Status  int    `json:"status"`
 	// Cache is the request's cache outcome: "hit" (resident), "miss"
 	// (fresh analysis), "coalesced" (joined an in-flight analysis),
-	// "off" (cache disabled), or "" for requests that never reached the
-	// cache (shed, bad request).
+	// "off" (cache disabled), "bypass" (streams and memory-budget
+	// uploads, which never touch the cache), or "" for requests turned
+	// away before an engine ran (bad method or query, draining).
 	Cache     string `json:"cache,omitempty"`
 	LatencyNS int64  `json:"latency_ns"`
 }
@@ -418,440 +415,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleAnalyzeDeprecated serves the pre-versioning /analyze path as an
-// alias of /v1/analyze, advertising the successor so clients can migrate:
-// the response carries a Deprecation header (RFC 9745) and a Link to the
-// versioned path. Behavior is otherwise identical.
-func (s *Server) handleAnalyzeDeprecated(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/analyze>; rel=\"successor-version\"")
-	s.handleAnalyze(w, r)
-}
-
-// checkTraceContentType verifies a request's declared Content-Type
-// against the body's sniffed codec magic. Undeclared bodies, the generic
-// application/octet-stream, and non-trace types (curl's default form
-// encoding, say) all pass — the codec is authoritative either way, read
-// from the bytes. But a declared *trace* type that contradicts the magic
-// is a client bug worth rejecting loudly (415) instead of silently
-// analyzing something other than what the client labeled.
-func checkTraceContentType(declared string, prefix []byte) error {
-	ct := declared
-	if i := strings.Index(ct, ";"); i >= 0 {
-		ct = ct[:i]
-	}
-	ct = strings.TrimSpace(ct)
-	if !trace.IsTraceContentType(ct) {
-		return nil
-	}
-	if actual := trace.SniffContentType(prefix); actual != "" && actual != ct {
-		return fmt.Errorf("declared Content-Type %s does not match the body (%s by codec magic)", ct, actual)
-	}
-	return nil
-}
-
-// retryAfter estimates how long a shed client should back off: roughly one
-// request timeout's worth of queue turnover, floored at one second.
-func (s *Server) retryAfter() string {
-	d := s.cfg.RequestTimeout / 4
-	if d < time.Second {
-		d = time.Second
-	}
-	return strconv.Itoa(int(d / time.Second))
-}
-
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	cRequests.Add(1)
-	reqStart := time.Now()
-	line := requestLogLine{
-		TraceID: requestTraceID(r),
-		Attempt: r.Header.Get(attemptHeader),
-		Method:  r.Method,
-		Path:    r.URL.Path,
-	}
-	w.Header().Set(traceIDHeader, line.TraceID)
-	defer func() {
-		line.LatencyNS = time.Since(reqStart).Nanoseconds()
-		s.logRequest(line)
-	}()
-
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		line.Status = http.StatusMethodNotAllowed
-		writeError(w, line.Status, "POST a trace to /analyze")
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusServiceUnavailable
-		writeError(w, line.Status, "server is draining")
-		cShed.Add(1)
-		return
-	}
-	if s.shouldDegrade(r) {
-		s.handleAnalyzeDegraded(w, r, &line)
-		return
-	}
-	if s.cache != nil {
-		s.handleAnalyzeCached(w, r, &line)
-		return
-	}
-	line.Cache = "off"
-
-	// The request's span timeline: one processor slot in the self-trace,
-	// opened with the admission phase.
-	sc := s.cfg.Recorder.Begin()
-	defer sc.End()
-	sc.Phase("admission")
-
-	// Admission: if running+queue are both full, shed now — a client retry
-	// later beats a goroutine pileup here.
-	select {
-	case s.slots <- struct{}{}:
-		defer func() { <-s.slots }()
-	default:
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusTooManyRequests
-		writeError(w, line.Status, "server at capacity, retry later")
-		cShed.Add(1)
-		return
-	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	ctx, cancelReq := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancelReq()
-	stop := context.AfterFunc(s.forceCtx, cancelReq)
-	defer stop()
-
-	// Queued: wait for a running slot, bounded by the request deadline.
-	// The wait exports as an advance/await pair on the "queue" resource.
-	qw := sc.Wait("queue")
-	select {
-	case s.running <- struct{}{}:
-		qw.End()
-		defer func() { <-s.running }()
-	case <-ctx.Done():
-		qw.End()
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusServiceUnavailable
-		writeError(w, line.Status, "timed out waiting for an analysis slot")
-		cShed.Add(1)
-		return
-	}
-
-	status, body := s.analyze(ctx, w, r, sc)
-	line.Status = status
-	if status != http.StatusOK {
-		writeErrorAny(w, status, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// analyze runs one admitted request and returns the status plus either a
-// *Response (200) or an error message (anything else). Panics from the
-// analysis stack are confined here.
-func (s *Server) analyze(ctx context.Context, w http.ResponseWriter, r *http.Request, sc *obs.Scope) (status int, body any) {
-	defer func() {
-		if p := recover(); p != nil {
-			cPanics.Add(1)
-			s.cfg.Logger.Printf("perturbd: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
-			status, body = http.StatusInternalServerError, "internal error during analysis"
-		}
-	}()
-
-	opts, cal, err := parseQuery(r.URL.Query())
-	if err != nil {
-		return http.StatusBadRequest, err.Error()
-	}
-
-	sc.Phase("decode")
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	br := bufio.NewReader(r.Body)
-	prefix, _ := br.Peek(sniffLen)
-	if cterr := checkTraceContentType(r.Header.Get("Content-Type"), prefix); cterr != nil {
-		return http.StatusUnsupportedMediaType, cterr.Error()
-	}
-	var tr *trace.Trace
-	if r.Header.Get(contentSHAHeader) != "" {
-		// The client asked for upload verification: that takes the whole
-		// body, so this request buffers like the cached path does.
-		var raw []byte
-		raw, err = io.ReadAll(br)
-		if err == nil {
-			if eb, ok := verifyContentSHA(r, raw); !ok {
-				return http.StatusBadRequest, eb
-			}
-			tr, err = decodeTrace(ctx, raw)
-		}
-	} else {
-		tr, err = s.readTrace(ctx, br)
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			return http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("trace body exceeds %d bytes", tooBig.Limit)
-		case errors.Is(err, cancel.ErrDeadlineExceeded):
-			return http.StatusGatewayTimeout, "deadline exceeded reading trace"
-		case errors.Is(err, cancel.ErrCanceled):
-			return http.StatusServiceUnavailable, "request canceled reading trace"
-		default:
-			return http.StatusBadRequest, fmt.Sprintf("reading trace: %v", err)
-		}
-	}
-
-	sc.Phase("analyze")
-	analyzeFn := core.AnalyzeContext
-	if s.hookAnalyze != nil {
-		analyzeFn = s.hookAnalyze
-	}
-	approx, err := analyzeFn(ctx, tr, cal, opts)
-	if err != nil {
-		switch {
-		case errors.Is(err, cancel.ErrDeadlineExceeded):
-			cDeadline.Add(1)
-			return http.StatusGatewayTimeout, "analysis deadline exceeded"
-		case errors.Is(err, cancel.ErrCanceled):
-			cCanceled.Add(1)
-			return http.StatusServiceUnavailable, "analysis canceled"
-		default:
-			return http.StatusUnprocessableEntity, fmt.Sprintf("analysis failed: %v", err)
-		}
-	}
-	sc.Phase("encode")
-	resp, err := BuildResponse(approx)
-	if err != nil {
-		return http.StatusInternalServerError, err.Error()
-	}
-	cOK.Add(1)
-	return http.StatusOK, resp
-}
-
-// Sentinel errors of the cached request path, mapped onto HTTP statuses
-// by analyzeCached.
-var (
-	errAtCapacity    = errors.New("server at capacity")
-	errAnalysisPanic = errors.New("internal error during analysis")
-)
-
-// handleAnalyzeCached serves /analyze through the result cache: decode,
-// content-address, and either return the resident response in
-// microseconds or coalesce onto / start the one analysis for this key.
-// Admission control guards only actual analyses — the flight leader
-// acquires the running-cap/queue slots; hits and coalesced followers
-// never touch them.
-func (s *Server) handleAnalyzeCached(w http.ResponseWriter, r *http.Request, line *requestLogLine) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	ctx, cancelReq := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancelReq()
-	stop := context.AfterFunc(s.forceCtx, cancelReq)
-	defer stop()
-
-	sc := s.cfg.Recorder.Begin()
-	defer sc.End()
-	sc.Phase("admission")
-
-	status, body := s.analyzeCached(ctx, w, r, sc, line)
-	line.Status = status
-	if status != http.StatusOK {
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", s.retryAfter())
-		}
-		writeErrorAny(w, status, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// analyzeCached runs one request against the cache and returns the status
-// plus either a *Response (200) or an error message. Decode errors are
-// confined here; analysis panics are confined inside the flight.
-func (s *Server) analyzeCached(ctx context.Context, w http.ResponseWriter, r *http.Request, sc *obs.Scope, line *requestLogLine) (status int, body any) {
-	defer func() {
-		if p := recover(); p != nil {
-			cPanics.Add(1)
-			s.cfg.Logger.Printf("perturbd: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
-			status, body = http.StatusInternalServerError, "internal error during analysis"
-		}
-	}()
-
-	opts, cal, err := parseQuery(r.URL.Query())
-	if err != nil {
-		return http.StatusBadRequest, err.Error()
-	}
-
-	sc.Phase("decode")
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			return http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("trace body exceeds %d bytes", tooBig.Limit)
-		case ctx.Err() != nil && errors.Is(cancel.Err(ctx), cancel.ErrDeadlineExceeded):
-			return http.StatusGatewayTimeout, "deadline exceeded reading trace"
-		case ctx.Err() != nil:
-			return http.StatusServiceUnavailable, "request canceled reading trace"
-		default:
-			return http.StatusBadRequest, fmt.Sprintf("reading trace: %v", err)
-		}
-	}
-	if eb, ok := verifyContentSHA(r, raw); !ok {
-		return http.StatusBadRequest, eb
-	}
-	if cterr := checkTraceContentType(r.Header.Get("Content-Type"), raw); cterr != nil {
-		return http.StatusUnsupportedMediaType, cterr.Error()
-	}
-
-	// Wire-byte fast path: a repeat upload of the exact same bytes skips
-	// the decode — one hash of the body resolves the content address, and
-	// a resident result for this (trace, calibration, options) key is
-	// served straight from the LRU.
-	sc.Phase("lookup")
-	wireSum := sha256.Sum256(raw)
-	wire := hex.EncodeToString(wireSum[:])
-	var key, inputSHA string
-	if resolved, ok := s.cache.Alias(wire); ok {
-		key, inputSHA = cache.KeyFromTraceSHA(resolved, cal, opts), resolved
-		if v, hit := s.cache.Get(key); hit {
-			sc.Phase("encode")
-			line.Cache = "hit"
-			cp := *v.(*Response)
-			hitTrue := true
-			cp.Cached = &hitTrue
-			cOK.Add(1)
-			return http.StatusOK, &cp
-		}
-	}
-
-	sc.Phase("decode")
-	tr, err := decodeTrace(ctx, raw)
-	if err != nil {
-		switch {
-		case errors.Is(err, cancel.ErrDeadlineExceeded):
-			return http.StatusGatewayTimeout, "deadline exceeded reading trace"
-		case errors.Is(err, cancel.ErrCanceled):
-			return http.StatusServiceUnavailable, "request canceled reading trace"
-		default:
-			return http.StatusBadRequest, fmt.Sprintf("reading trace: %v", err)
-		}
-	}
-	sc.Phase("lookup")
-	if key == "" {
-		key, inputSHA, err = cache.Key(tr, cal, opts)
-		if err != nil {
-			return http.StatusUnprocessableEntity, err.Error()
-		}
-		s.cache.PutAlias(wire, inputSHA)
-	}
-
-	// The singleflight wait exports as an advance/await pair on the
-	// "flight" resource: the leader's analysis runs on a flight
-	// goroutine with its own processor timeline (admission, queue wait,
-	// analyze), while this request — leader and followers alike — waits
-	// for the flight's advance.
-	fw := sc.Wait("flight")
-	v, cached, err := s.cache.Do(ctx, key, responseSize, func(fctx context.Context) (any, error) {
-		fsc := s.cfg.Recorder.Begin()
-		defer fsc.End()
-		fsc.Phase("admission")
-		// Admission, held only by the flight leader. The flight context
-		// stays live while any coalesced request is still waiting, so a
-		// queued analysis with surviving followers keeps its place even
-		// if the request that started it gives up.
-		select {
-		case s.slots <- struct{}{}:
-			defer func() { <-s.slots }()
-		default:
-			return nil, errAtCapacity
-		}
-		qw := fsc.Wait("queue")
-		select {
-		case s.running <- struct{}{}:
-			qw.End()
-			defer func() { <-s.running }()
-		case <-fctx.Done():
-			qw.End()
-			return nil, cancel.Err(fctx)
-		}
-		fsc.Phase("analyze")
-		approx, err := s.safeAnalyze(fctx, tr, cal, opts)
-		if err != nil {
-			return nil, err
-		}
-		fsc.Phase("encode")
-		resp, err := BuildResponse(approx)
-		if err != nil {
-			return nil, err
-		}
-		resp.InputSHA256 = inputSHA
-		return resp, nil
-	})
-	fw.End()
-	switch {
-	case err == nil:
-		sc.Phase("encode")
-		if cached {
-			line.Cache = "coalesced"
-		} else {
-			line.Cache = "miss"
-		}
-		// Shallow copy so the per-request Cached flag never mutates the
-		// shared resident value.
-		cp := *v.(*Response)
-		cp.Cached = &cached
-		cOK.Add(1)
-		return http.StatusOK, &cp
-	case errors.Is(err, errAtCapacity):
-		cShed.Add(1)
-		return http.StatusTooManyRequests, "server at capacity, retry later"
-	case errors.Is(err, cancel.ErrDeadlineExceeded):
-		cDeadline.Add(1)
-		return http.StatusGatewayTimeout, "analysis deadline exceeded"
-	case errors.Is(err, cancel.ErrCanceled):
-		cCanceled.Add(1)
-		return http.StatusServiceUnavailable, "analysis canceled"
-	case errors.Is(err, errAnalysisPanic):
-		return http.StatusInternalServerError, "internal error during analysis"
-	default:
-		return http.StatusUnprocessableEntity, fmt.Sprintf("analysis failed: %v", err)
-	}
-}
-
-// safeAnalyze runs the analysis with panics converted to an error: on the
-// cached path the analysis executes on a flight goroutine, where an
-// unrecovered panic would crash the process rather than one handler.
-func (s *Server) safeAnalyze(ctx context.Context, tr *trace.Trace, cal instr.Calibration, opts core.Options) (approx *core.Approximation, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			cPanics.Add(1)
-			s.cfg.Logger.Printf("perturbd: panic during analysis: %v\n%s", p, debug.Stack())
-			approx, err = nil, errAnalysisPanic
-		}
-	}()
-	analyzeFn := core.AnalyzeContext
-	if s.hookAnalyze != nil {
-		analyzeFn = s.hookAnalyze
-	}
-	return analyzeFn(ctx, tr, cal, opts)
-}
-
-// responseSize reports a cached response's budget charge: its encoded
-// JSON length.
-func responseSize(v any) int64 {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return 1024 // unreachable for a Response; charge something sane
-	}
-	return int64(len(b))
-}
-
 // CacheStats reports the result cache's counters; ok is false when the
 // cache is disabled.
 func (s *Server) CacheStats() (st cache.Stats, ok bool) {
@@ -859,48 +422,6 @@ func (s *Server) CacheStats() (st cache.Stats, ok bool) {
 		return cache.Stats{}, false
 	}
 	return s.cache.Stats(), true
-}
-
-// sniffLen is how many leading body bytes the content-type check peeks
-// at: enough for either binary magic and a useful prefix of the text
-// header.
-const sniffLen = 32
-
-// readTrace decodes the request body in any trace codec.
-func (s *Server) readTrace(ctx context.Context, body io.Reader) (*trace.Trace, error) {
-	tr, err := trace.NewReader(body)
-	if err != nil {
-		return nil, err
-	}
-	return trace.ReadAllContext(ctx, tr)
-}
-
-// decodeTrace decodes an already-read request body in either trace codec.
-func decodeTrace(ctx context.Context, raw []byte) (*trace.Trace, error) {
-	tr, err := trace.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	return trace.ReadAllContext(ctx, tr)
-}
-
-// verifyContentSHA checks the request body against its
-// X-Perturb-Content-SHA256, when the client sent one. On mismatch it
-// returns the coded error body the caller should serve with 400.
-func verifyContentSHA(r *http.Request, raw []byte) (errorBody, bool) {
-	want := r.Header.Get(contentSHAHeader)
-	if want == "" {
-		return errorBody{}, true
-	}
-	sum := sha256.Sum256(raw)
-	if got := hex.EncodeToString(sum[:]); !strings.EqualFold(got, want) {
-		cChecksum.Add(1)
-		return errorBody{
-			Code:  errCodeChecksumMismatch,
-			Error: fmt.Sprintf("request body checksum mismatch (got sha256 %s, header said %s): upload damaged in transit, resend", got, want),
-		}, false
-	}
-	return errorBody{}, true
 }
 
 // writeJSON renders v indented, stamping the body's SHA-256 on the
@@ -926,15 +447,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{APIVersion: APIVersion, Error: msg})
-}
-
-// writeErrorAny serves an analysis error that is either a plain message
-// or an errorBody carrying a machine-readable code.
-func writeErrorAny(w http.ResponseWriter, status int, body any) {
-	if eb, ok := body.(errorBody); ok {
-		eb.APIVersion = APIVersion
-		writeJSON(w, status, eb)
-		return
-	}
-	writeError(w, status, body.(string))
 }

@@ -3,17 +3,16 @@ package server
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"net/url"
-	"runtime/debug"
 	"strconv"
-	"time"
 
-	"perturb/internal/cancel"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/obs"
@@ -23,6 +22,10 @@ import (
 var (
 	cStreams = obs.NewCounter("server.streams")
 	cWindows = obs.NewCounter("server.stream_windows")
+	// Degradation telemetry: how often the memory budget rerouted an
+	// upload, and how many degraded analyses are running right now.
+	cDegraded       = obs.NewCounter("server.degraded")
+	gDegradedActive = obs.NewGauge("server.degraded_active")
 )
 
 // streamLine is one NDJSON line of a /v1/analyze/stream response. Exactly
@@ -42,250 +45,173 @@ type streamLine struct {
 	Error   string             `json:"error,omitempty"`
 }
 
-// streamBatchLen is how many events the stream handler reads from the
+// streamBatchLen is how many events the streamed engine reads from the
 // request body per Feed: large enough to amortize the codec, small enough
 // that windows surface promptly.
 const streamBatchLen = 4096
 
-// handleAnalyzeStream serves POST /v1/analyze/stream: the request body is
-// a trace in any codec (typically a chunked upload of a live trace), and
-// the response streams NDJSON — one line per finished window as the
-// analysis catches up with the upload, then a final line with the
-// cumulative Response. Admission control is the same as an uncached
-// /v1/analyze: a stream holds an analysis slot for its whole life and is
-// shed with 429 when the service is full. Streams bypass the result
-// cache — their value is the windows, which a cached summary cannot
-// replay.
-func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
-	cRequests.Add(1)
-	cStreams.Add(1)
-	reqStart := time.Now()
-	line := requestLogLine{
-		TraceID: requestTraceID(r),
-		Attempt: r.Header.Get(attemptHeader),
-		Method:  r.Method,
-		Path:    r.URL.Path,
+// streamed is the incremental engine. It holds an analysis slot for the
+// whole upload and feeds core.Stream as the body arrives, hashing the
+// bytes on the way through, so the client's checksum is verified at EOF
+// without buffering. The result cache is bypassed: its value is a whole
+// decoded trace, which this engine never materializes.
+//
+// On /v1/analyze/stream it writes NDJSON windows while the upload is
+// still in flight, then the batch-identical final line. A batch upload
+// over the memory budget runs LowMemory instead — the OOM the budget
+// exists to prevent is exactly what buffering would risk — and gets a
+// summary-only response flagged "degraded".
+func (s *Server) streamed(ctx context.Context, q *request) error {
+	if err := s.admit(ctx, q.sc); err != nil {
+		return err
 	}
-	w.Header().Set(traceIDHeader, line.TraceID)
-	defer func() {
-		line.LatencyNS = time.Since(reqStart).Nanoseconds()
-		s.logRequest(line)
-	}()
-
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		line.Status = http.StatusMethodNotAllowed
-		writeError(w, line.Status, "POST a trace to /v1/analyze/stream")
-		return
-	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusServiceUnavailable
-		writeError(w, line.Status, "server is draining")
-		cShed.Add(1)
-		return
+	defer s.release()
+	if !q.stream {
+		cDegraded.Add(1)
+		s.degradedActive.Add(1)
+		gDegradedActive.Add(1)
+		defer func() {
+			s.degradedActive.Add(-1)
+			gDegradedActive.Add(-1)
+		}()
 	}
 
-	sc := s.cfg.Recorder.Begin()
-	defer sc.End()
-	sc.Phase("admission")
-
-	select {
-	case s.slots <- struct{}{}:
-		defer func() { <-s.slots }()
-	default:
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusTooManyRequests
-		writeError(w, line.Status, "server at capacity, retry later")
-		cShed.Add(1)
-		return
+	q.sc.Phase("decode")
+	var hasher hash.Hash
+	body := io.Reader(q.r.Body)
+	if q.r.Header.Get(contentSHAHeader) != "" {
+		hasher = sha256.New()
+		body = io.TeeReader(body, hasher)
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
-	ctx, cancelReq := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancelReq()
-	stop := context.AfterFunc(s.forceCtx, cancelReq)
-	defer stop()
-
-	qw := sc.Wait("queue")
-	select {
-	case s.running <- struct{}{}:
-		qw.End()
-		defer func() { <-s.running }()
-	case <-ctx.Done():
-		qw.End()
-		w.Header().Set("Retry-After", s.retryAfter())
-		line.Status = http.StatusServiceUnavailable
-		writeError(w, line.Status, "timed out waiting for an analysis slot")
-		cShed.Add(1)
-		return
-	}
-
-	line.Status = s.analyzeStream(ctx, w, r, sc)
-}
-
-// analyzeStream runs one admitted streaming request and returns the
-// status for the request log. Errors before the first output line get a
-// proper HTTP status; once NDJSON is flowing the status is already 200 on
-// the wire, so later failures are reported in-band as a final
-// {"error": ...} line — exactly like a truncated batch response, but
-// explicit.
-func (s *Server) analyzeStream(ctx context.Context, w http.ResponseWriter, r *http.Request, sc *obs.Scope) (status int) {
-	defer func() {
-		if p := recover(); p != nil {
-			cPanics.Add(1)
-			s.cfg.Logger.Printf("perturbd: panic serving %s: %v\n%s", r.URL.Path, p, debug.Stack())
-			status = http.StatusInternalServerError
-		}
-	}()
-
-	opts, cal, window, slide, err := parseStreamQuery(r.URL.Query())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return http.StatusBadRequest
-	}
-
-	sc.Phase("decode")
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	br := bufio.NewReader(r.Body)
+	br := bufio.NewReader(body)
 	prefix, _ := br.Peek(sniffLen)
-	if cterr := checkTraceContentType(r.Header.Get("Content-Type"), prefix); cterr != nil {
-		writeError(w, http.StatusUnsupportedMediaType, cterr.Error())
-		return http.StatusUnsupportedMediaType
+	if err := checkTraceContentType(q.r.Header.Get("Content-Type"), prefix); err != nil {
+		return err
 	}
 	rd, err := trace.NewReader(br)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading trace: %v", err))
-		return http.StatusBadRequest
+		return readError(ctx, err)
 	}
-	sess, err := core.NewStream(cal, core.StreamOptions{
-		Mode:   opts.Mode,
-		Repair: opts.Repair,
-		Procs:  rd.Procs(),
-		Window: window,
-		Slide:  slide,
+	sess, err := core.NewStream(q.cal, core.StreamOptions{
+		Mode:      q.opts.Mode,
+		Repair:    q.opts.Repair,
+		LowMemory: !q.stream,
+		Procs:     rd.Procs(),
+		Window:    q.window,
+		Slide:     q.slide,
 	})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("stream session: %v", err))
-		return http.StatusBadRequest
+		return errStatus(http.StatusBadRequest, "stream session: %v", err)
 	}
 	// Deterministic teardown on every exit: a client that vanishes
 	// mid-upload must not strand the session's watermark state, buffered
 	// repair feed, or pending windows until some later GC — Abort frees
-	// them before the handler returns (and with it the admission slots
-	// held by the deferred releases upstream). After a clean Close this
-	// only drops already-surrendered references.
+	// them before the admission slot is released. After a clean Close
+	// this only drops already-surrendered references.
 	defer sess.Abort()
-
-	// Window lines go out while the upload is still being read, which on
-	// HTTP/1.x needs explicit full-duplex: by default the server closes
-	// the request body once the response starts. Errors only if the
-	// connection cannot support it (HTTP/2 always can; 1.1 keep-alive
-	// can), in which case windows still stream — the body just cannot be
-	// read past the first write, and chunked uploads should use HTTP/2.
-	_ = http.NewResponseController(w).EnableFullDuplex()
-
-	// From here on output is NDJSON; the header is written lazily so an
-	// early failure (unreadable body, invalid events before any window)
-	// still gets its real status code.
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	started := false
-	windows := 0
-	emit := func(l streamLine) {
-		if !started {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.WriteHeader(http.StatusOK)
-			started = true
-		}
-		enc.Encode(l) // past WriteHeader, nothing useful to do on error
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	fail := func(code int, msg string) int {
-		if started {
-			emit(streamLine{Error: msg})
-			return code
-		}
-		writeError(w, code, msg)
-		return code
+	if q.stream {
+		// Window lines go out while the upload is still being read, which
+		// on HTTP/1.x needs explicit full-duplex: by default the server
+		// closes the request body once the response starts. Errors only
+		// if the connection cannot support it (HTTP/2 always can; 1.1
+		// keep-alive can), in which case windows still stream — the body
+		// just cannot be read past the first write.
+		_ = http.NewResponseController(q.w).EnableFullDuplex()
 	}
 
-	sc.Phase("stream")
+	q.sc.Phase("stream")
 	batch := make([]trace.Event, streamBatchLen)
 	for {
 		n, rerr := rd.Read(batch)
 		if n > 0 {
-			if ferr := sess.Feed(ctx, batch[:n]); ferr != nil {
-				return fail(streamErrStatus(ferr), fmt.Sprintf("analysis failed: %v", ferr))
+			if err := sess.Feed(ctx, batch[:n]); err != nil {
+				return fmt.Errorf("analysis failed: %w", err)
 			}
-			for _, win := range sess.Windows() {
-				sc.Phase("window")
-				cWindows.Add(1)
-				windows++
-				win := win
-				emit(streamLine{Window: &win})
-			}
+			q.emitWindows(sess)
 		}
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			// Distinguish the peer vanishing mid-upload (cancelled
-			// context: the disconnect propagated) from a body that is
-			// actually malformed — a reset connection is not a client bug.
-			if ctx.Err() != nil {
-				return fail(streamErrStatus(cancel.Err(ctx)), fmt.Sprintf("reading trace: %v", rerr))
-			}
-			var tooBig *http.MaxBytesError
-			if errors.As(rerr, &tooBig) {
-				return fail(http.StatusRequestEntityTooLarge, fmt.Sprintf("trace body exceeds %d bytes", tooBig.Limit))
-			}
-			return fail(http.StatusBadRequest, fmt.Sprintf("reading trace: %v", rerr))
+			return readError(ctx, rerr)
 		}
 	}
 	// The codec can hit EOF with framing bytes (a chunked-encoding
-	// trailer) still unread; drain them now. Returning with a partially
-	// read body on a full-duplex HTTP/1.x connection races the body
-	// reader against the connection's next-request read.
-	io.Copy(io.Discard, br)
+	// trailer) still unread; drain them so the hash covers the whole body
+	// and, on a full-duplex HTTP/1.x connection, the body reader does not
+	// race the connection's next-request read.
+	if _, err := io.Copy(io.Discard, br); err != nil {
+		return readError(ctx, err)
+	}
+	if hasher != nil {
+		if err := verifyContentSHA(q.r, hex.EncodeToString(hasher.Sum(nil))); err != nil {
+			return err
+		}
+	}
 
-	sc.Phase("close")
+	q.sc.Phase("close")
 	approx, err := sess.Close(ctx)
 	if err != nil {
-		return fail(streamErrStatus(err), fmt.Sprintf("analysis failed: %v", err))
+		return fmt.Errorf("analysis failed: %w", err)
 	}
-	for _, win := range sess.Windows() {
-		sc.Phase("window")
-		cWindows.Add(1)
-		windows++
-		win := win
-		emit(streamLine{Window: &win})
+	q.emitWindows(sess)
+	q.sc.Phase("encode")
+	if !q.stream {
+		writeJSON(q.w, http.StatusOK, buildDegradedResponse(sess, approx))
+		return nil
 	}
-	sc.Phase("encode")
 	resp, err := BuildResponse(approx)
 	if err != nil {
-		return fail(http.StatusInternalServerError, err.Error())
+		return fmt.Errorf("%w: %v", errInternal, err)
 	}
-	emit(streamLine{Final: true, Windows: windows, Result: resp})
-	cOK.Add(1)
-	return http.StatusOK
+	q.emit(streamLine{Final: true, Windows: q.windows, Result: resp})
+	return nil
 }
 
-// streamErrStatus maps a mid-stream analysis error onto the status an
-// equivalent batch request would get.
-func streamErrStatus(err error) int {
-	switch {
-	case errors.Is(err, cancel.ErrDeadlineExceeded):
-		cDeadline.Add(1)
-		return http.StatusGatewayTimeout
-	case errors.Is(err, cancel.ErrCanceled):
-		cCanceled.Add(1)
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusUnprocessableEntity
+// emitWindows writes the session's newly finished windows as NDJSON
+// lines. A memory-budget session's single cumulative window is not
+// output: its response is one JSON summary.
+func (q *request) emitWindows(sess *core.Stream) {
+	if !q.stream {
+		return
+	}
+	for _, win := range sess.Windows() {
+		q.sc.Phase("window")
+		cWindows.Add(1)
+		q.windows++
+		q.emit(streamLine{Window: &win})
+	}
+}
+
+// emit writes one NDJSON line and flushes it. The first line commits the
+// 200 and the NDJSON content type, which is why failures before it still
+// get their real status.
+func (q *request) emit(l streamLine) {
+	if q.enc == nil {
+		q.w.Header().Set("Content-Type", "application/x-ndjson")
+		q.w.WriteHeader(http.StatusOK)
+		q.enc = json.NewEncoder(q.w)
+	}
+	q.enc.Encode(l) // past WriteHeader, nothing useful to do on error
+	if f, ok := q.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// buildDegradedResponse renders a LowMemory result: the summary fields
+// are exact (identical to what a full analysis computes), but there is
+// no approximated trace to fingerprint, so TraceSHA256 is absent and
+// Degraded marks the response as summary-only.
+func buildDegradedResponse(sess *core.Stream, a *core.Approximation) *Response {
+	return &Response{
+		APIVersion:      APIVersion,
+		Procs:           sess.Procs(),
+		Events:          sess.Events(),
+		Duration:        a.Duration,
+		WaitsKept:       a.WaitsKept,
+		WaitsRemoved:    a.WaitsRemoved,
+		WaitsIntroduced: a.WaitsIntroduced,
+		Degraded:        true,
 	}
 }
 
@@ -296,7 +222,9 @@ func streamErrStatus(err error) int {
 //	           means a single cumulative window emitted at the end
 //	slide=N    window start spacing, ns; 0 means tumbling (slide=window)
 //
-// Like parseQuery, it validates and ignores the workers parameter.
+// Like parseQuery, it validates and ignores the workers parameter. A
+// window/slide ratio above core.MaxWindowsPerEvent is refused when the
+// stream session opens.
 func parseStreamQuery(q url.Values) (core.Options, instr.Calibration, trace.Time, trace.Time, error) {
 	opts, cal, err := parseQuery(q)
 	if err != nil {

@@ -134,8 +134,8 @@ func TestStreamEndpointTextCodec(t *testing.T) {
 }
 
 // TestStreamEndpointErrors pins the failure modes: bad query, bad body,
-// bad method, and an invalid trace reported in-band after streaming
-// starts or as a status before it.
+// bad method, a runaway window geometry, and an invalid trace reported
+// in-band after streaming starts or as a status before it.
 func TestStreamEndpointErrors(t *testing.T) {
 	_, base := startServer(t, Config{})
 
@@ -170,6 +170,18 @@ func TestStreamEndpointErrors(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status = %d, want 400", resp3.StatusCode)
+	}
+
+	// A window/slide ratio past core.MaxWindowsPerEvent would fold every
+	// event into a trillion windows; the session refuses it up front.
+	body := traceBody(t, testTrace(t, 1))
+	start := time.Now()
+	resp4, _ := postStream(t, base+"/v1/analyze/stream?window=1000000000000&slide=1", body)
+	if resp4.StatusCode != http.StatusBadRequest {
+		t.Errorf("runaway window geometry: status = %d, want 400", resp4.StatusCode)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("runaway window geometry took %v to refuse", elapsed)
 	}
 }
 

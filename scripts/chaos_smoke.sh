@@ -12,7 +12,12 @@
 #      the machine-readable code "checksum_mismatch",
 #   5. an over-budget repair request must be refused 413 (repair needs
 #      the whole trace in memory),
-#   6. SIGTERM must still drain cleanly.
+#   6. an unwindowed /v1/analyze/stream upload under a wrong checksum
+#      must be rejected 400 with "checksum_mismatch" (streams verify the
+#      hash at EOF),
+#   7. a stream asking for window/slide far past the per-event window
+#      cap must be refused 400,
+#   8. SIGTERM must still drain cleanly.
 #
 # The deterministic chaos suites proper (netchaos fault injection, the
 # fleet survival soak, mid-upload disconnects) run under -race from the
@@ -73,6 +78,26 @@ CODE=$(curl -sS -o /dev/null -w '%{http_code}' \
   --data-binary "@$TRACE" "$BASE/v1/analyze?repair=1")
 if [ "$CODE" != "413" ]; then
   echo "over-budget repair answered $CODE, want 413" >&2
+  exit 1
+fi
+
+# The stream endpoint hashes the upload as it reads it and verifies at
+# EOF; with no window line written yet, a mismatch is a plain 400.
+CODE=$(curl -sS -o /tmp/chaos_stream_mismatch.json -w '%{http_code}' \
+  -H "X-Perturb-Content-SHA256: $ZEROS" \
+  --data-binary "@$TRACE" "$BASE/v1/analyze/stream")
+if [ "$CODE" != "400" ]; then
+  echo "damaged stream upload answered $CODE, want 400" >&2
+  exit 1
+fi
+jq -e '.code == "checksum_mismatch"' /tmp/chaos_stream_mismatch.json >/dev/null
+
+# A window/slide ratio that would put every event in a trillion windows
+# is refused up front instead of stalling the analysis slot.
+CODE=$(curl -sS -o /dev/null -w '%{http_code}' --max-time 10 \
+  --data-binary "@$TRACE" "$BASE/v1/analyze/stream?window=1000000000000&slide=1")
+if [ "$CODE" != "400" ]; then
+  echo "runaway window geometry answered $CODE, want 400" >&2
   exit 1
 fi
 
