@@ -92,7 +92,7 @@ stream-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/netchaos/
 	$(GO) test -race -count=1 \
-		-run 'TestFleetSurvivalSoak|TestFleetHedgingUnderChaosLatency|TestStreamMidUploadDisconnect|TestMemoryBudget|TestClientBreaker|TestErrorMatrix|TestStreamVerifiesContentSHA' \
+		-run 'TestFleetSurvivalSoak|TestFleetHedgingUnderChaosLatency|TestStreamMidUploadDisconnect|TestMemoryBudget|TestClientBreaker|TestErrorMatrix|TestStreamVerifiesContentSHA|TestOneWayUploadCarriesContentSHA|TestBackoffCannotOverflow|TestHedgeChargesEachEndpoint' \
 		./internal/server/
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	sh scripts/chaos_smoke.sh /tmp/perturbd

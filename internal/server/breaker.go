@@ -49,10 +49,10 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is a circuit breaker over one upstream target. It sits *under*
-// retry and cooldown logic: retries decide when to try again, the
-// breaker decides whether trying is allowed at all, converting a
-// persistently dead endpoint from a timeout per attempt into an
-// immediate local refusal.
+// the retry loop: retries decide when to try again, the breaker decides
+// whether trying is allowed at all, converting a persistently dead
+// endpoint from a timeout per attempt into an immediate local refusal.
+// Its latest failure also starts a fleet endpoint's cooldown.
 //
 // Closed → Open after Threshold consecutive failures; Open → HalfOpen
 // once OpenFor has elapsed; HalfOpen admits one probe, whose success
@@ -62,7 +62,8 @@ func (s BreakerState) String() string {
 // forever.
 //
 // All methods are safe for concurrent use and take the current time
-// explicitly, keeping tests deterministic.
+// explicitly, keeping tests deterministic. A nil *Breaker admits
+// everything and records nothing.
 type Breaker struct {
 	threshold int
 	openFor   time.Duration
@@ -71,6 +72,7 @@ type Breaker struct {
 	failures int       // consecutive failures while closed
 	openedAt time.Time // zero = closed
 	probeAt  time.Time // last probe admission while half-open
+	failedAt time.Time // latest failure; zero once a success follows it
 }
 
 // NewBreaker returns a closed breaker that opens after threshold
@@ -106,23 +108,18 @@ func (b *Breaker) state(now time.Time) BreakerState {
 // Willing reports whether a request would currently be admitted, without
 // consuming the half-open probe slot — the peek used for ordering
 // endpoint preference lists.
-func (b *Breaker) Willing(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state(now) {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		return false
-	default: // half-open: one probe at a time, expired probes re-admit
-		return b.probeAt.IsZero() || now.Sub(b.probeAt) >= b.openFor
-	}
-}
+func (b *Breaker) Willing(now time.Time) bool { return b.admit(now, false) }
 
 // Allow reports whether a request may proceed now. In the half-open
 // state the first Allow consumes the probe slot; callers must follow a
 // true Allow with a Record of the outcome.
-func (b *Breaker) Allow(now time.Time) bool {
+func (b *Breaker) Allow(now time.Time) bool { return b.admit(now, true) }
+
+// admit decides for Willing and Allow; take consumes the probe slot.
+func (b *Breaker) admit(now time.Time, take bool) bool {
+	if b == nil {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state(now) {
@@ -130,20 +127,25 @@ func (b *Breaker) Allow(now time.Time) bool {
 		return true
 	case BreakerOpen:
 		return false
-	default:
-		if b.probeAt.IsZero() || now.Sub(b.probeAt) >= b.openFor {
-			b.probeAt = now
-			cBreakerProbes.Add(1)
-			return true
-		}
+	}
+	// Half-open: one probe at a time, expired probes re-admit.
+	if !b.probeAt.IsZero() && now.Sub(b.probeAt) < b.openFor {
 		return false
 	}
+	if take {
+		b.probeAt = now
+		cBreakerProbes.Add(1)
+	}
+	return true
 }
 
 // Record feeds one request outcome into the automaton. Callers decide
 // what counts as failure (transport errors and 5xx overload, typically —
 // a 429 proves the endpoint alive and should be recorded as success).
 func (b *Breaker) Record(now time.Time, success bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	wasOpen := !b.openedAt.IsZero()
@@ -151,12 +153,14 @@ func (b *Breaker) Record(now time.Time, success bool) {
 		b.failures = 0
 		b.openedAt = time.Time{}
 		b.probeAt = time.Time{}
+		b.failedAt = time.Time{}
 		if wasOpen {
 			cBreakerCloses.Add(1)
 			gBreakersOpen.Add(-1)
 		}
 		return
 	}
+	b.failedAt = now
 	if wasOpen {
 		// Half-open probe failed (or a straggler failure arrived while
 		// open): restart the open window.
@@ -173,10 +177,21 @@ func (b *Breaker) Record(now time.Time, success bool) {
 	}
 }
 
-// breakerFailure classifies an exchange outcome for breaker purposes:
-// transport-level errors and overloaded/dead statuses (503, 504) trip
-// the breaker; any other HTTP answer — including 429 and 4xx rejections —
-// proves the endpoint alive.
+// failedWithin reports whether the latest failure, not yet followed by a
+// success, happened less than d before now.
+func (b *Breaker) failedWithin(now time.Time, d time.Duration) bool {
+	if b == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return !b.failedAt.IsZero() && now.Sub(b.failedAt) < d
+}
+
+// breakerFailure classifies an exchange outcome for the breaker and the
+// cooldown alike: transport-level errors and overloaded/dead statuses
+// (503, 504) count as failures; any other HTTP answer — including 429
+// and 4xx rejections — proves the endpoint alive.
 func breakerFailure(err error) bool {
 	if err == nil {
 		return false

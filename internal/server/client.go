@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -23,18 +22,21 @@ import (
 
 // Client talks to a perturbd service, retrying shed and transient failures
 // with capped exponential backoff plus jitter. Retry-After headers from the
-// server override the computed backoff. The zero value with a BaseURL is
-// usable.
+// server lengthen the backoff. A Client is a fleet of one endpoint: it runs
+// the fleet's retry loop, with its fields as the loop's policy. The zero
+// value with a BaseURL is usable.
 type Client struct {
 	// BaseURL locates the service, e.g. "http://localhost:7077".
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// MaxRetries caps retry attempts after the first try. Default: 4.
+	// MaxRetries caps retry attempts after the first try. Default: 4;
+	// negative means none.
 	MaxRetries int
 	// BaseDelay seeds the backoff (doubled per attempt). Default: 200ms.
 	BaseDelay time.Duration
-	// MaxDelay caps a single backoff sleep. Default: 5s.
+	// MaxDelay caps a single backoff sleep, except that a longer
+	// Retry-After wins. Default: 5s.
 	MaxDelay time.Duration
 	// Breaker, when non-nil, circuit-breaks the endpoint under the retry
 	// loop: while open, attempts fail locally with ErrBreakerOpen (still
@@ -53,13 +55,13 @@ type Request struct {
 	Cal *instr.Calibration
 	// TraceID travels as the X-Perturb-Trace-Id header, correlating
 	// retries, failovers and hedges of one logical request in the
-	// service's request log. Empty means the client mints one per
-	// Analyze call (and the fleet one per fleet-level Analyze), so every
-	// wire attempt of the same logical request shares an id.
+	// service's request log. Empty means each Analyze call mints one, so
+	// every wire attempt of the same logical request shares an id.
 	TraceID string
 	// Attempt travels as the X-Perturb-Attempt header: a per-wire-attempt
-	// tag ("try0", "r1p0-hedge", ...) distinguishing attempts that share
-	// a TraceID. Filled by the retry loop and the fleet.
+	// tag distinguishing attempts that share a TraceID. The retry loop
+	// fills it with "try<n>", n counting the call's wire attempts across
+	// rounds and endpoints from 0; a hedge of attempt n is "try<n>-hedge".
 	Attempt string
 }
 
@@ -79,11 +81,11 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("perturbd: %d %s: %s", e.StatusCode, http.StatusText(e.StatusCode), e.Message)
 }
 
-// ErrBodyNotReplayable means a retry or failover wanted to resend a
-// request whose body reader cannot seek back to the start. The client
-// refuses rather than sending a truncated re-read; callers who want
-// retries should hand AnalyzeReader an io.ReadSeeker (bytes.Reader,
-// os.File) or use Analyze, which owns its buffer.
+// ErrBodyNotReplayable means a call failed in a way worth retrying, but
+// its body came from a reader that cannot seek back to the start, and
+// such a body gets a single attempt. Callers who want retries should
+// hand AnalyzeReader an io.ReadSeeker (bytes.Reader, os.File) or use
+// Analyze, which owns its buffer.
 var ErrBodyNotReplayable = errors.New("request body is not replayable (no Seek)")
 
 // Analyze posts t to the service and returns the decoded response. Shed
@@ -96,170 +98,86 @@ func (c *Client) Analyze(ctx context.Context, t *trace.Trace, req Request) (*Res
 	if err := t.WriteBinary(&body); err != nil {
 		return nil, fmt.Errorf("encoding trace: %w", err)
 	}
-	return c.analyzeBytes(ctx, req, body.Bytes())
+	return c.analyze(ctx, req, body.Bytes(), true)
 }
 
-// AnalyzeReader posts an already-encoded trace body. Seekable bodies
-// (bytes.Reader, os.File) are rewound to the start for every attempt, so
-// retries and failovers resend the full upload; a body that cannot seek
-// gets exactly one attempt, and a failure that would otherwise be
-// retried returns ErrBodyNotReplayable instead of a truncated re-send.
+// AnalyzeReader posts an already-encoded trace body, read into memory
+// first. Seekable bodies (bytes.Reader, os.File) are read from the start
+// and get the full retry budget; a body that cannot seek gets exactly one
+// attempt, and a failure that would otherwise be retried also wraps
+// ErrBodyNotReplayable.
 func (c *Client) AnalyzeReader(ctx context.Context, body io.Reader, req Request) (*Response, error) {
-	if rs, ok := body.(io.ReadSeeker); ok {
+	rs, seekable := body.(io.Seeker)
+	if seekable {
 		if _, err := rs.Seek(0, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("perturbd client: rewinding body: %w", err)
 		}
-		raw, err := io.ReadAll(rs)
-		if err != nil {
-			return nil, fmt.Errorf("perturbd client: reading body: %w", err)
-		}
-		return c.analyzeBytes(ctx, req, raw)
 	}
-
-	// One shot: the body can only be read once.
-	u, err := c.analyzeURL(req)
+	raw, err := io.ReadAll(body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("perturbd client: reading body: %w", err)
 	}
-	httpc := c.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
-	if c.Breaker != nil && !c.Breaker.Allow(time.Now()) {
-		return nil, fmt.Errorf("perturbd: %w", ErrBreakerOpen)
-	}
-	traceID := req.TraceID
-	if traceID == "" {
-		traceID = NewTraceID()
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
-	hreq.Header.Set(traceIDHeader, traceID)
-	hreq.Header.Set(attemptHeader, "try0")
-	resp, _, err := c.do(httpc, hreq)
-	if c.Breaker != nil && ctx.Err() == nil {
-		c.Breaker.Record(time.Now(), !breakerFailure(err))
-	}
-	if err != nil && clientRetryable(err) {
-		return nil, fmt.Errorf("perturbd: refusing to retry after %v: %w", err, ErrBodyNotReplayable)
+	resp, err := c.analyze(ctx, req, raw, seekable)
+	if err != nil && !seekable && clientRetryable(err) {
+		return nil, fmt.Errorf("%w; not retried: %w", err, ErrBodyNotReplayable)
 	}
 	return resp, err
 }
 
-// analyzeBytes is the shared retry loop over a fully-buffered body,
-// which every attempt resends from the start.
-func (c *Client) analyzeBytes(ctx context.Context, req Request, body []byte) (*Response, error) {
-	u, err := c.analyzeURL(req)
-	if err != nil {
-		return nil, err
+// analyze runs the fleet's retry loop over c as a one-endpoint fleet,
+// where each round is one attempt: MaxRetries+1 of them, or one for a
+// body that cannot be replayed.
+func (c *Client) analyze(ctx context.Context, req Request, body []byte, replayable bool) (*Response, error) {
+	if _, err := url.Parse(c.BaseURL); c.BaseURL == "" || err != nil {
+		return nil, fmt.Errorf("perturbd client: BaseURL %q is empty or malformed", c.BaseURL)
 	}
-
-	httpc := c.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
+	rounds := max(c.MaxRetries, 0) + 1
+	if c.MaxRetries == 0 {
+		rounds = 5
 	}
-	maxRetries := c.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = 4
+	if !replayable {
+		rounds = 1
 	}
-	baseDelay := c.BaseDelay
-	if baseDelay <= 0 {
-		baseDelay = 200 * time.Millisecond
+	f := &Fleet{
+		cfg:       FleetConfig{BaseDelay: c.BaseDelay},
+		maxDelay:  c.MaxDelay,
+		endpoints: []*endpoint{newEndpoint(c.BaseURL, c.HTTPClient, c.Breaker, 0)},
 	}
-	maxDelay := c.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-
-	// One trace id spans every retry of this call, so the service's
-	// request log shows them as attempts of one logical request.
-	traceID := req.TraceID
-	if traceID == "" {
-		traceID = NewTraceID()
-	}
-
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		var resp *Response
-		var retryAfter time.Duration
-		var err error
-		if c.Breaker != nil && !c.Breaker.Allow(time.Now()) {
-			// Refused locally: the endpoint is known-dead. Burn a retry
-			// slot and back off; the breaker half-opens on its own clock.
-			err = fmt.Errorf("perturbd: %w", ErrBreakerOpen)
-		} else {
-			var hreq *http.Request
-			hreq, err = http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			hreq.Header.Set("Content-Type", traceContentType(body))
-			hreq.Header.Set(contentSHAHeader, bodySHA(body))
-			hreq.Header.Set(traceIDHeader, traceID)
-			hreq.Header.Set(attemptHeader, fmt.Sprintf("try%d", attempt))
-
-			resp, retryAfter, err = c.do(httpc, hreq)
-			if c.Breaker != nil && ctx.Err() == nil {
-				c.Breaker.Record(time.Now(), !breakerFailure(err))
-			}
-		}
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !clientRetryable(err) {
-			return nil, err
-		}
-		if attempt >= maxRetries {
-			return nil, fmt.Errorf("perturbd: giving up after %d attempts: %w", attempt+1, lastErr)
-		}
-
-		delay := baseDelay << uint(attempt)
-		if delay > maxDelay {
-			delay = maxDelay
-		}
-		// Full jitter spreads synchronized retries across the window.
-		delay = time.Duration(rand.Int63n(int64(delay))) + delay/2
-		if retryAfter > delay {
-			delay = retryAfter
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return nil, fmt.Errorf("perturbd: %w (last error: %v)", ctx.Err(), lastErr)
-		}
-	}
+	return f.analyze(ctx, f.endpoints, rounds, req, body)
 }
 
-// analyzeOnce runs a single no-retry exchange with a pre-encoded trace
-// body — the fleet's per-endpoint attempt primitive, where retries and
-// failover are owned by the caller.
-func (c *Client) analyzeOnce(ctx context.Context, req Request, body []byte) (*Response, error) {
-	u, err := c.analyzeURL(req)
+// upload is one call's body with what every attempt stamps on it,
+// computed once per call.
+type upload struct {
+	body             []byte
+	query            string // the /v1/analyze query, with its "?", or ""
+	sha, contentType string
+}
+
+// post runs one exchange against e: it builds the request, stamps the
+// content hash, trace id and attempt tag, verifies the response, and
+// records the outcome in e's breaker. Cancelled attempts (a hedge that
+// lost the race, a caller that gave up) say nothing about e's health and
+// are not recorded. It also returns the response's Retry-After hint.
+func (e *endpoint) post(ctx context.Context, req Request, up upload) (*Response, time.Duration, error) {
+	u := strings.TrimSuffix(e.base, "/") + "/v1/analyze" + up.query
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(up.body))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	httpc := c.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
+	hreq.Header.Set("Content-Type", up.contentType)
+	hreq.Header.Set(contentSHAHeader, up.sha)
+	hreq.Header.Set(traceIDHeader, req.TraceID)
+	hreq.Header.Set(attemptHeader, req.Attempt)
+	start := time.Now()
+	resp, wait, err := readResponse(e.httpc.Do(hreq))
+	if err == nil {
+		e.recordLatency(time.Since(start))
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if ctx.Err() == nil {
+		e.breaker.Record(time.Now(), !breakerFailure(err))
 	}
-	hreq.Header.Set("Content-Type", traceContentType(body))
-	hreq.Header.Set(contentSHAHeader, bodySHA(body))
-	if req.TraceID != "" {
-		hreq.Header.Set(traceIDHeader, req.TraceID)
-	}
-	if req.Attempt != "" {
-		hreq.Header.Set(attemptHeader, req.Attempt)
-	}
-	resp, _, err := c.do(httpc, hreq)
-	return resp, err
+	return resp, wait, err
 }
 
 // bodySHA is the hex SHA-256 a request stamps on its upload for
@@ -269,8 +187,8 @@ func bodySHA(body []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// do runs one attempt, returning the decoded response or an error plus
-// any Retry-After hint from the server.
+// readResponse decodes one exchange's outcome, returning the response or
+// an error plus any Retry-After hint from the server.
 //
 // The body is read in full and verified against the server's
 // X-Perturb-Body-SHA256 before any decoding: a mismatch, an undecodable
@@ -278,8 +196,7 @@ func bodySHA(body []byte) string {
 // response corrupted into syntactically-valid-but-wrong JSON) all
 // surface as transport-grade errors — retryable — rather than as a
 // terminal StatusError or, worse, a silently wrong Response.
-func (c *Client) do(httpc *http.Client, hreq *http.Request) (*Response, time.Duration, error) {
-	hresp, err := httpc.Do(hreq)
+func readResponse(hresp *http.Response, err error) (*Response, time.Duration, error) {
 	if err != nil {
 		return nil, 0, err
 	}
@@ -313,12 +230,13 @@ func (c *Client) do(httpc *http.Client, hreq *http.Request) (*Response, time.Dur
 	return &resp, 0, nil
 }
 
-// clientRetryable reports whether the single-endpoint retry loop should
-// try again: shed/overload statuses (429, 503, 504), explicitly
-// retryable error codes from the service (a checksum mismatch means the
-// upload was damaged in flight — resending is exactly the remedy), local
-// breaker refusals, and anything transport-level. Other HTTP statuses
-// are terminal: the server understood the request and rejected it.
+// clientRetryable reports whether the retry loop should try again, on
+// this endpoint or another: shed/overload statuses (429, 503, 504),
+// explicitly retryable error codes from the service (a checksum mismatch
+// means the upload was damaged in flight — resending is exactly the
+// remedy), local breaker refusals, and anything transport-level. Other
+// HTTP statuses are terminal: the server understood the request and
+// rejected it.
 func clientRetryable(err error) bool {
 	var se *StatusError
 	if errors.As(err, &se) {
@@ -363,12 +281,9 @@ func traceContentType(body []byte) string {
 	return "application/octet-stream"
 }
 
-// analyzeURL renders req as the /v1/analyze query string.
-func (c *Client) analyzeURL(req Request) (string, error) {
-	base := strings.TrimSuffix(c.BaseURL, "/")
-	if base == "" {
-		return "", fmt.Errorf("perturbd client: BaseURL is empty")
-	}
+// analyzeQuery renders req as the /v1/analyze query string, "?" included,
+// or "" when every field is the service default.
+func analyzeQuery(req Request) (string, error) {
 	q := url.Values{}
 	switch req.Mode {
 	case core.ModeEventBased:
@@ -397,9 +312,8 @@ func (c *Client) analyzeURL(req Request) (string, error) {
 			q.Set(p.name, strconv.FormatInt(int64(p.v), 10))
 		}
 	}
-	u := base + "/v1/analyze"
-	if len(q) > 0 {
-		u += "?" + q.Encode()
+	if len(q) == 0 {
+		return "", nil
 	}
-	return u, nil
+	return "?" + q.Encode(), nil
 }

@@ -3,13 +3,13 @@ package server
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"perturb/internal/cache"
@@ -32,11 +32,19 @@ var (
 // cache concentrates its own shard of the key space), and adding or
 // removing an endpoint only remaps the keys adjacent to it on the ring.
 //
-// Each endpoint carries health state: a transport error or a 503 puts it
-// in a cooldown during which routing prefers the next endpoint on the
-// ring, so a killed or draining box sheds its keys to its ring successor
-// without losing requests. When every endpoint is cooling down the fleet
-// ignores health and tries them all — total blackout beats refusing work.
+// Each endpoint has one failure memory, its circuit breaker. A transport
+// error, a 503 or a 504 puts the endpoint in a cooldown during which
+// routing prefers the next endpoint on the ring, so a killed or draining
+// box sheds its keys to its ring successor without losing requests; a
+// success ends the cooldown early. Consecutive failures open the
+// breaker, and the fleet stops dialing the endpoint until a half-open
+// probe succeeds. When every breaker refuses the fleet tries all
+// endpoints anyway — total blackout beats refusing work.
+//
+// A request makes up to 3 rounds over its preference list, failing over
+// within a round. Between rounds it backs off exponentially from
+// BaseDelay with jitter, capped at 5s, and never for less than the
+// longest Retry-After the round's answers asked for.
 //
 // With Hedge enabled, a request that has not answered within the
 // endpoint's recent p90 latency is mirrored to the next-choice replica;
@@ -54,12 +62,9 @@ type FleetConfig struct {
 	// HedgeAfter fixes the hedge delay; 0 derives it per endpoint from
 	// the p90 of its recent latencies (50ms before enough samples).
 	HedgeAfter time.Duration
-	// Cooldown is how long a failed endpoint is deprioritized. Default 3s.
+	// Cooldown is how long a failed endpoint is deprioritized, unless a
+	// success ends it sooner. Default 3s.
 	Cooldown time.Duration
-	// Rounds caps full passes over the preference list before giving up.
-	// Default 3: with per-endpoint failover inside each round, that is
-	// Rounds*len(Endpoints) attempts worst case.
-	Rounds int
 	// BaseDelay seeds the inter-round backoff. Default 200ms.
 	BaseDelay time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens an
@@ -70,31 +75,32 @@ type FleetConfig struct {
 	BreakerOpenFor time.Duration
 }
 
-// Fleet is created by NewFleet and is safe for concurrent use.
+// fleetRounds caps a fleet request's passes over its preference list.
+const fleetRounds = 3
+
+// Fleet is created by NewFleet and is safe for concurrent use. A Client
+// is a Fleet of one endpoint, built per call.
 type Fleet struct {
 	cfg       FleetConfig
+	maxDelay  time.Duration // backoff cap; 0 means 5s
 	endpoints []*endpoint
 	ring      []ringSlot // sorted by hash
 }
 
 // endpoint is one perturbd instance plus its health and latency state.
 type endpoint struct {
-	base   string
-	client *Client
-	// downUntil is the unix-nano timestamp until which the endpoint is
-	// cooling down after a failure; 0 or past means healthy.
-	downUntil atomic.Int64
-	// breaker circuit-breaks the endpoint under the cooldown logic:
-	// cooldown reorders preferences after one failure, the breaker stops
-	// dialing entirely after several consecutive ones.
-	breaker *Breaker
+	base  string
+	httpc *http.Client
+	// breaker is the endpoint's failure memory: it stops dialing after
+	// consecutive failures, and its latest failure starts the cooldown.
+	breaker  *Breaker
+	cooldown time.Duration
 
 	// Recent request latencies, a fixed ring buffer for the hedge
 	// percentile.
-	latMu  sync.Mutex
-	lats   [64]time.Duration
-	latN   int // total recorded (ring index = latN % len)
-	latCap int
+	latMu sync.Mutex
+	lats  [64]time.Duration
+	latN  int // total recorded (ring index = latN % len)
 }
 
 type ringSlot struct {
@@ -116,12 +122,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = 3 * time.Second
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 3
-	}
-	if cfg.BaseDelay <= 0 {
-		cfg.BaseDelay = 200 * time.Millisecond
-	}
 	if cfg.BreakerOpenFor <= 0 {
 		cfg.BreakerOpenFor = cfg.Cooldown
 	}
@@ -132,15 +132,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: empty or duplicate endpoint %q", base)
 		}
 		seen[base] = true
-		// The fleet owns retry policy: each endpoint gets single attempts
-		// (analyzeOnce) so failover happens immediately, not after a
-		// per-endpoint backoff dance.
-		ep := &endpoint{
-			base:    base,
-			latCap:  64,
-			client:  &Client{BaseURL: base, HTTPClient: cfg.HTTPClient},
-			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerOpenFor),
-		}
+		ep := newEndpoint(base, cfg.HTTPClient, NewBreaker(cfg.BreakerThreshold, cfg.BreakerOpenFor), cfg.Cooldown)
 		f.endpoints = append(f.endpoints, ep)
 		for v := 0; v < vnodes; v++ {
 			h := fnv.New64a()
@@ -150,6 +142,18 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	sort.Slice(f.ring, func(i, j int) bool { return f.ring[i].hash < f.ring[j].hash })
 	return f, nil
+}
+
+func newEndpoint(base string, httpc *http.Client, b *Breaker, cooldown time.Duration) *endpoint {
+	if httpc == nil {
+		httpc = http.DefaultClient
+	}
+	return &endpoint{
+		base:     base,
+		httpc:    httpc,
+		breaker:  b,
+		cooldown: cooldown,
+	}
 }
 
 // route returns every endpoint ordered by ring preference for the given
@@ -185,100 +189,128 @@ func (f *Fleet) Analyze(ctx context.Context, t *trace.Trace, req Request) (*Resp
 	if err := t.WriteBinary(&body); err != nil {
 		return nil, fmt.Errorf("encoding trace: %w", err)
 	}
-	prefs := f.route(traceSHA)
+	return f.analyze(ctx, f.route(traceSHA), fleetRounds, req, body.Bytes())
+}
 
-	// One trace id covers the whole fleet-level request: every failover
-	// and hedge attempt carries it with a distinct attempt tag, so the
-	// endpoints' request logs reconstruct the fan-out.
+// analyze is the one retry loop, under Fleet.Analyze and every Client
+// call. It makes up to rounds passes over prefs: within a round it tries
+// healthy endpoints before cooling ones, skips those whose breakers
+// refuse, fails over on anything retryable and hedges when enabled;
+// between rounds it backs off. A lone endpoint whose breaker refuses
+// burns the round with ErrBreakerOpen.
+func (f *Fleet) analyze(ctx context.Context, prefs []*endpoint, rounds int, req Request, body []byte) (*Response, error) {
+	query, err := analyzeQuery(req)
+	if err != nil {
+		return nil, err
+	}
+	up := upload{body: body, query: query, sha: bodySHA(body), contentType: traceContentType(body)}
+	// One trace id covers every attempt of the call, each with a distinct
+	// attempt tag, so the endpoints' request logs reconstruct the fan-out.
 	if req.TraceID == "" {
 		req.TraceID = NewTraceID()
 	}
 
-	var lastErr error
-	for round := 0; round < f.cfg.Rounds; round++ {
+	var (
+		lastErr error
+		wait    time.Duration // the round's longest Retry-After
+		tries   int           // wire attempts so far
+	)
+	for round := 0; round < rounds; round++ {
 		if round > 0 {
-			delay := f.cfg.BaseDelay << uint(round-1)
 			select {
-			case <-time.After(delay):
+			case <-time.After(f.backoff(round-1, wait)):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("fleet: %w (last error: %v)", ctx.Err(), lastErr)
+				return nil, fmt.Errorf("perturbd: %w (last error: %v)", ctx.Err(), lastErr)
 			}
+			wait = 0
 		}
-		// Healthy endpoints in ring order first, cooling ones after: a
-		// fleet-wide outage still tries everyone rather than failing fast.
 		now := time.Now()
-		ordered := make([]*endpoint, 0, len(prefs))
-		for _, ep := range prefs {
-			if !ep.coolingDown(now) {
-				ordered = append(ordered, ep)
+		var ordered, willing []*endpoint
+		for _, cooling := range [2]bool{false, true} {
+			for _, ep := range prefs {
+				if ep.coolingDown(now) == cooling {
+					ordered = append(ordered, ep)
+					if ep.breaker.Willing(now) {
+						willing = append(willing, ep)
+					}
+				}
 			}
 		}
-		for _, ep := range prefs {
-			if ep.coolingDown(now) {
-				ordered = append(ordered, ep)
-			}
+		blackout := len(willing) == 0 && len(ordered) > 1
+		if len(willing) == 0 {
+			// Successes are the only thing that closes breakers, so a
+			// blackout tries everyone rather than refusing all work. A
+			// lone endpoint is left to Allow, which refuses it.
+			willing = ordered
+		} else {
+			cFleetBreakerSkips.Add(int64(len(ordered) - len(willing)))
 		}
-		// Circuit breakers sit under the cooldown ordering: endpoints
-		// whose breaker is unwilling are skipped outright this round.
-		// When every breaker refuses — total blackout — try them all
-		// anyway: successes are the only thing that closes breakers, and
-		// refusing all work is strictly worse than probing.
-		attemptList := make([]*endpoint, 0, len(ordered))
-		for _, ep := range ordered {
-			if ep.breaker.Willing(now) {
-				attemptList = append(attemptList, ep)
-			}
-		}
-		blackout := len(attemptList) == 0
-		if blackout {
-			attemptList = ordered
-		} else if skipped := len(ordered) - len(attemptList); skipped > 0 {
-			cFleetBreakerSkips.Add(int64(skipped))
-		}
-		for i, ep := range attemptList {
+		for i, ep := range willing {
 			if !blackout && !ep.breaker.Allow(now) {
-				// A concurrent request took this half-open probe slot.
+				// Open, or a concurrent request took the half-open probe.
+				lastErr = fmt.Errorf("perturbd: %w", ErrBreakerOpen)
 				continue
 			}
 			var next *endpoint
-			if f.cfg.Hedge && i+1 < len(attemptList) {
-				next = attemptList[i+1]
+			if f.cfg.Hedge && i+1 < len(willing) {
+				next = willing[i+1]
 			}
-			req.Attempt = fmt.Sprintf("r%dp%d", round, i)
-			resp, err := f.attempt(ctx, ep, next, req, body.Bytes())
+			req.Attempt = "try" + strconv.Itoa(tries)
+			tries++
+			resp, retryAfter, err := f.attempt(ctx, ep, next, req, up)
 			if err == nil {
 				return resp, nil
 			}
-			lastErr = err
+			lastErr, wait = err, max(wait, retryAfter)
 			if ctx.Err() != nil {
-				return nil, fmt.Errorf("fleet: %w (last error: %v)", ctx.Err(), lastErr)
+				return nil, fmt.Errorf("perturbd: %w (last error: %v)", ctx.Err(), lastErr)
 			}
-			if !retryable(err) {
+			if !clientRetryable(err) {
 				return nil, err
 			}
-			if marksDown(err) {
-				ep.markDown(now.Add(f.cfg.Cooldown))
-			}
-			if i+1 < len(attemptList) {
+			if i+1 < len(willing) {
 				cFleetFailovers.Add(1)
 			}
 		}
 	}
-	return nil, fmt.Errorf("fleet: giving up after %d rounds: %w", f.cfg.Rounds, lastErr)
+	return nil, fmt.Errorf("perturbd: giving up after %d attempts: %w", tries, lastErr)
+}
+
+// backoff is the pause after round k (from 0): BaseDelay doubled k
+// times, capped at maxDelay, jittered down by up to half, and never
+// shorter than wait. The cap is checked before shifting, so a long run of
+// rounds cannot overflow.
+func (f *Fleet) backoff(k int, wait time.Duration) time.Duration {
+	base, ceiling := f.cfg.BaseDelay, f.maxDelay
+	if base <= 0 {
+		base = 200 * time.Millisecond
+	}
+	if ceiling <= 0 {
+		ceiling = 5 * time.Second
+	}
+	d := ceiling
+	if base <= ceiling>>k {
+		d = base << k
+	}
+	// Jitter spreads synchronized retries across the window.
+	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+	return max(d, wait)
 }
 
 // attempt runs one request against ep, hedging to next (when non-nil)
 // after the hedge delay. The first answer wins; the loser's context is
-// cancelled.
-func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, body []byte) (*Response, error) {
+// cancelled. The duration is the longest Retry-After either answer
+// asked for.
+func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, up upload) (*Response, time.Duration, error) {
 	if next == nil {
-		return f.post(ctx, ep, req, body)
+		return ep.post(ctx, req, up)
 	}
 
 	hctx, cancelHedge := context.WithCancel(ctx)
 	defer cancelHedge()
 	type result struct {
 		resp *Response
+		wait time.Duration
 		err  error
 		ep   *endpoint
 	}
@@ -287,8 +319,8 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, bo
 		r := req
 		r.Attempt = tag
 		go func() {
-			resp, err := f.post(hctx, target, r, body)
-			results <- result{resp, err, target}
+			resp, wait, err := target.post(hctx, r, up)
+			results <- result{resp, wait, err, target}
 		}()
 	}
 	launch(ep, req.Attempt)
@@ -297,6 +329,7 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, bo
 
 	pending, hedged := 1, false
 	var firstErr error
+	var wait time.Duration
 	for pending > 0 {
 		select {
 		case r := <-results:
@@ -307,16 +340,17 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, bo
 				if hedged && r.ep == next {
 					cFleetHedgeWins.Add(1)
 				}
-				return r.resp, nil
+				return r.resp, 0, nil
 			}
+			wait = max(wait, r.wait)
 			if firstErr == nil {
 				firstErr = r.err
 			}
 			if !hedged {
 				// The primary failed outright before the hedge fired;
-				// surface the error so the fleet's failover (which also
-				// updates health) takes over instead of hedging blind.
-				return nil, r.err
+				// surface the error so the fleet fails over instead of
+				// hedging blind.
+				return nil, wait, r.err
 			}
 		case <-timer.C:
 			if !hedged {
@@ -329,23 +363,7 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, bo
 			}
 		}
 	}
-	return nil, firstErr
-}
-
-// post runs a single no-retry exchange against ep, records its latency
-// on success, and feeds the outcome to the endpoint's circuit breaker.
-// Cancelled attempts (a hedge that lost the race, a caller that gave up)
-// say nothing about the endpoint's health and are not recorded.
-func (f *Fleet) post(ctx context.Context, ep *endpoint, req Request, body []byte) (*Response, error) {
-	start := time.Now()
-	resp, err := ep.client.analyzeOnce(ctx, req, body)
-	if err == nil {
-		ep.recordLatency(time.Since(start))
-	}
-	if ctx.Err() == nil {
-		ep.breaker.Record(time.Now(), !breakerFailure(err))
-	}
-	return resp, err
+	return nil, wait, firstErr
 }
 
 // EndpointHealth is one endpoint's health snapshot as reported by Health.
@@ -379,37 +397,16 @@ func (f *Fleet) hedgeDelay(ep *endpoint) time.Duration {
 	return ep.latencyP90()
 }
 
-// retryable reports whether another endpoint might succeed where this
-// error occurred: transport failures and shed/overload statuses.
-func retryable(err error) bool {
-	// Same classification as the single-endpoint client: shed statuses,
-	// damaged-upload rejections (resend to a replica is the remedy), and
-	// everything transport-level — connection refused, reset, EOF
-	// mid-body.
-	return clientRetryable(err)
-}
-
-// marksDown reports whether the error indicates an unhealthy endpoint
-// (as opposed to a healthy one that is merely at capacity, 429).
-func marksDown(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return se.StatusCode == http.StatusServiceUnavailable
-	}
-	return true
-}
-
+// coolingDown reports whether routing should try e after its healthy
+// peers: its breaker saw a failure, not yet followed by a success, less
+// than the cooldown ago.
 func (e *endpoint) coolingDown(now time.Time) bool {
-	return e.downUntil.Load() > now.UnixNano()
-}
-
-func (e *endpoint) markDown(until time.Time) {
-	e.downUntil.Store(until.UnixNano())
+	return e.breaker.failedWithin(now, e.cooldown)
 }
 
 func (e *endpoint) recordLatency(d time.Duration) {
 	e.latMu.Lock()
-	e.lats[e.latN%e.latCap] = d
+	e.lats[e.latN%len(e.lats)] = d
 	e.latN++
 	e.latMu.Unlock()
 }
@@ -421,10 +418,7 @@ func (e *endpoint) recordLatency(d time.Duration) {
 func (e *endpoint) latencyP90() time.Duration {
 	const fallback = 50 * time.Millisecond
 	e.latMu.Lock()
-	n := e.latN
-	if n > e.latCap {
-		n = e.latCap
-	}
+	n := min(e.latN, len(e.lats))
 	window := make([]time.Duration, n)
 	copy(window, e.lats[:n])
 	e.latMu.Unlock()

@@ -162,8 +162,8 @@ func TestFleetHedgeSharesTraceID(t *testing.T) {
 		t.Errorf("hedge carried trace ids %q and %q, want one shared non-empty id",
 			got[0].traceID, got[1].traceID)
 	}
-	if got[0].attempt != "r0p0" || got[1].attempt != "r0p0-hedge" {
-		t.Errorf("attempt tags = %q, %q; want r0p0 and r0p0-hedge", got[0].attempt, got[1].attempt)
+	if got[0].attempt != "try0" || got[1].attempt != "try0-hedge" {
+		t.Errorf("attempt tags = %q, %q; want try0 and try0-hedge", got[0].attempt, got[1].attempt)
 	}
 }
 
