@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-engine bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -30,6 +30,12 @@ bench-sim:
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput' -benchmem -count 5 ./internal/core/
+
+# Derived statistics on the approximated million-event wave: Table 3's
+# waiting, Figure 5's parallelism and the critical path — the numbers
+# EXPERIMENTS.md's "Derived statistics" section quotes.
+bench-derived:
+	$(GO) test -run '^$$' -bench 'BenchmarkWaitingMillion|BenchmarkParallelismMillion|BenchmarkCriticalPathMillion' -benchmem -count 5 .
 
 # The parallel sweep runner must not change a single output byte.
 workers-check:

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"perturb"
 	"perturb/internal/obs"
@@ -165,4 +166,103 @@ func BenchmarkStreamMillion(b *testing.B) {
 		}
 		b.ReportMetric(retained, "liveMB")
 	})
+}
+
+// Derived statistics on the approximated million-event wave: Table 3's
+// waiting, Figure 5's parallelism and the critical path, each one pass
+// over the approximation as a batch-wave op computes them.
+
+var (
+	bigApproxOnce sync.Once
+	bigApprox     *perturb.Approximation
+)
+
+func bigApproximation(b *testing.B) (*perturb.Trace, perturb.Calibration) {
+	b.Helper()
+	tr, cal := bigBench(b)
+	bigApproxOnce.Do(func() {
+		a, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{})
+		if err != nil {
+			panic(err)
+		}
+		bigApprox = a
+	})
+	return bigApprox.Trace, cal
+}
+
+func BenchmarkWaitingMillion(b *testing.B) {
+	tr, cal := bigApproximation(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := perturb.Waiting(tr, cal); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkParallelismMillion(b *testing.B) {
+	tr, cal := bigApproximation(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := perturb.Parallelism(tr, cal); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCriticalPathMillion(b *testing.B) {
+	tr, _ := bigApproximation(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := perturb.AnalyzeCriticalPath(tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDerivedStatisticsAllocation gates what the derived statistics
+// allocate on an approximated backward wave of 100k events: the metrics
+// walk keeps per-processor state only, and the critical path allocates
+// its Steps plus a flat index of a few 32-bit words per event. The test
+// is not parallel, so TotalAlloc counts only the call it brackets.
+func TestDerivedStatisticsAllocation(t *testing.T) {
+	cal := perturb.Calibration{Overheads: perturb.UniformOverheads(2), SNoWait: 5, SWait: 8, AdvanceOp: 3, Barrier: 4}
+	a, err := perturb.Analyze(testgen.BackwardWave(8, 25000), cal, perturb.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := a.Trace
+	allocated := func(f func() error) uint64 {
+		t.Helper()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, f := range map[string]func() error{
+		"Timeline":    func() error { _, err := perturb.Timeline(tr, cal); return err },
+		"Waiting":     func() error { _, err := perturb.Waiting(tr, cal); return err },
+		"Parallelism": func() error { _, err := perturb.Parallelism(tr, cal); return err },
+	} {
+		got := allocated(f)
+		t.Logf("%s: %d B", name, got)
+		if got >= 64<<10 {
+			t.Errorf("%s allocated %d B on %d events, want under 64 KiB", name, got, tr.Len())
+		}
+	}
+	var path *perturb.CriticalPath
+	got := allocated(func() (err error) { path, err = perturb.AnalyzeCriticalPath(tr); return err })
+	steps := uint64(len(path.Steps)) * uint64(unsafe.Sizeof(perturb.CriticalPathStep{}))
+	t.Logf("AnalyzeCriticalPath: %d B, %d B of them Steps", got, steps)
+	if limit := steps + 40*uint64(tr.Len()); got > limit {
+		t.Errorf("AnalyzeCriticalPath allocated %d B on %d events, want at most its %d B of Steps plus 40 B per event (%d B)",
+			got, tr.Len(), steps, limit)
+	}
 }

@@ -95,9 +95,10 @@ type WindowResult struct {
 	// the window — the instantaneous parallelism at window granularity.
 	ActiveProcs int `json:"active_procs"`
 	// Waiting is the total approximated waiting time attributed to
-	// synchronization events in the window: the part of each event's
-	// approximated gap from its basis that exceeds the operation's
-	// no-contention cost.
+	// synchronization events in the window, by the rule of the paper's
+	// Table 3: an await or lock acquisition that blocked contributes the
+	// time it was blocked (the s_wait processing is busy), a barrier
+	// release its wait beyond the release cost.
 	Waiting trace.Time `json:"waiting"`
 	// AvgParallelism is the average parallelism over the window's
 	// approximated span: per-processor busy time (approximated span minus
@@ -236,8 +237,7 @@ type engine struct {
 	ps        []procState
 	recs      []rec // current allocation chunk; records never move
 	fences    []fence
-	pairVars  map[int]*iterTable     // advance pairing records by variable
-	pairs     map[trace.PairKey]*rec // pairing keys too sparse for a table
+	pairs     trace.PairTable[*rec]  // advance pairing records
 	barriers  map[trace.PairKey]*rec // barrier key -> record
 	lastRel   map[int]*rec           // lock var -> record of the latest release
 	validator *trace.EventValidator
@@ -286,8 +286,6 @@ func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine 
 	g := &engine{
 		cal:        cal,
 		opts:       opts,
-		pairVars:   make(map[int]*iterTable),
-		pairs:      make(map[trace.PairKey]*rec),
 		barriers:   make(map[trace.PairKey]*rec),
 		lastRel:    make(map[int]*rec),
 		absMin:     math.MaxInt64,
@@ -463,65 +461,15 @@ func (g *engine) newRec() *rec {
 	return &g.recs[len(g.recs)-1]
 }
 
-// pair returns the pairing record of an advance or awaitE. A DOACROSS
-// loop's iterations are dense, so records live in per-variable tables
-// indexed by iteration: with a map keyed by PairKey instead, the million-
-// event wave took 1.8x as long, and 1.4x with a packed uint64 key
-// (EXPERIMENTS.md). Keys that would leave a table mostly empty go to the
-// pairs map instead.
+// pair returns the pairing record of an advance or awaitE, from a table
+// indexed by iteration (trace.PairTable), so no resolution step hashes a
+// key.
 func (g *engine) pair(e trace.Event) *rec {
-	t := g.pairVars[e.Var]
-	if t == nil {
-		t = &iterTable{base: e.Iter}
-		g.pairVars[e.Var] = t
-	}
-	slot := t.slot(e.Iter)
-	if slot == nil {
-		return g.keyed(g.pairs, e.Pair())
-	}
+	slot := g.pairs.Slot(e.Pair())
 	if *slot == nil {
-		if len(g.pairs) > 0 { // the table may have grown over a sparse key
-			*slot = g.pairs[e.Pair()]
-		}
-		if *slot == nil {
-			*slot = g.newRec()
-		}
+		*slot = g.newRec()
 	}
 	return *slot
-}
-
-// iterTable holds one variable's pairing records, recs[i] for iteration
-// base+i.
-type iterTable struct {
-	base int
-	recs []*rec
-}
-
-// slot returns the cell for iteration it, growing the table to reach it,
-// or nil when it lies so far out that the table would be mostly empty.
-func (t *iterTable) slot(it int) **rec {
-	if i := it - t.base; i >= 0 && i < len(t.recs) {
-		return &t.recs[i]
-	}
-	if int(int32(it)) != it || int(int32(t.base)) != t.base {
-		return nil // keep the arithmetic below far from overflow
-	}
-	lo, hi := min(t.base, it), max(t.base+len(t.recs), it+1)
-	if hi-lo > 2*len(t.recs)+1024 {
-		return nil
-	}
-	if lo == t.base {
-		t.recs = slices.Grow(t.recs, hi-lo-len(t.recs))[:hi-lo]
-	} else {
-		// Leave as much room below as the table already spans, so a
-		// feed that walks iterations downward grows the table
-		// geometrically, as slices.Grow does upward.
-		lo = max(min(lo, t.base-len(t.recs)), math.MinInt32)
-		grown := make([]*rec, hi-lo)
-		copy(grown[t.base-lo:], t.recs)
-		t.base, t.recs = lo, grown
-	}
-	return &t.recs[it-t.base]
 }
 
 // keyed returns the record for key k in m, creating it on first use.
@@ -727,12 +675,13 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 			} else if waitedApprox {
 				note.introduced = 1
 			}
-			note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
+			note.waiting = max(0, wait-cal.SWait)
 			return nil, false, true
 		}
 		waitedApprox := paired && taA > taAwaitB
 		if waitedApprox {
 			note.ta = taA + cal.SWait
+			note.waiting = taA - taAwaitB
 			note.kept = 1
 		} else {
 			note.ta = taAwaitB + cal.SNoWait
@@ -742,7 +691,6 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 		} else if !waitedMeasured && waitedApprox {
 			note.introduced = 1
 		}
-		note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
 
 	case trace.KindLockAcq:
 		taReq := taBase // predecessor of lock-acq is its lock-req
@@ -758,6 +706,7 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 		waitedApprox := held && taRel > taReq
 		if waitedApprox {
 			note.ta = taRel + cal.SWait
+			note.waiting = taRel - taReq
 			note.kept = 1
 		} else {
 			note.ta = taReq + cal.SNoWait
@@ -769,7 +718,6 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 		} else if !waitedMeasured && waitedApprox {
 			note.introduced = 1
 		}
-		note.waiting = waitAbove(note.ta, taReq, cal.SNoWait)
 
 	case trace.KindBarrierRelease:
 		r := pe.link
@@ -783,23 +731,12 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 			r.sealed = true
 		}
 		note.ta = r.ta + cal.Barrier
-		note.waiting = waitAbove(note.ta, taBase, cal.Barrier)
+		note.waiting = max(0, r.ta-taBase)
 
 	default:
 		g.resolveDefault(e, taBase, tmBase, note)
 	}
 	return nil, false, true
-}
-
-// waitAbove is the window accumulator's waiting attribution: the part of
-// the event's approximated gap from its basis that exceeds the
-// operation's no-contention cost.
-func waitAbove(ta, taBase, cost trace.Time) trace.Time {
-	w := ta - taBase - cost
-	if w < 0 {
-		return 0
-	}
-	return w
 }
 
 // resolveDefault applies the execution-timing rule: the approximated time

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"perturb/internal/instr"
 	"perturb/internal/loops"
 	"perturb/internal/machine"
+	"perturb/internal/metrics"
+	"perturb/internal/program"
 	"perturb/internal/testgen"
 	"perturb/internal/trace"
 )
@@ -497,6 +500,109 @@ func TestStreamCancellation(t *testing.T) {
 		// half-trace feed may legitimately complete. Close must fail.
 		if _, cerr := s.Close(ctx); cerr == nil {
 			t.Error("session ignored canceled context")
+		}
+	}
+}
+
+// TestWindowWaitingAddsUp: with exact calibration, each processor's
+// window waiting, summed over tumbling windows, equals Table 3's waiting
+// (metrics.Waiting) on the approximation, and on LL3, LL4 and LL17, where
+// the approximation is exact, the simulator's ground truth. Time-resolved
+// waiting adds up to the whole-run figure at every window size. A
+// contended lock loop covers waited lock acquisitions.
+func TestWindowWaitingAddsUp(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	cal := exactCalFor(cfg, ovh)
+	progs := map[string]*program.Loop{"lock loop": lockTestLoop(256, 2*us, 3*us)}
+	for _, n := range loops.Numbers() {
+		progs[fmt.Sprintf("LL%d", n)] = loops.MustGet(n).Loop
+	}
+	for name, l := range progs {
+		measured, err := machine.Run(l, instr.FullPlan(ovh, true), cfg)
+		if err != nil {
+			t.Fatalf("%s: measured run: %v", name, err)
+		}
+		actual, err := machine.Run(l, instr.NonePlan(), cfg)
+		if err != nil {
+			t.Fatalf("%s: actual run: %v", name, err)
+		}
+		m := measured.Trace
+		for _, window := range []trace.Time{0, trace.Microsecond, 37 * trace.Microsecond} {
+			wins, approx := feedChunks(t, wholeChunk(m.Events), cal, core.StreamOptions{Procs: m.Procs, Window: window})
+			sum := make([]trace.Time, m.Procs)
+			for _, w := range wins {
+				for _, wp := range w.Procs {
+					sum[wp.Proc] += wp.Waiting
+				}
+			}
+			ws, err := metrics.Waiting(approx.Trace, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := range sum {
+				if want := ws[p].Total(); sum[p] != want {
+					t.Errorf("%s, window %d: proc %d window waiting sums to %d, Table 3 waiting %d", name, window, p, sum[p], want)
+				}
+				if (name == "LL3" || name == "LL4" || name == "LL17") && sum[p] != actual.Waiting[p] {
+					t.Errorf("%s, window %d: proc %d window waiting sums to %d, ground truth %d", name, window, p, sum[p], actual.Waiting[p])
+				}
+			}
+		}
+	}
+}
+
+// TestWindowWaitingPlaceholder: an await whose advance was dropped gets a
+// placeholder wait in repair mode, and the windows count it by the Table 3
+// rule too: its span net of s_wait.
+func TestWindowWaitingPlaceholder(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	cal := exactCalFor(cfg, ovh)
+	measured, err := machine.Run(loops.MustGet(17).Loop, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the advance of the await that waited longest in the measurement.
+	m := measured.Trace
+	var key trace.PairKey
+	var longest trace.Time
+	awaitB := map[trace.PairKey]trace.Time{}
+	for _, e := range m.Events {
+		switch e.Kind {
+		case trace.KindAwaitB:
+			awaitB[e.Pair()] = e.Time
+		case trace.KindAwaitE:
+			if span := e.Time - awaitB[e.Pair()]; span > longest {
+				key, longest = e.Pair(), span
+			}
+		}
+	}
+	damaged := m.Filter(func(e trace.Event) bool { return e.Kind != trace.KindAdvance || e.Pair() != key })
+	if damaged.Len() != m.Len()-1 {
+		t.Fatalf("dropped %d events, want the one advance of %v", m.Len()-damaged.Len(), key)
+	}
+	win, approx := feedChunks(t, wholeChunk(damaged.Events), cal, core.StreamOptions{Procs: m.Procs, Repair: true, Window: 37 * trace.Microsecond})
+	placeholders := 0
+	for _, c := range approx.Confidence {
+		placeholders += c.Placeholders
+	}
+	if placeholders != 1 {
+		t.Fatalf("%d placeholders, want 1", placeholders)
+	}
+	sum := make([]trace.Time, m.Procs)
+	for _, w := range win {
+		for _, wp := range w.Procs {
+			sum[wp.Proc] += wp.Waiting
+		}
+	}
+	ws, err := metrics.Waiting(approx.Trace, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range sum {
+		if sum[p] != ws[p].Total() {
+			t.Errorf("proc %d: window waiting sums to %d, Table 3 waiting %d", p, sum[p], ws[p].Total())
 		}
 	}
 }

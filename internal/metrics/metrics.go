@@ -8,9 +8,9 @@
 package metrics
 
 import (
-	"sort"
-
+	"cmp"
 	"fmt"
+	"slices"
 
 	"perturb/internal/instr"
 	"perturb/internal/trace"
@@ -26,18 +26,107 @@ type Interval struct {
 // Dur returns the interval length.
 func (iv Interval) Dur() trace.Time { return iv.End - iv.Start }
 
-// waitEnd reports whether e completes a blocking operation begun by its
-// same-processor predecessor: an awaitE following its awaitB, or a
-// lock-acq following its lock-req.
-func waitEnd(e, prev trace.Event, havePrev bool) bool {
-	if !havePrev {
-		return false
+// procWalk is one processor's state in the trace-order walk: its
+// position (the end of its classified timeline so far), its previous
+// event, the interval being coalesced (empty before the first), and
+// Table 3's sums.
+type procWalk struct {
+	pos      trace.Time
+	prevKind trace.Kind
+	prevTime trace.Time
+	havePrev bool
+	cur      Interval
+
+	await, barrier, busy trace.Time
+}
+
+// walk validates t and classifies every processor's timeline in one pass
+// over it in trace order, without copying the events. Each processor's
+// activity is anchored at the first loop-begin event (fork) for
+// processors that join the concurrent loop, and at time zero for the
+// processor executing the sequential head. Waiting comes from two
+// sources: an awaitE or lock-acq whose span from its awaitB or lock-req
+// exceeds the no-wait processing cost (the tail s_wait of the span is
+// busy, as synchronization processing), and a barrier release (arrival to
+// release, minus the release cost itself).
+//
+// emit, when non-nil, receives each processor's coalesced intervals as
+// they close: in timeline order per processor, interleaved across
+// processors. Waiting, Timeline and Parallelism all read this one walk.
+func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) ([]procWalk, error) {
+	v := trace.NewEventValidator(t.Procs)
+	fork := -1
+	for i, e := range t.Events {
+		if err := v.Check(e); err != nil {
+			return nil, err
+		}
+		if fork < 0 && e.Kind == trace.KindLoopBegin {
+			fork = i
+		}
 	}
-	switch e.Kind {
+	ps := make([]procWalk, t.Procs)
+	for p := range ps {
+		if fork >= 0 && p != t.Events[fork].Proc {
+			ps[p].pos = t.Events[fork].Time
+		}
+	}
+	thr := waitThreshold(cal)
+	for _, e := range t.Events {
+		s := &ps[e.Proc]
+		switch {
+		case s.havePrev && waitEnd(e.Kind, s.prevKind):
+			if span := e.Time - s.prevTime; span > thr {
+				s.await += span - cal.SWait
+				s.add(e.Proc, e.Time-min(cal.SWait, span), true, emit)
+			}
+		case e.Kind == trace.KindBarrierRelease:
+			if span := e.Time - s.prevTime; s.havePrev && span > cal.Barrier {
+				s.barrier += span - cal.Barrier
+			}
+			s.add(e.Proc, e.Time-min(cal.Barrier, e.Time-s.pos), true, emit)
+		}
+		s.add(e.Proc, e.Time, false, emit)
+		s.prevKind, s.prevTime, s.havePrev = e.Kind, e.Time, true
+	}
+	for p, s := range ps {
+		if s.cur.End > s.cur.Start && emit != nil {
+			emit(p, s.cur)
+		}
+	}
+	return ps, nil
+}
+
+// add extends processor p's timeline to end, classified as waiting or
+// busy, coalescing with the open interval when the class is the same.
+// An end at or before the position adds nothing, so intervals are never
+// empty.
+func (s *procWalk) add(p int, end trace.Time, waiting bool, emit func(int, Interval)) {
+	if end <= s.pos {
+		return
+	}
+	if !waiting {
+		s.busy += end - s.pos
+	}
+	if open := s.cur.End > s.cur.Start; open && s.cur.Waiting == waiting {
+		s.cur.End = end
+	} else {
+		if open && emit != nil {
+			emit(p, s.cur)
+		}
+		s.cur = Interval{Start: s.pos, End: end, Waiting: waiting}
+	}
+	s.pos = end
+}
+
+// waitEnd reports whether an event of kind k completes a blocking
+// operation begun by its same-processor predecessor of kind prev: an
+// awaitE following its awaitB, or a lock-acq following its lock-req.
+func waitEnd(k, prev trace.Kind) bool {
+	switch k {
 	case trace.KindAwaitE:
-		return prev.Kind == trace.KindAwaitB
+		return prev == trace.KindAwaitB
 	case trace.KindLockAcq:
-		return prev.Kind == trace.KindLockReq
+		return prev == trace.KindLockReq
 	}
 	return false
 }
@@ -53,85 +142,14 @@ func waitThreshold(cal instr.Calibration) trace.Time {
 	return cal.SNoWait + tol
 }
 
-// Timeline decomposes a trace into per-processor busy/waiting intervals.
-//
-// A processor's activity is anchored at the loop-begin event (fork) for
-// processors that join the concurrent loop, and at time zero for the
-// processor executing the sequential head. Waiting intervals come from two
-// sources: awaitE events whose awaitB->awaitE span exceeds the no-wait
-// processing cost (the tail s_wait of the span is accounted busy, as
-// synchronization processing), and barrier-release events (arrival to
-// release minus the release cost itself).
+// Timeline decomposes a trace into per-processor busy/waiting intervals
+// (paper Figure 4), classified as walk describes; adjacent intervals of
+// one class coalesce.
 func Timeline(t *trace.Trace, cal instr.Calibration) ([][]Interval, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	perProc := t.ByProc()
 	out := make([][]Interval, t.Procs)
-
-	var forkTime trace.Time
-	forkProc := -1
-	for _, e := range t.Events {
-		if e.Kind == trace.KindLoopBegin {
-			forkTime, forkProc = e.Time, e.Proc
-			break
-		}
-	}
-
-	for p, evs := range perProc {
-		if len(evs) == 0 {
-			continue
-		}
-		pos := forkTime
-		if forkProc < 0 || p == forkProc {
-			pos = 0
-		}
-		var ivs []Interval
-		add := func(end trace.Time, waiting bool) {
-			if end < pos {
-				end = pos
-			}
-			if end == pos {
-				return
-			}
-			// Coalesce with the previous interval when same class.
-			if n := len(ivs); n > 0 && ivs[n-1].Waiting == waiting && ivs[n-1].End == pos {
-				ivs[n-1].End = end
-				pos = end
-				return
-			}
-			ivs = append(ivs, Interval{Start: pos, End: end, Waiting: waiting})
-			pos = end
-		}
-		var prev trace.Event
-		havePrev := false
-		for _, e := range evs {
-			switch {
-			case waitEnd(e, prev, havePrev):
-				span := e.Time - prev.Time
-				if span > waitThreshold(cal) {
-					busyTail := cal.SWait
-					if busyTail > span {
-						busyTail = span
-					}
-					add(e.Time-busyTail, true)
-					add(e.Time, false)
-				} else {
-					add(e.Time, false)
-				}
-			case e.Kind == trace.KindBarrierRelease:
-				rel := cal.Barrier
-				if e.Time-pos < rel {
-					rel = e.Time - pos
-				}
-				add(e.Time-rel, true)
-				add(e.Time, false)
-			default:
-				add(e.Time, false)
-			}
-			prev, havePrev = e, true
-		}
-		out[p] = ivs
+	_, err := walk(t, cal, func(p int, iv Interval) { out[p] = append(out[p], iv) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -148,46 +166,17 @@ type ProcWaiting struct {
 func (w ProcWaiting) Total() trace.Time { return w.Await + w.Barrier }
 
 // Waiting computes per-processor waiting statistics from a trace (paper
-// Table 3). Await waiting excludes the synchronization processing costs;
-// barrier waiting excludes the barrier release cost.
+// Table 3). Await waiting is each blocking span net of the s_wait
+// processing; barrier waiting is each arrival-to-release span net of the
+// barrier release cost. Busy is the Timeline's busy time.
 func Waiting(t *trace.Trace, cal instr.Calibration) ([]ProcWaiting, error) {
-	tl, err := Timeline(t, cal)
+	ps, err := walk(t, cal, nil)
 	if err != nil {
 		return nil, err
 	}
-	// Classify waiting intervals: barrier waits are the ones immediately
-	// preceding a barrier-release busy edge. Simpler and robust: recompute
-	// directly from events.
-	out := make([]ProcWaiting, t.Procs)
-	for p := range out {
-		out[p].Proc = p
-	}
-	perProc := t.ByProc()
-	for p, evs := range perProc {
-		var prev trace.Event
-		havePrev := false
-		for _, e := range evs {
-			switch {
-			case waitEnd(e, prev, havePrev):
-				span := e.Time - prev.Time
-				if span > waitThreshold(cal) {
-					out[p].Await += span - cal.SWait
-				}
-			case e.Kind == trace.KindBarrierRelease && havePrev:
-				span := e.Time - prev.Time
-				if span > cal.Barrier {
-					out[p].Barrier += span - cal.Barrier
-				}
-			}
-			prev, havePrev = e, true
-		}
-	}
-	for p, ivs := range tl {
-		for _, iv := range ivs {
-			if !iv.Waiting {
-				out[p].Busy += iv.Dur()
-			}
-		}
+	out := make([]ProcWaiting, len(ps))
+	for p, s := range ps {
+		out[p] = ProcWaiting{Proc: p, Await: s.await, Barrier: s.barrier, Busy: s.busy}
 	}
 	return out, nil
 }
@@ -214,32 +203,28 @@ type Profile struct {
 }
 
 // Parallelism computes the busy-processor profile of a trace (paper
-// Figure 5), derived from the Timeline decomposition.
+// Figure 5) from the Timeline classification: the profile ends at the
+// latest interval end.
 func Parallelism(t *trace.Trace, cal instr.Calibration) (*Profile, error) {
-	tl, err := Timeline(t, cal)
-	if err != nil {
-		return nil, err
-	}
 	type edge struct {
 		at    trace.Time
 		delta int
 	}
 	var edges []edge
 	var end trace.Time
-	for _, ivs := range tl {
-		for _, iv := range ivs {
-			if !iv.Waiting {
-				edges = append(edges, edge{iv.Start, +1}, edge{iv.End, -1})
-			}
-			if iv.End > end {
-				end = iv.End
-			}
+	_, err := walk(t, cal, func(_ int, iv Interval) {
+		if !iv.Waiting {
+			edges = append(edges, edge{iv.Start, +1}, edge{iv.End, -1})
 		}
+		end = max(end, iv.End)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if len(edges) == 0 {
 		return &Profile{}, nil
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].at < edges[j].at })
+	slices.SortFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
 	p := &Profile{}
 	level := 0
 	for i := 0; i < len(edges); {

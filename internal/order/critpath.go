@@ -28,57 +28,61 @@ type Path struct {
 }
 
 // CriticalPath extracts a critical path of the trace: starting from the
-// latest event, it repeatedly follows the binding predecessor — the
-// happened-before predecessor with the greatest timestamp, which is the
-// dependence that actually determined the event's time. The result
-// explains what the execution's duration was spent on: per-processor
-// computation and cross-processor synchronization.
+// latest event (the last in trace order among equals), it repeatedly
+// follows the binding predecessor — the feasibility-view predecessor with
+// the latest time, then one on the event's own processor, then the lowest
+// index — which is the dependence that actually determined the event's
+// time. The result explains what the execution's duration was spent on:
+// per-processor computation and cross-processor synchronization.
+//
+// The walk is O(path) after the O(n) index build. Binding predecessors
+// can form a cycle in a valid trace (two awaitEs, each released by an
+// advance the other processor records at the same time); such a trace has
+// no critical path, and the walk reports the first event it would
+// revisit, with an error wrapping trace.ErrMalformedTrace.
 //
 // The trace must be in canonical sorted order with valid times (an actual
 // or approximated trace; measured traces work too and include probe time).
 func CriticalPath(t *trace.Trace) (*Path, error) {
-	rel, err := Build(t)
+	r, err := Build(t)
 	if err != nil {
 		return nil, err
 	}
-	n := t.Len()
-	if n == 0 {
-		return &Path{ProcTime: make([]trace.Time, t.Procs)}, nil
+	p := &Path{ProcTime: make([]trace.Time, t.Procs)}
+	ev := t.Events
+	if len(ev) == 0 {
+		return p, nil
 	}
-	// Invert succ to predecessor lists.
-	preds := make([][]int, n)
-	for u, succs := range rel.succ {
-		for _, v := range succs {
-			preds[v] = append(preds[v], u)
-		}
-	}
-	// Start at the event with the maximum time (ties: last in order).
 	end := 0
-	for i, e := range t.Events {
-		if e.Time >= t.Events[end].Time {
+	for i, e := range ev {
+		if e.Time >= ev[end].Time {
 			end = i
 		}
 	}
-	p := &Path{ProcTime: make([]trace.Time, t.Procs)}
-	cur := end
-	for {
-		e := t.Events[cur]
-		if len(preds[cur]) == 0 {
-			p.Steps = append(p.Steps, PathStep{Event: e, Gap: 0})
+	// Count the steps first, so Steps is allocated once; one bit per event
+	// marks the events walked.
+	seen := make([]uint64, (len(ev)+63)/64)
+	n := 0
+	for cur := end; cur >= 0; cur = r.binding(cur) {
+		if seen[cur/64]&(1<<(cur%64)) != 0 {
+			return nil, fmt.Errorf("order: critical path revisits event %d (%v), a dependence cycle: %w",
+				cur, ev[cur], trace.ErrMalformedTrace)
+		}
+		seen[cur/64] |= 1 << (cur % 64)
+		n++
+	}
+	p.Steps = make([]PathStep, n)
+	for cur := end; cur >= 0; {
+		n--
+		e := ev[cur]
+		best := r.binding(cur)
+		if best < 0 {
+			p.Steps[n] = PathStep{Event: e}
 			break
 		}
-		// Binding predecessor: the latest-timed one; prefer the same
-		// processor on ties (program order explains the gap locally).
-		best := preds[cur][0]
-		for _, u := range preds[cur][1:] {
-			ue, be := t.Events[u], t.Events[best]
-			if ue.Time > be.Time || (ue.Time == be.Time && ue.Proc == e.Proc && be.Proc != e.Proc) {
-				best = u
-			}
-		}
-		gap := e.Time - t.Events[best].Time
-		syncHop := t.Events[best].Proc != e.Proc
-		p.Steps = append(p.Steps, PathStep{Event: e, Gap: gap, Sync: syncHop})
+		gap := e.Time - ev[best].Time
+		syncHop := ev[best].Proc != e.Proc
+		p.Steps[n] = PathStep{Event: e, Gap: gap, Sync: syncHop}
 		if syncHop {
 			p.SyncGap += gap
 		} else {
@@ -87,11 +91,31 @@ func CriticalPath(t *trace.Trace) (*Path, error) {
 		p.Total += gap
 		cur = best
 	}
-	// Steps were collected end-to-start; reverse into forward order.
-	for i, j := 0, len(p.Steps)-1; i < j; i, j = i+1, j-1 {
-		p.Steps[i], p.Steps[j] = p.Steps[j], p.Steps[i]
-	}
 	return p, nil
+}
+
+// binding returns event v's binding predecessor, or -1 when v has no
+// predecessor: the latest-timed one, then one on v's own processor, then
+// the lowest index.
+func (r *Relation) binding(v int) int {
+	ev, own := r.tr.Events, r.tr.Events[v].Proc
+	best := -1
+	consider := func(u int) {
+		if best < 0 {
+			best = u
+			return
+		}
+		a, b := &ev[u], &ev[best]
+		if a.Time > b.Time || a.Time == b.Time &&
+			(a.Proc == own && b.Proc != own || (a.Proc == own) == (b.Proc == own) && u < best) {
+			best = u
+		}
+	}
+	r.preds(v, consider)
+	if r.prev[v] < 0 && r.fork >= 0 && ev[r.fork].Proc != own {
+		consider(r.fork)
+	}
+	return best
 }
 
 // String summarizes the path.

@@ -10,7 +10,8 @@
 // closes the selection backwards over precisely the dependency edges the
 // event-based engine resolves over — same-processor program order and
 // fork fences (the basis chain), advance→awaitE pairing, lock
-// release→acquisition serialization, and barrier participation sets — so
+// release→acquisition serialization, and barrier participation sets,
+// read from the engine view of package order's happened-before index — so
 // every value the engine reads when re-timing a sliced event is present
 // in the slice. Because basis chains are followed transitively, slices
 // are prefix-closed per processor: each included processor keeps its full
@@ -35,7 +36,7 @@ import (
 	"math"
 	"sort"
 
-	"perturb/internal/core"
+	"perturb/internal/order"
 	"perturb/internal/trace"
 )
 
@@ -163,10 +164,10 @@ type Report struct {
 // same approximated times for the sliced events as analyzing t whole.
 // The input is validated first and never modified; events are copied.
 func Slice(t *trace.Trace, q Query) (*trace.Trace, *Report, error) {
-	if err := t.Validate(); err != nil {
+	rel, err := order.Build(t)
+	if err != nil {
 		return nil, nil, err
 	}
-	basis, dep, parts := core.Edges(t)
 	m := compile(&q)
 	n := t.Len()
 	in := make([]bool, n)
@@ -187,12 +188,10 @@ func Slice(t *trace.Trace, q Query) (*trace.Trace, *Report, error) {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		push(basis[i])
-		push(dep[i])
-		if t.Events[i].Kind == trace.KindBarrierRelease {
-			for _, ai := range parts[i] {
-				push(ai)
-			}
+		push(rel.Basis(i))
+		push(rel.Dep(i))
+		for _, ai := range rel.Arrivals(i) {
+			push(int(ai))
 		}
 	}
 	out := trace.New(t.Procs)

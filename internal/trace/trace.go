@@ -115,13 +115,35 @@ func (t *Trace) End() Time {
 func (t *Trace) Duration() Time { return t.End() - t.Start() }
 
 // ByProc splits the trace into per-processor event sequences, each in trace
-// order. The result has Procs entries; processors with no events get an
-// empty (nil) slice. Events are shared with the receiver, not copied.
+// order. The result has Procs entries; processors with no events get a nil
+// slice, and events naming a processor outside [0, Procs) are dropped. The
+// events are copied, once, into one backing array shared by the
+// sequences; each sequence is capped at its own length, so appending to one
+// never overwrites another.
 func (t *Trace) ByProc() [][]Event {
-	per := make([][]Event, t.Procs)
+	end := make([]int, t.Procs) // counts, then each sequence's fill position
 	for _, e := range t.Events {
 		if e.Proc >= 0 && e.Proc < t.Procs {
-			per[e.Proc] = append(per[e.Proc], e)
+			end[e.Proc]++
+		}
+	}
+	total := 0
+	for p, c := range end {
+		total += c
+		end[p] = total - c
+	}
+	all := make([]Event, total)
+	start := append([]int(nil), end...)
+	for _, e := range t.Events {
+		if e.Proc >= 0 && e.Proc < t.Procs {
+			all[end[e.Proc]] = e
+			end[e.Proc]++
+		}
+	}
+	per := make([][]Event, t.Procs)
+	for p, a := range start {
+		if b := end[p]; b > a {
+			per[p] = all[a:b:b]
 		}
 	}
 	return per

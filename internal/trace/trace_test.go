@@ -2,8 +2,13 @@ package trace_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"perturb/internal/testgen"
 	"perturb/internal/trace"
@@ -105,6 +110,15 @@ func TestByProcAndFilter(t *testing.T) {
 	per := tr.ByProc()
 	if len(per) != 3 || len(per[0]) != 2 || len(per[1]) != 0 || len(per[2]) != 1 {
 		t.Fatalf("ByProc sizes = %d/%d/%d", len(per[0]), len(per[1]), len(per[2]))
+	}
+	if per[1] != nil || per[0][1] != tr.Events[2] || per[2][0] != tr.Events[1] {
+		t.Fatalf("ByProc = %v", per)
+	}
+	// The sequences share one backing array; each is capped at its own
+	// length, so appending to one leaves the next intact.
+	_ = append(per[0], ev(9, 0, 9, trace.KindCompute))
+	if per[2][0] != tr.Events[1] {
+		t.Fatalf("appending to proc 0's events overwrote proc 2's: %v", per[2])
 	}
 	f := tr.Filter(func(e trace.Event) bool { return e.Kind == trace.KindCompute })
 	if f.Len() != 2 {
@@ -270,6 +284,59 @@ func TestMergeAllocatesExactly(t *testing.T) {
 	for i := 1; i < m.Len(); i++ {
 		if m.Events[i].Time < m.Events[i-1].Time {
 			t.Fatal("merge output not sorted")
+		}
+	}
+}
+
+// TestByProcCopiesOnce: ByProc copies the events once, into one backing
+// array, and allocates little beyond that copy.
+func TestByProcCopiesOnce(t *testing.T) {
+	tr := testgen.BackwardWave(8, 25000)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	per := tr.ByProc()
+	runtime.ReadMemStats(&after)
+	size := float64(tr.Len()) * float64(unsafe.Sizeof(trace.Event{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*size {
+		t.Errorf("ByProc allocated %.0f B for %.0f B of events, want at most 1.1x", got, size)
+	}
+	for p, evs := range per {
+		want := tr.Filter(func(e trace.Event) bool { return e.Proc == p }).Events
+		if !reflect.DeepEqual(evs, want) {
+			t.Fatalf("proc %d: ByProc differs from a filter of the trace", p)
+		}
+	}
+}
+
+// TestPairTable: keys far outside a variable's table go to the sparse
+// map, and keep their values once the table grows over them, upward or
+// downward.
+func TestPairTable(t *testing.T) {
+	var pt trace.PairTable[int]
+	slot := func(k trace.PairKey) *int { return pt.Slot(k) }
+	keys := []trace.PairKey{
+		{Var: 0, Iter: 0},
+		{Var: 0, Iter: 100_000},           // far above the table
+		{Var: 0, Iter: -50_000},           // far below it
+		{Var: 1, Iter: 7},                 // another variable
+		{Var: 0, Iter: math.MaxInt32 + 9}, // beyond int32 iterations
+	}
+	for i, k := range keys {
+		*slot(k) = i + 1
+	}
+	// Walk outward from the table, so it grows over both sparse keys.
+	for _, step := range []int{1, -1} {
+		for it := 0; it >= -50_000 && it <= 100_000; it += step {
+			want := slices.Index(keys, trace.PairKey{Var: 0, Iter: it}) + 1
+			if got := *slot(trace.PairKey{Var: 0, Iter: it}); got != want {
+				t.Fatalf("iteration %d holds %d, want %d", it, got, want)
+			}
+		}
+	}
+	for i, k := range keys {
+		if got := *slot(k); got != i+1 {
+			t.Errorf("%v holds %d, want %d", k, got, i+1)
 		}
 	}
 }
