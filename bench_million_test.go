@@ -97,13 +97,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkStreamMillion compares whole-trace batch analysis against the
-// streaming session on the million-event workload, both fed from the
+// streaming sessions on the million-event workload, all fed from the
 // same encoded bytes — the numbers EXPERIMENTS.md's "Streaming
 // incremental analysis" section quotes. The liveMB metric is the heap
 // retained right before the final result is computed: batch holds the
-// fully decoded trace (and retains the approximated one), while the
-// low-memory stream holds only per-processor frontier state, so its
-// footprint is independent of trace length.
+// fully decoded trace (and retains the approximated one), the retained
+// stream its event log, while the low-memory stream holds only
+// per-processor frontier state, so its footprint is independent of
+// trace length.
 func BenchmarkStreamMillion(b *testing.B) {
 	tr, cal := bigBench(b)
 	var buf bytes.Buffer
@@ -140,32 +141,39 @@ func BenchmarkStreamMillion(b *testing.B) {
 		}
 		b.ReportMetric(retained, "liveMB")
 	})
-	b.Run("stream=lowmem", func(b *testing.B) {
-		base := liveMB()
-		var retained float64
-		for i := 0; i < b.N; i++ {
-			r, err := perturb.NewTraceReader(bytes.NewReader(enc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sa, err := perturb.NewStreamAnalyzer(cal, perturb.StreamOptions{
-				Procs: r.Procs(), LowMemory: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sa.FeedReader(ctx, r); err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				retained = liveMB() - base
-			}
-			if _, err := sa.Close(ctx); err != nil {
-				b.Fatal(err)
-			}
+	for _, lowMem := range []bool{true, false} {
+		name := "stream=retained"
+		if lowMem {
+			name = "stream=lowmem"
 		}
-		b.ReportMetric(retained, "liveMB")
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			base := liveMB()
+			var retained float64
+			for i := 0; i < b.N; i++ {
+				r, err := perturb.NewTraceReader(bytes.NewReader(enc))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sa, err := perturb.NewStreamAnalyzer(cal, perturb.StreamOptions{
+					Procs: r.Procs(), LowMemory: lowMem,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sa.FeedReader(ctx, r); err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					retained = liveMB() - base
+				}
+				if _, err := sa.Close(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(retained, "liveMB")
+		})
+	}
 }
 
 // Derived statistics on the approximated million-event wave: Table 3's

@@ -121,9 +121,10 @@ func printWindows(w io.Writer, sa *perturb.StreamAnalyzer, quiet bool) {
 
 // tailReader adapts a growing file to io.Reader: EOF from the file means
 // "no new data yet", so reads poll until bytes arrive or the file has
-// been idle for the timeout, which ends the stream. A codec read that
-// spans a partially-written record simply blocks here until the producer
-// finishes the record.
+// been idle for the timeout, which ends the stream. The codec reads
+// through it only while it has no complete event to hand over, so every
+// event in the file reaches the session before a read waits here; a
+// record the producer has half written waits for its remaining bytes.
 type tailReader struct {
 	f    *os.File
 	idle time.Duration

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -385,6 +387,109 @@ func TestStudyFollow(t *testing.T) {
 	}
 	if !strings.Contains(out, "waits kept") {
 		t.Error("diagnostics missing")
+	}
+}
+
+// TestFollowPrintsArrivedWindows: -follow prints a window as soon as the
+// events that complete it are in the file, not once 4096 events have
+// arrived or the file has gone idle. The file first holds 2,000 of LL3's
+// 16,036 events, which complete window 0; the rest is appended only
+// after window 0 shows, so a follower that withholds it fails the guard.
+// The final output must equal a follow of the finished file.
+func TestFollowPrintsArrivedWindows(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "ll3.txt")
+	o := defaults()
+	o.loop = 3
+	o.saveFile = src
+	o.quiet = true
+	if err := study(&bytes.Buffer{}, o); err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := perturb.ReadTraceText(bytes.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := tr.WriteBinary(&bin); err != nil {
+		t.Fatal(err)
+	}
+	const first = 2000
+	for _, c := range []struct {
+		name string
+		data []byte
+		cut  int // bytes holding the header and the first events
+	}{
+		{"text", text, len(bytes.Join(bytes.SplitAfter(text, []byte("\n"))[:1+first], nil))},
+		{"binary", bin.Bytes(), 20 + 25*first},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			file := filepath.Join(dir, "grow."+c.name)
+			if err := os.WriteFile(file, c.data[:c.cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fo := defaults()
+			fo.followFile = file
+			fo.followIdle = 3 * time.Second
+			fo.window = time.Millisecond
+
+			pr, pw := io.Pipe()
+			var out strings.Builder
+			shown, scanned := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(scanned)
+				sc := bufio.NewScanner(pr)
+				for seen := false; sc.Scan(); {
+					out.WriteString(sc.Text() + "\n")
+					if !seen && strings.HasPrefix(sc.Text(), "window 0 ") {
+						seen = true
+						close(shown)
+					}
+				}
+			}()
+			done := make(chan error, 1)
+			go func() {
+				err := followStudy(pw, fo)
+				pw.Close()
+				done <- err
+			}()
+			select {
+			case <-shown:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("window 0 not printed within 2s though its events are in the file")
+			}
+			f, err := os.OpenFile(file, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(c.data[c.cut:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			<-scanned
+
+			fo.followIdle = 10 * time.Millisecond
+			var whole bytes.Buffer
+			if err := followStudy(&whole, fo); err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != whole.String() {
+				t.Errorf("followed output differs from a follow of the finished file:\n%s\nwant:\n%s", out.String(), whole.String())
+			}
+			if want := fmt.Sprintf("events %d ", tr.Len()); !strings.Contains(out.String(), want) {
+				t.Errorf("summary %q missing from:\n%s", want, out.String())
+			}
+		})
 	}
 }
 

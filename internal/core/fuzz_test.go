@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"perturb/internal/core"
@@ -168,20 +170,26 @@ func FuzzAnalyze(f *testing.F) {
 		default:
 			chunks = randomChunks(c.m.Events, seed)
 		}
-		s, err := core.NewStream(cal, core.StreamOptions{
+		opts := core.StreamOptions{
 			Mode: c.mode, Repair: c.repair, LowMemory: lowMem, Procs: c.m.Procs, Window: c.m.End()/5 + 1,
-		})
+		}
+		s, err := core.NewStream(cal, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var wins []core.WindowResult
 		for _, chunk := range chunks {
 			if err = s.Feed(context.Background(), chunk); err != nil {
 				break
 			}
-			s.Windows()
+			wins = append(wins, s.Windows()...)
 		}
 		if err == nil {
 			got, err = s.Close(context.Background())
+			wins = append(wins, s.Windows()...)
+		}
+		if err == nil {
+			checkWindows(t, c.m, cal, opts, wins)
 		}
 		switch {
 		case err != nil && !isSentinel(err):
@@ -205,6 +213,43 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkWindows compares the windows a session drained with those of a
+// session with the same options fed the whole trace at once. For each
+// index the latest emission must match; for a time-sorted feed, which
+// emits each index once, so must the whole sequence. Prompt feeding
+// rests on this: a session's output may not depend on how its input
+// arrived.
+func checkWindows(t *testing.T, m *trace.Trace, cal instr.Calibration, opts core.StreamOptions, got []core.WindowResult) {
+	t.Helper()
+	ctx := context.Background()
+	ref, err := core.NewStream(cal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Feed(ctx, m.Events); err != nil {
+		t.Fatalf("whole-trace session: %v", err)
+	}
+	want := ref.Windows()
+	if _, err := ref.Close(ctx); err != nil {
+		t.Fatalf("whole-trace session: %v", err)
+	}
+	want = append(want, ref.Windows()...)
+	sorted := slices.IsSortedFunc(m.Events, func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) })
+	if sorted && !reflect.DeepEqual(got, want) {
+		t.Fatalf("window sequence differs from the whole-trace session's:\n got %+v\nwant %+v", got, want)
+	}
+	latest := func(ws []core.WindowResult) map[int]core.WindowResult {
+		out := make(map[int]core.WindowResult, len(ws))
+		for _, w := range ws {
+			out[w.Index] = w
+		}
+		return out
+	}
+	if g, w := latest(got), latest(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("latest window per index differs from the whole-trace session's:\n got %+v\nwant %+v", g, w)
+	}
 }
 
 // isSentinel reports whether err matches one of the exported analysis or

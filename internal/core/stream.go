@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"perturb/internal/cancel"
@@ -274,12 +275,65 @@ type engine struct {
 	winQ          []WindowResult
 	drainedWin    map[int]WindowResult // last content handed out per index
 
-	// Retained input (opts.retain): events in arrival order with their
-	// approximated times, for finish() and for the exact redo pass.
-	all   []trace.Event
-	taAll []trace.Time
+	// Retained input (opts.retain), for finish() and the exact redo pass.
+	log eventLog
 
 	sinceCheck int
+}
+
+// logChunkBits sizes a stream's retained log: chunks of 1<<logChunkBits
+// events.
+const logChunkBits = 14
+
+// eventLog is a retained engine's input: the events in arrival order
+// with their approximated times. A stream appends to fixed-size chunks,
+// so the log never re-copies what it holds; only the first chunk grows,
+// by doubling up to the chunk size, so a short stream does not pay for
+// a whole chunk. A batch engine's log is the caller's slice, as one
+// chunk.
+type eventLog struct {
+	ev   [][]trace.Event
+	ta   [][]trace.Time
+	n    int  // events held
+	bits uint // chunk c holds events [c<<bits, (c+1)<<bits)
+}
+
+// add appends an event, with time zero until it resolves.
+func (l *eventLog) add(e trace.Event) {
+	c := l.n >> l.bits
+	if c == len(l.ev) {
+		l.ev, l.ta = append(l.ev, nil), append(l.ta, nil)
+	}
+	if len(l.ev[c]) == cap(l.ev[c]) { // a new chunk, or the first one growing
+		size := 1 << l.bits
+		if c == 0 {
+			size = min(max(2*cap(l.ev[0]), 64), size)
+		}
+		l.ev[c] = append(make([]trace.Event, 0, size), l.ev[c]...)
+		l.ta[c] = append(make([]trace.Time, 0, size), l.ta[c]...)
+	}
+	l.ev[c] = append(l.ev[c], e)
+	l.ta[c] = append(l.ta[c], 0)
+	l.n++
+}
+
+// time addresses the approximated time of the i-th event in arrival
+// order.
+func (l *eventLog) time(i int) *trace.Time { return &l.ta[i>>l.bits][i&(1<<l.bits-1)] }
+
+// times returns the approximated times in arrival order, as one slice.
+func (l *eventLog) times() []trace.Time {
+	switch len(l.ta) {
+	case 0:
+		return nil
+	case 1:
+		return l.ta[0]
+	}
+	out := make([]trace.Time, 0, l.n)
+	for _, ta := range l.ta {
+		out = append(out, ta...)
+	}
+	return out
 }
 
 func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine {
@@ -293,6 +347,7 @@ func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine 
 		drainedWin: make(map[int]WindowResult),
 		watermark:  math.MinInt64,
 		sorted:     true,
+		log:        eventLog{bits: logChunkBits},
 	}
 	if !opts.fixedProcs {
 		procs = 0
@@ -314,7 +369,12 @@ func batchEngine(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool
 		seal:       true,
 		fixedProcs: true,
 	})
-	g.all, g.taAll = m.Events, make([]trace.Time, len(m.Events))
+	g.log = eventLog{ // one chunk: 1<<bits exceeds every index
+		ev:   [][]trace.Event{m.Events},
+		ta:   [][]trace.Time{make([]trace.Time, len(m.Events))},
+		n:    len(m.Events),
+		bits: uint(bits.Len(uint(len(m.Events)))),
+	}
 	return g
 }
 
@@ -367,9 +427,8 @@ func (g *engine) feed(ctx context.Context, events []trace.Event) error {
 		seq := g.n
 		g.n++
 		g.remaining++
-		if g.opts.retain && seq == len(g.all) { // batch runs alias the events up front
-			g.all = append(g.all, e)
-			g.taAll = append(g.taAll, 0)
+		if g.opts.retain && seq == g.log.n { // batch runs alias the events up front
+			g.log.add(e)
 		}
 		if seq > 0 && e.Time < g.watermark {
 			g.sorted = false
@@ -759,7 +818,7 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 	ta := note.ta
 
 	if g.opts.retain {
-		g.taAll[pe.seq] = ta
+		*g.log.time(pe.seq) = ta
 	}
 	if r := pe.link; r != nil {
 		switch e.Kind {
@@ -1175,9 +1234,15 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	if g.windowed {
 		g2.setWindows(g.window, g.slide)
 	}
-	g2.all, g2.taAll = g.all, make([]trace.Time, len(g.all))
-	if err := g2.feed(ctx, g.all); err != nil {
-		return nil, err
+	g2.log = g.log
+	g2.log.ta = make([][]trace.Time, len(g.log.ta))
+	for c, ta := range g.log.ta {
+		g2.log.ta[c] = make([]trace.Time, len(ta))
+	}
+	for _, chunk := range g.log.ev {
+		if err := g2.feed(ctx, chunk); err != nil {
+			return nil, err
+		}
 	}
 	a, err := g2.close(ctx)
 	if err != nil {
@@ -1188,7 +1253,7 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	g.stats = g2.stats
 	g.conf = g2.conf
 	g.maxTA = g2.maxTA
-	g.taAll = g2.taAll
+	g.log = g2.log
 	g.winQ = g.winQ[:0]
 	for _, w := range g2.winQ {
 		if prev, ok := g.drainedWin[w.Index]; ok && windowEqual(prev, w) {
@@ -1228,8 +1293,8 @@ func (g *engine) finish() *Approximation {
 	// No renormalization: the basis rule anchors each thread at the
 	// execution origin (time zero), so approximated times are already in
 	// actual-execution coordinates.
-	a.Times = g.taAll
-	a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(g.all, g.taAll, g.procs())}
+	a.Times = g.log.times()
+	a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(&g.log, a.Times, g.procs())}
 	if n := len(a.Trace.Events); n > 0 {
 		a.Duration = a.Trace.Events[n-1].Time // canonical order is by time
 	}
@@ -1244,19 +1309,24 @@ func (g *engine) finish() *Approximation {
 // left: O(log procs) per event. Within a run, arrival order is the
 // tie-breaking wherever (time, stmt) does not decrease; a run where it
 // does is stable-sorted first.
-func mergeRuns(events []trace.Event, ta []trace.Time, procs int) []trace.Event {
+func mergeRuns(log *eventLog, ta []trace.Time, procs int) []trace.Event {
+	ev, bits := log.ev, log.bits
+	mask := 1<<bits - 1 // event i is ev[i>>bits][i&mask]
 	// next links each event to the next one of its run.
-	next := make([]int, len(events))
+	next := make([]int, log.n)
 	head := make([]int, procs)
 	for p := range head {
 		head[p] = -1
 	}
-	for i := len(events) - 1; i >= 0; i-- {
-		p := events[i].Proc
-		next[i], head[p] = head[p], i
+	for c := len(ev) - 1; c >= 0; c-- {
+		chunk, base := ev[c], c<<bits
+		for j := len(chunk) - 1; j >= 0; j-- {
+			p := chunk[j].Proc
+			next[base+j], head[p] = head[p], base+j
+		}
 	}
 	before := func(a, b int) bool { // a sorts strictly before b
-		return ta[a] < ta[b] || ta[a] == ta[b] && events[a].Stmt < events[b].Stmt
+		return ta[a] < ta[b] || ta[a] == ta[b] && ev[a>>bits][a&mask].Stmt < ev[b>>bits][b&mask].Stmt
 	}
 	var run []int
 	for p, h := range head {
@@ -1272,7 +1342,10 @@ func mergeRuns(events []trace.Event, ta []trace.Time, procs int) []trace.Event {
 			run = append(run, i)
 		}
 		slices.SortStableFunc(run, func(a, b int) int {
-			return cmp.Or(cmp.Compare(ta[a], ta[b]), cmp.Compare(events[a].Stmt, events[b].Stmt))
+			if c := cmp.Compare(ta[a], ta[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(ev[a>>bits][a&mask].Stmt, ev[b>>bits][b&mask].Stmt)
 		})
 		head[p] = run[0]
 		for k, i := range run[:len(run)-1] {
@@ -1289,11 +1362,11 @@ func mergeRuns(events []trace.Event, ta []trace.Time, procs int) []trace.Event {
 	for k := len(h.procs)/2 - 1; k >= 0; k-- {
 		h.down(k)
 	}
-	out := make([]trace.Event, 0, len(events))
+	out := make([]trace.Event, 0, log.n)
 	for len(h.procs) > 0 {
 		p := h.procs[0]
 		i := head[p]
-		e := events[i]
+		e := ev[i>>bits][i&mask]
 		e.Time = ta[i]
 		out = append(out, e)
 		if head[p] = next[i]; head[p] < 0 { // run exhausted

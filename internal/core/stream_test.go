@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -604,5 +605,55 @@ func TestWindowWaitingPlaceholder(t *testing.T) {
 		if sum[p] != ws[p].Total() {
 			t.Errorf("proc %d: window waiting sums to %d, Table 3 waiting %d", p, sum[p], ws[p].Total())
 		}
+	}
+}
+
+// TestStreamRetainedMemoryPerEvent bounds what a retained session
+// allocates per event, from NewStream through Close, on a simulated
+// DOACROSS program of over 200k events fed in 4096-event batches with
+// about 400 windows. The retained log is most of it: each event and its
+// approximated time are kept once, and Close builds the re-timed trace
+// and the flat Times. Not parallel: it reads the process-wide allocation
+// counter.
+func TestStreamRetainedMemoryPerEvent(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	l := *loops.MustGet(17).Loop
+	l.Iters = 24000
+	run, err := machine.Run(&l, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := run.Trace
+	if m.Len() < 200000 {
+		t.Fatalf("program has %d events, want at least 200k", m.Len())
+	}
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := core.NewStream(exactCalFor(cfg, ovh), core.StreamOptions{Procs: m.Procs, Window: m.End()/400 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < m.Len(); lo += 4096 {
+		if err := s.Feed(ctx, m.Events[lo:min(lo+4096, m.Len())]); err != nil {
+			t.Fatal(err)
+		}
+		s.Windows()
+	}
+	a, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Windows()
+	runtime.ReadMemStats(&after)
+	if a.Trace.Len() != m.Len() {
+		t.Fatalf("approximated trace has %d events, want %d", a.Trace.Len(), m.Len())
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.Len())
+	t.Logf("%d events: %.1f B/event allocated", m.Len(), perEvent)
+	if perEvent > 200 {
+		t.Errorf("retained session allocated %.1f B/event, bound 200", perEvent)
 	}
 }

@@ -45,9 +45,9 @@ type streamLine struct {
 	Error   string             `json:"error,omitempty"`
 }
 
-// streamBatchLen is how many events the streamed engine reads from the
-// request body per Feed: large enough to amortize the codec, small enough
-// that windows surface promptly.
+// streamBatchLen caps the events one Feed takes from the request body.
+// Windows surface promptly whatever the cap: each Read hands over the
+// events that have arrived without waiting for the batch to fill.
 const streamBatchLen = 4096
 
 // streamed is the incremental engine. It holds an analysis slot for the
@@ -83,7 +83,7 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 		hasher = sha256.New()
 		body = io.TeeReader(body, hasher)
 	}
-	br := bufio.NewReader(body)
+	br := bufio.NewReaderSize(body, 1<<16) // codec-sized: trace.NewReader reuses it
 	prefix, _ := br.Peek(sniffLen)
 	if err := checkTraceContentType(q.r.Header.Get("Content-Type"), prefix); err != nil {
 		return err

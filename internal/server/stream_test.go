@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -235,6 +237,98 @@ func TestStreamCancellationNoLeak(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Errorf("goroutines = %d, baseline %d: handler leak", runtime.NumGoroutine(), before)
+}
+
+// TestStreamWindowsBeforeUploadEnds: a window line leaves perturbd as
+// soon as its events have arrived, while the upload is still open. The
+// test sends the first 10 of the golden DOACROSS trace's 15 events and
+// waits for a window line before it sends the rest.
+func TestStreamWindowsBeforeUploadEnds(t *testing.T) {
+	_, base := startServer(t, Config{})
+	const query = "?event=100&advance=100&awaitb=100&awaite=100&snowait=50&swait=80&advanceop=30&barrier=40"
+	for _, c := range []struct {
+		file string
+		cut  func([]byte) int // bytes holding the header and 10 events
+	}{
+		{"doacross.bin", func([]byte) int { return 20 + 25*10 }},
+		{"doacross.txt", func(b []byte) int { return len(bytes.Join(bytes.SplitAfter(b, []byte("\n"))[:11], nil)) }},
+	} {
+		t.Run(c.file, func(t *testing.T) {
+			body, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", c.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := c.cut(body)
+			pr, pw := io.Pipe()
+			defer pw.Close()
+			req, err := http.NewRequest(http.MethodPost, base+"/v1/analyze/stream"+query+"&window=1000", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", trace.SniffContentType(body))
+			go pw.Write(body[:cut]) // returns once the server has read it
+
+			lines := make(chan streamLine)
+			errc := make(chan error, 1)
+			go func() {
+				defer close(lines)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					errc <- err
+					return
+				}
+				defer resp.Body.Close()
+				sc := bufio.NewScanner(resp.Body)
+				for sc.Scan() {
+					var l streamLine
+					if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+						errc <- err
+						return
+					}
+					lines <- l
+				}
+				errc <- sc.Err()
+			}()
+			var got []streamLine
+			select {
+			case l, ok := <-lines:
+				if !ok || l.Window == nil {
+					t.Fatalf("first line %+v (open %v, error %v), want a window", l, ok, <-errc)
+				}
+				got = append(got, l)
+			case <-time.After(5 * time.Second):
+				t.Fatal("no window line within 5s of its events arriving")
+			}
+			if _, err := pw.Write(body[cut:]); err != nil {
+				t.Fatal(err)
+			}
+			pw.Close()
+			for l := range lines {
+				got = append(got, l)
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+
+			final := got[len(got)-1]
+			if !final.Final || final.Result == nil || final.Windows != len(got)-1 {
+				t.Fatalf("last line %+v after %d lines, want the final record counting the windows", final, len(got))
+			}
+			bresp, bbody := post(t, base+"/v1/analyze"+query, body)
+			if bresp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status = %d, body %s", bresp.StatusCode, bbody)
+			}
+			var batch Response
+			if err := json.Unmarshal(bbody, &batch); err != nil {
+				t.Fatal(err)
+			}
+			batch.InputSHA256 = ""
+			batch.Cached = nil
+			if !reflect.DeepEqual(*final.Result, batch) {
+				t.Errorf("final record differs from the batch response:\nstream: %+v\nbatch:  %+v", *final.Result, batch)
+			}
+		})
+	}
 }
 
 // TestDeprecatedAnalyzeAlias checks /analyze still answers, with the

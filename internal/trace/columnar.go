@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -641,8 +642,11 @@ func (c *ColumnarReader) read(dst []Event) (int, int64, error) {
 			c.blkPos += m
 			continue
 		}
-		b, err := c.nextBlock()
+		b, err := c.nextBlock(n == 0)
 		consumed += b
+		if err == errBlockPending {
+			break
+		}
 		if err != nil {
 			c.err = err
 			return n, consumed, err
@@ -651,11 +655,15 @@ func (c *ColumnarReader) read(dst []Event) (int, int64, error) {
 	return n, consumed, nil
 }
 
+// errBlockPending is readBlockRaw's answer, when told not to wait, that
+// the next block has not fully arrived. It never leaves the reader.
+var errBlockPending = errors.New("trace: next block not yet buffered")
+
 // nextBlock advances to the next surviving block, decoding it into c.blk.
 // It returns the encoded bytes consumed (headers of skipped blocks
 // included; their discarded payloads are tallied separately).
-func (c *ColumnarReader) nextBlock() (int64, error) {
-	payload, count, compressed, consumed, err := c.readBlockRaw()
+func (c *ColumnarReader) nextBlock(wait bool) (int64, error) {
+	payload, count, compressed, consumed, err := c.readBlockRaw(wait)
 	if err != nil {
 		return consumed, err
 	}
@@ -675,9 +683,14 @@ func (c *ColumnarReader) nextBlock() (int64, error) {
 // readBlockRaw reads through the stream to the next block the filter
 // keeps and returns its still-encoded payload (scratch-backed, valid
 // until the next call), event count and compression flag, plus the
-// encoded bytes consumed. It returns io.EOF at the end marker.
-func (c *ColumnarReader) readBlockRaw() (payload []byte, count int, compressed bool, consumed int64, err error) {
+// encoded bytes consumed. It returns io.EOF at the end marker. Unless
+// wait is set, it starts a block only once its marker, header and
+// payload are all buffered, and returns errBlockPending otherwise.
+func (c *ColumnarReader) readBlockRaw(wait bool) (payload []byte, count int, compressed bool, consumed int64, err error) {
 	for {
+		if !wait && !c.blockBuffered() {
+			return nil, 0, false, consumed, errBlockPending
+		}
 		marker, err := c.br.ReadByte()
 		if err != nil {
 			if err == io.EOF {
@@ -743,6 +756,22 @@ func (c *ColumnarReader) readBlockRaw() (payload []byte, count int, compressed b
 	}
 }
 
+// blockBuffered reports whether the next block, or the end marker, has
+// fully arrived in the read buffer. Any other marker byte is an error
+// that needs no more input, so it counts as arrived.
+func (c *ColumnarReader) blockBuffered() bool {
+	buf, _ := c.br.Peek(c.br.Buffered())
+	switch {
+	case len(buf) == 0:
+		return false
+	case buf[0] != colBlockMarker:
+		return true
+	case len(buf) < 1+colHeaderLen:
+		return false
+	}
+	return uint64(len(buf)) >= 1+colHeaderLen+uint64(le32(buf[1+31:]))
+}
+
 // inflate decompresses a flate block payload into the reusable scratch
 // buffer, enforcing the payload size cap.
 func (d *colDecoder) inflate(payload []byte) ([]byte, error) {
@@ -794,7 +823,7 @@ func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 		if err := check(); err != nil {
 			return nil, err
 		}
-		payload, n, compressed, b, err := c.readBlockRaw()
+		payload, n, compressed, b, err := c.readBlockRaw(true)
 		consumed += b
 		if err == io.EOF {
 			break

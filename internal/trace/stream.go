@@ -6,6 +6,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"perturb/internal/cancel"
@@ -62,6 +63,12 @@ func noteWrite(n int, b int64) {
 // to len(dst) events and returns the number decoded; it returns io.EOF
 // (possibly alongside a final partial batch) once the trace is exhausted.
 // The caller may reuse dst across calls.
+//
+// Read hands over what has arrived. It blocks only while it has decoded
+// nothing; once it has decoded one event, it decodes only the records
+// already complete in its buffer, then returns. It never reads the
+// source just to look ahead. So a live producer's events reach the
+// caller as their bytes arrive, not when len(dst) of them have.
 type Reader interface {
 	// Procs returns the processor count recorded in the trace header.
 	Procs() int
@@ -96,10 +103,10 @@ func ReadAll(r Reader) (*Trace, error) {
 }
 
 // ReadAllContext is ReadAll under a context: the drain polls ctx between
-// 4096-event batches and abandons the decode with the cancellation
-// sentinels (cancel.ErrCanceled / cancel.ErrDeadlineExceeded via
-// errors.Is), so a streamed megatrace stops consuming memory the moment
-// its request is canceled.
+// reads of at most 4096 events and abandons the decode with the
+// cancellation sentinels (cancel.ErrCanceled / cancel.ErrDeadlineExceeded
+// via errors.Is), so a streamed megatrace stops consuming memory the
+// moment its request is canceled.
 func ReadAllContext(ctx context.Context, r Reader) (*Trace, error) {
 	// Readers with a bulk path (the columnar codec) decode every event
 	// into one exactly-sized allocation instead of draining batches into
@@ -126,7 +133,6 @@ func ReadAllContext(ctx context.Context, r Reader) (*Trace, error) {
 			t.Events = make([]Event, 0, c)
 		}
 	}
-	batch := make([]Event, 4096)
 	check := ctx.Done() != nil
 	for {
 		if check {
@@ -134,8 +140,12 @@ func ReadAllContext(ctx context.Context, r Reader) (*Trace, error) {
 				return nil, err
 			}
 		}
-		n, err := r.Read(batch)
-		t.Events = append(t.Events, batch[:n]...)
+		// Decode straight into the slice's spare capacity.
+		if len(t.Events) == cap(t.Events) {
+			t.Events = slices.Grow(t.Events, 4096)
+		}
+		n, err := r.Read(t.Events[len(t.Events):min(cap(t.Events), len(t.Events)+4096)])
+		t.Events = t.Events[:len(t.Events)+n]
 		if err == io.EOF {
 			return t, nil
 		}
@@ -147,8 +157,13 @@ func ReadAllContext(ctx context.Context, r Reader) (*Trace, error) {
 
 // Text streaming
 
+// maxLineLen caps one text line, so input without newlines cannot grow a
+// reader's line buffer without bound.
+const maxLineLen = 1 << 24
+
 type textReader struct {
-	sc    *bufio.Scanner
+	br    *bufio.Reader
+	long  []byte // a line longer than br's buffer, assembled across fills
 	procs int
 	line  int
 	err   error // sticky terminal state (io.EOF or a parse/read error)
@@ -157,26 +172,26 @@ type textReader struct {
 // NewTextReader parses the text header and returns a streaming reader
 // over the event lines.
 func NewTextReader(r io.Reader) (Reader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
+	t := &textReader{br: bufio.NewReaderSize(r, 1<<16)}
+	raw, err := t.nextLine(true)
+	if raw == nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: empty input", ErrMalformedTrace)
 		}
-		return nil, fmt.Errorf("%w: empty input", ErrMalformedTrace)
+		return nil, err
 	}
-	header := sc.Text()
+	t.line, t.err = 1, err // a header without a newline ends the input
+	header := string(bytes.TrimSuffix(bytes.TrimSuffix(raw, []byte("\n")), []byte("\r")))
 	if len(header) < len(textMagic) || header[:len(textMagic)] != textMagic {
 		return nil, fmt.Errorf("%w: bad header %q", ErrMalformedTrace, header)
 	}
-	var procs int
-	if _, err := fmt.Sscanf(header[len(textMagic):], " procs=%d", &procs); err != nil {
+	if _, err := fmt.Sscanf(header[len(textMagic):], " procs=%d", &t.procs); err != nil {
 		return nil, fmt.Errorf("%w: bad header %q: %v", ErrMalformedTrace, header, err)
 	}
-	if procs < 0 || procs > maxProcs {
-		return nil, fmt.Errorf("%w: implausible processor count %d", ErrMalformedTrace, procs)
+	if t.procs < 0 || t.procs > maxProcs {
+		return nil, fmt.Errorf("%w: implausible processor count %d", ErrMalformedTrace, t.procs)
 	}
-	return &textReader{sc: sc, procs: procs, line: 1}, nil
+	return t, nil
 }
 
 func (t *textReader) Procs() int { return t.procs }
@@ -193,37 +208,73 @@ func (t *textReader) read(dst []Event) (int, int64, error) {
 	}
 	n, bytes := 0, int64(0)
 	for n < len(dst) {
-		if !t.sc.Scan() {
-			if err := t.sc.Err(); err != nil {
-				t.err = err
-			} else {
-				t.err = io.EOF
+		raw, err := t.nextLine(n == 0)
+		if raw == nil && err == nil {
+			break // the next line has not fully arrived
+		}
+		if raw != nil {
+			t.line++
+			bytes += int64(len(raw))
+			if s := trimSpace(raw); len(s) > 0 && s[0] != '#' {
+				e, perr := parseEventBytes(s)
+				if perr != nil {
+					t.err = fmt.Errorf("trace: line %d: %w", t.line, perr)
+					return n, bytes, t.err
+				}
+				dst[n] = e
+				n++
 			}
-			return n, bytes, t.err
 		}
-		t.line++
-		raw := t.sc.Bytes()
-		bytes += int64(len(raw)) + 1 // + newline
-		s := trimSpace(raw)
-		if len(s) == 0 || s[0] == '#' {
-			continue
-		}
-		e, err := parseEventBytes(s)
 		if err != nil {
-			t.err = fmt.Errorf("trace: line %d: %w", t.line, err)
-			return n, bytes, t.err
+			t.err = err
+			return n, bytes, err
 		}
-		dst[n] = e
-		n++
 	}
 	return n, bytes, nil
 }
 
+// nextLine returns the next line, newline included, valid until the next
+// read. A last line without a newline comes with io.EOF; a nil line with
+// io.EOF is the end of the input. When no complete line is buffered,
+// nextLine blocks for one if wait is set and returns nil, nil otherwise.
+func (t *textReader) nextLine(wait bool) ([]byte, error) {
+	buf, _ := t.br.Peek(t.br.Buffered())
+	if i := bytes.IndexByte(buf, '\n'); i >= 0 {
+		t.br.Discard(i + 1)
+		return buf[:i+1], nil
+	}
+	if !wait {
+		return nil, nil
+	}
+	t.long = t.long[:0]
+	for {
+		frag, err := t.br.ReadSlice('\n')
+		if err == nil && len(t.long) == 0 {
+			return frag, nil
+		}
+		if len(t.long)+len(frag) > maxLineLen {
+			return nil, fmt.Errorf("%w: line %d longer than %d bytes", ErrMalformedTrace, t.line+1, maxLineLen)
+		}
+		t.long = append(t.long, frag...)
+		switch {
+		case err == bufio.ErrBufferFull:
+		case err == nil:
+			return t.long, nil
+		case err == io.EOF && len(t.long) > 0:
+			return t.long, io.EOF
+		default:
+			return nil, err
+		}
+	}
+}
+
+// trimSpace strips blanks, carriage returns and the newline from both
+// ends of a line.
 func trimSpace(s []byte) []byte {
 	for len(s) > 0 && (s[0] == ' ' || s[0] == '\t' || s[0] == '\r') {
 		s = s[1:]
 	}
-	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r') {
+	for len(s) > 0 && (s[len(s)-1] == ' ' || s[len(s)-1] == '\t' || s[len(s)-1] == '\r' || s[len(s)-1] == '\n') {
 		s = s[:len(s)-1]
 	}
 	return s
@@ -446,25 +497,49 @@ func (b *binReader) readBatch(dst []Event) (int, error) {
 		return 0, b.err
 	}
 	n := 0
-	var rec [eventSize]byte
 	for n < len(dst) {
 		if b.count != streamCount && b.read == b.count {
 			b.err = io.EOF
 			return n, b.err
 		}
-		if _, err := io.ReadFull(b.br, rec[:]); err != nil {
-			if err == io.EOF && b.count == streamCount {
-				b.err = io.EOF // clean end of an unbounded stream
-			} else {
-				b.err = fmt.Errorf("trace: event %d: %w", b.read, err)
+		if b.br.Buffered() < eventSize {
+			if n > 0 {
+				return n, nil
 			}
-			return n, b.err
+			if p, err := b.br.Peek(eventSize); err != nil {
+				b.err = b.endOfInput(len(p), err)
+				return n, b.err
+			}
 		}
-		dst[n] = decodeEvent(rec[:])
-		n++
-		b.read++
+		// Decode the run of complete records already buffered.
+		k := min(len(dst)-n, b.br.Buffered()/eventSize)
+		if b.count != streamCount {
+			k = int(min(uint64(k), b.count-b.read))
+		}
+		recs, _ := b.br.Peek(k * eventSize)
+		for i := range k {
+			dst[n+i] = decodeEvent(recs[i*eventSize : (i+1)*eventSize])
+		}
+		b.br.Discard(k * eventSize)
+		n += k
+		b.read += uint64(k)
 	}
 	return n, nil
+}
+
+// endOfInput turns a failed wait for the next record, with got of its
+// bytes available, into the reader's terminal error: io.EOF at the clean
+// end of an unbounded stream, the wrapped cause otherwise.
+func (b *binReader) endOfInput(got int, err error) error {
+	if err == io.EOF {
+		if got == 0 && b.count == streamCount {
+			return io.EOF
+		}
+		if got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	return fmt.Errorf("trace: event %d: %w", b.read, err)
 }
 
 type binWriter struct {

@@ -6,9 +6,11 @@
 #      cache fields) and wait for /healthz,
 #   2. batch-analyze the golden DOACROSS trace at /v1/analyze,
 #   3. upload the same trace to /v1/analyze/stream in small chunks with
-#      gaps — windows must stream back as NDJSON while the upload is in
-#      flight, and the final record's cumulative result must match the
-#      batch response exactly,
+#      gaps — the window lines must match the final record's count, and
+#      its cumulative result must match the batch response exactly (curl
+#      reads its stdin in large blocks, so this does not show windows
+#      leaving while the upload is in flight; the Go test
+#      TestStreamWindowsBeforeUploadEnds in internal/server does),
 #   4. the deprecated /analyze alias must answer byte-identically to
 #      /v1/analyze with a Deprecation header naming the successor.
 set -eu
@@ -39,8 +41,7 @@ done
 curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze?$QUERY" | jq -S . > /tmp/stream_batch.json
 jq -e '.api_version == "v1"' /tmp/stream_batch.json >/dev/null
 
-# Chunked upload: -T - streams stdin with chunked transfer-encoding, so
-# the server reads the body while already writing window lines back.
+# Chunked upload: -T - streams stdin with chunked transfer-encoding.
 rm -rf /tmp/stream_chunks
 mkdir /tmp/stream_chunks
 split -b 2048 "$TRACE" /tmp/stream_chunks/c

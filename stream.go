@@ -84,9 +84,10 @@ func (a *StreamAnalyzer) Feed(ctx context.Context, events []Event) error {
 	return a.s.Feed(ctx, events)
 }
 
-// FeedReader drains a streaming trace reader into the session in
-// 4096-event batches: the bridge from the trace codecs (NewTraceReader)
-// to streaming analysis without materializing the trace.
+// FeedReader drains a streaming trace reader into the session, feeding
+// the events of each read as they arrive: the bridge from the trace
+// codecs (NewTraceReader) to streaming analysis without materializing
+// the trace.
 func (a *StreamAnalyzer) FeedReader(ctx context.Context, r TraceReader) error {
 	batch := make([]Event, 4096)
 	for {
