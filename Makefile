@@ -83,9 +83,9 @@ cache-smoke:
 
 # Streaming endpoint check against a live daemon: a chunked upload to
 # /v1/analyze/stream must yield NDJSON window lines plus a final record
-# matching the batch /v1/analyze response exactly, and the deprecated
-# /analyze alias must answer byte-identically with a Deprecation header
-# (scripts/stream_smoke.sh, also CI's stream-smoke job).
+# matching the batch /v1/analyze response exactly, and the retired
+# /analyze path must be a 404 (scripts/stream_smoke.sh, also CI's
+# stream-smoke job).
 stream-smoke:
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	sh scripts/stream_smoke.sh /tmp/perturbd
@@ -98,7 +98,7 @@ stream-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/netchaos/
 	$(GO) test -race -count=1 \
-		-run 'TestFleetSurvivalSoak|TestFleetHedgingUnderChaosLatency|TestStreamMidUploadDisconnect|TestMemoryBudget|TestClientBreaker|TestErrorMatrix|TestStreamVerifiesContentSHA|TestOneWayUploadCarriesContentSHA|TestBackoffCannotOverflow|TestHedgeChargesEachEndpoint' \
+		-run 'TestFleetSurvivalSoak|TestFleetHedgingUnderChaosLatency|TestStreamMidUploadDisconnect|TestMemoryBudget|TestClientBreaker|TestErrorMatrix|TestStreamVerifiesContentSHA|TestOneWayUploadCarriesContentSHA|TestBackoffCannotOverflow|TestHedgeChargesEachEndpoint|TestFleetHedgeSharesTraceID' \
 		./internal/server/
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	sh scripts/chaos_smoke.sh /tmp/perturbd
@@ -109,9 +109,10 @@ bench-cache:
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheHit|BenchmarkCacheMissAnalyze|BenchmarkClientHedged' -benchmem ./internal/server/
 
 # Observability check against a live daemon: /metrics must pass the
-# Prometheus exposition checker, the live and shutdown-written
-# self-traces must audit clean, and the request log must be JSON lines
-# (scripts/metrics_smoke.sh, also CI's metrics-smoke job).
+# Prometheus exposition checker and carry the request phase histograms,
+# the live and shutdown-written self-traces must audit clean, and the
+# request log must be JSON lines (scripts/metrics_smoke.sh, also CI's
+# metrics-smoke job).
 metrics-smoke:
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	$(GO) build -o /tmp/promcheck ./internal/tools/promcheck

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"perturb"
-	"perturb/internal/obs"
 )
 
 // followStudy is the -follow pipeline: tail a growing trace file through
@@ -18,7 +17,7 @@ import (
 // closes and the summary line — identical to what a batch analysis of the
 // finished file would compute — is printed.
 func followStudy(w io.Writer, o options) error {
-	defer obs.StartSpan("pipeline.follow").End()
+	defer spFollow.Start().End()
 
 	cfg := perturb.Alliant()
 	cfg.Procs = o.procs

@@ -10,7 +10,6 @@
 //
 //	-loop N        Livermore kernel number (default 17)
 //	-analysis S    time | event | liberal (default event)
-//	-workers N     accepted for compatibility and ignored
 //	-inject P      drop each probe record with probability P (fault model)
 //	-seed N        fault-injection seed (default 1)
 //	-repair        sanitize the trace and analyze in degraded mode
@@ -55,7 +54,7 @@
 //	-hedge-after D fix the hedge delay (e.g. 50ms) instead of deriving it
 //	               from the endpoint's recent p90 latency
 //	-quiet         print only the summary line
-//	-stats         print pipeline span timings and engine telemetry to
+//	-stats         print pipeline span histograms and engine telemetry to
 //	               stderr: a human-readable summary followed by one JSON
 //	               line (machine-readable, starts with '{')
 //	-debug-addr A  serve expvar (/debug/vars) and pprof (/debug/pprof/)
@@ -85,7 +84,6 @@ import (
 type options struct {
 	loop      int
 	analysis  string
-	workers   int
 	inject    float64
 	seed      uint64
 	repair    bool
@@ -123,7 +121,6 @@ func main() {
 	var o options
 	flag.IntVar(&o.loop, "loop", 17, "Livermore kernel number (1-24)")
 	flag.StringVar(&o.analysis, "analysis", "event", "analysis: time, event or liberal")
-	flag.IntVar(&o.workers, "workers", 0, "accepted for compatibility and ignored (-1, 0 or positive)")
 	flag.Float64Var(&o.inject, "inject", 0, "drop each probe record with this probability before analyzing")
 	flag.Uint64Var(&o.seed, "seed", 1, "fault-injection seed")
 	flag.BoolVar(&o.repair, "repair", false, "sanitize the trace and analyze in degraded mode")
@@ -183,9 +180,6 @@ func main() {
 func validateOptions(o options, args []string) error {
 	if len(args) > 0 {
 		return fmt.Errorf("unexpected arguments: %s", strings.Join(args, " "))
-	}
-	if o.workers < -1 {
-		return fmt.Errorf("-workers must be -1, 0 or positive, got %d", o.workers)
 	}
 	if o.procs < 1 {
 		return fmt.Errorf("-procs must be at least 1, got %d", o.procs)
@@ -281,9 +275,19 @@ type derived struct {
 	lanes []textplot.Lane
 }
 
+// The pipeline's spans, one per phase.
+var (
+	spLoad    = obs.NewSpan("pipeline.load")
+	spAnalyze = obs.NewSpan("pipeline.analyze")
+	spRemote  = obs.NewSpan("pipeline.remote")
+	spMetrics = obs.NewSpan("pipeline.metrics")
+	spReport  = obs.NewSpan("pipeline.report")
+	spFollow  = obs.NewSpan("pipeline.follow")
+)
+
 // study runs the load / analyze / metrics / report pipeline. Each phase
-// is traced as an obs span; -stats resets the telemetry layer, enables
-// it for the run, and emits the snapshot afterwards.
+// is an obs span; -stats resets the telemetry layer, enables it for the
+// run, and emits the snapshot afterwards.
 func study(w io.Writer, o options) error {
 	if o.stats {
 		perturb.ResetObservability()
@@ -387,7 +391,7 @@ func studyStats(o options) error {
 // sufficient sub-trace for the query — on columnar -load input the
 // decoder skips blocks the query's window rules out.
 func loadPhase(o options, loop *perturb.Loop, cfg perturb.MachineConfig, ovh perturb.Overheads) (measured *perturb.Trace, actualDur perturb.Time, haveActual bool, srep *perturb.SliceReport, err error) {
-	defer obs.StartSpan("pipeline.load").End()
+	defer spLoad.Start().End()
 
 	var query perturb.SliceQuery
 	if o.sliceSpec != "" {
@@ -455,7 +459,7 @@ func loadPhase(o options, loop *perturb.Loop, cfg perturb.MachineConfig, ovh per
 // analyzePhase runs the selected perturbation analysis through the
 // unified Analyze entry point.
 func analyzePhase(o options, measured *perturb.Trace, cal perturb.Calibration, loop *perturb.Loop, cfg perturb.MachineConfig) (*perturb.Approximation, error) {
-	defer obs.StartSpan("pipeline.analyze").End()
+	defer spAnalyze.Start().End()
 
 	opts := perturb.AnalyzeOptions{Repair: o.repair}
 	switch strings.ToLower(o.analysis) {
@@ -492,7 +496,7 @@ func remoteEndpoints(remote string) []string {
 // Retry-After hints); multiple endpoints form a consistent-hashing fleet
 // with failover and, under -hedge, hedged requests.
 func remotePhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.Trace, cal perturb.Calibration, actualDur perturb.Time, haveActual bool) error {
-	defer obs.StartSpan("pipeline.remote").End()
+	defer spRemote.Start().End()
 
 	req := server.Request{Repair: o.repair, Cal: &cal}
 	if strings.ToLower(o.analysis) == "time" {
@@ -557,7 +561,7 @@ func remotePhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.T
 // metricsPhase derives every view the report will render: waiting
 // statistics, critical path, statement profile and timeline lanes.
 func metricsPhase(o options, cal perturb.Calibration, approx *perturb.Approximation) (derived, error) {
-	defer obs.StartSpan("pipeline.metrics").End()
+	defer spMetrics.Start().End()
 
 	var d derived
 	if o.quiet && o.svgFile == "" {
@@ -591,7 +595,7 @@ func metricsPhase(o options, cal perturb.Calibration, approx *perturb.Approximat
 // reportPhase renders the summary line, the optional detail sections and
 // the SVG export from the precomputed metric views.
 func reportPhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.Trace, approx *perturb.Approximation, d derived, actualDur perturb.Time, haveActual bool) error {
-	defer obs.StartSpan("pipeline.report").End()
+	defer spReport.Start().End()
 
 	mdur := time.Duration(measured.End()) * time.Nanosecond
 	adur := time.Duration(approx.Duration) * time.Nanosecond

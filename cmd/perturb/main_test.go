@@ -69,27 +69,6 @@ func TestStudyAnalyses(t *testing.T) {
 	}
 }
 
-// TestStudyWorkersMatchesSequential: -workers is accepted for
-// compatibility and ignored, so any value prints the default summary.
-func TestStudyWorkersMatchesSequential(t *testing.T) {
-	var seq bytes.Buffer
-	if err := study(&seq, defaults()); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{-1, 1, 4} {
-		o := defaults()
-		o.workers = workers
-		var par bytes.Buffer
-		if err := study(&par, o); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.String() != seq.String() {
-			t.Errorf("workers=%d output differs:\n%s\nvs sequential:\n%s",
-				workers, par.String(), seq.String())
-		}
-	}
-}
-
 // TestStudyLoadBinary: -load auto-detects the binary codec.
 func TestStudyLoadBinary(t *testing.T) {
 	dir := t.TempDir()
@@ -194,7 +173,6 @@ func TestValidateOptions(t *testing.T) {
 		args []string
 	}{
 		{"extra args", func(o *options) {}, []string{"stray.trace"}},
-		{"workers below -1", func(o *options) { o.workers = -2 }, nil},
 		{"zero procs", func(o *options) { o.procs = 0 }, nil},
 		{"negative probe", func(o *options) { o.probe = -time.Microsecond }, nil},
 		{"load with save", func(o *options) { o.loadFile = "a"; o.saveFile = "b" }, nil},
@@ -235,7 +213,7 @@ func TestStudyStatsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := stats.String()
-	for _, want := range []string{"obs: telemetry enabled=true", "obs: spans", "obs: counters"} {
+	for _, want := range []string{"obs: telemetry enabled=true", "obs: histograms", "obs: counters"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("human stats lack %q:\n%s", want, text)
 		}
@@ -266,12 +244,12 @@ func TestStudyStatsJSON(t *testing.T) {
 	}
 
 	for _, phase := range []string{"pipeline.load", "pipeline.analyze", "pipeline.metrics", "pipeline.report"} {
-		sp, ok := st.Span(phase)
-		if !ok || sp.Count < 1 {
-			t.Errorf("span %q missing from snapshot (ok=%v count=%d)", phase, ok, sp.Count)
+		h, ok := st.Hist(phase + "_ns")
+		if !ok || h.Count < 1 {
+			t.Errorf("span %q missing from snapshot (ok=%v count=%d)", phase, ok, h.Count)
 		}
 	}
-	if _, ok := st.Span("perturb.simulate"); !ok {
+	if h, _ := st.Hist("perturb.simulate_ns"); h.Count < 1 {
 		t.Error("facade span perturb.simulate missing")
 	}
 	if st.Counter("machine.sim.runs") == 0 {

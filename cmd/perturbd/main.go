@@ -11,11 +11,9 @@
 // the README's "Running as a service" and docs/http-api.md). POST to
 // /v1/analyze/stream and windowed results stream back as NDJSON while the
 // upload is still in flight, closing with the batch-identical summary.
-// The unversioned /analyze path is a deprecated alias for /v1/analyze and
-// answers with a Deprecation header. /healthz reports liveness,
-// /readyz readiness. -debug-addr serves expvar and pprof on a second
-// listener, including the server.* admission counters and the cache.*
-// hit/miss/eviction counters.
+// /healthz reports liveness, /readyz readiness. -debug-addr serves expvar
+// and pprof on a second listener, including the server.* admission
+// counters and the cache.* hit/miss/eviction counters.
 //
 // Results are cached content-addressed (-cache-bytes budget, default
 // 256 MiB; 0 disables): a re-upload of an already-analyzed trace with the
@@ -36,8 +34,10 @@
 // `perturb -load` analyzes like any other subject program. The live
 // recorder is also downloadable from /debug/selftrace on the service
 // address. /metrics serves the telemetry snapshot in the Prometheus text
-// exposition format; -request-log FILE ("-" for stderr) writes one JSON
-// line per request with trace id, status, cache outcome and latency.
+// exposition format, including a latency histogram for every request
+// phase and wait (perturb_server_decode_ns, ...), with or without
+// -selftrace; -request-log FILE ("-" for stderr) writes one JSON line per
+// request with trace id, status, cache outcome and latency.
 package main
 
 import (

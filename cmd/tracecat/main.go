@@ -8,12 +8,11 @@
 //	tracecat [-summary] [-validate] [-audit] [-repair] [-proc N] [-kind K] [-o FILE [-format text|binary|columnar]] FILE
 //
 // The input format (text, binary or columnar) is auto-detected; -format
-// picks the -o output codec (-binary remains as a deprecated synonym for
-// -format binary). Columnar input with -proc/-kind filters decodes only
-// the blocks whose index can match, skipping the rest. -audit classifies
-// the trace's defects without modifying it; -repair sanitizes the trace
-// before any other processing, so `-repair -o FILE` round-trips a damaged
-// trace into a clean one.
+// picks the -o output codec. Columnar input with -proc/-kind filters
+// decodes only the blocks whose index can match, skipping the rest.
+// -audit classifies the trace's defects without modifying it; -repair
+// sanitizes the trace before any other processing, so `-repair -o FILE`
+// round-trips a damaged trace into a clean one.
 package main
 
 import (
@@ -36,7 +35,6 @@ type options struct {
 	proc     int
 	kind     string
 	out      string
-	binary   bool
 	format   string
 }
 
@@ -52,7 +50,6 @@ func main() {
 	flag.IntVar(&o.proc, "proc", -1, "only events of this processor")
 	flag.StringVar(&o.kind, "kind", "", "only events of this kind (e.g. advance, awaitB)")
 	flag.StringVar(&o.out, "o", "", "write the (filtered) trace to FILE")
-	flag.BoolVar(&o.binary, "binary", false, "write -o output in the binary codec (deprecated: use -format binary)")
 	flag.StringVar(&o.format, "format", "", "codec for -o output: text, binary or columnar (default text)")
 	version := flag.Bool("version", false, "print build and version information and exit")
 	flag.Parse()
@@ -76,16 +73,13 @@ func validateOptions(o options, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("expected exactly one trace FILE argument, got %d", len(args))
 	}
-	if (o.binary || o.format != "") && o.out == "" {
-		return fmt.Errorf("-format/-binary select the codec for -o output and require -o FILE")
+	if o.format != "" && o.out == "" {
+		return fmt.Errorf("-format selects the codec for -o output and requires -o FILE")
 	}
 	switch o.format {
 	case "", "text", "binary", "columnar":
 	default:
 		return fmt.Errorf("unknown -format %q (want text, binary or columnar)", o.format)
-	}
-	if o.binary && o.format != "" && o.format != "binary" {
-		return fmt.Errorf("-binary conflicts with -format %s", o.format)
 	}
 	if o.audit && o.repair {
 		return fmt.Errorf("-audit classifies without modifying; it cannot be combined with -repair")
@@ -163,7 +157,7 @@ func run(w io.Writer, o options, path string) error {
 			return err
 		}
 		switch {
-		case o.binary || o.format == "binary":
+		case o.format == "binary":
 			err = tr.WriteBinary(f)
 		case o.format == "columnar":
 			err = tr.WriteColumnar(f)

@@ -77,7 +77,7 @@ func TestFilterAndConvert(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "adv.trace")
 	var buf bytes.Buffer
-	if err := run(&buf, options{kind: "advance", proc: -1, out: out, binary: true}, textPath); err != nil {
+	if err := run(&buf, options{kind: "advance", proc: -1, out: out, format: "binary"}, textPath); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -127,7 +127,7 @@ func TestValidateOptions(t *testing.T) {
 	}{
 		{"no file", options{proc: -1}, nil},
 		{"two files", options{proc: -1}, []string{"a", "b"}},
-		{"binary without -o", options{proc: -1, binary: true}, []string{"a"}},
+		{"binary without -o", options{proc: -1, format: "binary"}, []string{"a"}},
 		{"proc below -1", options{proc: -2}, []string{"a"}},
 		{"unknown kind", options{proc: -1, kind: "teleport"}, []string{"a"}},
 	}

@@ -35,7 +35,7 @@ func serviceGoldenResponse(t *testing.T) []byte {
 	defer srv.Close()
 
 	body := encodeBinary(t, goldenTraces()["doacross"])
-	resp, err := http.Post(srv.URL+"/analyze?"+serviceGoldenQuery,
+	resp, err := http.Post(srv.URL+"/v1/analyze?"+serviceGoldenQuery,
 		"application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -26,10 +26,10 @@ func TraceSHA256(t *trace.Trace) (string, error) {
 // Key renders the full content address of one analysis: the trace
 // fingerprint plus every analysis input that changes the result —
 // calibration constants, analysis mode, repair, and the liberal
-// parameters when the liberal mode is selected. The service's workers
-// query parameter, accepted and ignored for compatibility, never reaches
-// the key: a request with any worker count shares the key of the same
-// request without one.
+// parameters when the liberal mode is selected. Nothing else reaches the
+// key: the service ignores query parameters it does not know, such as
+// the retired workers, so such a request shares the key of the same
+// request without them.
 //
 // The trace fingerprint is returned alongside the key so callers can
 // surface it (the service's input_sha256 field) without hashing twice.

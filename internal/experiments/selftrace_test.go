@@ -30,7 +30,7 @@ func TestSelfTraceSmall(t *testing.T) {
 	for _, pc := range res.PhaseCounts {
 		phases[pc.Name] = pc.Count > 0
 	}
-	for _, want := range []string{"admission", "decode", "analyze", "encode"} {
+	for _, want := range []string{"server.admission", "server.decode", "server.analyze", "server.encode"} {
 		if !phases[want] {
 			t.Errorf("phase %q missing from the analyzed self-trace (got %v)", want, res.PhaseCounts)
 		}

@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,7 +56,6 @@ var registry struct {
 	maxes    map[string]*MaxGauge
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	spans    map[string]*spanStat
 }
 
 // Counter is a monotonically increasing atomic event count.
@@ -234,54 +234,79 @@ func (h *Histogram) Observe(shard int, v int64) {
 	s.buckets[bits.Len64(uint64(v))&(histBuckets-1)].Add(1)
 }
 
-// Span tracing. A span is an explicitly delimited monotonic interval
-// (Start/End, no context plumbing); ended spans accumulate count and total
-// duration under their name. Spans are for pipeline phases — infrequent,
-// long — so the stat lookup on Start is a read-locked map access.
+// Spans. A span is a named kind of timed interval (a pipeline phase, a
+// request phase, a wait), resolved once like every other metric. A span
+// is its histogram of interval lengths, registered as name+"_ns": ending
+// an interval observes that histogram when telemetry is enabled, and an
+// interval opened on a recording Scope also writes the self-trace ring
+// (see selftrace.go).
 
-type spanStat struct {
-	name  string
-	count atomic.Int64
-	total atomic.Int64 // nanoseconds
+// Span is a histogram of interval lengths in nanoseconds; see NewSpan.
+type Span Histogram
+
+// spanUnit suffixes a span's name to name its histogram.
+const spanUnit = "_ns"
+
+// NewSpan returns the span registered under name, creating it (and its
+// histogram name+"_ns") on first use. Intended for package-level var
+// initialization.
+func NewSpan(name string) *Span { return (*Span)(NewHistogram(name + spanUnit)) }
+
+// spanName returns the name the span was registered under.
+func (sp *Span) spanName() string { return strings.TrimSuffix(sp.name, spanUnit) }
+
+// epoch anchors clock, the one time base of spans and recorders.
+var epoch = time.Now()
+
+// clock returns monotonic nanoseconds since the package was initialized.
+func clock() int64 { return int64(time.Since(epoch)) }
+
+// Interval is an open interval of a span: Span.Start, Scope.Wait and
+// Recorder.Drain open one, and End closes it. The zero Interval ends as a
+// no-op.
+type Interval struct {
+	span  *Span
+	sc    *Scope // the scope whose clock, slot and ring End uses; nil for Start
+	kind  int    // ring record kind: RecPhase, RecWait or RecDrain
+	pair  int    // wait pairing id
+	start int64  // clock reading
 }
 
-// Span is an in-progress traced interval; End records it. The zero Span
-// (returned when telemetry is disabled) ends as a no-op.
-type Span struct {
-	stat  *spanStat
-	start time.Time
-}
-
-// StartSpan begins a traced interval under the given phase name.
-func StartSpan(name string) Span {
+// Start opens an interval of the span on no scope: End only feeds the
+// histogram. With telemetry disabled it returns the zero Interval.
+func (sp *Span) Start() Interval {
 	if !enabled.Load() {
-		return Span{}
+		return Interval{}
 	}
-	registry.mu.Lock()
-	if registry.spans == nil {
-		registry.spans = make(map[string]*spanStat)
-	}
-	st, ok := registry.spans[name]
-	if !ok {
-		st = &spanStat{name: name}
-		registry.spans[name] = st
-	}
-	registry.mu.Unlock()
-	return Span{stat: st, start: time.Now()}
+	return Interval{span: sp, start: clock()}
 }
 
-// End records the span's duration. Safe on the zero Span.
-func (s Span) End() {
-	if s.stat == nil {
-		return
+// End closes the interval. Safe on the zero Interval.
+func (iv Interval) End() {
+	switch {
+	case iv.span == nil:
+	case iv.sc == nil:
+		// No slot to shard by: the start time's low bits differ between
+		// concurrent callers.
+		(*Histogram)(iv.span).Observe(int(iv.start), clock()-iv.start)
+	default:
+		iv.endAt(iv.sc.tick())
 	}
-	d := time.Since(s.start).Nanoseconds()
-	s.stat.count.Add(1)
-	s.stat.total.Add(d)
 }
 
-// Reset zeroes every registered metric (and forgets recorded spans).
-// Intended for tests and for per-invocation stats in the CLIs.
+// endAt closes an interval opened on a scope at the scope time t: the
+// histogram observes it on the scope's shard, and a recording scope's
+// ring gets its record.
+func (iv Interval) endAt(t int64) {
+	(*Histogram)(iv.span).Observe(iv.sc.proc, t-iv.start)
+	if r := iv.sc.r; r != nil {
+		r.write(iv, t)
+	}
+}
+
+// Reset zeroes every registered metric in place, spans included: their
+// handles keep recording. Intended for tests and for per-invocation stats
+// in the CLIs.
 func Reset() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -304,7 +329,6 @@ func Reset() {
 			}
 		}
 	}
-	registry.spans = nil
 }
 
 // Snapshot returns a consistent-enough copy of every registered metric,
@@ -352,15 +376,9 @@ func Snapshot() Stats {
 		}
 		st.Hists = append(st.Hists, hs)
 	}
-	for _, sp := range registry.spans {
-		st.Spans = append(st.Spans, SpanStat{
-			Name: sp.name, Count: sp.count.Load(), TotalNS: sp.total.Load(),
-		})
-	}
 	sort.Slice(st.Counters, func(i, j int) bool { return st.Counters[i].Name < st.Counters[j].Name })
 	sort.Slice(st.Maxes, func(i, j int) bool { return st.Maxes[i].Name < st.Maxes[j].Name })
 	sort.Slice(st.Gauges, func(i, j int) bool { return st.Gauges[i].Name < st.Gauges[j].Name })
 	sort.Slice(st.Hists, func(i, j int) bool { return st.Hists[i].Name < st.Hists[j].Name })
-	sort.Slice(st.Spans, func(i, j int) bool { return st.Spans[i].Name < st.Spans[j].Name })
 	return st
 }

@@ -35,8 +35,7 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	c.Add(5)
 	g.Observe(7)
 	h.Observe(0, 9)
-	sp := StartSpan("test.disabled.span")
-	sp.End()
+	NewSpan("test.disabled.span").Start().End()
 	st := Snapshot()
 	if st.Enabled {
 		t.Error("snapshot reports enabled")
@@ -44,7 +43,7 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 {
 		t.Errorf("disabled metrics recorded: counter=%d max=%d", c.Value(), g.Value())
 	}
-	if _, ok := st.Span("test.disabled.span"); ok {
+	if hs, _ := st.Hist("test.disabled.span_ns"); hs.Count != 0 {
 		t.Error("disabled span recorded")
 	}
 	for _, hs := range st.Hists {
@@ -106,28 +105,100 @@ func TestNewReturnsSameHandle(t *testing.T) {
 	if NewHistogram("test.same.hist") != NewHistogram("test.same.hist") {
 		t.Error("NewHistogram returned distinct handles for one name")
 	}
+	if NewSpan("test.same.span") != NewSpan("test.same.span") {
+		t.Error("NewSpan returned distinct handles for one name")
+	}
 }
 
 func TestSpans(t *testing.T) {
 	withTelemetry(t, func() {
-		sp := StartSpan("test.span")
+		iv := NewSpan("test.span").Start()
 		time.Sleep(time.Millisecond)
-		sp.End()
+		iv.End()
 		st := Snapshot()
-		got, ok := st.Span("test.span")
+		got, ok := st.Hist("test.span_ns")
 		if !ok {
-			t.Fatal("span missing from snapshot")
+			t.Fatal("span histogram missing from snapshot")
 		}
 		if got.Count != 1 {
 			t.Errorf("span count = %d, want 1", got.Count)
 		}
-		if got.TotalNS < int64(time.Millisecond)/2 {
-			t.Errorf("span total %dns implausibly short", got.TotalNS)
+		if got.Sum < int64(time.Millisecond)/2 {
+			t.Errorf("span total %dns implausibly short", got.Sum)
 		}
-		if got.Mean() != got.TotalNS {
-			t.Errorf("mean of a single span = %d, want %d", got.Mean(), got.TotalNS)
+		if got.Mean() != float64(got.Sum) {
+			t.Errorf("mean of a single span = %v, want %d", got.Mean(), got.Sum)
 		}
 	})
+}
+
+// TestSpanEndFeedsHistogramAndRing: one End of an interval opened on a
+// recording scope observes the span's histogram and writes the ring
+// record, with the same length.
+func TestSpanEndFeedsHistogramAndRing(t *testing.T) {
+	withTelemetry(t, func() {
+		phase, wait := NewSpan("test.both.phase"), NewSpan("test.both.wait")
+		r := NewRecorder(16)
+		sc := r.Begin()
+		sc.Phase(phase)
+		w := sc.Wait(wait)
+		time.Sleep(time.Millisecond)
+		w.End()
+		sc.End()
+
+		st := Snapshot()
+		var lengths []int64
+		for _, rec := range r.Records() {
+			if rec.Kind == RecWait || rec.Kind == RecPhase {
+				lengths = append(lengths, rec.End-rec.Start)
+			}
+		}
+		if len(lengths) != 2 {
+			t.Fatalf("ring holds %d wait/phase records, want 2", len(lengths))
+		}
+		for i, name := range []string{"test.both.wait_ns", "test.both.phase_ns"} {
+			h, _ := st.Hist(name)
+			if h.Count != 1 || h.Sum != lengths[i] {
+				t.Errorf("%s: count %d sum %d, want 1 observation of the ring's %d ns",
+					name, h.Count, h.Sum, lengths[i])
+			}
+		}
+		if got := r.VarNames(); len(got) != 1 || got[0] != "test.both.wait" {
+			t.Errorf("wait table = %v, want the span's name", got)
+		}
+	})
+}
+
+// TestSpanSurvivesReset: Reset zeroes a span's histogram in place, and
+// the handle keeps recording.
+func TestSpanSurvivesReset(t *testing.T) {
+	withTelemetry(t, func() {
+		sp := NewSpan("test.reset.handle")
+		sp.Start().End()
+		Reset()
+		sp.Start().End()
+		if h, _ := Snapshot().Hist("test.reset.handle_ns"); h.Count != 1 {
+			t.Errorf("span after Reset recorded %d intervals, want 1", h.Count)
+		}
+	})
+}
+
+// TestDisabledSpansCostNothing: with telemetry off and no recorder there
+// is no scope, and an interval records nothing and allocates nothing.
+func TestDisabledSpansCostNothing(t *testing.T) {
+	Reset()
+	SetEnabled(false)
+	var r *Recorder
+	if sc := r.Begin(); sc != nil {
+		t.Fatalf("Begin on a nil recorder with telemetry off = %+v, want nil", sc)
+	}
+	sp := NewSpan("test.disabled.cost")
+	if n := testing.AllocsPerRun(100, func() { sp.Start().End() }); n != 0 {
+		t.Errorf("Start().End() allocates %v times, want 0", n)
+	}
+	if h, _ := Snapshot().Hist("test.disabled.cost_ns"); h.Count != 0 {
+		t.Errorf("disabled span recorded %d intervals", h.Count)
+	}
 }
 
 func TestConcurrentRecording(t *testing.T) {
@@ -169,8 +240,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		NewCounter("test.json.counter").Add(42)
 		NewMaxGauge("test.json.max").Observe(17)
 		NewHistogram("test.json.hist").Observe(0, 1000)
-		sp := StartSpan("test.json.span")
-		sp.End()
+		NewSpan("test.json.span").Start().End()
 		st := Snapshot()
 		data, err := json.Marshal(st)
 		if err != nil {
@@ -191,8 +261,7 @@ func TestWriteText(t *testing.T) {
 		NewCounter("test.text.counter").Add(5)
 		NewMaxGauge("test.text.max").Observe(9)
 		NewHistogram("test.text.hist").Observe(0, 3)
-		sp := StartSpan("test.text.span")
-		sp.End()
+		NewSpan("test.text.span").Start().End()
 		var buf bytes.Buffer
 		if err := Snapshot().WriteText(&buf); err != nil {
 			t.Fatal(err)
@@ -200,7 +269,7 @@ func TestWriteText(t *testing.T) {
 		out := buf.String()
 		for _, want := range []string{
 			"enabled=true", "test.text.counter", "test.text.max",
-			"test.text.hist", "test.text.span",
+			"test.text.hist", "test.text.span_ns",
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("text output lacks %q:\n%s", want, out)
@@ -213,14 +282,13 @@ func TestReset(t *testing.T) {
 	withTelemetry(t, func() {
 		c := NewCounter("test.reset.counter")
 		c.Add(3)
-		sp := StartSpan("test.reset.span")
-		sp.End()
+		NewSpan("test.reset.span").Start().End()
 		Reset()
 		if c.Value() != 0 {
 			t.Errorf("counter survived reset: %d", c.Value())
 		}
-		if _, ok := Snapshot().Span("test.reset.span"); ok {
-			t.Error("span survived reset")
+		if h, ok := Snapshot().Hist("test.reset.span_ns"); !ok || h.Count != 0 {
+			t.Errorf("span histogram after reset: present=%v count=%d, want present with 0", ok, h.Count)
 		}
 	})
 }

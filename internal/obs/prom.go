@@ -4,9 +4,9 @@ package obs
 // dependency-free: perturbd's /metrics endpoint is WriteProm over the
 // same Stats the -stats flag and the "obs" expvar already expose.
 // Cumulative semantics follow the exposition format: counters get a
-// _total suffix, histograms render cumulative _bucket{le="..."} series
-// over the log2 bucket bounds plus _sum and _count, and spans render as
-// histogram-less summaries (_count plus _seconds_total).
+// _total suffix, and histograms (span histograms included) render
+// cumulative _bucket{le="..."} series over the log2 bucket bounds plus
+// _sum and _count.
 
 import (
 	"fmt"
@@ -92,15 +92,6 @@ func WriteProm(w io.Writer, s Stats, build *BuildLabels) error {
 		bw.printf("%s_bucket{le=\"+Inf\"} %d\n", n, h.Count)
 		bw.printf("%s_sum %d\n", n, h.Sum)
 		bw.printf("%s_count %d\n", n, h.Count)
-	}
-	for _, sp := range s.Spans {
-		base := promName(sp.Name)
-		bw.printf("# HELP %s_count Completed %s spans.\n", base, sp.Name)
-		bw.printf("# TYPE %s_count counter\n", base)
-		bw.printf("%s_count %d\n", base, sp.Count)
-		bw.printf("# HELP %s_seconds_total Total seconds spent in %s spans.\n", base, sp.Name)
-		bw.printf("# TYPE %s_seconds_total counter\n", base)
-		bw.printf("%s_seconds_total %.9f\n", base, float64(sp.TotalNS)/1e9)
 	}
 	return bw.err
 }

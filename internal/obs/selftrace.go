@@ -24,13 +24,13 @@ package obs
 //     per-goroutine proc mapping that makes the exported parallelism
 //     profile the service's real concurrency.
 //
-// The string tables (phase names, wait classes) are interned once per
-// distinct name under a mutex; records carry small integer ids.
+// The recorder's name tables (phase spans, wait spans) gain an entry the
+// first time a span is recorded, under a mutex keyed by the span handle;
+// records carry small integer ids.
 
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Record kinds stored in the ring. The exporter maps them onto trace
@@ -56,8 +56,8 @@ const (
 type SpanRecord struct {
 	Kind  int
 	Proc  int
-	Stmt  int   // phase-name id (RecPhase/RecMark); see Recorder.StmtNames
-	Var   int   // wait-class id (RecWait); see Recorder.VarNames
+	Stmt  int   // phase span id (RecPhase/RecMark); see Recorder.StmtNames
+	Var   int   // wait span id (RecWait); see Recorder.VarNames
 	Pair  int   // unique wait pairing id (RecWait)
 	Start int64 // ns since epoch
 	End   int64 // ns since epoch
@@ -82,7 +82,7 @@ type slot struct {
 // *Recorder is valid and records nothing, so instrumented code paths can
 // be written unconditionally.
 type Recorder struct {
-	epoch time.Time
+	epoch int64 // clock reading at creation: record times count from here
 	ring  []slot
 	head  atomic.Uint64 // total slots ever claimed
 	drops atomic.Int64  // records overwritten before they were exported
@@ -90,9 +90,9 @@ type Recorder struct {
 	pairSeq atomic.Int64 // next wait pairing id
 
 	mu       sync.Mutex
-	stmtIDs  map[string]int
+	stmtIDs  map[*Span]int // phase spans; statement 0 is the idle mark
 	stmts    []string
-	varIDs   map[string]int
+	varIDs   map[*Span]int // wait spans
 	vars     []string
 	procFree []int // released processor slots, reused LIFO
 	procHigh int   // next never-used processor slot
@@ -114,10 +114,11 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultRecorderCapacity
 	}
 	return &Recorder{
-		epoch:   time.Now(),
+		epoch:   clock(),
 		ring:    make([]slot, capacity),
-		stmtIDs: make(map[string]int),
-		varIDs:  make(map[string]int),
+		stmtIDs: make(map[*Span]int),
+		stmts:   []string{idleStmt},
+		varIDs:  make(map[*Span]int),
 	}
 }
 
@@ -149,36 +150,22 @@ func (r *Recorder) ProcPeak() int {
 	return r.procPeak
 }
 
-// now returns nanoseconds since the recorder's epoch (monotonic).
-func (r *Recorder) now() int64 { return int64(time.Since(r.epoch)) }
-
-// internStmt resolves a phase name to its statement id.
-func (r *Recorder) internStmt(name string) int {
+// intern resolves a span to its id in one of the recorder's name tables,
+// adding it on first use.
+func (r *Recorder) intern(ids map[*Span]int, names *[]string, sp *Span) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id, ok := r.stmtIDs[name]; ok {
-		return id
+	id, ok := ids[sp]
+	if !ok {
+		id = len(*names)
+		ids[sp] = id
+		*names = append(*names, sp.spanName())
 	}
-	id := len(r.stmts)
-	r.stmtIDs[name] = id
-	r.stmts = append(r.stmts, name)
 	return id
 }
 
-// internVar resolves a wait-class name to its synchronization-variable id.
-func (r *Recorder) internVar(name string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if id, ok := r.varIDs[name]; ok {
-		return id
-	}
-	id := len(r.vars)
-	r.varIDs[name] = id
-	r.vars = append(r.vars, name)
-	return id
-}
-
-// StmtNames returns the phase-name table: index = SpanRecord.Stmt.
+// StmtNames returns the phase table: index = SpanRecord.Stmt, value =
+// the span's name ("idle" for the begin mark).
 func (r *Recorder) StmtNames() []string {
 	if r == nil {
 		return nil
@@ -190,7 +177,8 @@ func (r *Recorder) StmtNames() []string {
 	return out
 }
 
-// VarNames returns the wait-class table: index = SpanRecord.Var.
+// VarNames returns the wait table: index = SpanRecord.Var, value = the
+// span's name.
 func (r *Recorder) VarNames() []string {
 	if r == nil {
 		return nil
@@ -202,21 +190,34 @@ func (r *Recorder) VarNames() []string {
 	return out
 }
 
+// write records an interval closed at the clock reading end.
+func (r *Recorder) write(iv Interval, end int64) {
+	rec := SpanRecord{Kind: iv.kind, Proc: iv.sc.proc, Pair: iv.pair,
+		Start: iv.start - r.epoch, End: end - r.epoch}
+	switch iv.kind {
+	case RecPhase:
+		rec.Stmt = r.intern(r.stmtIDs, &r.stmts, iv.span)
+	case RecWait:
+		rec.Var = r.intern(r.varIDs, &r.vars, iv.span)
+	}
+	r.record(rec)
+}
+
 // record claims the next ring slot and fills it under the slot seqlock.
-func (r *Recorder) record(kind, proc, stmt, svar, pair int, start, end int64) {
+func (r *Recorder) record(rec SpanRecord) {
 	i := r.head.Add(1) - 1
 	if i >= uint64(len(r.ring)) {
 		r.drops.Add(1)
 	}
 	s := &r.ring[i%uint64(len(r.ring))]
 	s.seq.Add(1) // odd: write in progress
-	s.kind.Store(int64(kind))
-	s.proc.Store(int64(proc))
-	s.stmt.Store(int64(stmt))
-	s.svar.Store(int64(svar))
-	s.pair.Store(int64(pair))
-	s.start.Store(start)
-	s.end.Store(end)
+	s.kind.Store(int64(rec.Kind))
+	s.proc.Store(int64(rec.Proc))
+	s.stmt.Store(int64(rec.Stmt))
+	s.svar.Store(int64(rec.Var))
+	s.pair.Store(int64(rec.Pair))
+	s.start.Store(rec.Start)
+	s.end.Store(rec.End)
 	s.seq.Add(1) // even: record complete
 }
 
@@ -307,26 +308,28 @@ const idleStmt = "idle"
 
 // Scope is one request's span timeline: a processor slot plus an open
 // phase. A Scope must be used from one goroutine at a time and finished
-// with End. The zero Scope (and any Scope from a nil Recorder) is a
-// no-op.
+// with End. A nil Scope is a no-op.
 type Scope struct {
-	r     *Recorder
-	proc  int
-	stmt  int   // open phase's statement id, -1 when none
-	start int64 // open phase's start
-	last  int64 // latest timestamp issued to this scope
+	r     *Recorder // nil: the scope only feeds span histograms
+	proc  int       // processor slot, and the scope's histogram shard
+	phase Interval  // the open phase; the zero Interval when none
+	last  int64     // latest timestamp issued to this scope
 }
 
-// Begin opens a request scope: a processor slot is acquired and a begin
-// mark is recorded so the slot's idle gap is attributed to the "idle"
-// statement. Returns a no-op scope on a nil recorder.
+// Begin opens a request scope. On a recorder, a processor slot is
+// acquired and a begin mark is recorded so the slot's idle gap is
+// attributed to the "idle" statement. On a nil recorder the scope only
+// feeds span histograms, and is nil while telemetry is disabled.
 func (r *Recorder) Begin() *Scope {
-	if r == nil {
+	if r == nil && !enabled.Load() {
 		return nil
 	}
-	t := r.now()
-	sc := &Scope{r: r, proc: r.acquireProc(), stmt: -1, start: t, last: t}
-	r.record(RecMark, sc.proc, r.internStmt(idleStmt), 0, 0, t, t)
+	t := clock()
+	if r == nil {
+		return &Scope{proc: int(t), last: t} // the begin time spreads shards
+	}
+	sc := &Scope{r: r, proc: r.acquireProc(), last: t}
+	r.record(SpanRecord{Kind: RecMark, Proc: sc.proc, Start: t - r.epoch, End: t - r.epoch})
 	return sc
 }
 
@@ -334,7 +337,7 @@ func (r *Recorder) Begin() *Scope {
 // scope issued, so the scope's events never tie (ties would let the
 // canonical trace sort reorder a wait bracket around a phase record).
 func (sc *Scope) tick() int64 {
-	t := sc.r.now()
+	t := clock()
 	if t <= sc.last {
 		t = sc.last + 1
 	}
@@ -342,86 +345,58 @@ func (sc *Scope) tick() int64 {
 	return t
 }
 
-// Phase closes the open phase (if any) and opens a new one under the
-// given name. Safe on a nil Scope.
-func (sc *Scope) Phase(name string) {
-	if sc == nil || sc.r == nil {
+// Phase closes the open phase (if any) and opens one of sp at the same
+// instant. Safe on a nil Scope.
+func (sc *Scope) Phase(sp *Span) {
+	if sc == nil {
 		return
 	}
 	t := sc.tick()
-	if sc.stmt >= 0 {
-		sc.r.record(RecPhase, sc.proc, sc.stmt, 0, 0, sc.start, t)
-	}
-	sc.stmt = sc.r.internStmt(name)
-	sc.start = t
+	sc.closePhase(t)
+	sc.phase = Interval{span: sp, sc: sc, kind: RecPhase, start: t}
 }
 
-// WaitScope is an in-progress Wait; End records it.
-type WaitScope struct {
-	sc    *Scope
-	svar  int
-	pair  int
-	start int64
-}
-
-// Wait begins a blocking interval on the named resource class (for
-// example "queue" or "flight"). The open phase stays open across the
-// wait; the wait itself is recorded as its own bracket. Safe on a nil
-// Scope.
-func (sc *Scope) Wait(class string) WaitScope {
-	if sc == nil || sc.r == nil {
-		return WaitScope{}
-	}
-	return WaitScope{
-		sc:    sc,
-		svar:  sc.r.internVar(class),
-		pair:  int(sc.r.pairSeq.Add(1)),
-		start: sc.tick(),
+func (sc *Scope) closePhase(t int64) {
+	if sc.phase.span != nil {
+		sc.phase.endAt(t)
+		sc.phase = Interval{}
 	}
 }
 
-// End records the wait bracket. Safe on the zero WaitScope.
-func (w WaitScope) End() {
-	if w.sc == nil {
-		return
+// Wait opens a blocking interval of sp (for example a queue or a flight
+// wait). The open phase stays open across the wait; the recorder writes
+// the wait as its own bracket. Safe on a nil Scope.
+func (sc *Scope) Wait(sp *Span) Interval {
+	if sc == nil {
+		return Interval{}
 	}
-	w.sc.r.record(RecWait, w.sc.proc, 0, w.svar, w.pair, w.start, w.sc.tick())
+	iv := Interval{span: sp, sc: sc, kind: RecWait, start: sc.tick()}
+	if sc.r != nil {
+		iv.pair = int(sc.r.pairSeq.Add(1))
+	}
+	return iv
 }
 
 // End closes the scope's open phase and releases its processor slot.
 // Safe on a nil Scope; a Scope must not be used after End.
 func (sc *Scope) End() {
-	if sc == nil || sc.r == nil {
+	if sc == nil {
 		return
 	}
-	if sc.stmt >= 0 {
-		sc.r.record(RecPhase, sc.proc, sc.stmt, 0, 0, sc.start, sc.tick())
-		sc.stmt = -1
+	sc.closePhase(sc.tick())
+	if sc.r != nil {
+		sc.r.releaseProc(sc.proc)
+		sc.r = nil
 	}
-	sc.r.releaseProc(sc.proc)
-	sc.r = nil
 }
 
-// DrainScope is an in-progress Drain; End records it.
-type DrainScope struct {
-	r     *Recorder
-	start int64
-}
-
-// Drain begins the server-wide shutdown drain interval; the exporter
-// turns it into a barrier every active processor participates in. Safe
-// on a nil Recorder.
-func (r *Recorder) Drain() DrainScope {
+// Drain opens the server-wide shutdown drain, an interval of sp; on a
+// recorder the exporter turns it into a barrier every active processor
+// participates in. On a nil recorder it is sp.Start().
+func (r *Recorder) Drain(sp *Span) Interval {
 	if r == nil {
-		return DrainScope{}
+		return sp.Start()
 	}
-	return DrainScope{r: r, start: r.now()}
-}
-
-// End records the drain interval. Safe on the zero DrainScope.
-func (d DrainScope) End() {
-	if d.r == nil {
-		return
-	}
-	d.r.record(RecDrain, 0, 0, 0, 0, d.start, d.r.now())
+	t := clock()
+	return Interval{span: sp, sc: &Scope{r: r, last: t}, kind: RecDrain, start: t}
 }

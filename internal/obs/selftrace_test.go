@@ -5,15 +5,25 @@ import (
 	"testing"
 )
 
+// Spans the recorder tests record under.
+var (
+	spDecode  = NewSpan("test.rec.decode")
+	spAnalyze = NewSpan("test.rec.analyze")
+	spQueue   = NewSpan("test.rec.queue")
+	spDrain   = NewSpan("test.rec.drain")
+	spP       = NewSpan("test.rec.p")
+	spQ       = NewSpan("test.rec.q")
+)
+
 func TestRecorderPhasesWaitsAndDrain(t *testing.T) {
 	r := NewRecorder(64)
 	sc := r.Begin()
-	sc.Phase("decode")
-	w := sc.Wait("queue")
+	sc.Phase(spDecode)
+	w := sc.Wait(spQueue)
 	w.End()
-	sc.Phase("analyze")
+	sc.Phase(spAnalyze)
 	sc.End()
-	d := r.Drain()
+	d := r.Drain(spDrain)
 	d.End()
 
 	recs := r.Records()
@@ -35,10 +45,10 @@ func TestRecorderPhasesWaitsAndDrain(t *testing.T) {
 	}
 
 	stmts := r.StmtNames()
-	if len(stmts) != 3 || stmts[0] != "idle" || stmts[1] != "decode" || stmts[2] != "analyze" {
+	if len(stmts) != 3 || stmts[0] != "idle" || stmts[1] != "test.rec.decode" || stmts[2] != "test.rec.analyze" {
 		t.Fatalf("stmt table = %v", stmts)
 	}
-	if vars := r.VarNames(); len(vars) != 1 || vars[0] != "queue" {
+	if vars := r.VarNames(); len(vars) != 1 || vars[0] != "test.rec.queue" {
 		t.Fatalf("var table = %v", vars)
 	}
 
@@ -68,7 +78,7 @@ func TestRecorderProcReuse(t *testing.T) {
 	// Sequential scopes reuse the same slot.
 	for i := 0; i < 3; i++ {
 		sc := r.Begin()
-		sc.Phase("p")
+		sc.Phase(spP)
 		sc.End()
 	}
 	if got := r.Procs(); got != 1 {
@@ -100,7 +110,7 @@ func TestRecorderRingOverrun(t *testing.T) {
 	r := NewRecorder(4)
 	sc := r.Begin() // 1 record (begin mark)
 	for i := 0; i < 9; i++ {
-		sc.Phase("p") // closes previous phase from the second call on
+		sc.Phase(spP) // closes previous phase from the second call on
 	}
 	sc.End() // closes the last phase
 	// Records: 1 mark + 8 phase closes from Phase + 1 from End = 10.
@@ -128,15 +138,15 @@ func TestRecorderNilSafe(t *testing.T) {
 		t.Fatal("nil recorder returned non-nil tables")
 	}
 	sc := r.Begin()
-	sc.Phase("p")
-	w := sc.Wait("q")
+	sc.Phase(spP)
+	w := sc.Wait(spQ)
 	w.End()
 	sc.End()
-	d := r.Drain()
+	d := r.Drain(spDrain)
 	d.End()
 	// And the zero scope directly.
 	var zero Scope
-	zero.Phase("p")
+	zero.Phase(spP)
 	zero.End()
 }
 
@@ -144,8 +154,8 @@ func TestRecorderScopeTimesStrictlyIncrease(t *testing.T) {
 	r := NewRecorder(1024)
 	sc := r.Begin()
 	for i := 0; i < 100; i++ {
-		sc.Phase("p")
-		w := sc.Wait("q")
+		sc.Phase(spP)
+		w := sc.Wait(spQ)
 		w.End()
 	}
 	sc.End()
@@ -176,8 +186,8 @@ func TestRecorderConcurrentScopes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				sc := r.Begin()
-				sc.Phase("work")
-				w := sc.Wait("res")
+				sc.Phase(spP)
+				w := sc.Wait(spQ)
 				w.End()
 				sc.End()
 			}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // Stats is the serializable form of a telemetry snapshot: the return type
@@ -11,27 +10,10 @@ import (
 // "obs" expvar. All fields round-trip through encoding/json.
 type Stats struct {
 	Enabled  bool          `json:"enabled"`
-	Spans    []SpanStat    `json:"spans,omitempty"`
 	Counters []CounterStat `json:"counters,omitempty"`
 	Maxes    []CounterStat `json:"maxes,omitempty"`
 	Gauges   []CounterStat `json:"gauges,omitempty"`
 	Hists    []HistStat    `json:"histograms,omitempty"`
-}
-
-// SpanStat summarizes one named span: how often it ran and for how long in
-// total.
-type SpanStat struct {
-	Name    string `json:"name"`
-	Count   int64  `json:"count"`
-	TotalNS int64  `json:"total_ns"`
-}
-
-// Mean returns the mean span duration in nanoseconds.
-func (s SpanStat) Mean() int64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.TotalNS / s.Count
 }
 
 // CounterStat is one named counter or max-gauge value.
@@ -64,14 +46,15 @@ type HistBucket struct {
 	Count int64 `json:"count"`
 }
 
-// Span returns the span stat with the given name, if present.
-func (s Stats) Span(name string) (SpanStat, bool) {
-	for _, sp := range s.Spans {
-		if sp.Name == name {
-			return sp, true
+// Hist returns the histogram with the given name, if present. A span's
+// histogram is named after it plus "_ns".
+func (s Stats) Hist(name string) (HistStat, bool) {
+	for _, h := range s.Hists {
+		if h.Name == name {
+			return h, true
 		}
 	}
-	return SpanStat{}, false
+	return HistStat{}, false
 }
 
 // Counter returns the named counter's value (max gauges and level gauges
@@ -105,18 +88,6 @@ func (s Stats) WriteText(w io.Writer) error {
 	if err := p("obs: telemetry enabled=%v\n", s.Enabled); err != nil {
 		return err
 	}
-	if len(s.Spans) > 0 {
-		if err := p("obs: spans\n"); err != nil {
-			return err
-		}
-		for _, sp := range s.Spans {
-			if err := p("  %-32s %6dx  total %-12v mean %v\n",
-				sp.Name, sp.Count,
-				time.Duration(sp.TotalNS), time.Duration(sp.Mean())); err != nil {
-				return err
-			}
-		}
-	}
 	if len(s.Counters) > 0 {
 		if err := p("obs: counters\n"); err != nil {
 			return err
@@ -147,19 +118,26 @@ func (s Stats) WriteText(w io.Writer) error {
 			}
 		}
 	}
-	if len(s.Hists) > 0 {
-		if err := p("obs: histograms\n"); err != nil {
-			return err
+	// Histograms with no observations (spans that never ran) are left
+	// out; the JSON form keeps them.
+	header := false
+	for _, h := range s.Hists {
+		if h.Count == 0 {
+			continue
 		}
-		for _, h := range s.Hists {
-			if err := p("  %-32s count %-8d sum %-12d mean %.1f\n",
-				h.Name, h.Count, h.Sum, h.Mean()); err != nil {
+		if !header {
+			header = true
+			if err := p("obs: histograms\n"); err != nil {
 				return err
 			}
-			for _, b := range h.Buckets {
-				if err := p("    [%d..%d] %d\n", b.Lo, b.Hi, b.Count); err != nil {
-					return err
-				}
+		}
+		if err := p("  %-32s count %-8d sum %-12d mean %.1f\n",
+			h.Name, h.Count, h.Sum, h.Mean()); err != nil {
+			return err
+		}
+		for _, b := range h.Buckets {
+			if err := p("    [%d..%d] %d\n", b.Lo, b.Hi, b.Count); err != nil {
+				return err
 			}
 		}
 	}

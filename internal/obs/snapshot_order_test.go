@@ -26,12 +26,10 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	NewGauge("ztest.order.gauge.a").Add(1)
 	NewHistogram("ztest.order.hist.b").Observe(0, 5)
 	NewHistogram("ztest.order.hist.a").Observe(0, 3)
-	StartSpan("ztest.order.span.b").End()
-	StartSpan("ztest.order.span.a").End()
 
 	s := Snapshot()
 	sortedNames := func(names []string) bool { return sort.StringsAreSorted(names) }
-	var counters, maxes, gauges, hists, spans []string
+	var counters, maxes, gauges, hists []string
 	for _, c := range s.Counters {
 		counters = append(counters, c.Name)
 	}
@@ -44,12 +42,9 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	for _, h := range s.Hists {
 		hists = append(hists, h.Name)
 	}
-	for _, sp := range s.Spans {
-		spans = append(spans, sp.Name)
-	}
 	for group, names := range map[string][]string{
 		"counters": counters, "maxes": maxes, "gauges": gauges,
-		"histograms": hists, "spans": spans,
+		"histograms": hists,
 	} {
 		if len(names) == 0 {
 			t.Errorf("%s: empty group in test snapshot", group)

@@ -40,11 +40,13 @@ import (
 // ids to request phases, synchronization variables to resource classes,
 // processors to their roles.
 type Manifest struct {
-	// Stmts maps statement id to phase name. Ids past the recorder's
-	// phase table are the synthesized wait/advance/drain statements.
+	// Stmts maps statement id to phase span name ("server.decode", ...,
+	// and "idle" for the begin mark). Ids past the recorder's phase table
+	// are the synthesized wait/advance/drain statements.
 	Stmts []string `json:"stmts"`
-	// Vars maps synchronization-variable id to resource class ("queue",
-	// "flight", and "drain" for the shutdown barrier).
+	// Vars maps synchronization-variable id to resource class, the wait
+	// span's name ("server.queue", "server.flight"), and "drain" for the
+	// shutdown barrier.
 	Vars []string `json:"vars"`
 	// RequestProcs is how many processors carry request timelines:
 	// processors [0, RequestProcs) are request slots, and processors

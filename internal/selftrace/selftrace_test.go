@@ -10,22 +10,30 @@ import (
 	"perturb/internal/trace"
 )
 
+// Spans the scripted service records under.
+var (
+	spDecode  = obs.NewSpan("decode")
+	spAnalyze = obs.NewSpan("analyze")
+	spQueue   = obs.NewSpan("queue")
+	spDrain   = obs.NewSpan("drain")
+)
+
 // script records a small but complete service life: two overlapping
 // requests with phases and waits, then a drain.
 func script(t *testing.T) *obs.Recorder {
 	t.Helper()
 	r := obs.NewRecorder(256)
 	a := r.Begin()
-	a.Phase("decode")
+	a.Phase(spDecode)
 	b := r.Begin()
-	b.Phase("decode")
-	w := b.Wait("queue")
-	a.Phase("analyze")
+	b.Phase(spDecode)
+	w := b.Wait(spQueue)
+	a.Phase(spAnalyze)
 	w.End()
-	b.Phase("analyze")
+	b.Phase(spAnalyze)
 	a.End()
 	b.End()
-	d := r.Drain()
+	d := r.Drain(spDrain)
 	d.End()
 	return r
 }

@@ -134,7 +134,7 @@ func TestChaosSoak(t *testing.T) {
 			ctx := context.Background()
 			var (
 				kind string
-				url  = base + "/analyze"
+				url  = base + "/v1/analyze"
 				body []byte
 			)
 			switch i % 4 {
@@ -242,7 +242,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 		r.Body.Close()
 	}
-	resp, err := http.Post(base+"/analyze", "application/octet-stream", bytes.NewReader(validBody.Bytes()))
+	resp, err := http.Post(base+"/v1/analyze", "application/octet-stream", bytes.NewReader(validBody.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 			if i%3 == 0 {
 				time.AfterFunc(time.Duration(i)*time.Millisecond, cancel)
 			}
-			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/analyze", bytes.NewReader(body.Bytes()))
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/analyze", bytes.NewReader(body.Bytes()))
 			resp, err := http.DefaultClient.Do(req)
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)

@@ -39,6 +39,24 @@ import (
 // Panics anywhere in a request, or in a flight on its own goroutine, are
 // confined by guard.
 
+// Request spans: each phase and wait feeds its histogram on /metrics
+// (server.decode_ns, ...) and, with a Recorder, the self-trace. A phase
+// stays open across a wait in it: server.lookup includes server.flight,
+// and server.admission includes server.queue.
+var (
+	spAdmission = obs.NewSpan("server.admission")
+	spDecode    = obs.NewSpan("server.decode")
+	spLookup    = obs.NewSpan("server.lookup")
+	spAnalyze   = obs.NewSpan("server.analyze")
+	spEncode    = obs.NewSpan("server.encode")
+	spStream    = obs.NewSpan("server.stream")
+	spClose     = obs.NewSpan("server.close")
+	spWindow    = obs.NewSpan("server.window")
+	spQueue     = obs.NewSpan("server.queue")
+	spFlight    = obs.NewSpan("server.flight")
+	spDrain     = obs.NewSpan("server.drain")
+)
+
 // Pipeline sentinels, mapped onto statuses by fail. Every other failure
 // is an *httpError carrying its own status, a cancel sentinel from the
 // request's deadline or disconnect, or an analysis error (422).
@@ -90,16 +108,6 @@ func (s *Server) handleAnalyzeStream(w http.ResponseWriter, r *http.Request) {
 	s.serve(w, r, true)
 }
 
-// handleAnalyzeDeprecated serves the pre-versioning /analyze path as an
-// alias of /v1/analyze, advertising the successor so clients can migrate:
-// the response carries a Deprecation header (RFC 9745) and a Link to the
-// versioned path. Behavior is otherwise identical.
-func (s *Server) handleAnalyzeDeprecated(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "</v1/analyze>; rel=\"successor-version\"")
-	s.handleAnalyze(w, r)
-}
-
 // serve runs one request through the pipeline and writes its log line.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, stream bool) {
 	cRequests.Add(1)
@@ -137,7 +145,7 @@ func (s *Server) pipeline(q *request) error {
 	// The request's span timeline: one processor slot in the self-trace.
 	q.sc = s.cfg.Recorder.Begin()
 	defer q.sc.End()
-	q.sc.Phase("admission")
+	q.sc.Phase(spAdmission)
 
 	var err error
 	if q.stream {
@@ -186,9 +194,9 @@ func (s *Server) guard(path string, f func() error) (err error) {
 // admit takes an admission slot, shedding with errAtCapacity when the
 // running set and the queue are both full (a client retry later beats a
 // goroutine pileup here), then waits in the queue for a running slot
-// until ctx ends (errQueueTimeout). The queue wait exports as an
-// advance/await pair on the "queue" resource. An admitted caller must
-// release.
+// until ctx ends (errQueueTimeout). The queue wait is a server.queue
+// interval, which the self-trace exports as an advance/await pair. An
+// admitted caller must release.
 func (s *Server) admit(ctx context.Context, sc *obs.Scope) error {
 	select {
 	case s.slots <- struct{}{}:
@@ -196,8 +204,7 @@ func (s *Server) admit(ctx context.Context, sc *obs.Scope) error {
 		return errAtCapacity
 	}
 	s.inflight.Add(1)
-	qw := sc.Wait("queue")
-	defer qw.End()
+	defer sc.Wait(spQueue).End()
 	select {
 	case s.running <- struct{}{}:
 		return nil
@@ -275,7 +282,7 @@ func (s *Server) batch(ctx context.Context, q *request) error {
 	if s.cache == nil {
 		q.line.Cache = "off"
 	}
-	q.sc.Phase("decode")
+	q.sc.Phase(spDecode)
 	// A bytes.Buffer doubles as it fills where io.ReadAll grows by about
 	// a quarter: a 400 KB upload allocates 1 MB instead of 2 MB.
 	var body bytes.Buffer
@@ -298,7 +305,7 @@ func (s *Server) batch(ctx context.Context, q *request) error {
 	// Wire-byte fast path: a repeat upload of the exact same bytes skips
 	// the decode, and a resident result for this (trace, calibration,
 	// options) key is served straight from the LRU.
-	q.sc.Phase("lookup")
+	q.sc.Phase(spLookup)
 	var key, inputSHA string
 	if resolved, ok := s.cache.Alias(wire); ok {
 		key, inputSHA = cache.KeyFromTraceSHA(resolved, q.cal, q.opts), resolved
@@ -308,12 +315,12 @@ func (s *Server) batch(ctx context.Context, q *request) error {
 			return nil
 		}
 	}
-	q.sc.Phase("decode")
+	q.sc.Phase(spDecode)
 	tr, err := decodeTrace(ctx, raw)
 	if err != nil {
 		return readError(ctx, err)
 	}
-	q.sc.Phase("lookup")
+	q.sc.Phase(spLookup)
 	if key == "" && s.cache != nil {
 		if key, inputSHA, err = cache.Key(tr, q.cal, q.opts); err != nil {
 			return err
@@ -321,10 +328,10 @@ func (s *Server) batch(ctx context.Context, q *request) error {
 		s.cache.PutAlias(wire, inputSHA)
 	}
 
-	// The singleflight wait exports as an advance/await pair on the
-	// "flight" resource: the flight has its own processor timeline, while
+	// The singleflight wait is a server.flight interval, exported as an
+	// advance/await pair: the flight has its own processor timeline, while
 	// this request — leader and followers alike — waits for its advance.
-	fw := q.sc.Wait("flight")
+	fw := q.sc.Wait(spFlight)
 	cal, opts, path := q.cal, q.opts, q.r.URL.Path
 	v, cached, err := s.cache.Do(ctx, key, responseSize, func(fctx context.Context) (v any, err error) {
 		err = s.guard(path, func() error {
@@ -366,12 +373,12 @@ func responseSize(v any) int64 {
 func (s *Server) flight(ctx context.Context, tr *trace.Trace, cal instr.Calibration, opts core.Options, inputSHA string) (*Response, error) {
 	sc := s.cfg.Recorder.Begin()
 	defer sc.End()
-	sc.Phase("admission")
+	sc.Phase(spAdmission)
 	if err := s.admit(ctx, sc); err != nil {
 		return nil, err
 	}
 	defer s.release()
-	sc.Phase("analyze")
+	sc.Phase(spAnalyze)
 	analyzeFn := core.AnalyzeContext
 	if s.hookAnalyze != nil {
 		analyzeFn = s.hookAnalyze
@@ -380,7 +387,7 @@ func (s *Server) flight(ctx context.Context, tr *trace.Trace, cal instr.Calibrat
 	if err != nil {
 		return nil, fmt.Errorf("analysis failed: %w", err)
 	}
-	sc.Phase("encode")
+	sc.Phase(spEncode)
 	resp, err := BuildResponse(approx)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errInternal, err)
@@ -393,7 +400,7 @@ func (s *Server) flight(ctx context.Context, tr *trace.Trace, cal instr.Calibrat
 // per-request cached flag off the shared resident value; with the cache
 // off the flag is left out of the wire format altogether.
 func (s *Server) respondBatch(q *request, v any, cached bool) {
-	q.sc.Phase("encode")
+	q.sc.Phase(spEncode)
 	resp := *v.(*Response)
 	if s.cache != nil {
 		resp.Cached = &cached

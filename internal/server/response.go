@@ -14,11 +14,11 @@ import (
 	"perturb/internal/trace"
 )
 
-// Response is the JSON body of a successful POST /analyze. Every field is
-// deterministic for a given input trace and calibration — the worker count
-// never changes a byte of the analysis, so the same request always yields
-// the same response body, which is what lets clients (and the service
-// golden test) diff responses against a direct perturb.Analyze call.
+// Response is the JSON body of a successful POST /v1/analyze. Every field
+// is deterministic for a given input trace and calibration, so the same
+// request always yields the same response body, which is what lets
+// clients (and the service golden test) diff responses against a direct
+// perturb.Analyze call.
 // APIVersion is the service's wire-contract version, stamped on every
 // JSON response body (success and error alike) as api_version. Bump only
 // on an incompatible change, alongside a new path prefix.
@@ -135,7 +135,7 @@ func BuildResponse(a *core.Approximation) (*Response, error) {
 	return resp, nil
 }
 
-// DefaultCalibration is the calibration an /analyze request gets when it
+// DefaultCalibration is the calibration an analyze request gets when it
 // sends no calibration parameters: the paper's probe costs on the
 // Alliant-flavoured machine — the same default the perturb CLI uses.
 func DefaultCalibration() instr.Calibration {
@@ -143,12 +143,10 @@ func DefaultCalibration() instr.Calibration {
 	return instr.Exact(loops.PaperOverheads(), cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
 }
 
-// parseQuery maps an /analyze request's query parameters onto analysis
+// parseQuery maps an analyze request's query parameters onto analysis
 // options and a calibration:
 //
 //	mode=event|time        analysis family (default event)
-//	workers=N              accepted for compatibility and ignored: -1, 0
-//	                       or a positive count (the engine is sequential)
 //	repair=0|1             degraded-mode analysis of defective traces
 //	probe=N                uniform probe cost shorthand (all four kinds), ns
 //	event=N advance=N      per-kind probe costs, ns
@@ -156,9 +154,10 @@ func DefaultCalibration() instr.Calibration {
 //	snowait=N swait=N      synchronization processing costs, ns
 //	advanceop=N barrier=N
 //
-// Calibration parameters left unset keep their DefaultCalibration values.
-// The liberal mode needs loop-structure inputs a trace does not carry, so
-// it is rejected here rather than half-supported.
+// Calibration parameters left unset keep their DefaultCalibration values,
+// and unknown parameters are ignored. The liberal mode needs
+// loop-structure inputs a trace does not carry, so it is rejected here
+// rather than half-supported.
 func parseQuery(q url.Values) (core.Options, instr.Calibration, error) {
 	var opts core.Options
 	cal := DefaultCalibration()
@@ -174,14 +173,6 @@ func parseQuery(q url.Values) (core.Options, instr.Calibration, error) {
 		return opts, cal, fmt.Errorf("unknown mode %q (want event or time)", mode)
 	}
 
-	if v := q.Get("workers"); v != "" {
-		// Validated so existing callers see the same errors; the value
-		// selects nothing.
-		n, err := strconv.Atoi(v)
-		if err != nil || n < -1 {
-			return opts, cal, fmt.Errorf("bad workers %q (want -1, 0 or a positive count)", v)
-		}
-	}
 	if v := q.Get("repair"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {

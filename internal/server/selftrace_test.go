@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -112,25 +113,32 @@ func TestFleetHedgeSharesTraceID(t *testing.T) {
 	)
 	slow := make(chan struct{})
 	defer close(slow)
-	// Both endpoints hang or answer based on arrival order: the first
-	// request in hangs, the hedge answers — so the test does not depend
-	// on which endpoint the ring ranks first.
-	var first sync.Once
+	// Both endpoints decide by the attempt tag, so the test depends
+	// neither on which endpoint the ring ranks first nor on which attempt
+	// reaches its handler first: the primary hangs until it is cancelled,
+	// and the hedge answers once the primary has been seen.
+	var first, primary sync.Once
 	answered := make(chan struct{})
+	primarySeen := make(chan struct{})
 	handler := func(w http.ResponseWriter, r *http.Request) {
 		// Drain the body: the server only notices a client abort (the
 		// fleet cancelling the losing attempt) once the body is consumed.
 		io.Copy(io.Discard, r.Body)
+		attempt := r.Header.Get(attemptHeader)
 		mu.Lock()
-		got = append(got, seen{r.Header.Get(traceIDHeader), r.Header.Get(attemptHeader)})
-		hang := len(got) == 1
+		got = append(got, seen{r.Header.Get(traceIDHeader), attempt})
 		mu.Unlock()
-		if hang {
+		if attempt == "try0" {
+			primary.Do(func() { close(primarySeen) })
 			select {
 			case <-slow:
 			case <-r.Context().Done():
 			}
 			return
+		}
+		select {
+		case <-primarySeen:
+		case <-time.After(10 * time.Second):
 		}
 		first.Do(func() { close(answered) })
 		w.Write([]byte(`{"analysis":"event"}`))
@@ -162,7 +170,8 @@ func TestFleetHedgeSharesTraceID(t *testing.T) {
 		t.Errorf("hedge carried trace ids %q and %q, want one shared non-empty id",
 			got[0].traceID, got[1].traceID)
 	}
-	if got[0].attempt != "try0" || got[1].attempt != "try0-hedge" {
+	if tags := [2]string{got[0].attempt, got[1].attempt}; tags != [2]string{"try0", "try0-hedge"} &&
+		tags != [2]string{"try0-hedge", "try0"} {
 		t.Errorf("attempt tags = %q, %q; want try0 and try0-hedge", got[0].attempt, got[1].attempt)
 	}
 }
@@ -172,14 +181,14 @@ func TestRequestLogJSONLines(t *testing.T) {
 	_, base := startServer(t, Config{MaxConcurrency: 2, RequestLog: &logBuf})
 	body := traceBody(t, testTrace(t, 3))
 
-	resp, _ := post(t, base+"/analyze", body)
+	resp, _ := post(t, base+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	if resp.Header.Get(traceIDHeader) == "" {
 		t.Error("response lacks the trace id header")
 	}
-	resp2, _ := post(t, base+"/analyze", body)
+	resp2, _ := post(t, base+"/v1/analyze", body)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second status = %d", resp2.StatusCode)
 	}
@@ -200,7 +209,7 @@ func TestRequestLogJSONLines(t *testing.T) {
 		if e.Status != http.StatusOK {
 			t.Errorf("line %d: status = %d", i, e.Status)
 		}
-		if e.Path != "/analyze" {
+		if e.Path != "/v1/analyze" {
 			t.Errorf("line %d: path = %q", i, e.Path)
 		}
 		if e.LatencyNS <= 0 {
@@ -221,7 +230,7 @@ func TestRequestLogJSONLines(t *testing.T) {
 
 func TestMetricsEndpointExposition(t *testing.T) {
 	_, base := startServer(t, Config{MaxConcurrency: 2})
-	post(t, base+"/analyze", traceBody(t, testTrace(t, 3)))
+	post(t, base+"/v1/analyze", traceBody(t, testTrace(t, 3)))
 
 	resp, body := get(t, base+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -238,10 +247,48 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 }
 
+// TestMetricsPhaseHistograms: with telemetry on and no recorder, a batch
+// miss, a batch hit and a windowed stream leave a latency histogram for
+// every request phase and wait they pass through on /metrics.
+func TestMetricsPhaseHistograms(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
+	_, base := startServer(t, Config{MaxConcurrency: 2})
+	tr := testTrace(t, 3)
+	body := traceBody(t, tr)
+	for i, want := range []string{"miss", "hit"} {
+		if resp, b := post(t, base+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d (%s): status = %d, body %s", i, want, resp.StatusCode, b)
+		}
+	}
+	resp, lines := postStream(t, base+"/v1/analyze/stream?window="+itoa(int64(tr.End()/4+1)), body)
+	if resp.StatusCode != http.StatusOK || len(lines) < 2 {
+		t.Fatalf("stream: status = %d, %d lines, want windows and a final line", resp.StatusCode, len(lines))
+	}
+
+	_, metrics := get(t, base+"/metrics")
+	if err := promfmt.Check(bytes.NewReader(metrics)); err != nil {
+		t.Fatalf("exposition format violation: %v\n%s", err, metrics)
+	}
+	counts := map[string]int64{}
+	for _, line := range strings.Split(string(metrics), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if n, err := strconv.ParseInt(value, 10, 64); ok && err == nil && strings.HasSuffix(name, "_ns_count") {
+			counts[name] = n
+		}
+	}
+	for _, span := range []string{"admission", "decode", "lookup", "analyze", "encode", "stream", "close", "window", "queue", "flight"} {
+		name := "perturb_server_" + span + "_ns_count"
+		if counts[name] <= 0 {
+			t.Errorf("%s = %d, want > 0", name, counts[name])
+		}
+	}
+}
+
 func TestSelfTraceEndpointServesRequestSpans(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	_, base := startServer(t, Config{MaxConcurrency: 2, Recorder: rec})
-	post(t, base+"/analyze", traceBody(t, testTrace(t, 3)))
+	post(t, base+"/v1/analyze", traceBody(t, testTrace(t, 3)))
 
 	resp, body := get(t, base+"/debug/selftrace")
 	if resp.StatusCode != http.StatusOK {

@@ -2,10 +2,10 @@
 // perturbation pipeline. A request POSTs a trace in any codec to
 // /v1/analyze and gets the approximation back as JSON, or to
 // /v1/analyze/stream and gets windowed results back as NDJSON while the
-// upload is still in flight, closed by the batch-identical summary. The
-// unversioned /analyze path is a deprecated alias of /v1/analyze and
-// answers with a Deprecation header. See docs/http-api.md for the wire
-// contract.
+// upload is still in flight, closed by the batch-identical summary. See
+// docs/http-api.md for the wire contract. Every request phase and wait
+// is an obs span (pipeline.go), so /metrics carries their latency
+// histograms and an attached Recorder their self-trace.
 //
 // The service is built to degrade rather than fall over: a fixed number of
 // analyses run concurrently, a short queue absorbs bursts, and anything
@@ -87,7 +87,7 @@ type Config struct {
 	// byte.
 	CacheBytes int64
 	// MemoryBudgetBytes, when positive, is the largest upload the
-	// service will buffer in memory. Batch /analyze requests declaring a
+	// service will buffer in memory. Batch /v1/analyze requests declaring a
 	// larger Content-Length (but still within MaxBodyBytes) degrade
 	// gracefully: they stream through the LowMemory incremental engine
 	// and return a summary-only response flagged "degraded": true,
@@ -102,7 +102,7 @@ type Config struct {
 	// service mux. See internal/obs and internal/selftrace.
 	Recorder *obs.Recorder
 	// RequestLog, when non-nil, receives one structured JSON line per
-	// /analyze request: trace id, endpoint, status, cache outcome, and
+	// analyze request: trace id, endpoint, status, cache outcome, and
 	// latency. Writes are serialized by the server.
 	RequestLog io.Writer
 }
@@ -202,7 +202,6 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("/v1/analyze/stream", s.handleAnalyzeStream)
-	mux.HandleFunc("/analyze", s.handleAnalyzeDeprecated)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -242,11 +241,10 @@ func (s *Server) Serve(ln net.Listener) error {
 // reports whether that was necessary.
 func (s *Server) Shutdown(ctx context.Context) (forced bool, err error) {
 	s.draining.Store(true)
-	// The drain is recorded as a barrier in the self-trace: every request
-	// processor arrives when the drain starts and is released when the
-	// last in-flight request has unwound.
-	drain := s.cfg.Recorder.Drain()
-	defer drain.End()
+	// The drain is a server.drain interval, recorded as a barrier in the
+	// self-trace: every request processor arrives when the drain starts
+	// and is released when the last in-flight request has unwound.
+	defer s.cfg.Recorder.Drain(spDrain).End()
 	err = s.httpSrv.Shutdown(ctx)
 	if err == nil {
 		return false, nil
@@ -287,7 +285,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Request-tracing plumbing: every /analyze request carries a trace id —
+// Request-tracing plumbing: every analyze request carries a trace id —
 // the client's X-Perturb-Trace-Id when present (so retries, fleet
 // failovers and hedges correlate across endpoints), freshly generated
 // otherwise — which is echoed on the response and stamped on the

@@ -89,7 +89,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	tr := testTrace(t, 3)
 	_, base := startServer(t, Config{MaxConcurrency: 2})
 
-	resp, body := post(t, base+"/analyze", traceBody(t, tr))
+	resp, body := post(t, base+"/v1/analyze", traceBody(t, tr))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -148,7 +148,7 @@ func TestAnalyzeCodecParity(t *testing.T) {
 		if err := e.enc(tr, &buf); err != nil {
 			t.Fatal(err)
 		}
-		resp, body := post(t, base+"/analyze", buf.Bytes())
+		resp, body := post(t, base+"/v1/analyze", buf.Bytes())
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s upload: status = %d, body %s", e.name, resp.StatusCode, body)
 		}
@@ -191,7 +191,7 @@ func TestAnalyzeCacheDisabled(t *testing.T) {
 	tr := testTrace(t, 3)
 	s, base := startServer(t, Config{MaxConcurrency: 2, CacheBytes: -1})
 
-	resp, body := post(t, base+"/analyze", traceBody(t, tr))
+	resp, body := post(t, base+"/v1/analyze", traceBody(t, tr))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
@@ -216,22 +216,20 @@ func TestAnalyzeQueryErrors(t *testing.T) {
 	}{
 		{"?mode=bogus", http.StatusBadRequest},
 		{"?mode=liberal", http.StatusBadRequest},
-		{"?workers=x", http.StatusBadRequest},
-		{"?workers=-7", http.StatusBadRequest},
 		{"?repair=maybe", http.StatusBadRequest},
 		{"?probe=-1", http.StatusBadRequest},
 		{"?snowait=abc", http.StatusBadRequest},
 		{"?mode=time", http.StatusOK},
 		{"?workers=2&repair=1", http.StatusOK},
 	} {
-		resp, b := post(t, base+"/analyze"+tc.query, body)
+		resp, b := post(t, base+"/v1/analyze"+tc.query, body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status = %d, want %d (body %s)", tc.query, resp.StatusCode, tc.want, b)
 		}
 	}
 
 	// Non-POST methods are rejected.
-	resp, err := http.Get(base + "/analyze")
+	resp, err := http.Get(base + "/v1/analyze")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func TestAnalyzeQueryErrors(t *testing.T) {
 	}
 
 	// Garbage bodies are a client error, not a server fault.
-	resp2, b := post(t, base+"/analyze", []byte("not a trace in any codec"))
+	resp2, b := post(t, base+"/v1/analyze", []byte("not a trace in any codec"))
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status = %d (body %s), want 400", resp2.StatusCode, b)
 	}
@@ -252,7 +250,7 @@ func TestAnalyzeBodyTooLarge(t *testing.T) {
 	body := traceBody(t, tr)
 	_, base := startServer(t, Config{MaxConcurrency: 2, MaxBodyBytes: int64(len(body) / 2)})
 
-	resp, b := post(t, base+"/analyze", body)
+	resp, b := post(t, base+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d (body %s), want 413", resp.StatusCode, b)
 	}
@@ -279,7 +277,7 @@ func TestAdmissionControl(t *testing.T) {
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			resp, _ := post(t, base+"/analyze", body)
+			resp, _ := post(t, base+"/v1/analyze", body)
 			results <- resp.StatusCode
 		}()
 	}
@@ -293,7 +291,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	// The third request must be shed immediately with a Retry-After hint.
-	resp, b := post(t, base+"/analyze", body)
+	resp, b := post(t, base+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status = %d (body %s), want 429", resp.StatusCode, b)
 	}
@@ -317,14 +315,14 @@ func TestPanicIsolation(t *testing.T) {
 	tr := testTrace(t, 3)
 	body := traceBody(t, tr)
 
-	resp, b := post(t, base+"/analyze", body)
+	resp, b := post(t, base+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("panicking analysis: status = %d (body %s), want 500", resp.StatusCode, b)
 	}
 
 	// The daemon survives: the next request on a fresh handler succeeds.
 	s.hookAnalyze = nil
-	resp2, b2 := post(t, base+"/analyze", body)
+	resp2, b2 := post(t, base+"/v1/analyze", body)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("request after panic: status = %d (body %s), want 200", resp2.StatusCode, b2)
 	}
@@ -391,7 +389,7 @@ func TestGracefulDrainForcesStuckRequests(t *testing.T) {
 	tr := testTrace(t, 3)
 	reqDone := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(base+"/analyze", "application/octet-stream", bytes.NewReader(traceBody(t, tr)))
+		resp, err := http.Post(base+"/v1/analyze", "application/octet-stream", bytes.NewReader(traceBody(t, tr)))
 		if err != nil {
 			reqDone <- -1
 			return
@@ -444,8 +442,8 @@ func TestParseQueryCalibration(t *testing.T) {
 	if !opts.Repair || opts.Mode != core.ModeEventBased {
 		t.Errorf("opts = %+v", opts)
 	}
-	// workers is validated and otherwise ignored: the options, and so the
-	// cache key, are those of the same query without it.
+	// Unknown parameters such as the retired workers are ignored: the
+	// options, and so the cache key, are those of the query without it.
 	if plain, _, err := parseQuery(q("mode=event&repair=1")); err != nil || plain != opts {
 		t.Errorf("workers=3 changed the options: %+v, without it %+v (%v)", opts, plain, err)
 	}

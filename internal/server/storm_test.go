@@ -68,7 +68,7 @@ func runStorm(t *testing.T, base string, body []byte, total, dupes int) (time.Du
 			// Every request runs the repair pipeline — the most expensive
 			// analysis the service offers — so the storm measures what the
 			// cache saves, not fixed HTTP costs.
-			url := base + "/analyze?repair=1"
+			url := base + "/v1/analyze?repair=1"
 			if i >= dupes {
 				// Distinct calibration per straggler: same trace bytes, a
 				// different analysis, so the cache cannot help.
@@ -119,7 +119,7 @@ func TestCacheStorm(t *testing.T) {
 	// Warm the hot key so the duplicate tier measures residency, not a
 	// 114-way coalesce on one in-flight analysis (which TestSingleflight
 	// covers at the cache layer).
-	resp, warm := post(t, base+"/analyze?repair=1", body)
+	resp, warm := post(t, base+"/v1/analyze?repair=1", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm request: status=%d body=%s", resp.StatusCode, warm)
 	}
@@ -201,7 +201,7 @@ func TestCacheStormCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, b := post(t, base+"/analyze", body)
+			resp, b := post(t, base+"/v1/analyze", body)
 			statuses[i] = resp.StatusCode
 			if resp.StatusCode != http.StatusOK {
 				return
@@ -246,14 +246,14 @@ func BenchmarkCacheHit(b *testing.B) {
 	defer client.CloseIdleConnections()
 
 	// Warm the key so every measured request is a hit.
-	resp, rb := post(b, base+"/analyze", body)
+	resp, rb := post(b, base+"/v1/analyze", body)
 	if resp.StatusCode != http.StatusOK {
 		b.Fatalf("warm request: status=%d body=%s", resp.StatusCode, rb)
 	}
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(base+"/analyze", "application/octet-stream", bytes.NewReader(body))
+		resp, err := client.Post(base+"/v1/analyze", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func BenchmarkCacheMissAnalyze(b *testing.B) {
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		url := fmt.Sprintf("%s/analyze?probe=%d", base, 100+i)
+		url := fmt.Sprintf("%s/v1/analyze?probe=%d", base, 100+i)
 		resp, err := client.Post(url, "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			b.Fatal(err)

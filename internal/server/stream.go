@@ -76,7 +76,7 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 		}()
 	}
 
-	q.sc.Phase("decode")
+	q.sc.Phase(spDecode)
 	var hasher hash.Hash
 	body := io.Reader(q.r.Body)
 	if q.r.Header.Get(contentSHAHeader) != "" {
@@ -119,7 +119,7 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 		_ = http.NewResponseController(q.w).EnableFullDuplex()
 	}
 
-	q.sc.Phase("stream")
+	q.sc.Phase(spStream)
 	batch := make([]trace.Event, streamBatchLen)
 	for {
 		n, rerr := rd.Read(batch)
@@ -149,13 +149,13 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 		}
 	}
 
-	q.sc.Phase("close")
+	q.sc.Phase(spClose)
 	approx, err := sess.Close(ctx)
 	if err != nil {
 		return fmt.Errorf("analysis failed: %w", err)
 	}
 	q.emitWindows(sess)
-	q.sc.Phase("encode")
+	q.sc.Phase(spEncode)
 	if !q.stream {
 		writeJSON(q.w, http.StatusOK, buildDegradedResponse(sess, approx))
 		return nil
@@ -176,7 +176,7 @@ func (q *request) emitWindows(sess *core.Stream) {
 		return
 	}
 	for _, win := range sess.Windows() {
-		q.sc.Phase("window")
+		q.sc.Phase(spWindow)
 		cWindows.Add(1)
 		q.windows++
 		q.emit(streamLine{Window: &win})
@@ -222,8 +222,7 @@ func buildDegradedResponse(sess *core.Stream, a *core.Approximation) *Response {
 //	           means a single cumulative window emitted at the end
 //	slide=N    window start spacing, ns; 0 means tumbling (slide=window)
 //
-// Like parseQuery, it validates and ignores the workers parameter. A
-// window/slide ratio above core.MaxWindowsPerEvent is refused when the
+// A window/slide ratio above core.MaxWindowsPerEvent is refused when the
 // stream session opens.
 func parseStreamQuery(q url.Values) (core.Options, instr.Calibration, trace.Time, trace.Time, error) {
 	opts, cal, err := parseQuery(q)

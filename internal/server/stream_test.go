@@ -331,43 +331,16 @@ func TestStreamWindowsBeforeUploadEnds(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAnalyzeAlias checks /analyze still answers, with the
-// deprecation advertisement, and matches /v1/analyze byte for byte.
-func TestDeprecatedAnalyzeAlias(t *testing.T) {
-	tr := testTrace(t, 2)
-	// Cache off so the two requests' bodies are bit-identical (no
-	// cached/input_sha256 variance between a miss and a hit).
-	_, base := startServer(t, Config{CacheBytes: -1})
-	body := traceBody(t, tr)
-
-	old, oldBody := post(t, base+"/analyze", body)
-	if old.StatusCode != http.StatusOK {
-		t.Fatalf("/analyze: status = %d, body %s", old.StatusCode, oldBody)
+// TestUnversionedAnalyzeNotFound: the pre-versioning /analyze alias is
+// gone, so the path is a 404 while /v1/analyze answers.
+func TestUnversionedAnalyzeNotFound(t *testing.T) {
+	_, base := startServer(t, Config{})
+	body := traceBody(t, testTrace(t, 2))
+	if resp, b := post(t, base+"/analyze", body); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/analyze: status = %d, want 404 (body %s)", resp.StatusCode, b)
 	}
-	if dep := old.Header.Get("Deprecation"); dep != "true" {
-		t.Errorf("Deprecation header = %q, want \"true\"", dep)
-	}
-	if link := old.Header.Get("Link"); !strings.Contains(link, "/v1/analyze") ||
-		!strings.Contains(link, "successor-version") {
-		t.Errorf("Link header = %q, want a successor-version link to /v1/analyze", link)
-	}
-
-	now, newBody := post(t, base+"/v1/analyze", body)
-	if now.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/analyze: status = %d, body %s", now.StatusCode, newBody)
-	}
-	if dep := now.Header.Get("Deprecation"); dep != "" {
-		t.Errorf("/v1/analyze sent a Deprecation header %q", dep)
-	}
-	if !bytes.Equal(oldBody, newBody) {
-		t.Error("alias and versioned responses differ")
-	}
-	var r Response
-	if err := json.Unmarshal(newBody, &r); err != nil {
-		t.Fatal(err)
-	}
-	if r.APIVersion != APIVersion {
-		t.Errorf("api_version = %q, want %q", r.APIVersion, APIVersion)
+	if resp, b := post(t, base+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/analyze: status = %d, want 200 (body %s)", resp.StatusCode, b)
 	}
 }
 

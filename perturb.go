@@ -210,7 +210,7 @@ func NewFilteredTraceReader(r io.Reader, f TraceBlockFilter) (TraceReader, error
 
 // ReadTrace drains a streaming reader into a fully materialized trace.
 func ReadTrace(r TraceReader) (*Trace, error) {
-	defer obs.StartSpan("perturb.read_trace").End()
+	defer spReadTrace.Start().End()
 	return trace.ReadAll(r)
 }
 
@@ -219,7 +219,7 @@ func ReadTrace(r TraceReader) (*Trace, error) {
 // ErrDeadlineExceeded, so decoding an unbounded stream stops promptly
 // when its request is canceled.
 func ReadTraceContext(ctx context.Context, r TraceReader) (*Trace, error) {
-	defer obs.StartSpan("perturb.read_trace").End()
+	defer spReadTrace.Start().End()
 	return trace.ReadAllContext(ctx, r)
 }
 
@@ -287,7 +287,7 @@ func Alliant() MachineConfig { return machine.Alliant() }
 
 // Simulate executes the loop under the instrumentation plan.
 func Simulate(l *Loop, p Plan, cfg MachineConfig) (*RunResult, error) {
-	defer obs.StartSpan("perturb.simulate").End()
+	defer spSimulate.Start().End()
 	return machine.Run(l, p, cfg)
 }
 
@@ -295,20 +295,20 @@ func Simulate(l *Loop, p Plan, cfg MachineConfig) (*RunResult, error) {
 // polls ctx every few thousand steps and abandons the simulation with
 // ErrCanceled or ErrDeadlineExceeded, returning no partial result.
 func SimulateContext(ctx context.Context, l *Loop, p Plan, cfg MachineConfig) (*RunResult, error) {
-	defer obs.StartSpan("perturb.simulate").End()
+	defer spSimulate.Start().End()
 	return machine.RunContext(ctx, l, p, cfg)
 }
 
 // SimulateProgram executes a multi-phase program under the plan.
 func SimulateProgram(prog *Program, p Plan, cfg MachineConfig) (*RunResult, error) {
-	defer obs.StartSpan("perturb.simulate_program").End()
+	defer spSimulateProgram.Start().End()
 	return machine.RunProgram(prog, p, cfg)
 }
 
 // SimulateProgramContext is SimulateProgram under a context; each phase
 // runs with SimulateContext's cooperative cancellation.
 func SimulateProgramContext(ctx context.Context, prog *Program, p Plan, cfg MachineConfig) (*RunResult, error) {
-	defer obs.StartSpan("perturb.simulate_program").End()
+	defer spSimulateProgram.Start().End()
 	return machine.RunProgramContext(ctx, prog, p, cfg)
 }
 
@@ -390,7 +390,7 @@ const (
 //     tolerates the repairs, attaching the repair report and per-processor
 //     confidence scores to the result.
 func Analyze(m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, error) {
-	defer obs.StartSpan("perturb.analyze").End()
+	defer spAnalyze.Start().End()
 	return core.Analyze(m, cal, opts)
 }
 
@@ -401,7 +401,7 @@ func Analyze(m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, er
 // errors.Is) without returning a partial Approximation. A background
 // context reproduces Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, error) {
-	defer obs.StartSpan("perturb.analyze").End()
+	defer spAnalyze.Start().End()
 	return core.AnalyzeContext(ctx, m, cal, opts)
 }
 
@@ -443,7 +443,7 @@ func NewCachedAnalyzer(maxBytes int64) *CachedAnalyzer {
 // caller whose ctx expires leaves with ErrCanceled/ErrDeadlineExceeded
 // while the computation continues for any remaining waiters.
 func (a *CachedAnalyzer) Analyze(ctx context.Context, m *Trace, cal Calibration, opts AnalyzeOptions) (approx *Approximation, cached bool, err error) {
-	defer obs.StartSpan("perturb.analyze.cached").End()
+	defer spAnalyzeCached.Start().End()
 	key, _, err := cache.Key(m, cal, opts)
 	if err != nil {
 		return nil, false, err
@@ -474,33 +474,11 @@ func approxSize(v any) int64 {
 	return size
 }
 
-// AnalyzeTimeBased applies time-based perturbation analysis (paper §3).
-//
-// Deprecated: use Analyze with AnalyzeOptions{Mode: TimeBased}.
-func AnalyzeTimeBased(m *Trace, cal Calibration) (*Approximation, error) {
-	return Analyze(m, cal, AnalyzeOptions{Mode: TimeBased})
-}
-
-// AnalyzeEventBased applies event-based perturbation analysis (paper §4).
-//
-// Deprecated: use Analyze with the zero AnalyzeOptions.
-func AnalyzeEventBased(m *Trace, cal Calibration) (*Approximation, error) {
-	return Analyze(m, cal, AnalyzeOptions{})
-}
-
 // AnalyzeTimeBasedTotal estimates only the total execution time with the
 // crudest time-based model (per-processor overhead subtraction); a cheap
 // baseline, not an approximated trace.
 func AnalyzeTimeBasedTotal(m *Trace, cal Calibration) (Time, error) {
 	return core.TimeBasedTotal(m, cal)
-}
-
-// AnalyzeLiberal applies the reschedule-aware liberal analysis (paper
-// §4.2.3, work reassignment).
-//
-// Deprecated: use Analyze with AnalyzeOptions{Mode: Liberal, Liberal: opts}.
-func AnalyzeLiberal(m *Trace, cal Calibration, opts LiberalOptions) (*Approximation, error) {
-	return Analyze(m, cal, AnalyzeOptions{Mode: Liberal, Liberal: opts})
 }
 
 // Imperfect traces: validation, repair, and fault injection.
@@ -674,7 +652,7 @@ type (
 // pairs, lock serialization, barrier participation). Analyzing the slice
 // yields the same approximated times for its events as analyzing t whole.
 func Slice(t *Trace, q SliceQuery) (*Trace, *SliceReport, error) {
-	defer obs.StartSpan("perturb.slice").End()
+	defer spSlice.Start().End()
 	return slice.Slice(t, q)
 }
 
@@ -683,7 +661,7 @@ func Slice(t *Trace, q SliceQuery) (*Trace, *SliceReport, error) {
 // without decoding them; see package internal/slice for the exactness
 // conditions.
 func SliceTrace(r io.Reader, q SliceQuery) (*Trace, *SliceReport, error) {
-	defer obs.StartSpan("perturb.slice").End()
+	defer spSlice.Start().End()
 	return slice.Read(r, q)
 }
 
@@ -705,14 +683,24 @@ func RunPaperExperiments(w io.Writer) error {
 // Telemetry is off by default; when disabled every probe is a single
 // atomic flag load.
 type (
-	// ObsStats is a telemetry snapshot: pipeline-phase span timings plus
-	// scheduler, simulator and codec counters. It round-trips through
-	// encoding/json and renders itself with WriteText.
+	// ObsStats is a telemetry snapshot: span latency histograms (named
+	// after the span plus "_ns") and engine, simulator and codec
+	// counters. It round-trips through encoding/json and renders itself
+	// with WriteText.
 	ObsStats = obs.Stats
-	// ObsSpanStat is one phase's span summary within an ObsStats.
-	ObsSpanStat = obs.SpanStat
 	// DebugServer is a running expvar + pprof HTTP endpoint.
 	DebugServer = obs.DebugServer
+)
+
+// The facade's spans: each entry point's wall time.
+var (
+	spReadTrace       = obs.NewSpan("perturb.read_trace")
+	spSimulate        = obs.NewSpan("perturb.simulate")
+	spSimulateProgram = obs.NewSpan("perturb.simulate_program")
+	spAnalyze         = obs.NewSpan("perturb.analyze")
+	spAnalyzeCached   = obs.NewSpan("perturb.analyze.cached")
+	spSlice           = obs.NewSpan("perturb.slice")
+	spStreamClose     = obs.NewSpan("perturb.stream.close")
 )
 
 // EnableObservability turns the self-instrumentation layer on or off

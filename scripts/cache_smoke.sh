@@ -33,14 +33,14 @@ until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
 done
 
 # The first upload runs the analysis.
-curl -fsS --data-binary "@$TRACE" "$BASE/analyze" > /tmp/cache_smoke_first.json
+curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze" > /tmp/cache_smoke_first.json
 grep -q '"cached": false' /tmp/cache_smoke_first.json
 
 # Every duplicate is a cache hit, byte-identical modulo the cached flag.
 sed 's/"cached": false/"cached": true/' /tmp/cache_smoke_first.json > /tmp/cache_smoke_want.json
 i=1
 while [ "$i" -lt "$TOTAL" ]; do
-  curl -fsS --data-binary "@$TRACE" "$BASE/analyze" > /tmp/cache_smoke_got.json
+  curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze" > /tmp/cache_smoke_got.json
   diff -u /tmp/cache_smoke_want.json /tmp/cache_smoke_got.json
   i=$((i + 1))
 done

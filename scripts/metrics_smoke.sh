@@ -5,7 +5,8 @@
 #   1. start the daemon self-tracing (-selftrace) with a JSON request log,
 #   2. drive a couple of analysis requests (a cache miss and a hit),
 #   3. require /metrics to pass the Prometheus text exposition checker
-#      (internal/tools/promcheck) and to carry the build_info metric,
+#      (internal/tools/promcheck), to carry the build_info metric, and to
+#      hold a latency histogram for the requests' decode phase,
 #   4. require the live /debug/selftrace download to audit clean,
 #   5. SIGTERM the daemon and require the shutdown-written self-trace
 #      file to load and audit clean through `tracecat -audit`,
@@ -40,8 +41,8 @@ curl -fsS "$BASE/healthz" | grep -q '^ok version='
 
 # One miss, one hit: the second upload of the same trace is served from
 # the result cache, so the self-trace records both request shapes.
-curl -fsS --data-binary "@$TRACE" "$BASE/analyze" > /dev/null
-curl -fsS --data-binary "@$TRACE" "$BASE/analyze" > /dev/null
+curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze" > /dev/null
+curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze" > /dev/null
 
 # The exposition must parse, respect histogram invariants, and name the
 # build.
@@ -49,6 +50,13 @@ curl -fsS "$BASE/metrics" > /tmp/perturbd_metrics.txt
 "$PROMCHECK" /tmp/perturbd_metrics.txt
 grep -q '^perturb_build_info{' /tmp/perturbd_metrics.txt
 grep -q '^perturb_server_requests_total ' /tmp/perturbd_metrics.txt
+# Request phases are span histograms: both requests decoded.
+grep -q '^perturb_server_decode_ns_bucket{le=' /tmp/perturbd_metrics.txt
+DECODES=$(awk '$1 == "perturb_server_decode_ns_count" { print $2 }' /tmp/perturbd_metrics.txt)
+if [ "${DECODES:-0}" -le 0 ]; then
+  echo "perturb_server_decode_ns_count is ${DECODES:-missing}, want > 0" >&2
+  exit 1
+fi
 
 # The live self-trace download must be a loadable, audit-clean trace.
 curl -fsS "$BASE/debug/selftrace" > /tmp/perturbd_live.col

@@ -32,11 +32,11 @@ until curl -fsS "$BASE/healthz" >/dev/null 2>&1; do
 done
 curl -fsS "$BASE/readyz" | grep -q ready
 
-curl -fsS --data-binary "@$TRACE" "$BASE/analyze?$QUERY" > /tmp/service_analyze.json
+curl -fsS --data-binary "@$TRACE" "$BASE/v1/analyze?$QUERY" > /tmp/service_analyze.json
 diff -u "$GOLDEN" /tmp/service_analyze.json
 
 # Drain: a SIGTERM racing an in-flight request must still exit cleanly.
-curl -s --data-binary "@$TRACE" "$BASE/analyze" >/dev/null 2>&1 &
+curl -s --data-binary "@$TRACE" "$BASE/v1/analyze" >/dev/null 2>&1 &
 CURL=$!
 kill -TERM "$PID"
 trap - EXIT

@@ -11,8 +11,7 @@
 #      reads its stdin in large blocks, so this does not show windows
 #      leaving while the upload is in flight; the Go test
 #      TestStreamWindowsBeforeUploadEnds in internal/server does),
-#   4. the deprecated /analyze alias must answer byte-identically to
-#      /v1/analyze with a Deprecation header naming the successor.
+#   4. the retired unversioned /analyze path must answer 404.
 set -eu
 
 BIN=${1:?usage: stream_smoke.sh <perturbd binary>}
@@ -58,13 +57,12 @@ fi
 tail -n 1 /tmp/stream.ndjson | jq -S .result > /tmp/stream_final.json
 diff -u /tmp/stream_batch.json /tmp/stream_final.json
 
-# Deprecated alias: same bytes, plus the deprecation headers.
-curl -fsS -D /tmp/stream_alias_headers --data-binary "@$TRACE" "$BASE/analyze?$QUERY" |
-  jq -S . > /tmp/stream_alias.json
-diff -u /tmp/stream_batch.json /tmp/stream_alias.json
-grep -qi '^deprecation: true' /tmp/stream_alias_headers
-grep -qi 'successor-version' /tmp/stream_alias_headers
-grep -qi '/v1/analyze' /tmp/stream_alias_headers
+# The unversioned alias is gone: /analyze is not found.
+STATUS=$(curl -s -o /dev/null -w '%{http_code}' --data-binary "@$TRACE" "$BASE/analyze?$QUERY")
+if [ "$STATUS" != 404 ]; then
+  echo "POST /analyze answered $STATUS, want 404" >&2
+  exit 1
+fi
 
 kill -TERM "$PID"
 trap - EXIT

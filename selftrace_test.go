@@ -107,7 +107,7 @@ func TestSelfTraceAnalyzesOwnService(t *testing.T) {
 	// Per-phase spans are present: every request phase appears as compute
 	// records under its manifest statement id.
 	_, m := selftrace.Export(rec)
-	for _, phase := range []string{"admission", "decode", "analyze", "encode"} {
+	for _, phase := range []string{"server.admission", "server.decode", "server.analyze", "server.encode"} {
 		id, ok := m.StmtID(phase)
 		if !ok {
 			t.Errorf("phase %q missing from the manifest (stmts %v)", phase, m.Stmts)

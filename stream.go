@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"perturb/internal/core"
-	"perturb/internal/obs"
 )
 
 // Streaming analysis: the incremental counterpart of Analyze. A session
@@ -128,7 +127,7 @@ func (a *StreamAnalyzer) Results() iter.Seq[WindowResult] {
 // (including all windows of an unsorted or repair-mode feed) become
 // available via Results afterwards. Close is idempotent.
 func (a *StreamAnalyzer) Close(ctx context.Context) (*Approximation, error) {
-	defer obs.StartSpan("perturb.stream.close").End()
+	defer spStreamClose.Start().End()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.s.Close(ctx)
