@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-ledger bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -23,19 +23,27 @@ bench:
 bench-sim:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulator' -benchmem ./internal/machine/
 
-# Event-based engine benchmarks: default Analyze and the low-memory
-# stream on the million-event backward wave, plus the small-trace
-# throughput of both batch modes — the numbers EXPERIMENTS.md's engine
-# section quotes.
+# Event-based engine benchmarks: default Analyze (under the uniform and
+# the paper's calibration) and the low-memory stream on the million-event
+# backward wave, plus the small-trace throughput of both batch modes —
+# the numbers EXPERIMENTS.md's engine section quotes.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput' -benchmem -count 5 ./internal/core/
 
 # Derived statistics on the approximated million-event wave: Table 3's
-# waiting, Figure 5's parallelism and the critical path — the numbers
-# EXPERIMENTS.md's "Derived statistics" section quotes.
+# waiting, Figure 5's parallelism and the critical path (the latter under
+# both calibrations) — the numbers EXPERIMENTS.md's "Derived statistics"
+# section quotes.
 bench-derived:
 	$(GO) test -run '^$$' -bench 'BenchmarkWaitingMillion|BenchmarkParallelismMillion|BenchmarkCriticalPathMillion' -benchmem -count 5 .
+
+# The benchmark ledger: every BENCHMARK.json workload untraced at seeds
+# 1-3 for BENCHMARK.json's run_seconds, summarized per workload and
+# end-to-end metric into BENCH_$(PR).json (scripts/bench_ledger.sh).
+bench-ledger:
+	@test -n "$(PR)" || { echo "usage: make bench-ledger PR=<number>" >&2; exit 2; }
+	bash scripts/bench_ledger.sh $(PR)
 
 # The parallel sweep runner must not change a single output byte.
 workers-check:

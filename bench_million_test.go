@@ -48,26 +48,43 @@ func bigWorkload() (*perturb.Trace, perturb.Calibration) {
 		if err := bigTrace.Validate(); err != nil {
 			panic(err)
 		}
-		bigCal = perturb.Calibration{
-			Overheads: perturb.UniformOverheads(2),
-			SNoWait:   5,
-			SWait:     8,
-			AdvanceOp: 3,
-			Barrier:   4,
-		}
+		bigCal = benchCals[0].cal
 	})
 	return bigTrace, bigCal
 }
 
+// benchCal is a named calibration of the million-event benchmarks.
+type benchCal struct {
+	name string
+	cal  perturb.Calibration
+}
+
+// benchCals are the calibrations the engine and critical-path
+// benchmarks run under. uniform2 charges every probe 2 ns; under it each
+// processor's approximated run of the wave is already in (time,
+// statement) order. paper is the paper's probe costs on the Alliant, the
+// calibration perturb and perfbench's batch-wave use: under it each
+// iteration's awaitB ties the advance before it at a lower statement id,
+// 250,000 times on the wave, so putting the approximation in canonical
+// order has runs to untangle.
+var benchCals = []benchCal{
+	{"uniform2", perturb.Calibration{Overheads: perturb.UniformOverheads(2), SNoWait: 5, SWait: 8, AdvanceOp: 3, Barrier: 4}},
+	{"paper", perturb.ExactCalibration(perturb.PaperOverheads(), perturb.Alliant())},
+}
+
 func BenchmarkEventBasedMillionSequential(b *testing.B) {
-	tr, cal := bigBench(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{}); err != nil {
-			b.Fatal(err)
-		}
+	tr, _ := bigBench(b)
+	for _, c := range benchCals {
+		b.Run("cal="+c.name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := perturb.Analyze(tr, c.cal, perturb.AnalyzeOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(tr.Len())/1e6, "Mevents")
+		})
 	}
-	b.ReportMetric(float64(tr.Len())/1e6, "Mevents")
 }
 
 // BenchmarkObsOverhead times the default event-based analysis with the
@@ -180,26 +197,27 @@ func BenchmarkStreamMillion(b *testing.B) {
 // waiting, Figure 5's parallelism and the critical path, each one pass
 // over the approximation as a batch-wave op computes them.
 
-var (
-	bigApproxOnce sync.Once
-	bigApprox     *perturb.Approximation
-)
+// bigApprox holds the wave approximated under each calibration, by name.
+// Benchmarks run one at a time, so it needs no lock.
+var bigApprox = map[string]*perturb.Approximation{}
 
-func bigApproximation(b *testing.B) (*perturb.Trace, perturb.Calibration) {
+// bigApproximation returns the wave approximated under c, computed once
+// per calibration.
+func bigApproximation(b *testing.B, c benchCal) (*perturb.Trace, perturb.Calibration) {
 	b.Helper()
-	tr, cal := bigBench(b)
-	bigApproxOnce.Do(func() {
-		a, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{})
+	tr, _ := bigBench(b)
+	if bigApprox[c.name] == nil {
+		a, err := perturb.Analyze(tr, c.cal, perturb.AnalyzeOptions{})
 		if err != nil {
-			panic(err)
+			b.Fatal(err)
 		}
-		bigApprox = a
-	})
-	return bigApprox.Trace, cal
+		bigApprox[c.name] = a
+	}
+	return bigApprox[c.name].Trace, c.cal
 }
 
 func BenchmarkWaitingMillion(b *testing.B) {
-	tr, cal := bigApproximation(b)
+	tr, cal := bigApproximation(b, benchCals[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -210,7 +228,7 @@ func BenchmarkWaitingMillion(b *testing.B) {
 }
 
 func BenchmarkParallelismMillion(b *testing.B) {
-	tr, cal := bigApproximation(b)
+	tr, cal := bigApproximation(b, benchCals[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -221,13 +239,17 @@ func BenchmarkParallelismMillion(b *testing.B) {
 }
 
 func BenchmarkCriticalPathMillion(b *testing.B) {
-	tr, _ := bigApproximation(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perturb.AnalyzeCriticalPath(tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range benchCals {
+		b.Run("cal="+c.name, func(b *testing.B) {
+			tr, _ := bigApproximation(b, c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := perturb.AnalyzeCriticalPath(tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -272,5 +294,30 @@ func TestDerivedStatisticsAllocation(t *testing.T) {
 	if limit := steps + 40*uint64(tr.Len()); got > limit {
 		t.Errorf("AnalyzeCriticalPath allocated %d B on %d events, want at most its %d B of Steps plus 40 B per event (%d B)",
 			got, tr.Len(), steps, limit)
+	}
+}
+
+// TestAnalyzeAllocationPerEvent gates what the default analysis allocates
+// per event on a 100k-event backward wave under the paper's calibration,
+// where every DOACROSS iteration's awaitB ties the advance before it and
+// the canonical order has to splice it in: the engine's retained times,
+// its records and pairing tables, and the merged approximation. The test
+// is not parallel, so TotalAlloc counts only the call it brackets. The
+// calibration is benchCals' paper entry, the one the cal=paper benchmarks
+// run under.
+func TestAnalyzeAllocationPerEvent(t *testing.T) {
+	tr := testgen.BackwardWave(8, 25000)
+	cal := benchCals[1].cal
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+	t.Logf("Analyze: %.1f B/event on %d events", perEvent, tr.Len())
+	if perEvent > 84 {
+		t.Errorf("Analyze allocated %.1f B per event on %d events, want at most 84", perEvent, tr.Len())
 	}
 }

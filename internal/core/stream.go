@@ -684,7 +684,7 @@ func (g *engine) step(p int) bool {
 		g.park(p, wait, abs, pe.ev.Time)
 		return false
 	}
-	g.commit(p, pe, note)
+	g.commit(p, pe, &note)
 	return true
 }
 
@@ -813,7 +813,7 @@ func (g *engine) resolveDefault(e trace.Event, taBase, tmBase trace.Time, note *
 // commit finalizes a resolution: records the approximated time, resolves
 // the event's dependency record (waking the heads parked on it), advances
 // the processor frontier and accumulates the event into its windows.
-func (g *engine) commit(p int, pe *pend, note resolveNote) {
+func (g *engine) commit(p int, pe *pend, note *resolveNote) {
 	e := pe.ev
 	ta := note.ta
 
@@ -841,7 +841,7 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 	}
 
 	if g.windowed {
-		g.foldWindow(&note)
+		g.foldWindow(note)
 	}
 
 	ps := &g.ps[p]
@@ -1197,7 +1197,7 @@ func (g *engine) close(ctx context.Context) (*Approximation, error) {
 		note := resolveNote{ev: pe.ev, impaired: true}
 		g.resolveDefault(pe.ev, taBase, tmBase, &note)
 		g.confFor(p).Forced++
-		g.commit(p, pe, note)
+		g.commit(p, pe, &note)
 		if err := g.run(ctx); err != nil {
 			return nil, err
 		}
@@ -1266,7 +1266,9 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 
 // finish assembles the Approximation. With retention the events are
 // re-timed and put in canonical order, with Times aligned with arrival
-// order; without, it carries the summary only.
+// order; without, it carries the summary only. The order comes from
+// mergeRuns: one arrival-order pass over the log and a merge of the
+// per-processor runs, no whole-trace sort.
 func (g *engine) finish() *Approximation {
 	a := &Approximation{
 		WaitsKept:       g.stats.kept,
@@ -1301,44 +1303,104 @@ func (g *engine) finish() *Approximation {
 	return a
 }
 
+// spliceCap bounds the equal-time group mergeRuns splices an event into:
+// a processor that needs a splice into a longer group has its run
+// stable-sorted instead, so linking costs O(spliceCap) per event at most.
+const spliceCap = 64
+
+// runLink is one processor's run as mergeRuns links it: the head and tail
+// events, the tail's (time, stmt), and the trailing equal-time group, as
+// the event linked before it (-1 for the head) and its length.
+type runLink struct {
+	head, tail   int
+	tTime        trace.Time
+	tStmt        int
+	before, size int
+	sort         bool // the run is in arrival order and needs a stable sort
+}
+
 // mergeRuns re-times events with ta and puts them in the canonical (Time,
 // Proc, Stmt) order with arrival-order tie-breaking — exactly the
-// permutation Trace.Sort's stable sort produces — by merging the
-// per-processor runs. Runs never share a processor, so the merge orders
-// run heads by (time, proc) alone, in a heap of the processors with events
-// left: O(log procs) per event. Within a run, arrival order is the
-// tie-breaking wherever (time, stmt) does not decrease; a run where it
-// does is stable-sorted first.
+// permutation Trace.Sort's stable sort produces.
+//
+// One pass in arrival order reads the log sequentially and links each
+// event into its processor's run in (time, stmt) order. An event at a
+// later time than its run's tail, or at the tail's time with no lower
+// stmt, goes behind the tail. One that ties the tail's time with a lower
+// stmt — under the paper's calibration every DOACROSS iteration's awaitB
+// ties the advance before it — is spliced into the run's trailing
+// equal-time group after the group's last event whose stmt is at most its
+// own, which keeps equal keys in arrival order. A run whose time
+// decreases (a basis on another processor's fence, a forced resolution
+// anchored at the measured time) or whose group would outgrow spliceCap
+// keeps arrival order from there on and is stable-sorted after the pass;
+// its linked prefix is already the stable order of the events before, so
+// the sort's result is the same as from arrival order.
+//
+// Runs never share a processor, so the merge orders run heads by (time,
+// proc) alone, in a heap of the processors with events left: O(log procs)
+// per event.
 func mergeRuns(log *eventLog, ta []trace.Time, procs int) []trace.Event {
 	ev, bits := log.ev, log.bits
 	mask := 1<<bits - 1 // event i is ev[i>>bits][i&mask]
 	// next links each event to the next one of its run.
 	next := make([]int, log.n)
+	runs := make([]runLink, procs)
+	for p := range runs {
+		runs[p].head = -1
+	}
+	i := 0
+	for _, chunk := range ev {
+		for j := range chunk {
+			e := &chunk[j]
+			r, t := &runs[e.Proc], ta[i]
+			next[i] = -1
+			switch {
+			case r.head < 0:
+				r.head, r.tail, r.tTime, r.tStmt = i, i, t, e.Stmt
+				r.before, r.size = -1, 1
+			case r.sort:
+				next[r.tail], r.tail = i, i
+			case t > r.tTime:
+				next[r.tail] = i
+				r.before, r.size = r.tail, 1
+				r.tail, r.tTime, r.tStmt = i, t, e.Stmt
+			case t == r.tTime && e.Stmt >= r.tStmt:
+				next[r.tail], r.tail, r.tStmt = i, i, e.Stmt
+				r.size++
+			case t == r.tTime && r.size < spliceCap:
+				// The tail's stmt exceeds e's, so the walk stops inside
+				// the group.
+				prev, cur := r.before, r.head
+				if prev >= 0 {
+					cur = next[prev]
+				}
+				for ev[cur>>bits][cur&mask].Stmt <= e.Stmt {
+					prev, cur = cur, next[cur]
+				}
+				if prev < 0 {
+					r.head = i
+				} else {
+					next[prev] = i
+				}
+				next[i] = cur
+				r.size++
+			default: // time decreased, or the group is full
+				r.sort = true
+				next[r.tail], r.tail = i, i
+			}
+			i++
+		}
+	}
 	head := make([]int, procs)
-	for p := range head {
-		head[p] = -1
-	}
-	for c := len(ev) - 1; c >= 0; c-- {
-		chunk, base := ev[c], c<<bits
-		for j := len(chunk) - 1; j >= 0; j-- {
-			p := chunk[j].Proc
-			next[base+j], head[p] = head[p], base+j
-		}
-	}
-	before := func(a, b int) bool { // a sorts strictly before b
-		return ta[a] < ta[b] || ta[a] == ta[b] && ev[a>>bits][a&mask].Stmt < ev[b>>bits][b&mask].Stmt
-	}
 	var run []int
-	for p, h := range head {
-		i := h
-		for i >= 0 && next[i] >= 0 && !before(next[i], i) {
-			i = next[i]
-		}
-		if i < 0 || next[i] < 0 {
-			continue // sorted
+	for p := range runs {
+		head[p] = runs[p].head
+		if !runs[p].sort {
+			continue
 		}
 		run = run[:0]
-		for i := h; i >= 0; i = next[i] {
+		for i := head[p]; i >= 0; i = next[i] {
 			run = append(run, i)
 		}
 		slices.SortStableFunc(run, func(a, b int) int {

@@ -59,23 +59,29 @@ func CriticalPath(t *trace.Trace) (*Path, error) {
 			end = i
 		}
 	}
-	// Count the steps first, so Steps is allocated once; one bit per event
-	// marks the events walked.
+	// One walk finds each binding predecessor. It never returns to an
+	// event it has left (a revisit is the cycle error), and binding reads
+	// only the index slots of the event it is given, so the walk records
+	// each event's binding predecessor in its prev slot; Steps is then
+	// allocated once, at its length, and filled from the record. One bit
+	// per event marks the events walked.
 	seen := make([]uint64, (len(ev)+63)/64)
 	n := 0
-	for cur := end; cur >= 0; cur = r.binding(cur) {
+	for cur := end; cur >= 0; n++ {
 		if seen[cur/64]&(1<<(cur%64)) != 0 {
 			return nil, fmt.Errorf("order: critical path revisits event %d (%v), a dependence cycle: %w",
 				cur, ev[cur], trace.ErrMalformedTrace)
 		}
 		seen[cur/64] |= 1 << (cur % 64)
-		n++
+		best := r.binding(cur)
+		r.prev[cur] = int32(best)
+		cur = best
 	}
 	p.Steps = make([]PathStep, n)
-	for cur := end; cur >= 0; {
+	for cur := end; ; {
 		n--
 		e := ev[cur]
-		best := r.binding(cur)
+		best := int(r.prev[cur])
 		if best < 0 {
 			p.Steps[n] = PathStep{Event: e}
 			break

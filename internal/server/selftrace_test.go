@@ -266,6 +266,19 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 		t.Fatalf("stream: status = %d, %d lines, want windows and a final line", resp.StatusCode, len(lines))
 	}
 
+	counts := spanCounts(t, base)
+	for _, span := range []string{"admission", "decode", "lookup", "analyze", "encode", "stream", "close", "window", "queue", "flight"} {
+		name := "perturb_server_" + span + "_ns_count"
+		if counts[name] <= 0 {
+			t.Errorf("%s = %d, want > 0", name, counts[name])
+		}
+	}
+}
+
+// spanCounts reads /metrics, checks its exposition format, and returns
+// the count of every span histogram by its metric name.
+func spanCounts(t *testing.T, base string) map[string]int64 {
+	t.Helper()
 	_, metrics := get(t, base+"/metrics")
 	if err := promfmt.Check(bytes.NewReader(metrics)); err != nil {
 		t.Fatalf("exposition format violation: %v\n%s", err, metrics)
@@ -277,12 +290,7 @@ func TestMetricsPhaseHistograms(t *testing.T) {
 			counts[name] = n
 		}
 	}
-	for _, span := range []string{"admission", "decode", "lookup", "analyze", "encode", "stream", "close", "window", "queue", "flight"} {
-		name := "perturb_server_" + span + "_ns_count"
-		if counts[name] <= 0 {
-			t.Errorf("%s = %d, want > 0", name, counts[name])
-		}
-	}
+	return counts
 }
 
 func TestSelfTraceEndpointServesRequestSpans(t *testing.T) {

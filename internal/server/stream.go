@@ -127,7 +127,9 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 			if err := sess.Feed(ctx, batch[:n]); err != nil {
 				return fmt.Errorf("analysis failed: %w", err)
 			}
-			q.emitWindows(sess)
+			if q.emitWindows(sess) {
+				q.sc.Phase(spStream) // back to reading the upload
+			}
 		}
 		if rerr == io.EOF {
 			break
@@ -169,18 +171,24 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 }
 
 // emitWindows writes the session's newly finished windows as NDJSON
-// lines. A memory-budget session's single cumulative window is not
-// output: its response is one JSON summary.
-func (q *request) emitWindows(sess *core.Stream) {
+// lines, in one server.window phase, and reports whether it wrote any. A
+// memory-budget session's single cumulative window is not output: its
+// response is one JSON summary.
+func (q *request) emitWindows(sess *core.Stream) bool {
 	if !q.stream {
-		return
+		return false
 	}
-	for _, win := range sess.Windows() {
-		q.sc.Phase(spWindow)
+	wins := sess.Windows()
+	if len(wins) == 0 {
+		return false
+	}
+	q.sc.Phase(spWindow)
+	for i := range wins {
 		cWindows.Add(1)
 		q.windows++
-		q.emit(streamLine{Window: &win})
+		q.emit(streamLine{Window: &wins[i]})
 	}
+	return true
 }
 
 // emit writes one NDJSON line and flushes it. The first line commits the

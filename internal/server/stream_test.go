@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"perturb/internal/core"
+	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
 
@@ -242,8 +243,12 @@ func TestStreamCancellationNoLeak(t *testing.T) {
 // TestStreamWindowsBeforeUploadEnds: a window line leaves perturbd as
 // soon as its events have arrived, while the upload is still open. The
 // test sends the first 10 of the golden DOACROSS trace's 15 events and
-// waits for a window line before it sends the rest.
+// waits for a window line before it sends the rest. Writing that line is
+// timed as server.window, and the reads after it as server.stream again,
+// so the stream observes at least two server.stream intervals.
 func TestStreamWindowsBeforeUploadEnds(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
 	_, base := startServer(t, Config{})
 	const query = "?event=100&advance=100&awaitb=100&awaite=100&snowait=50&swait=80&advanceop=30&barrier=40"
 	for _, c := range []struct {
@@ -259,6 +264,8 @@ func TestStreamWindowsBeforeUploadEnds(t *testing.T) {
 				t.Fatal(err)
 			}
 			cut := c.cut(body)
+			const streams = "perturb_server_stream_ns_count"
+			before := spanCounts(t, base)[streams]
 			pr, pw := io.Pipe()
 			defer pw.Close()
 			req, err := http.NewRequest(http.MethodPost, base+"/v1/analyze/stream"+query+"&window=1000", pr)
@@ -308,6 +315,9 @@ func TestStreamWindowsBeforeUploadEnds(t *testing.T) {
 			}
 			if err := <-errc; err != nil {
 				t.Fatal(err)
+			}
+			if grew := spanCounts(t, base)[streams] - before; grew < 2 {
+				t.Errorf("%s grew by %d over a stream with a window before its end, want at least 2", streams, grew)
 			}
 
 			final := got[len(got)-1]
