@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-ledger bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-ledger ledger-check bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -44,6 +44,13 @@ bench-derived:
 bench-ledger:
 	@test -n "$(PR)" || { echo "usage: make bench-ledger PR=<number>" >&2; exit 2; }
 	bash scripts/bench_ledger.sh $(PR)
+
+# The allocation gate CI runs on the ledgers: in the newest BENCH_<n>.json
+# every workload's alloc_mb_per_op median may exceed the previous
+# ledger's by at most BENCHMARK.json's bound; timings are not gated
+# (scripts/ledger_check.sh).
+ledger-check:
+	bash scripts/ledger_check.sh
 
 # The parallel sweep runner must not change a single output byte.
 workers-check:

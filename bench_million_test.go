@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"perturb"
 	"perturb/internal/obs"
@@ -254,18 +253,14 @@ func BenchmarkCriticalPathMillion(b *testing.B) {
 }
 
 // TestDerivedStatisticsAllocation gates what the derived statistics
-// allocate on an approximated backward wave of 100k events: the metrics
-// walk keeps per-processor state only, and the critical path allocates
-// its Steps plus a flat index of a few 32-bit words per event. The test
-// is not parallel, so TotalAlloc counts only the call it brackets.
+// allocate on a backward wave of 100k events approximated under each of
+// benchCals: the metrics walk keeps per-processor state only, and the
+// critical path allocates a flat index of a few 32-bit words per event
+// plus its Steps, one 32-bit index per step. Under the paper's
+// calibration the path passes through nearly every event. The test is not
+// parallel, so TotalAlloc counts only the call it brackets.
 func TestDerivedStatisticsAllocation(t *testing.T) {
-	cal := perturb.Calibration{Overheads: perturb.UniformOverheads(2), SNoWait: 5, SWait: 8, AdvanceOp: 3, Barrier: 4}
-	a, err := perturb.Analyze(testgen.BackwardWave(8, 25000), cal, perturb.AnalyzeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := a.Trace
-	allocated := func(f func() error) uint64 {
+	allocated := func(t *testing.T, f func() error) uint64 {
 		t.Helper()
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -276,24 +271,32 @@ func TestDerivedStatisticsAllocation(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	for name, f := range map[string]func() error{
-		"Timeline":    func() error { _, err := perturb.Timeline(tr, cal); return err },
-		"Waiting":     func() error { _, err := perturb.Waiting(tr, cal); return err },
-		"Parallelism": func() error { _, err := perturb.Parallelism(tr, cal); return err },
-	} {
-		got := allocated(f)
-		t.Logf("%s: %d B", name, got)
-		if got >= 64<<10 {
-			t.Errorf("%s allocated %d B on %d events, want under 64 KiB", name, got, tr.Len())
-		}
-	}
-	var path *perturb.CriticalPath
-	got := allocated(func() (err error) { path, err = perturb.AnalyzeCriticalPath(tr); return err })
-	steps := uint64(len(path.Steps)) * uint64(unsafe.Sizeof(perturb.CriticalPathStep{}))
-	t.Logf("AnalyzeCriticalPath: %d B, %d B of them Steps", got, steps)
-	if limit := steps + 40*uint64(tr.Len()); got > limit {
-		t.Errorf("AnalyzeCriticalPath allocated %d B on %d events, want at most its %d B of Steps plus 40 B per event (%d B)",
-			got, tr.Len(), steps, limit)
+	for _, c := range benchCals {
+		t.Run("cal="+c.name, func(t *testing.T) {
+			a, err := perturb.Analyze(testgen.BackwardWave(8, 25000), c.cal, perturb.AnalyzeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, cal := a.Trace, c.cal
+			for name, f := range map[string]func() error{
+				"Timeline":    func() error { _, err := perturb.Timeline(tr, cal); return err },
+				"Waiting":     func() error { _, err := perturb.Waiting(tr, cal); return err },
+				"Parallelism": func() error { _, err := perturb.Parallelism(tr, cal); return err },
+			} {
+				got := allocated(t, f)
+				t.Logf("%s: %d B", name, got)
+				if got >= 64<<10 {
+					t.Errorf("%s allocated %d B on %d events, want under 64 KiB", name, got, tr.Len())
+				}
+			}
+			var path *perturb.CriticalPath
+			got := allocated(t, func() (err error) { path, err = perturb.AnalyzeCriticalPath(tr); return err })
+			perEvent := float64(got) / float64(tr.Len())
+			t.Logf("AnalyzeCriticalPath: %d B, %.1f B/event, %d steps", got, perEvent, len(path.Steps))
+			if perEvent > 20 {
+				t.Errorf("AnalyzeCriticalPath allocated %.1f B/event on %d events, want at most 20", perEvent, tr.Len())
+			}
+		})
 	}
 }
 

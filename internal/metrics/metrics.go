@@ -40,38 +40,40 @@ type procWalk struct {
 	await, barrier, busy trace.Time
 }
 
-// walk validates t and classifies every processor's timeline in one pass
-// over it in trace order, without copying the events. Each processor's
-// activity is anchored at the first loop-begin event (fork) for
-// processors that join the concurrent loop, and at time zero for the
-// processor executing the sequential head. Waiting comes from two
-// sources: an awaitE or lock-acq whose span from its awaitB or lock-req
-// exceeds the no-wait processing cost (the tail s_wait of the span is
-// busy, as synchronization processing), and a barrier release (arrival to
-// release, minus the release cost itself).
+// walk classifies every processor's timeline in one pass over t in trace
+// order, without copying the events, and validates each event in the same
+// pass: it returns the error Validate would, except that every processor
+// must lie in [0, Procs), also when Procs is 0 (see
+// trace.NewBoundedValidator). Each processor's activity is anchored at
+// the first loop-begin event (fork) for processors that join the
+// concurrent loop, and at time zero for the processor executing the
+// sequential head. Waiting comes from two sources: an awaitE or lock-acq
+// whose span from its awaitB or lock-req exceeds the no-wait processing
+// cost (the tail s_wait of the span is busy, as synchronization
+// processing), and a barrier release (arrival to release, minus the
+// release cost itself).
 //
 // emit, when non-nil, receives each processor's coalesced intervals as
 // they close: in timeline order per processor, interleaved across
 // processors. Waiting, Timeline and Parallelism all read this one walk.
 func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) ([]procWalk, error) {
-	v := trace.NewEventValidator(t.Procs)
-	fork := -1
-	for i, e := range t.Events {
+	ps := make([]procWalk, t.Procs)
+	for _, f := range t.Events {
+		if f.Kind == trace.KindLoopBegin {
+			for p := range ps {
+				if p != f.Proc {
+					ps[p].pos = f.Time
+				}
+			}
+			break
+		}
+	}
+	v := trace.NewBoundedValidator(t.Procs)
+	thr := waitThreshold(cal)
+	for _, e := range t.Events {
 		if err := v.Check(e); err != nil {
 			return nil, err
 		}
-		if fork < 0 && e.Kind == trace.KindLoopBegin {
-			fork = i
-		}
-	}
-	ps := make([]procWalk, t.Procs)
-	for p := range ps {
-		if fork >= 0 && p != t.Events[fork].Proc {
-			ps[p].pos = t.Events[fork].Time
-		}
-	}
-	thr := waitThreshold(cal)
-	for _, e := range t.Events {
 		s := &ps[e.Proc]
 		switch {
 		case s.havePrev && waitEnd(e.Kind, s.prevKind):

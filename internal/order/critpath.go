@@ -6,19 +6,15 @@ import (
 	"perturb/internal/trace"
 )
 
-// PathStep is one hop of a critical path: the event reached, the time
-// spent getting there from the binding predecessor, and whether the hop
-// crossed processors through a synchronization dependence.
-type PathStep struct {
-	Event trace.Event
-	Gap   trace.Time
-	Sync  bool // true when the binding dependence is a cross-event sync edge
-}
-
 // Path is a critical path through an execution: a chain of dependent
 // events whose gaps sum to the span from the first event to the last.
 type Path struct {
-	Steps []PathStep
+	// Steps are the path's events as indices into the trace's Events,
+	// first to last. Step k > 0 took Events[Steps[k]].Time -
+	// Events[Steps[k-1]].Time from its binding predecessor, step k-1,
+	// and is a synchronization hop when the two events' processors
+	// differ; the first step has no predecessor and a gap of 0.
+	Steps []int32
 	// SyncGap is the portion of the path spent on synchronization hops;
 	// Total is the full path length (equal to the trace span up to the
 	// earliest-event offset).
@@ -33,13 +29,15 @@ type Path struct {
 // the latest time, then one on the event's own processor, then the lowest
 // index — which is the dependence that actually determined the event's
 // time. The result explains what the execution's duration was spent on:
-// per-processor computation and cross-processor synchronization.
+// per-processor computation and cross-processor synchronization. Its
+// Steps are indices into t.Events, so the path costs 4 bytes per step.
 //
-// The walk is O(path) after the O(n) index build. Binding predecessors
-// can form a cycle in a valid trace (two awaitEs, each released by an
-// advance the other processor records at the same time); such a trace has
-// no critical path, and the walk reports the first event it would
-// revisit, with an error wrapping trace.ErrMalformedTrace.
+// The walk is O(path) after the O(n) index build, which validates the
+// trace (see Build). Binding predecessors can form a cycle in a valid
+// trace (two awaitEs, each released by an advance the other processor
+// records at the same time); such a trace has no critical path, and the
+// walk reports the first event it would revisit, with an error wrapping
+// trace.ErrMalformedTrace.
 //
 // The trace must be in canonical sorted order with valid times (an actual
 // or approximated trace; measured traces work too and include probe time).
@@ -77,19 +75,17 @@ func CriticalPath(t *trace.Trace) (*Path, error) {
 		r.prev[cur] = int32(best)
 		cur = best
 	}
-	p.Steps = make([]PathStep, n)
-	for cur := end; ; {
+	p.Steps = make([]int32, n)
+	for cur := int32(end); ; {
 		n--
-		e := ev[cur]
-		best := int(r.prev[cur])
+		p.Steps[n] = cur
+		best := r.prev[cur]
 		if best < 0 {
-			p.Steps[n] = PathStep{Event: e}
 			break
 		}
+		e := &ev[cur]
 		gap := e.Time - ev[best].Time
-		syncHop := ev[best].Proc != e.Proc
-		p.Steps[n] = PathStep{Event: e, Gap: gap, Sync: syncHop}
-		if syncHop {
+		if ev[best].Proc != e.Proc {
 			p.SyncGap += gap
 		} else {
 			p.ProcTime[e.Proc] += gap
@@ -105,23 +101,31 @@ func CriticalPath(t *trace.Trace) (*Path, error) {
 // the lowest index.
 func (r *Relation) binding(v int) int {
 	ev, own := r.tr.Events, r.tr.Events[v].Proc
-	best := -1
-	consider := func(u int) {
-		if best < 0 {
-			best = u
-			return
-		}
-		a, b := &ev[u], &ev[best]
-		if a.Time > b.Time || a.Time == b.Time &&
-			(a.Proc == own && b.Proc != own || (a.Proc == own) == (b.Proc == own) && u < best) {
+	prev, dep, arrivals := r.preds(v)
+	best := int32(-1)
+	if prev < 0 && r.fork >= 0 && ev[r.fork].Proc != own {
+		best = int32(r.fork)
+	}
+	for _, u := range [2]int32{prev, dep} {
+		if u >= 0 && (best < 0 || binds(ev, own, u, best)) {
 			best = u
 		}
 	}
-	r.preds(v, consider)
-	if r.prev[v] < 0 && r.fork >= 0 && ev[r.fork].Proc != own {
-		consider(r.fork)
+	for _, u := range arrivals {
+		if best < 0 || binds(ev, own, u, best) {
+			best = u
+		}
 	}
-	return best
+	return int(best)
+}
+
+// binds reports whether event u binds an event on processor own more
+// tightly than event best does: u is later, or as late and on own while
+// best is not, or neither or both are on own and u comes first.
+func binds(ev []trace.Event, own int, u, best int32) bool {
+	a, b := &ev[u], &ev[best]
+	return a.Time > b.Time || a.Time == b.Time &&
+		(a.Proc == own && b.Proc != own || (a.Proc == own) == (b.Proc == own) && u < best)
 }
 
 // String summarizes the path.

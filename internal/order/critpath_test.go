@@ -37,13 +37,7 @@ func TestCriticalPathChainBound(t *testing.T) {
 		t.Errorf("path total %d far below trace span %d", p.Total, want)
 	}
 	// A chain-bound loop crosses processors on most iterations.
-	syncHops := 0
-	for _, s := range p.Steps {
-		if s.Sync {
-			syncHops++
-		}
-	}
-	if syncHops < 32 {
+	if syncHops := countSyncHops(res.Trace, p); syncHops < 32 {
 		t.Errorf("chain-bound path should hop processors often, got %d sync hops", syncHops)
 	}
 	if p.String() == "" {
@@ -65,19 +59,25 @@ func TestCriticalPathProcBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncHops := 0
-	for _, s := range p.Steps {
-		if s.Sync {
-			syncHops++
-		}
-	}
 	// Fork hop + barrier hop at most (plus release fan-in).
-	if syncHops > 3 {
+	if syncHops := countSyncHops(res.Trace, p); syncHops > 3 {
 		t.Errorf("DOALL path should rarely hop processors, got %d sync hops", syncHops)
 	}
 	if p.SyncGap > p.Total/4 {
 		t.Errorf("sync gap %d is a large share of total %d", p.SyncGap, p.Total)
 	}
+}
+
+// countSyncHops counts the path's steps whose processor differs from the
+// step before.
+func countSyncHops(tr *trace.Trace, p *order.Path) int {
+	n := 0
+	for k := 1; k < len(p.Steps); k++ {
+		if tr.Events[p.Steps[k]].Proc != tr.Events[p.Steps[k-1]].Proc {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCriticalPathEmptyAndInvalid(t *testing.T) {

@@ -9,8 +9,8 @@
 //
 // # The flat index
 //
-// Build makes one pass over the trace in trace order and stores, per
-// event, two 32-bit indices:
+// Build makes one pass over the trace in trace order, validating each
+// event as it indexes it, and stores, per event, two 32-bit indices:
 //
 //   - prev, the same-processor predecessor (-1 for a processor's first
 //     event);
@@ -52,6 +52,8 @@
 // CriticalPath follows, from the latest event, each event's binding
 // predecessor in the feasibility view: the predecessor with the latest
 // time, then one on the event's own processor, then the lowest index.
+// The path it returns holds the events it passes as 32-bit indices into
+// the trace, like the index itself.
 package order
 
 import (
@@ -76,16 +78,16 @@ type Relation struct {
 }
 
 // Build constructs the happened-before relation for the trace in one pass
-// over it. The trace must be valid; it is not modified.
+// over it, which also validates it: it returns the error Validate would,
+// except that every processor must lie in [0, Procs), also when Procs is
+// 0 (see trace.NewBoundedValidator). The trace is not modified.
 func Build(t *trace.Trace) (*Relation, error) {
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
 	n := t.Len()
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("order: %d events exceed the index's limit of %d", n, math.MaxInt32)
 	}
 	r := &Relation{tr: t, prev: make([]int32, n), dep: make([]int32, n)}
+	v := trace.NewBoundedValidator(t.Procs)
 	last := make([]int32, t.Procs)
 	for p := range last {
 		last[p] = -1
@@ -99,6 +101,9 @@ func Build(t *trace.Trace) (*Relation, error) {
 		count   = []int32{0}                    // members per group
 	)
 	for i, e := range t.Events {
+		if err := v.Check(e); err != nil {
+			return nil, err
+		}
 		i32 := int32(i)
 		r.prev[i], last[e.Proc] = last[e.Proc], i32
 		r.dep[i] = -1
@@ -193,25 +198,21 @@ func (r *Relation) Arrivals(i int) []int32 {
 	return r.group(r.dep[i])
 }
 
-// preds calls visit with each feasibility-view predecessor of event v
-// except the fork edge, in no particular order.
-func (r *Relation) preds(v int, visit func(u int)) {
-	if u := r.prev[v]; u >= 0 {
-		visit(int(u))
-	}
+// preds returns event v's feasibility-view predecessors except the fork
+// edge: its same-processor predecessor and its dependence, each -1 when
+// there is none, and for a barrier release the arrivals before it in
+// trace order, shared with the relation.
+func (r *Relation) preds(v int) (prev, dep int32, arrivals []int32) {
+	prev, dep = r.prev[v], -1
 	switch r.tr.Events[v].Kind {
 	case trace.KindAwaitE, trace.KindLockAcq:
-		if u := r.dep[v]; u >= 0 {
-			visit(int(u))
-		}
+		dep = r.dep[v]
 	case trace.KindBarrierRelease:
-		for _, u := range r.group(r.dep[v]) {
-			if int(u) >= v {
-				break
-			}
-			visit(int(u))
-		}
+		arrivals = r.group(r.dep[v])
+		k, _ := slices.BinarySearch(arrivals, int32(v))
+		arrivals = arrivals[:k]
 	}
+	return prev, dep, arrivals
 }
 
 // Violation describes a happened-before edge whose endpoint times are out
@@ -252,7 +253,15 @@ func (r *Relation) Check(candidate *trace.Trace) error {
 	}
 	first := make([]int, r.tr.Procs)
 	for v := range r.prev {
-		r.preds(v, func(u int) { note(u, v) })
+		prev, dep, arrivals := r.preds(v)
+		for _, u := range [2]int32{prev, dep} {
+			if u >= 0 {
+				note(int(u), v)
+			}
+		}
+		for _, u := range arrivals {
+			note(int(u), v)
+		}
 		if r.prev[v] < 0 {
 			first[r.tr.Events[v].Proc] = v + 1
 		}

@@ -134,8 +134,8 @@ func refCriticalPath(t *trace.Trace) (p *order.Path, cyclic bool, err error) {
 			return nil, true, nil
 		}
 		e := t.Events[cur]
+		p.Steps = append(p.Steps, int32(cur))
 		if len(preds[cur]) == 0 {
-			p.Steps = append(p.Steps, order.PathStep{Event: e, Gap: 0})
 			break
 		}
 		best := preds[cur][0]
@@ -146,9 +146,7 @@ func refCriticalPath(t *trace.Trace) (p *order.Path, cyclic bool, err error) {
 			}
 		}
 		gap := e.Time - t.Events[best].Time
-		syncHop := t.Events[best].Proc != e.Proc
-		p.Steps = append(p.Steps, order.PathStep{Event: e, Gap: gap, Sync: syncHop})
-		if syncHop {
+		if t.Events[best].Proc != e.Proc {
 			p.SyncGap += gap
 		} else {
 			p.ProcTime[e.Proc] += gap

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -227,7 +228,11 @@ var (
 
 // Validate checks structural trace invariants:
 //
-//   - every event's processor is within [0, Procs);
+//   - every event's processor is within [0, Procs), or, when Procs is 0
+//     (or negative), non-negative: a trace without a processor count
+//     leaves it to be discovered from the events, as the event-based
+//     analysis does (the statistics that size per-processor tables by
+//     Procs reject such events; see NewBoundedValidator);
 //   - every event kind is defined;
 //   - per-processor timestamps are non-decreasing in trace order;
 //   - synchronization events carry the pairing information the event-based
@@ -246,16 +251,18 @@ func (t *Trace) Validate() error {
 }
 
 // EventValidator checks the invariants of Trace.Validate incrementally,
-// one event at a time in arrival order — the validation mode of the
-// streaming analysis session, which sees events before any whole trace
-// exists. Check reports violations with the same errors (and the same
+// one event at a time in arrival order. The streaming analysis session
+// validates with it, since it sees events before any whole trace exists,
+// and so does each whole-trace statistic, in the pass that reads the
+// events. Check reports violations with the same errors (and the same
 // messages, indexed by arrival position) Validate would report for the
 // same events as a trace.
 type EventValidator struct {
-	procs int // 0 = unbounded: processor ids only need to be non-negative
-	n     int
-	last  []Time
-	seen  []bool
+	n int
+	// last holds each processor's latest time, math.MinInt64 before its
+	// first event. Its length bounds the processor ids unless grow is set.
+	last []Time
+	grow bool // processors are discovered: any non-negative id is admitted
 }
 
 // NewEventValidator returns a validator for events on processors
@@ -263,22 +270,49 @@ type EventValidator struct {
 // non-negative id), for streams whose processor count is discovered from
 // the events themselves.
 func NewEventValidator(procs int) *EventValidator {
-	if procs < 0 {
-		procs = 0
+	if procs <= 0 {
+		return &EventValidator{grow: true}
 	}
-	v := &EventValidator{procs: procs}
-	if procs > 0 {
-		v.last = make([]Time, procs)
-		v.seen = make([]bool, procs)
+	return NewBoundedValidator(procs)
+}
+
+// NewBoundedValidator returns a validator for events on processors
+// [0, procs) that never discovers processors: with procs <= 0 it admits
+// no event. Analyses that size per-processor tables by a trace's Procs
+// validate with it, so an event beyond their tables fails with ErrBadProc.
+func NewBoundedValidator(procs int) *EventValidator {
+	v := &EventValidator{last: make([]Time, max(procs, 0))}
+	for p := range v.last {
+		v.last[p] = math.MinInt64
 	}
 	return v
 }
 
-// Check validates the next event of the stream.
+// syncVarKinds has bit k set for each kind k whose events must carry a
+// synchronization variable.
+const syncVarKinds uint16 = 1<<KindAdvance | 1<<KindAwaitB | 1<<KindAwaitE |
+	1<<KindLockReq | 1<<KindLockAcq | 1<<KindLockRel
+
+// Check validates the next event of the stream. An event on a known
+// processor, of a defined kind, with a variable where its kind needs one
+// and no earlier than its processor's last event passes in one chain of
+// comparisons; every other event takes check.
 func (v *EventValidator) Check(e Event) error {
+	if p := uint(e.Proc); p < uint(len(v.last)) && e.Kind < numKinds &&
+		(e.Var != NoVar || syncVarKinds>>e.Kind&1 == 0) && e.Time >= v.last[p] {
+		v.last[p] = e.Time
+		v.n++
+		return nil
+	}
+	return v.check(e)
+}
+
+// check is Check for an event off its fast path: it reports the event's
+// first violation in Validate's order, or admits a discovered processor.
+func (v *EventValidator) check(e Event) error {
 	i := v.n
 	v.n++
-	if e.Proc < 0 || (v.procs > 0 && e.Proc >= v.procs) {
+	if e.Proc < 0 || !v.grow && e.Proc >= len(v.last) {
 		return fmt.Errorf("event %d (%v): %w", i, e, ErrBadProc)
 	}
 	if !e.Kind.Valid() {
@@ -288,22 +322,17 @@ func (v *EventValidator) Check(e Event) error {
 	// the iteration being waited for, which may be negative for the
 	// first iterations of a distance-d DOACROSS loop (the advance
 	// history is pre-advanced for iterations before the first).
-	switch e.Kind {
-	case KindAdvance, KindAwaitB, KindAwaitE, KindLockReq, KindLockAcq, KindLockRel:
-		if e.Var == NoVar {
-			return fmt.Errorf("event %d (%v): %w", i, e, ErrSyncNoVar)
-		}
+	if e.Var == NoVar && syncVarKinds>>e.Kind&1 != 0 {
+		return fmt.Errorf("event %d (%v): %w", i, e, ErrSyncNoVar)
 	}
-	if e.Proc >= len(v.last) { // append grows geometrically: O(1) per new processor
-		v.last = append(v.last, make([]Time, e.Proc+1-len(v.last))...)
-		v.seen = append(v.seen, make([]bool, e.Proc+1-len(v.seen))...)
+	for len(v.last) <= e.Proc { // append grows geometrically: O(1) per new processor
+		v.last = append(v.last, math.MinInt64)
 	}
-	if v.seen[e.Proc] && e.Time < v.last[e.Proc] {
+	if e.Time < v.last[e.Proc] {
 		return fmt.Errorf("event %d (%v) precedes time %d on proc %d: %w",
 			i, e, int64(v.last[e.Proc]), e.Proc, ErrNonMonotonic)
 	}
 	v.last[e.Proc] = e.Time
-	v.seen[e.Proc] = true
 	return nil
 }
 

@@ -615,9 +615,6 @@ func StatementProfile(t *Trace) ([]StmtProfile, error) {
 // execution's duration; see order.CriticalPath.
 type CriticalPath = order.Path
 
-// CriticalPathStep is one hop of a critical path.
-type CriticalPathStep = order.PathStep
-
 // AnalyzeCriticalPath computes a trace's critical path.
 func AnalyzeCriticalPath(t *Trace) (*CriticalPath, error) {
 	return order.CriticalPath(t)

@@ -3,6 +3,7 @@ package perturb_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,6 +82,31 @@ func TestFacadePipeline(t *testing.T) {
 	}
 	if len(prof.Level) == 0 {
 		t.Error("parallelism profile empty")
+	}
+}
+
+// TestZeroProcsTraceIsMalformed: a trace whose Procs is 0 (a text trace
+// with header "procs=0" decodes to one) leaves its processors to be
+// discovered, as Analyze does. The statistics that size per-processor
+// tables by Procs reject its events as malformed instead of indexing past
+// their tables.
+func TestZeroProcsTraceIsMalformed(t *testing.T) {
+	tr := &perturb.Trace{Events: []perturb.Event{{Time: 1, Proc: 0, Kind: perturb.KindCompute, Iter: -1, Var: -1}}}
+	cal := perturb.Calibration{Overheads: perturb.UniformOverheads(2), SNoWait: 5, SWait: 8, AdvanceOp: 3, Barrier: 4}
+	if _, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{}); err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	for name, f := range map[string]func() error{
+		"AnalyzeCriticalPath": func() error { _, err := perturb.AnalyzeCriticalPath(tr); return err },
+		"CheckFeasible":       func() error { return perturb.CheckFeasible(tr, tr) },
+		"Slice":               func() error { _, _, err := perturb.Slice(tr, perturb.SliceQuery{}); return err },
+		"Waiting":             func() error { _, err := perturb.Waiting(tr, cal); return err },
+		"Parallelism":         func() error { _, err := perturb.Parallelism(tr, cal); return err },
+		"Timeline":            func() error { _, err := perturb.Timeline(tr, cal); return err },
+	} {
+		if err := f(); !errors.Is(err, perturb.ErrMalformedTrace) {
+			t.Errorf("%s = %v, want an error wrapping ErrMalformedTrace", name, err)
+		}
 	}
 }
 
