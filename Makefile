@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-engine bench-derived bench-ledger ledger-check bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test gates race bench bench-sim bench-engine bench-derived bench-ledger ledger-check bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -11,6 +11,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Every two-sided timing gate, one package at a time so that the gates
+# do not load each other. Each logs its ratio on both clocks with the
+# quartiles and the rounds of internal/timing's alternating rounds. The
+# gates run in `make test` as well.
+gates:
+	$(GO) test -p 1 -count=1 -v \
+		-run '^(TestColumnarDecodeThroughput|TestColumnarQueryDecodeThroughput|TestCacheStorm|TestSelfPerturbOverhead|TestSelfTraceOverheadBudget)$$' \
+		. ./internal/server/ ./internal/experiments/
 
 race:
 	$(GO) test -race ./internal/rt/ ./internal/experiments/ ./internal/machine/

@@ -184,14 +184,14 @@ func run(w io.Writer, which string, env experiments.Env) error {
 	case "selfperturb":
 		// The audit toggles the telemetry layer itself, so it runs on the
 		// benchmark workload rather than through env; see SelfPerturb.
-		res, err := experiments.SelfPerturb(8, 250_000, 5)
+		res, err := experiments.SelfPerturb(8, 250_000)
 		if err != nil {
 			return err
 		}
 		return res.Render(w)
 	case "selftrace":
 		// The dogfooded study drives a live in-process perturbd and reports
-		// wall-clock times, so like selfperturb it is not part of -run all.
+		// timings, so like selfperturb it is not part of -run all.
 		res, err := experiments.SelfTrace(experiments.SelfTraceConfig{})
 		if err != nil {
 			return err

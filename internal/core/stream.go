@@ -336,7 +336,14 @@ func (l *eventLog) times() []trace.Time {
 	return out
 }
 
-func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine {
+func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) (*engine, error) {
+	if !opts.fixedProcs {
+		procs = 0
+	}
+	v, err := trace.NewEventValidator(procs)
+	if err != nil {
+		return nil, err
+	}
 	g := &engine{
 		cal:        cal,
 		opts:       opts,
@@ -348,40 +355,43 @@ func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine 
 		watermark:  math.MinInt64,
 		sorted:     true,
 		log:        eventLog{bits: logChunkBits},
-	}
-	if !opts.fixedProcs {
-		procs = 0
+		validator:  v,
 	}
 	g.growProcs(procs)
-	g.validator = trace.NewEventValidator(procs)
-	return g
+	return g, nil
 }
 
 // batchEngine returns an engine set up to analyze the whole trace m. It
 // aliases the caller's events instead of copying them, and it decides
 // absence from the watermark like a stream does, so a time-sorted trace
 // never queues behind a missing partner.
-func batchEngine(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) *engine {
-	g := newIncEngine(m.Procs, cal, engineOptions{
+func batchEngine(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) (*engine, error) {
+	g, err := newIncEngine(m.Procs, cal, engineOptions{
 		mode:       mode,
 		degraded:   degraded,
 		retain:     true,
 		seal:       true,
 		fixedProcs: true,
 	})
+	if err != nil {
+		return nil, err
+	}
 	g.log = eventLog{ // one chunk: 1<<bits exceeds every index
 		ev:   [][]trace.Event{m.Events},
 		ta:   [][]trace.Time{make([]trace.Time, len(m.Events))},
 		n:    len(m.Events),
 		bits: uint(bits.Len(uint(len(m.Events)))),
 	}
-	return g
+	return g, nil
 }
 
 // analyzeBatch is the batch entry points' engine run: feed every event,
 // then close.
 func analyzeBatch(ctx context.Context, m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) (*Approximation, error) {
-	g := batchEngine(m, cal, mode, degraded)
+	g, err := batchEngine(m, cal, mode, degraded)
+	if err != nil {
+		return nil, err
+	}
 	defer g.flushTelemetry()
 	if err := g.feed(ctx, m.Events); err != nil {
 		return nil, err
@@ -1229,7 +1239,10 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	}
 	opts := g.opts
 	opts.seal = false
-	g2 := newIncEngine(g.procs(), g.cal, opts)
+	g2, err := newIncEngine(g.procs(), g.cal, opts)
+	if err != nil {
+		return nil, err
+	}
 	g2.growProcs(g.procs()) // keep a discovered processor count
 	if g.windowed {
 		g2.setWindows(g.window, g.slide)
@@ -1551,13 +1564,16 @@ func NewStream(cal instr.Calibration, opts StreamOptions) (*Stream, error) {
 	if opts.Repair {
 		s.buf = trace.New(opts.Procs)
 	} else {
-		g := newIncEngine(opts.Procs, cal, engineOptions{
+		g, err := newIncEngine(opts.Procs, cal, engineOptions{
 			mode:       opts.Mode,
 			degraded:   false,
 			retain:     !opts.LowMemory,
 			seal:       true,
 			fixedProcs: opts.Procs > 0,
 		})
+		if err != nil {
+			return nil, err
+		}
 		g.setWindows(opts.Window, opts.Slide)
 		s.g = g
 	}
@@ -1620,7 +1636,11 @@ func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 			}
 		}
 		repaired, rep = trace.Repair(s.buf)
-		s.g = batchEngine(repaired, s.cal, s.opts.Mode, s.opts.Mode == ModeEventBased)
+		g, err := batchEngine(repaired, s.cal, s.opts.Mode, s.opts.Mode == ModeEventBased)
+		if err != nil {
+			return nil, err
+		}
+		s.g = g
 		s.g.setWindows(s.opts.Window, s.opts.Slide)
 	}
 	defer s.g.flushTelemetry()

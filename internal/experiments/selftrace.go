@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http/httptest"
 	"sort"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"perturb/internal/selftrace"
 	"perturb/internal/server"
 	"perturb/internal/testgen"
+	"perturb/internal/timing"
 	"perturb/internal/trace"
 )
 
@@ -54,25 +54,15 @@ type SelfTraceResult struct {
 	Waiting        []metrics.ProcWaiting
 	AvgParallelism float64
 
-	// Recorder overhead: best-of-rounds soak wall time with the recorder
-	// detached and attached.
-	Rounds      int
-	OffNS, OnNS int64
+	// Overhead holds the per-round ratios attached/detached of the soak's
+	// cost, on the wall clock and on the process CPU clock.
+	Overhead timing.Result
 }
 
 // PhaseCount is one phase's compute-record count in the exported trace.
 type PhaseCount struct {
 	Name  string
 	Count int
-}
-
-// OverheadPercent is the relative soak wall-time cost of attaching the
-// span recorder.
-func (r *SelfTraceResult) OverheadPercent() float64 {
-	if r.OffNS == 0 {
-		return 0
-	}
-	return 100 * (float64(r.OnNS) - float64(r.OffNS)) / float64(r.OffNS)
 }
 
 // SelfTraceConfig sizes the study; zero fields get defaults.
@@ -85,8 +75,6 @@ type SelfTraceConfig struct {
 	// Procs and Iters shape the workload traces (testgen.BackwardWave).
 	// Defaults 4 and 300.
 	Procs, Iters int
-	// Rounds is the off/on timing repetition; best-of. Default 3.
-	Rounds int
 }
 
 func (c SelfTraceConfig) withDefaults() SelfTraceConfig {
@@ -102,14 +90,11 @@ func (c SelfTraceConfig) withDefaults() SelfTraceConfig {
 	if c.Iters <= 0 {
 		c.Iters = 300
 	}
-	if c.Rounds <= 0 {
-		c.Rounds = 3
-	}
 	return c
 }
 
 // SelfTrace runs the dogfooded study. Like SelfPerturb its output holds
-// wall-clock times, so it is not part of RunAll or the Markdown report.
+// timings, so it is not part of RunAll or the Markdown report.
 func SelfTrace(cfg SelfTraceConfig) (*SelfTraceResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -128,7 +113,7 @@ func SelfTrace(cfg SelfTraceConfig) (*SelfTraceResult, error) {
 
 	// The study soak, recorder attached: source of the exported trace.
 	rec := obs.NewRecorder(0)
-	res := &SelfTraceResult{Requests: cfg.Requests, Concurrency: cfg.Concurrency, Rounds: cfg.Rounds}
+	res := &SelfTraceResult{Requests: cfg.Requests, Concurrency: cfg.Concurrency}
 	if _, err := soak(cfg, bodies, rec, res); err != nil {
 		return nil, err
 	}
@@ -188,40 +173,21 @@ func SelfTrace(cfg SelfTraceConfig) (*SelfTraceResult, error) {
 		res.AvgParallelism = float64(busy) / float64(wall)
 	}
 
-	// Recorder overhead: interleaved best-of-rounds soaks with the
-	// recorder detached and attached (the SelfPerturb discipline — the
-	// minimum is the least-noisy estimate, interleaving cancels drift).
-	offNS, onNS := int64(math.MaxInt64), int64(math.MaxInt64)
-	timeOne := func(attach bool) (int64, error) {
-		var r *obs.Recorder
-		if attach {
-			r = obs.NewRecorder(0)
+	// Recorder overhead: soaks with the recorder attached against
+	// detached, in the alternating, collected rounds of timing.Compare.
+	soakWith := func(attach bool) func() error {
+		return func() error {
+			var r *obs.Recorder
+			if attach {
+				r = obs.NewRecorder(0)
+			}
+			_, err := soak(cfg, bodies, r, nil)
+			return err
 		}
-		t0 := time.Now()
-		if _, err := soak(cfg, bodies, r, nil); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Nanoseconds(), nil
 	}
-	if _, err := timeOne(false); err != nil { // warm-up
+	if res.Overhead, err = timing.Compare(soakWith(true), soakWith(false), OverheadBudget); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.Rounds; i++ {
-		d, err := timeOne(false)
-		if err != nil {
-			return nil, err
-		}
-		if d < offNS {
-			offNS = d
-		}
-		if d, err = timeOne(true); err != nil {
-			return nil, err
-		}
-		if d < onNS {
-			onNS = d
-		}
-	}
-	res.OffNS, res.OnNS = offNS, onNS
 	return res, nil
 }
 
@@ -284,8 +250,8 @@ func soak(cfg SelfTraceConfig, bodies []*trace.Trace, rec *obs.Recorder, res *Se
 	return ok, nil
 }
 
-// Render writes the study as a small report. Wall-clock output — not
-// part of RunAll or the Markdown report.
+// Render writes the study as a small report. It holds timings, so it is
+// not part of RunAll or the Markdown report.
 func (r *SelfTraceResult) Render(w io.Writer) error {
 	p := func(format string, args ...any) error {
 		_, err := fmt.Fprintf(w, format, args...)
@@ -329,6 +295,8 @@ func (r *SelfTraceResult) Render(w io.Writer) error {
 	if err := p("average parallelism %.2f\n", r.AvgParallelism); err != nil {
 		return err
 	}
-	return p("recorder overhead: off %v, on %v (best of %d) = %+.2f%% (budget 3%%)\n",
-		time.Duration(r.OffNS), time.Duration(r.OnNS), r.Rounds, r.OverheadPercent())
+	if err := p("recorder overhead, attached vs detached:\n"); err != nil {
+		return err
+	}
+	return renderOverhead(w, r.Overhead)
 }

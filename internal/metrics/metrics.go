@@ -57,6 +57,10 @@ type procWalk struct {
 // they close: in timeline order per processor, interleaved across
 // processors. Waiting, Timeline and Parallelism all read this one walk.
 func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) ([]procWalk, error) {
+	v, err := trace.NewBoundedValidator(t.Procs)
+	if err != nil {
+		return nil, err
+	}
 	ps := make([]procWalk, t.Procs)
 	for _, f := range t.Events {
 		if f.Kind == trace.KindLoopBegin {
@@ -68,7 +72,6 @@ func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) 
 			break
 		}
 	}
-	v := trace.NewBoundedValidator(t.Procs)
 	thr := waitThreshold(cal)
 	for _, e := range t.Events {
 		if err := v.Check(e); err != nil {
@@ -148,7 +151,7 @@ func waitThreshold(cal instr.Calibration) trace.Time {
 // (paper Figure 4), classified as walk describes; adjacent intervals of
 // one class coalesce.
 func Timeline(t *trace.Trace, cal instr.Calibration) ([][]Interval, error) {
-	out := make([][]Interval, t.Procs)
+	out := make([][]Interval, max(t.Procs, 0)) // walk refuses a negative Procs
 	_, err := walk(t, cal, func(p int, iv Interval) { out[p] = append(out[p], iv) })
 	if err != nil {
 		return nil, err

@@ -86,8 +86,11 @@ func Build(t *trace.Trace) (*Relation, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("order: %d events exceed the index's limit of %d", n, math.MaxInt32)
 	}
+	v, err := trace.NewBoundedValidator(t.Procs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Relation{tr: t, prev: make([]int32, n), dep: make([]int32, n)}
-	v := trace.NewBoundedValidator(t.Procs)
 	last := make([]int32, t.Procs)
 	for p := range last {
 		last[p] = -1

@@ -29,7 +29,12 @@ func refBuild(t *trace.Trace) (*refRelation, error) {
 	for p := range lastOnProc {
 		lastOnProc[p] = -1
 	}
-	advIdx := t.PairIndex()
+	advIdx := make(map[trace.PairKey]int) // first advance per key
+	for i, e := range t.Events {
+		if _, dup := advIdx[e.Pair()]; e.Kind == trace.KindAdvance && !dup {
+			advIdx[e.Pair()] = i
+		}
+	}
 	arrives := make(map[trace.PairKey][]int)
 	lastRel := make(map[int]int)
 	forkIdx := -1

@@ -473,7 +473,7 @@ func (r *repairer) fixClockSkew(w *Trace) {
 	shifted := make(map[int]bool)
 	procs, _ := procLists(w)
 	for round := 0; round < len(procs); round++ {
-		adv := w.PairIndex()
+		adv := advanceIndex(w)
 		// back[p]: largest violation whose advance is on p (p's clock
 		// runs ahead; shift p back). fwd[p]: largest violation whose
 		// awaitE is on p (p's clock runs behind; shift p forward).
@@ -485,8 +485,8 @@ func (r *repairer) fixClockSkew(w *Trace) {
 			if e.Kind != KindAwaitE {
 				continue
 			}
-			ai, ok := adv[e.Pair()]
-			if !ok {
+			ai := *adv.Slot(e.Pair()) - 1
+			if ai < 0 {
 				continue
 			}
 			a := w.Events[ai]
@@ -551,15 +551,15 @@ func (r *repairer) shiftProc(w *Trace, proc int, delta Time, pairs int) {
 // a paired advance is moved to no earlier than the advance. Advance times
 // are never changed, so one pass suffices and the result is stable.
 func (r *repairer) clampCausality(w *Trace) {
-	adv := w.PairIndex()
+	adv := advanceIndex(w)
 	clamped := false
 	for i := range w.Events {
 		e := &w.Events[i]
 		if e.Kind != KindAwaitE {
 			continue
 		}
-		ai, ok := adv[e.Pair()]
-		if !ok {
+		ai := *adv.Slot(e.Pair()) - 1
+		if ai < 0 {
 			continue
 		}
 		a := w.Events[ai]
@@ -582,7 +582,7 @@ func (r *repairer) clampCausality(w *Trace) {
 // lock-req/lock-acq.
 func (r *repairer) completeBrackets(w *Trace) {
 	var synth []Event
-	adv := w.PairIndex()
+	adv := advanceIndex(w)
 	procs, lists := procLists(w)
 	for _, proc := range procs {
 		list := lists[proc]
@@ -616,7 +616,7 @@ func (r *repairer) completeBrackets(w *Trace) {
 				e := w.Events[list[pos]]
 				se := r.synthAfter(w, list, pos, closeKind, e)
 				if closeKind == KindAwaitE {
-					if ai, ok := adv[bk.key]; ok && w.Events[ai].Proc != se.Proc &&
+					if ai := *adv.Slot(bk.key) - 1; ai >= 0 && w.Events[ai].Proc != se.Proc &&
 						w.Events[ai].Time > se.Time {
 						se.Time = w.Events[ai].Time
 					}
@@ -970,18 +970,32 @@ func (r *repairer) placeDroppedProbe(w *Trace, list []int, seg int, segment func
 	return Event{Time: t, Stmt: stmt, Proc: proc, Kind: KindCompute, Iter: iter, Var: NoVar}, true
 }
 
+// advanceIndex maps each pairing key to the index in w of the first
+// advance with that key, plus one: a key without an advance reads 0.
+func advanceIndex(w *Trace) *PairTable[int] {
+	adv := new(PairTable[int])
+	for i, e := range w.Events {
+		if e.Kind == KindAdvance {
+			if c := adv.Slot(e.Pair()); *c == 0 {
+				*c = i + 1
+			}
+		}
+	}
+	return adv
+}
+
 // flagUnmatchedAwaits classifies awaits whose advance is missing from the
 // entire trace. Awaits of pre-advanced iterations (negative iteration
 // numbers, the DOACROSS warm-up) legitimately have no advance event and
 // are not defects.
 func (r *repairer) flagUnmatchedAwaits(w *Trace) {
-	adv := w.PairIndex()
+	adv := advanceIndex(w)
 	seen := make(map[PairKey]bool)
 	for _, e := range w.Events {
 		if e.Kind != KindAwaitE || e.Iter < 0 {
 			continue
 		}
-		if _, ok := adv[e.Pair()]; ok {
+		if *adv.Slot(e.Pair()) != 0 {
 			continue
 		}
 		if seen[e.Pair()] {

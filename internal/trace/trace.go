@@ -116,15 +116,16 @@ func (t *Trace) End() Time {
 func (t *Trace) Duration() Time { return t.End() - t.Start() }
 
 // ByProc splits the trace into per-processor event sequences, each in trace
-// order. The result has Procs entries; processors with no events get a nil
-// slice, and events naming a processor outside [0, Procs) are dropped. The
+// order. The result has Procs entries (none when Procs is negative, a
+// trace Validate refuses); processors with no events get a nil slice, and
+// events naming a processor outside [0, Procs) are dropped. The
 // events are copied, once, into one backing array shared by the
 // sequences; each sequence is capped at its own length, so appending to one
 // never overwrites another.
 func (t *Trace) ByProc() [][]Event {
-	end := make([]int, t.Procs) // counts, then each sequence's fill position
+	end := make([]int, max(t.Procs, 0)) // counts, then each sequence's fill position
 	for _, e := range t.Events {
-		if e.Proc >= 0 && e.Proc < t.Procs {
+		if e.Proc >= 0 && e.Proc < len(end) {
 			end[e.Proc]++
 		}
 	}
@@ -136,12 +137,12 @@ func (t *Trace) ByProc() [][]Event {
 	all := make([]Event, total)
 	start := append([]int(nil), end...)
 	for _, e := range t.Events {
-		if e.Proc >= 0 && e.Proc < t.Procs {
+		if e.Proc >= 0 && e.Proc < len(end) {
 			all[end[e.Proc]] = e
 			end[e.Proc]++
 		}
 	}
-	per := make([][]Event, t.Procs)
+	per := make([][]Event, len(end))
 	for p, a := range start {
 		if b := end[p]; b > a {
 			per[p] = all[a:b:b]
@@ -228,11 +229,12 @@ var (
 
 // Validate checks structural trace invariants:
 //
-//   - every event's processor is within [0, Procs), or, when Procs is 0
-//     (or negative), non-negative: a trace without a processor count
-//     leaves it to be discovered from the events, as the event-based
-//     analysis does (the statistics that size per-processor tables by
-//     Procs reject such events; see NewBoundedValidator);
+//   - Procs is not negative;
+//   - every event's processor is within [0, Procs), or, when Procs is 0,
+//     non-negative: a trace without a processor count leaves it to be
+//     discovered from the events, as the event-based analysis does (the
+//     statistics that size per-processor tables by Procs reject such
+//     events; see NewBoundedValidator);
 //   - every event kind is defined;
 //   - per-processor timestamps are non-decreasing in trace order;
 //   - synchronization events carry the pairing information the event-based
@@ -241,7 +243,10 @@ var (
 // It returns nil if the trace is well formed, or an error describing the
 // first violation found (wrapping one of the Err* sentinel values).
 func (t *Trace) Validate() error {
-	v := NewEventValidator(t.Procs)
+	v, err := NewEventValidator(t.Procs)
+	if err != nil {
+		return err
+	}
 	for _, e := range t.Events {
 		if err := v.Check(e); err != nil {
 			return err
@@ -266,26 +271,32 @@ type EventValidator struct {
 }
 
 // NewEventValidator returns a validator for events on processors
-// [0, procs). procs <= 0 leaves the processor range unbounded (any
+// [0, procs). procs == 0 leaves the processor range unbounded (any
 // non-negative id), for streams whose processor count is discovered from
-// the events themselves.
-func NewEventValidator(procs int) *EventValidator {
-	if procs <= 0 {
-		return &EventValidator{grow: true}
+// the events themselves. A negative procs is refused as
+// NewBoundedValidator refuses it.
+func NewEventValidator(procs int) (*EventValidator, error) {
+	if procs == 0 {
+		return &EventValidator{grow: true}, nil
 	}
 	return NewBoundedValidator(procs)
 }
 
 // NewBoundedValidator returns a validator for events on processors
-// [0, procs) that never discovers processors: with procs <= 0 it admits
+// [0, procs) that never discovers processors: with procs == 0 it admits
 // no event. Analyses that size per-processor tables by a trace's Procs
-// validate with it, so an event beyond their tables fails with ErrBadProc.
-func NewBoundedValidator(procs int) *EventValidator {
-	v := &EventValidator{last: make([]Time, max(procs, 0))}
+// validate with it, so an event beyond their tables fails with ErrBadProc;
+// they create it before sizing anything by Procs, since a negative procs
+// is refused here, with an error wrapping ErrMalformedTrace.
+func NewBoundedValidator(procs int) (*EventValidator, error) {
+	if procs < 0 {
+		return nil, fmt.Errorf("%w: negative processor count %d", ErrMalformedTrace, procs)
+	}
+	v := &EventValidator{last: make([]Time, procs)}
 	for p := range v.last {
 		v.last[p] = math.MinInt64
 	}
-	return v
+	return v, nil
 }
 
 // syncVarKinds has bit k set for each kind k whose events must carry a
@@ -334,20 +345,4 @@ func (v *EventValidator) check(e Event) error {
 	}
 	v.last[e.Proc] = e.Time
 	return nil
-}
-
-// PairIndex maps every advance event's pairing key to its index in the
-// trace, for use by analyses that must locate the advance matching an await.
-// Duplicate advances for the same key keep the first occurrence.
-func (t *Trace) PairIndex() map[PairKey]int {
-	idx := make(map[PairKey]int)
-	for i, e := range t.Events {
-		if e.Kind == KindAdvance {
-			k := e.Pair()
-			if _, dup := idx[k]; !dup {
-				idx[k] = i
-			}
-		}
-	}
-	return idx
 }

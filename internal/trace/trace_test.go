@@ -120,6 +120,10 @@ func TestByProcAndFilter(t *testing.T) {
 	if per[2][0] != tr.Events[1] {
 		t.Fatalf("appending to proc 0's events overwrote proc 2's: %v", per[2])
 	}
+	tr.Procs = -1 // malformed (Validate refuses it): no sequences, no panic
+	if per := tr.ByProc(); len(per) != 0 {
+		t.Errorf("ByProc with Procs -1 = %v, want no sequences", per)
+	}
 	f := tr.Filter(func(e trace.Event) bool { return e.Kind == trace.KindCompute })
 	if f.Len() != 2 {
 		t.Errorf("filtered len = %d, want 2", f.Len())
@@ -188,23 +192,6 @@ func TestValidateAllowsNegativeAwaitTarget(t *testing.T) {
 	tr.Append(trace.Event{Time: 2, Proc: 0, Kind: trace.KindAwaitE, Iter: -1, Var: 0})
 	if err := tr.Validate(); err != nil {
 		t.Errorf("pre-advanced await target should validate, got %v", err)
-	}
-}
-
-func TestPairIndex(t *testing.T) {
-	tr := trace.New(2)
-	tr.Append(trace.Event{Time: 1, Proc: 0, Kind: trace.KindAdvance, Iter: 3, Var: 0})
-	tr.Append(trace.Event{Time: 2, Proc: 1, Kind: trace.KindAdvance, Iter: 4, Var: 0})
-	tr.Append(trace.Event{Time: 3, Proc: 1, Kind: trace.KindAdvance, Iter: 3, Var: 0}) // duplicate key
-	idx := tr.PairIndex()
-	if got := idx[trace.PairKey{Var: 0, Iter: 3}]; got != 0 {
-		t.Errorf("pair (0,3) -> %d, want first occurrence 0", got)
-	}
-	if got := idx[trace.PairKey{Var: 0, Iter: 4}]; got != 1 {
-		t.Errorf("pair (0,4) -> %d, want 1", got)
-	}
-	if len(idx) != 2 {
-		t.Errorf("index size = %d, want 2", len(idx))
 	}
 }
 

@@ -89,23 +89,43 @@ func TestFacadePipeline(t *testing.T) {
 // with header "procs=0" decodes to one) leaves its processors to be
 // discovered, as Analyze does. The statistics that size per-processor
 // tables by Procs reject its events as malformed instead of indexing past
-// their tables.
+// their tables. A negative Procs is malformed everywhere, refused before
+// anything is sized by it.
 func TestZeroProcsTraceIsMalformed(t *testing.T) {
-	tr := &perturb.Trace{Events: []perturb.Event{{Time: 1, Proc: 0, Kind: perturb.KindCompute, Iter: -1, Var: -1}}}
 	cal := perturb.Calibration{Overheads: perturb.UniformOverheads(2), SNoWait: 5, SWait: 8, AdvanceOp: 3, Barrier: 4}
-	if _, err := perturb.Analyze(tr, cal, perturb.AnalyzeOptions{}); err != nil {
-		t.Fatalf("Analyze: %v", err)
-	}
-	for name, f := range map[string]func() error{
-		"AnalyzeCriticalPath": func() error { _, err := perturb.AnalyzeCriticalPath(tr); return err },
-		"CheckFeasible":       func() error { return perturb.CheckFeasible(tr, tr) },
-		"Slice":               func() error { _, _, err := perturb.Slice(tr, perturb.SliceQuery{}); return err },
-		"Waiting":             func() error { _, err := perturb.Waiting(tr, cal); return err },
-		"Parallelism":         func() error { _, err := perturb.Parallelism(tr, cal); return err },
-		"Timeline":            func() error { _, err := perturb.Timeline(tr, cal); return err },
-	} {
-		if err := f(); !errors.Is(err, perturb.ErrMalformedTrace) {
-			t.Errorf("%s = %v, want an error wrapping ErrMalformedTrace", name, err)
+	for _, procs := range []int{0, -1} {
+		tr := &perturb.Trace{Procs: procs, Events: []perturb.Event{
+			{Time: 0, Proc: 0, Kind: perturb.KindLoopBegin, Iter: -1, Var: -1},
+			{Time: 1, Proc: 0, Kind: perturb.KindCompute, Iter: -1, Var: -1},
+		}}
+		analyze := func(opts perturb.AnalyzeOptions) func() error {
+			return func() error { _, err := perturb.Analyze(tr, cal, opts); return err }
+		}
+		liberal := perturb.AnalyzeOptions{Mode: perturb.Liberal, Liberal: perturb.LiberalOptions{Procs: 2}}
+		for name, f := range map[string]func() error{
+			"Validate":            tr.Validate,
+			"Analyze":             analyze(perturb.AnalyzeOptions{}),
+			"Analyze/liberal":     analyze(liberal),
+			"AnalyzeCriticalPath": func() error { _, err := perturb.AnalyzeCriticalPath(tr); return err },
+			"CheckFeasible":       func() error { return perturb.CheckFeasible(tr, tr) },
+			"Slice":               func() error { _, _, err := perturb.Slice(tr, perturb.SliceQuery{}); return err },
+			"Waiting":             func() error { _, err := perturb.Waiting(tr, cal); return err },
+			"Parallelism":         func() error { _, err := perturb.Parallelism(tr, cal); return err },
+			"Timeline":            func() error { _, err := perturb.Timeline(tr, cal); return err },
+		} {
+			err := f()
+			switch {
+			case procs == 0 && (name == "Validate" || name == "Analyze"):
+				if err != nil {
+					t.Errorf("procs=0: %s = %v, want success", name, err)
+				}
+			case procs == 0 && name == "Analyze/liberal":
+				if !errors.Is(err, perturb.ErrUnsupported) {
+					t.Errorf("procs=0: %s = %v, want an error wrapping ErrUnsupported", name, err)
+				}
+			case !errors.Is(err, perturb.ErrMalformedTrace):
+				t.Errorf("procs=%d: %s = %v, want an error wrapping ErrMalformedTrace", procs, name, err)
+			}
 		}
 	}
 }
