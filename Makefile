@@ -38,7 +38,7 @@ bench-sim:
 # the numbers EXPERIMENTS.md's engine section quotes.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion' -benchmem -count 5 .
-	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput' -benchmem -count 5 ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput|BenchmarkLiberalThroughput' -benchmem -count 5 ./internal/core/
 
 # Derived statistics on the approximated million-event wave: Table 3's
 # waiting, Figure 5's parallelism and the critical path (the latter under

@@ -38,22 +38,50 @@ func cancelCal(cfg perturb.MachineConfig) perturb.Calibration {
 	return perturb.ExactCalibration(perturb.PaperOverheads(), cfg)
 }
 
+// liberalCancelTrace simulates one instrumented run of Livermore loop 3
+// (about 16k events): liberal analysis accepts a single DOACROSS loop
+// only, so it cannot take cancelTrace's eight phases.
+func liberalCancelTrace(t testing.TB) *perturb.Trace {
+	t.Helper()
+	loop, err := perturb.LivermoreLoop(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := perturb.Simulate(loop, perturb.FullInstrumentation(perturb.PaperOverheads(), true), perturb.Alliant())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Trace
+}
+
+// analysisVariant is one analysis configuration the cancellation tests
+// drive, with the trace it analyzes.
+type analysisVariant struct {
+	trace *perturb.Trace
+	opts  perturb.AnalyzeOptions
+}
+
 // analysisVariants lists the analysis configurations the cancellation
-// tests drive.
-func analysisVariants() map[string]perturb.AnalyzeOptions {
-	return map[string]perturb.AnalyzeOptions{
-		"sequential": {},
+// tests drive: every mode.
+func analysisVariants(t testing.TB) map[string]analysisVariant {
+	tr := cancelTrace(t)
+	return map[string]analysisVariant{
+		"sequential": {tr, perturb.AnalyzeOptions{}},
+		"time":       {tr, perturb.AnalyzeOptions{Mode: perturb.TimeBased}},
+		"liberal": {liberalCancelTrace(t), perturb.AnalyzeOptions{
+			Mode:    perturb.Liberal,
+			Liberal: perturb.LiberalOptions{Procs: perturb.Alliant().Procs, Distance: 1, Schedule: perturb.Dynamic},
+		}},
 	}
 }
 
 func TestAnalyzeContextAlreadyCanceled(t *testing.T) {
-	tr := cancelTrace(t)
 	cal := cancelCal(perturb.Alliant())
-	for name, opts := range analysisVariants() {
+	for name, v := range analysisVariants(t) {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			approx, err := perturb.AnalyzeContext(ctx, tr, cal, opts)
+			approx, err := perturb.AnalyzeContext(ctx, v.trace, cal, v.opts)
 			if !errors.Is(err, perturb.ErrCanceled) {
 				t.Fatalf("err = %v, want ErrCanceled", err)
 			}
@@ -125,11 +153,10 @@ func expireMidAnalysis(t *testing.T, tr *perturb.Trace, cal perturb.Calibration,
 }
 
 func TestAnalyzeContextDeadlineMidAnalysis(t *testing.T) {
-	tr := cancelTrace(t)
 	cal := cancelCal(perturb.Alliant())
-	for name, opts := range analysisVariants() {
+	for name, v := range analysisVariants(t) {
 		t.Run(name, func(t *testing.T) {
-			err := expireMidAnalysis(t, tr, cal, opts, context.DeadlineExceeded)
+			err := expireMidAnalysis(t, v.trace, cal, v.opts, context.DeadlineExceeded)
 			if !errors.Is(err, perturb.ErrDeadlineExceeded) {
 				t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 			}
@@ -141,11 +168,10 @@ func TestAnalyzeContextDeadlineMidAnalysis(t *testing.T) {
 }
 
 func TestAnalyzeContextCancelMidAnalysis(t *testing.T) {
-	tr := cancelTrace(t)
 	cal := cancelCal(perturb.Alliant())
-	for name, opts := range analysisVariants() {
+	for name, v := range analysisVariants(t) {
 		t.Run(name, func(t *testing.T) {
-			err := expireMidAnalysis(t, tr, cal, opts, context.Canceled)
+			err := expireMidAnalysis(t, v.trace, cal, v.opts, context.Canceled)
 			if !errors.Is(err, perturb.ErrCanceled) {
 				t.Fatalf("err = %v, want ErrCanceled", err)
 			}

@@ -37,6 +37,11 @@ import (
 	"perturb/internal/obs"
 )
 
+// selfPerturb runs the telemetry audit behind -run selfperturb. It is a
+// variable so that the dispatch tests can stand in a canned result for
+// the million-event analysis the audit times.
+var selfPerturb = experiments.SelfPerturb
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
@@ -184,7 +189,7 @@ func run(w io.Writer, which string, env experiments.Env) error {
 	case "selfperturb":
 		// The audit toggles the telemetry layer itself, so it runs on the
 		// benchmark workload rather than through env; see SelfPerturb.
-		res, err := experiments.SelfPerturb(8, 250_000)
+		res, err := selfPerturb(8, 250_000)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"perturb/internal/experiments"
+	"perturb/internal/timing"
 )
 
 func TestRunSelectsExperiments(t *testing.T) {
@@ -76,16 +77,26 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
+// TestRunSelfPerturb covers the selfperturb dispatch with a canned audit:
+// the audit itself is timed by TestSelfPerturbOverhead.
 func TestRunSelfPerturb(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock audit skipped in -short mode")
+	defer func(f func(int, int) (*experiments.SelfPerturbResult, error)) { selfPerturb = f }(selfPerturb)
+	var procs, iters int
+	selfPerturb = func(p, n int) (*experiments.SelfPerturbResult, error) {
+		procs, iters = p, n
+		r := timing.Ratio{Median: 1.01, Q1: 1.005, Q3: 1.015}
+		return &experiments.SelfPerturbResult{Procs: p, Events: 4 * n, Overhead: timing.Result{Rounds: 7, Wall: r, CPU: r}}, nil
 	}
 	var buf bytes.Buffer
 	if err := run(&buf, "selfperturb", experiments.ExactEnv()); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "Self-perturbation audit") {
-		t.Errorf("selfperturb output unexpected:\n%s", buf.String())
+	if procs != 8 || iters != 250_000 {
+		t.Errorf("audit ran on %d procs, %d iterations; want 8, 250000", procs, iters)
+	}
+	want := "Self-perturbation audit: event-based analysis of 1000000 events on 8 procs"
+	if out := buf.String(); !strings.Contains(out, want) || !strings.Contains(out, "+1.00%") {
+		t.Errorf("selfperturb output unexpected:\n%s", out)
 	}
 }
 

@@ -71,13 +71,13 @@ func Analyze(m *trace.Trace, cal instr.Calibration, opts Options) (*Approximatio
 	return AnalyzeContext(context.Background(), m, cal, opts)
 }
 
-// AnalyzeContext is Analyze under a context: the analysis polls ctx
-// cooperatively (every few thousand events inside the hot resolution
-// loop, and between forced resolutions of a degraded run) and abandons
-// the run with ErrCanceled or ErrDeadlineExceeded —
-// matching both the package sentinels and the context causes under
-// errors.Is — without returning a partial Approximation. A background
-// context reproduces Analyze exactly.
+// AnalyzeContext is Analyze under a context: the analysis, in every mode,
+// polls ctx cooperatively (every few thousand events inside the engine's
+// resolution loop, and between forced resolutions of a degraded run) and
+// abandons the run with ErrCanceled or ErrDeadlineExceeded — matching both
+// the package sentinels and the context causes under errors.Is — without
+// returning a partial Approximation. A background context reproduces
+// Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
 	if err := cancel.Err(ctx); err != nil {
 		return nil, err
@@ -94,9 +94,9 @@ func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, 
 	var err error
 	switch opts.Mode {
 	case ModeTimeBased:
-		a, err = TimeBased(m, cal)
+		a, err = analyzeBatch(ctx, m, cal, ModeTimeBased, false)
 	case ModeLiberal:
-		a, err = LiberalEventBased(m, cal, opts.Liberal)
+		a, _, err = liberal(ctx, m, cal, opts.Liberal)
 	case ModeEventBased:
 		a, err = eventBased(ctx, m, cal, opts.Repair)
 	default:

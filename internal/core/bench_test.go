@@ -6,6 +6,7 @@ import (
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/machine"
+	"perturb/internal/program"
 )
 
 func benchTraceSetup(b *testing.B) (*machine.Result, instr.Calibration) {
@@ -42,13 +43,21 @@ func BenchmarkEventBasedThroughput(b *testing.B) {
 	b.ReportMetric(float64(measured.Events)/1000, "kevents")
 }
 
+// BenchmarkLiberalThroughput re-times the measured loop on 8 processors
+// under each target schedule.
 func BenchmarkLiberalThroughput(b *testing.B) {
 	measured, cal := benchTraceSetup(b)
-	opts := core.LiberalOptions{Procs: 8, Distance: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.LiberalEventBased(measured.Trace, cal, opts); err != nil {
-			b.Fatal(err)
-		}
+	for s := range program.NumSchedules {
+		sched := program.Schedule(s)
+		b.Run(sched.String(), func(b *testing.B) {
+			opts := core.LiberalOptions{Procs: 8, Distance: 1, Schedule: sched}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.LiberalEventBased(measured.Trace, cal, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(measured.Events)/1000, "kevents")
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"perturb/internal/instr"
@@ -12,7 +14,7 @@ import (
 // LiberalOptions parameterizes the liberal (reschedule-aware) analysis with
 // the external execution information the paper says conservative analysis
 // lacks (§4.1, §4.2.3): the loop's scheduling discipline and dependence
-// distance, plus the processor count to re-simulate scheduling over.
+// distance, plus the processor count to schedule the iterations over.
 type LiberalOptions struct {
 	Procs    int
 	Distance int
@@ -26,48 +28,76 @@ type iterSegment struct {
 	cost trace.Time
 }
 
+// The phases of an iteration: before, inside and after its critical
+// region.
+const (
+	phasePre = iota
+	phaseCrit
+	phasePost
+)
+
 // iterWork is the instrumentation-free work profile of one loop iteration
-// extracted from the measured trace.
+// extracted from the measured trace: its computes by phase and its
+// region's events.
 type iterWork struct {
-	iter            int
-	pre, crit, post []iterSegment
-	awaitB, awaitE  trace.Event
-	advance         trace.Event
-	hasSync         bool
+	iter                    int
+	phases                  [3][]iterSegment
+	awaitB, awaitE, advance trace.Event
+	hasSync                 bool
 }
 
 // LiberalEventBased performs event-based perturbation analysis with work
 // reassignment: instead of keeping the measured iteration-to-processor
 // mapping (which instrumentation may have distorted, especially under
 // self-scheduling), it extracts each iteration's instrumentation-free costs
-// from the measured trace and re-simulates the loop under the given
-// scheduling discipline. The approximated execution may therefore assign
-// iterations to different processors than the measured one — a liberal
-// approximation in the paper's terminology: closer to a likely execution,
-// but no longer provably order-preserving.
+// from the measured trace, assigns the iterations to processors under the
+// given scheduling discipline and re-times them on the event-based engine.
+// The approximated execution may therefore assign iterations to different
+// processors than the measured one — a liberal approximation in the
+// paper's terminology: closer to a likely execution, but no longer
+// provably order-preserving.
 //
 // The input trace must come from a single concurrent loop whose body has at
 // most one await...advance critical region (the structure of Livermore
 // loops 3, 4 and 17), with loop markers enabled; sync instrumentation is
 // required for DOACROSS inputs.
 func LiberalEventBased(m *trace.Trace, cal instr.Calibration, opts LiberalOptions) (*Approximation, error) {
+	a, _, err := liberal(context.Background(), m, cal, opts)
+	return a, err
+}
+
+// liberal is LiberalEventBased under ctx; it also returns the engine it fed.
+//
+// The feed lays the extracted loop out on the target schedule: the head
+// and the fork on processor 0, the iterations in index order, a barrier
+// arrival and release on each processor, the loop end and the tail. Each
+// event sits at its processor's clock plus a gap: a compute's extracted
+// cost, the advance operation for an advance, an awaitE's measured gap
+// from its awaitB, none for the rest. The costs carry no probes, so the
+// engine charges only awaitE's, which enters Figure 2's measured-wait
+// threshold alone. Every dependence points to an earlier iteration, so
+// each event resolves as it is fed and the dynamic schedule reads the
+// engine's frontiers. An await whose target iteration posts no advance (a
+// warm-up await of a distance-d loop) resolves against one posted at time
+// zero on the extra processor opts.Procs, whose events the result drops.
+func liberal(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts LiberalOptions) (*Approximation, *engine, error) {
 	if opts.Procs < 1 {
-		return nil, fmt.Errorf("%w: liberal analysis requires Procs >= 1, got %d", ErrUnsupported, opts.Procs)
+		return nil, nil, fmt.Errorf("%w: liberal analysis requires Procs >= 1, got %d", ErrUnsupported, opts.Procs)
 	}
 	if opts.Distance < 1 {
 		opts.Distance = 1
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid input trace: %w", err)
+		return nil, nil, fmt.Errorf("core: invalid input trace: %w", err)
 	}
 	forkIdx := -1
 	for i, e := range m.Events {
 		switch e.Kind {
 		case trace.KindLockReq, trace.KindLockAcq, trace.KindLockRel:
-			// Re-simulating lock acquisition order under a different
-			// schedule would require modeling arbitration outcomes the
-			// trace does not determine; refuse rather than guess.
-			return nil, fmt.Errorf("%w: liberal analysis does not support lock-based critical sections (event %v)", ErrUnsupported, e)
+			// Re-timing lock acquisitions under a different schedule
+			// would require modeling arbitration outcomes the trace
+			// does not determine; refuse rather than guess.
+			return nil, nil, fmt.Errorf("%w: liberal analysis does not support lock-based critical sections (event %v)", ErrUnsupported, e)
 		case trace.KindLoopBegin:
 			if forkIdx < 0 {
 				forkIdx = i
@@ -75,140 +105,93 @@ func LiberalEventBased(m *trace.Trace, cal instr.Calibration, opts LiberalOption
 		}
 	}
 	if forkIdx < 0 {
-		return nil, fmt.Errorf("%w: liberal analysis requires a loop-begin marker in the trace", ErrUnsupported)
+		return nil, nil, fmt.Errorf("%w: liberal analysis requires a loop-begin marker in the trace", ErrUnsupported)
 	}
 
 	ex, err := extractWork(m, cal, forkIdx, opts.Distance)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !ex.barrierSeen {
-		return nil, fmt.Errorf("%w: liberal analysis requires barrier events in the trace", ErrUnsupported)
+		return nil, nil, fmt.Errorf("%w: liberal analysis requires barrier events in the trace", ErrUnsupported)
 	}
 
-	// Re-simulate. The head executes on processor 0; every processor
-	// begins iterating at headEnd + forkGap.
-	out := trace.New(opts.Procs)
-	var clock0 trace.Time
-	for _, seg := range ex.head {
-		clock0 += seg.cost
-		e := seg.ev
-		e.Time = clock0
-		e.Proc = 0
-		out.Append(e)
+	procs := opts.Procs
+	probeFree := cal
+	probeFree.Overheads = instr.Overheads{AwaitE: cal.Overheads.AwaitE}
+	// Sealing stays off: the feed is not time-sorted, and the barrier's
+	// participants are known at close.
+	g, err := newIncEngine(procs+1, probeFree, engineOptions{mode: ModeEventBased, retain: true, fixedProcs: true})
+	if err != nil {
+		return nil, nil, err
 	}
-	forkEv := m.Events[forkIdx]
-	forkEv.Time = clock0
-	forkEv.Proc = 0
-	out.Append(forkEv)
-	start := clock0 + ex.forkGap
+	defer g.flushTelemetry()
+	clock := make([]trace.Time, procs+1) // each processor's clock on the feed
+	var buf []trace.Event
+	put := func(p int, segs ...iterSegment) {
+		for _, s := range segs {
+			clock[p] += s.cost
+			s.ev.Time, s.ev.Proc = clock[p], p
+			buf = append(buf, s.ev)
+		}
+	}
 
-	clocks := make([]trace.Time, opts.Procs)
-	for p := range clocks {
-		clocks[p] = start
+	for _, w := range ex.work { // the warm-up advances
+		if t := w.awaitE.Iter; w.hasSync && (t < 0 || !ex.work[t].hasSync) {
+			put(procs, iterSegment{ev: trace.Event{Kind: trace.KindAdvance, Iter: t, Var: w.awaitE.Var}})
+		}
 	}
-	advT := make(map[int]trace.Time, len(ex.work))
-	chunk := (len(ex.work) + opts.Procs - 1) / opts.Procs
-	if chunk == 0 {
-		chunk = 1
+	put(0, ex.head...)
+	put(0, iterSegment{ev: m.Events[forkIdx]})
+	start := clock[0] + ex.forkGap
+	// frontier is each processor's resolved clock: the loop start until
+	// the processor runs an iteration, the engine's frontier after.
+	frontier := make([]trace.Time, procs)
+	for p := range frontier {
+		clock[p], frontier[p] = start, start
 	}
-	kept, removed, introduced := 0, 0, 0
-
-	for n, w := range ex.work {
-		p := 0
+	chunk := max(1, (len(ex.work)+procs-1)/procs)
+	for i, w := range ex.work {
+		p := i % procs // Interleaved
 		switch opts.Schedule {
 		case program.Blocked:
-			p = n / chunk
+			p = i / chunk
 		case program.Dynamic:
-			for q := 1; q < opts.Procs; q++ {
-				if clocks[q] < clocks[p] {
-					p = q
-				}
-			}
-		default: // Interleaved
-			p = n % opts.Procs
+			p = slices.Index(frontier, slices.Min(frontier))
 		}
-		c := clocks[p]
-		emit := func(segs []iterSegment) {
-			for _, seg := range segs {
-				c += seg.cost
-				e := seg.ev
-				e.Time = c
-				e.Proc = p
-				out.Append(e)
-			}
-		}
-		emit(w.pre)
+		n := len(buf)
+		put(p, w.phases[phasePre]...)
 		if w.hasSync {
-			arrival := c
-			eB := w.awaitB
-			eB.Time = arrival
-			eB.Proc = p
-			out.Append(eB)
-			target := w.iter - opts.Distance
-			rel, posted := trace.Time(0), false
-			if target >= 0 {
-				rel, posted = advT[target]
-			}
-			measuredWaited := w.awaitE.Time-w.awaitB.Time > cal.SNoWait+cal.Overheads.AwaitE+cal.SNoWait/2
-			if posted && rel > arrival {
-				c = rel + cal.SWait
-				kept++
-				if !measuredWaited {
-					introduced++
-				}
-			} else {
-				c = arrival + cal.SNoWait
-				if measuredWaited {
-					removed++
-				}
-			}
-			eE := w.awaitE
-			eE.Time = c
-			eE.Proc = p
-			out.Append(eE)
-			emit(w.crit)
-			c += cal.AdvanceOp
-			eA := w.advance
-			eA.Time = c
-			eA.Proc = p
-			out.Append(eA)
-			advT[w.iter] = c
+			put(p, iterSegment{w.awaitB, 0}, iterSegment{w.awaitE, max(0, w.awaitE.Time-w.awaitB.Time)})
+			put(p, w.phases[phaseCrit]...)
+			put(p, iterSegment{w.advance, cal.AdvanceOp})
 		}
-		emit(w.post)
-		clocks[p] = c
+		put(p, w.phases[phasePost]...)
+		if err := g.feed(ctx, buf); err != nil {
+			return nil, nil, err
+		}
+		if len(buf) > n {
+			frontier[p] = g.ps[p].taPrev
+		}
+		buf = buf[:0]
 	}
-
 	// Implicit end-of-loop barrier.
-	var latest trace.Time
-	for _, c := range clocks {
-		if c > latest {
-			latest = c
-		}
+	for p := range procs {
+		put(p, iterSegment{ev: trace.Event{Stmt: -2, Kind: trace.KindBarrierArrive}},
+			iterSegment{ev: trace.Event{Stmt: -2, Kind: trace.KindBarrierRelease}})
 	}
-	release := latest + cal.Barrier
-	for p := 0; p < opts.Procs; p++ {
-		out.Append(trace.Event{Time: clocks[p], Stmt: -2, Proc: p, Kind: trace.KindBarrierArrive, Iter: 0, Var: 0})
-		out.Append(trace.Event{Time: release, Stmt: -2, Proc: p, Kind: trace.KindBarrierRelease, Iter: 0, Var: 0})
+	put(0, iterSegment{ev: trace.Event{Stmt: -1, Kind: trace.KindLoopEnd, Iter: trace.NoIter, Var: trace.NoVar}})
+	put(0, ex.tail...)
+	if err := g.feed(ctx, buf); err != nil {
+		return nil, nil, err
 	}
-	c0 := release
-	out.Append(trace.Event{Time: c0, Stmt: -1, Proc: 0, Kind: trace.KindLoopEnd, Iter: trace.NoIter, Var: trace.NoVar})
-	for _, seg := range ex.tail {
-		c0 += seg.cost
-		e := seg.ev
-		e.Time = c0
-		e.Proc = 0
-		out.Append(e)
+	a, err := g.close(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	out.Sort()
-	return &Approximation{
-		Trace:           out,
-		Duration:        out.End(),
-		WaitsKept:       kept,
-		WaitsRemoved:    removed,
-		WaitsIntroduced: introduced,
-	}, nil
+	a.Trace.Procs, a.Times = procs, nil
+	a.Trace.Events = slices.DeleteFunc(a.Trace.Events, func(e trace.Event) bool { return e.Proc == procs })
+	return a, g, nil
 }
 
 // extraction is the decomposed measured trace.
@@ -241,6 +224,7 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 		if p == forkProc {
 			prev = 0
 		}
+		recs[p] = make([]segRec, 0, len(evs))
 		for j, e := range evs {
 			clean := e.Time - prev - cal.Overheads.ForKind(e.Kind)
 			if clean < 0 {
@@ -297,11 +281,6 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 		}
 		return w
 	}
-	const (
-		phasePre = iota
-		phaseCrit
-		phasePost
-	)
 	for p, rs := range recs {
 		beforeFork := p == forkProc
 		afterRelease := false
@@ -316,6 +295,7 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 					clean = base
 				}
 			}
+			var slot *trace.Event // a sync event's place in its iteration
 			switch e.Kind {
 			case trace.KindLoopBegin:
 				beforeFork = false
@@ -324,7 +304,7 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 			case trace.KindBarrierRelease:
 				afterRelease = true
 			case trace.KindLoopEnd:
-				// Marker re-emitted by the re-simulation.
+				// Marker re-emitted after the barrier.
 			case trace.KindCompute:
 				switch {
 				case beforeFork:
@@ -332,50 +312,43 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 				case afterRelease || e.Iter == trace.NoIter:
 					ex.tail = append(ex.tail, iterSegment{ev: e, cost: clean})
 				default:
-					w := get(e.Iter)
-					seg := iterSegment{ev: e, cost: clean}
-					switch phase[e.Iter] {
-					case phaseCrit:
-						w.crit = append(w.crit, seg)
-					case phasePost:
-						w.post = append(w.post, seg)
-					default:
-						w.pre = append(w.pre, seg)
-					}
+					ph := &get(e.Iter).phases[phase[e.Iter]]
+					*ph = append(*ph, iterSegment{ev: e, cost: clean})
 				}
 			case trace.KindAwaitB:
 				i := e.Iter + distance
 				w := get(i)
-				w.awaitB = e
+				slot = &w.awaitB
 				w.hasSync = true
 				// The awaitB gap minus probe is pre-region work;
 				// fold it into the last pre segment (or keep it as a
 				// synthetic segment if none exists).
-				if clean > 0 {
-					if len(w.pre) > 0 {
-						w.pre[len(w.pre)-1].cost += clean
-					} else {
-						w.pre = append(w.pre, iterSegment{ev: syntheticCompute(e, i), cost: clean})
-					}
+				if pre := w.phases[phasePre]; clean > 0 && len(pre) > 0 {
+					pre[len(pre)-1].cost += clean
+				} else if clean > 0 {
+					w.phases[phasePre] = append(pre, iterSegment{ev: syntheticCompute(e, i), cost: clean})
 				}
 				phase[i] = phaseCrit
 			case trace.KindAwaitE:
-				i := e.Iter + distance
-				w := get(i)
-				w.awaitE = e
-				// The awaitE gap is replaced by the sync model.
+				// The awaitE gap is the engine's to model.
+				slot = &get(e.Iter + distance).awaitE
 			case trace.KindAdvance:
 				w := get(e.Iter)
-				w.advance = e
+				slot = &w.advance
 				w.hasSync = true
 				// The advance gap minus probe includes the advance
-				// operation cost, re-added explicitly during the
-				// re-simulation, plus any unattributed statement cost.
-				opClean := clean - cal.AdvanceOp
-				if opClean > 0 {
-					w.crit = append(w.crit, iterSegment{ev: syntheticCompute(e, e.Iter), cost: opClean})
+				// operation cost, which the engine charges as the
+				// advance's gap, plus any unattributed statement cost.
+				if opClean := clean - cal.AdvanceOp; opClean > 0 {
+					w.phases[phaseCrit] = append(w.phases[phaseCrit], iterSegment{ev: syntheticCompute(e, e.Iter), cost: opClean})
 				}
 				phase[e.Iter] = phasePost
+			}
+			if slot != nil {
+				if slot.Kind == e.Kind {
+					return nil, fmt.Errorf("%w: liberal analysis: a second %v in one iteration (event %v); at most one await...advance region is supported", ErrUnsupported, e.Kind, e)
+				}
+				*slot = e
 			}
 		}
 	}
@@ -391,6 +364,10 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 		}
 		if w.hasSync && (w.awaitB.Kind != trace.KindAwaitB || w.awaitE.Kind != trace.KindAwaitE || w.advance.Kind != trace.KindAdvance) {
 			return nil, fmt.Errorf("%w: liberal analysis: iteration %d has incomplete synchronization events", ErrUnsupported, w.iter)
+		}
+		// The engine pairs an await with the advance of its variable.
+		if t := w.awaitE.Iter; w.hasSync && t >= 0 && ex.work[t].hasSync && ex.work[t].advance.Var != w.awaitE.Var {
+			return nil, fmt.Errorf("%w: liberal analysis: iteration %d awaits variable %d, which iteration %d does not advance", ErrUnsupported, w.iter, w.awaitE.Var, t)
 		}
 	}
 	return ex, nil

@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"perturb/internal/core"
 	"perturb/internal/instr"
+	"perturb/internal/loops"
 	"perturb/internal/machine"
 	"perturb/internal/program"
 	"perturb/internal/trace"
@@ -173,6 +177,14 @@ func TestLiberalErrorCases(t *testing.T) {
 		t.Errorf("missing advance: err = %v", err)
 	}
 
+	// A second await...advance region: liberal would keep one awaitB,
+	// awaitE and advance per iteration and drop the rest.
+	twoRegions := runMeasured(t, multiVarLoop(16, 1), cfg, ovh)
+	_, err = core.LiberalEventBased(twoRegions.Trace, cal, core.LiberalOptions{Procs: 8, Distance: 1})
+	if !errors.Is(err, core.ErrUnsupported) || !strings.Contains(err.Error(), "second") {
+		t.Errorf("two regions: err = %v", err)
+	}
+
 	// Invalid trace.
 	bad := trace.New(1)
 	bad.Append(trace.Event{Time: 1, Proc: 9, Kind: trace.KindCompute})
@@ -207,6 +219,177 @@ func TestLiberalRandomizedAgainstGroundTruth(t *testing.T) {
 		ratio := float64(predicted.Duration) / float64(actual.Duration)
 		if ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("case %d (iters %d): predicted/actual = %.4f", i, iters, ratio)
+		}
+	}
+}
+
+// liberalCase is one measurement of the liberal corpus, with the
+// calibration and dependence distance its analysis gets and the target
+// processor counts to analyze it for.
+type liberalCase struct {
+	name     string
+	trace    *trace.Trace
+	cal      instr.Calibration
+	distance int
+	targets  []int
+}
+
+// liberalCorpus returns seeded DOACROSS measurements: random loops of 1-90
+// iterations, distance 1-4 and up to 5 µs of jitter, each measured on 1-9
+// processors under a random schedule with uniform 0-5 µs or the paper's
+// probes, one in eight without sync probes, calibrated exactly or with up
+// to ±5% error, to analyze for 1-9 processors; then LL3, LL4 and LL17
+// under every schedule (1.6k to 16k events each), to analyze for 1, 5, 8
+// and 9.
+func liberalCorpus(t *testing.T) []liberalCase {
+	t.Helper()
+	r := rand.New(rand.NewSource(22))
+	var cs []liberalCase
+	measure := func(name string, l *program.Loop, cfg machine.Config, ovh instr.Overheads, sync, noisy bool, targets []int) {
+		res, err := machine.Run(l, instr.FullPlan(ovh, sync), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cal := exactCalFor(cfg, ovh)
+		if noisy {
+			cal = instr.Perturbed(cal, uint64(len(cs)), 50)
+		}
+		cs = append(cs, liberalCase{name, res.Trace, cal, l.Distance, targets})
+	}
+	cost := func() trace.Time { return trace.Time(r.Intn(4000)) }
+	jitter := func() trace.Time { return trace.Time(r.Intn(5001)) }
+	for i := range 120 {
+		b := program.NewBuilder(fmt.Sprintf("doacross %d", i), 0, program.DOACROSS, 1+r.Intn(90))
+		b.Distance(1 + r.Intn(4))
+		for range r.Intn(3) {
+			b.Head("head", cost())
+		}
+		for range 1 + r.Intn(3) {
+			b.ComputeJitter("pre", cost(), jitter())
+		}
+		b.CriticalBegin(0)
+		for range 1 + r.Intn(2) {
+			b.ComputeJitter("crit", cost(), jitter())
+		}
+		b.CriticalEnd(0)
+		for range r.Intn(3) {
+			b.ComputeJitter("post", cost(), jitter())
+		}
+		for range r.Intn(3) {
+			b.Tail("tail", cost())
+		}
+		cfg := machine.Alliant()
+		cfg.Procs = 1 + r.Intn(9)
+		cfg.Schedule = program.Schedule(r.Intn(program.NumSchedules))
+		ovh := instr.Uniform(trace.Time(r.Intn(5001)))
+		if r.Intn(2) == 0 {
+			ovh = loops.PaperOverheads()
+		}
+		l := b.Loop()
+		measure(l.Name, l, cfg, ovh, r.Intn(8) != 0, r.Intn(2) == 0, []int{1, 2, 3, 4, 5, 6, 7, 8, 9})
+	}
+	for _, k := range []int{3, 4, 17} {
+		d, err := loops.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := range program.NumSchedules {
+			cfg := machine.Alliant()
+			cfg.Schedule = program.Schedule(s)
+			measure(fmt.Sprintf("LL%d %v", k, cfg.Schedule), d.Loop, cfg, loops.PaperOverheads(), true, false, []int{1, 5, 8, 9})
+		}
+	}
+	return cs
+}
+
+// TestLiberalMatchesReference: liberal analysis through the engine returns
+// exactly what the re-simulation it replaced returns — events, Procs,
+// Duration, the three wait counts, or the same error — under every target
+// schedule, on the corpus, on corrupted copies of it and under a wrong
+// dependence distance.
+func TestLiberalMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(2022))
+	runs, rejected := 0, 0
+	check := func(name string, tr *trace.Trace, cal instr.Calibration, opts core.LiberalOptions) {
+		t.Helper()
+		want, wantErr := core.LiberalReference(tr, cal, opts)
+		got, err := core.LiberalEventBased(tr, cal, opts)
+		runs++
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s %+v: err = %v, reference %v", name, opts, err, wantErr)
+		}
+		if wantErr != nil {
+			rejected++
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %+v: duration %d (waits %d/%d/%d), reference %d (%d/%d/%d); events equal: %v",
+				name, opts, got.Duration, got.WaitsKept, got.WaitsRemoved, got.WaitsIntroduced,
+				want.Duration, want.WaitsKept, want.WaitsRemoved, want.WaitsIntroduced,
+				reflect.DeepEqual(got.Trace, want.Trace))
+		}
+	}
+	for _, c := range liberalCorpus(t) {
+		for _, procs := range c.targets {
+			for s := range program.NumSchedules {
+				check(c.name, c.trace, c.cal, core.LiberalOptions{Procs: procs, Distance: c.distance, Schedule: program.Schedule(s)})
+			}
+		}
+		for range 3 {
+			bad := c.trace
+			for range 1 + r.Intn(3) {
+				bad = mutate(r, bad)
+			}
+			check(c.name+" corrupted", bad, c.cal, core.LiberalOptions{
+				Procs: 1 + r.Intn(9), Distance: c.distance, Schedule: program.Schedule(r.Intn(program.NumSchedules)),
+			})
+		}
+		check(c.name+" wrong distance", c.trace, c.cal, core.LiberalOptions{
+			Procs: 1 + r.Intn(9), Distance: c.distance%4 + 1, Schedule: program.Schedule(r.Intn(program.NumSchedules)),
+		})
+	}
+	t.Logf("%d runs, %d rejected", runs, rejected)
+}
+
+// TestLiberalFeedMatchesOracle: the naive oracle, applied to the trace
+// liberal analysis fed the engine under the calibration it fed it with,
+// returns liberal's result once the warm-up processor's events are dropped.
+func TestLiberalFeedMatchesOracle(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := instr.Uniform(5 * us)
+	cal := exactCalFor(cfg, ovh)
+	free := cal // the extracted costs carry no probes; awaitE's sets Figure 2's threshold
+	free.Overheads = instr.Overheads{AwaitE: ovh.AwaitE}
+	for _, distance := range []int{1, 2, 3} {
+		b := program.NewBuilder("oracle", 0, program.DOACROSS, 40)
+		b.Distance(distance)
+		b.Head("setup", 2*us)
+		b.ComputeJitter("work", 3*us, 4*us)
+		b.CriticalBegin(0)
+		b.Compute("update", us/2)
+		b.CriticalEnd(0)
+		b.Compute("post", us/2)
+		b.Tail("teardown", us)
+		measured := runMeasured(t, b.Loop(), cfg, ovh)
+		for _, procs := range []int{1, 5, 9} {
+			for s := range program.NumSchedules {
+				opts := core.LiberalOptions{Procs: procs, Distance: distance, Schedule: program.Schedule(s)}
+				got, fed, err := core.LiberalFed(measured.Trace, cal, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle(fed, free, core.ModeEventBased, false)
+				if err != nil {
+					t.Fatalf("%+v: oracle: %v", opts, err)
+				}
+				want.Trace = want.Trace.Filter(func(e trace.Event) bool { return e.Proc < procs })
+				want.Trace.Procs, want.Times = procs, nil
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%+v: liberal %d (waits %d/%d/%d), oracle on its feed %d (%d/%d/%d)", opts,
+						got.Duration, got.WaitsKept, got.WaitsRemoved, got.WaitsIntroduced,
+						want.Duration, want.WaitsKept, want.WaitsRemoved, want.WaitsIntroduced)
+				}
+			}
 		}
 	}
 }

@@ -82,8 +82,6 @@ func TestDistanceRelaxesChain(t *testing.T) {
 	}
 }
 
-// TestMultiVarLiberalRejectsTwoRegions is intentionally absent: the
-// liberal extractor supports a single critical region, which
-// TestLiberalErrorCases already pins down for the structural errors it
-// reports. Conservative analysis (above) is the supported path for
-// multi-region bodies.
+// Liberal analysis supports a single critical region and refuses a
+// second one with ErrUnsupported (TestLiberalErrorCases). Conservative
+// analysis (above) is the supported path for multi-region bodies.

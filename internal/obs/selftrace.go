@@ -122,14 +122,6 @@ func NewRecorder(capacity int) *Recorder {
 	}
 }
 
-// Cap returns the ring capacity in records.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
-
 // Dropped reports how many records have been overwritten by the ring
 // wrapping since the recorder was created.
 func (r *Recorder) Dropped() int64 {

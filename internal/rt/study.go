@@ -112,10 +112,3 @@ func Study(cfg StudyConfig, body func(*Ctx)) (*StudyResult, error) {
 		Approx:   approx,
 	}, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

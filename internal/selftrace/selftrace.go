@@ -30,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 
 	"perturb/internal/obs"
 	"perturb/internal/trace"
@@ -226,17 +225,4 @@ func (m *Manifest) StmtID(name string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-// RequestProcSet returns the request-processor ids, for filtering
-// parallelism metrics to the request timelines (the per-resource
-// processors exist only to carry advances and would otherwise count as
-// always-idle processors).
-func (m *Manifest) RequestProcSet() []int {
-	procs := make([]int, m.RequestProcs)
-	for i := range procs {
-		procs[i] = i
-	}
-	sort.Ints(procs)
-	return procs
 }

@@ -112,9 +112,6 @@ func TestExportEventMapping(t *testing.T) {
 	if _, ok := m.StmtID("no-such-phase"); ok {
 		t.Error("StmtID invented an id for an unknown phase")
 	}
-	if got := m.RequestProcSet(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("RequestProcSet() = %v", got)
-	}
 }
 
 func TestExportEmptyAndNil(t *testing.T) {

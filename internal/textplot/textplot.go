@@ -12,48 +12,6 @@ import (
 	"perturb/internal/trace"
 )
 
-// Bar is one bar of a bar chart.
-type Bar struct {
-	Label string
-	Value float64
-}
-
-// BarChart renders horizontal bars scaled to width columns, one per line:
-//
-//	loop 1  |##############################  10.76
-func BarChart(w io.Writer, title string, bars []Bar, width int) error {
-	if width <= 0 {
-		width = 50
-	}
-	var max float64
-	labelW := 0
-	for _, b := range bars {
-		if b.Value > max {
-			max = b.Value
-		}
-		if len(b.Label) > labelW {
-			labelW = len(b.Label)
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	for _, b := range bars {
-		n := 0
-		if max > 0 {
-			n = int(b.Value / max * float64(width))
-		}
-		if n < 0 {
-			n = 0
-		}
-		if _, err := fmt.Fprintf(w, "%-*s |%-*s %7.2f\n",
-			labelW, b.Label, width, strings.Repeat("#", n), b.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // GroupedBarChart renders two series side by side per label (the paper's
 // Figure 1 presents Measured/Actual and Model/Actual bars for each loop):
 //

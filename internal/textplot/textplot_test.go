@@ -9,41 +9,6 @@ import (
 	"perturb/internal/trace"
 )
 
-func TestBarChart(t *testing.T) {
-	var buf bytes.Buffer
-	bars := []textplot.Bar{
-		{Label: "loop 1", Value: 10},
-		{Label: "loop 19", Value: 20},
-		{Label: "zero", Value: 0},
-	}
-	if err := textplot.BarChart(&buf, "title", bars, 40); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "title") {
-		t.Error("missing title")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("line count = %d, want 4", len(lines))
-	}
-	// The max bar fills the width; the half bar has half the hashes.
-	full := strings.Count(lines[2], "#")
-	half := strings.Count(lines[1], "#")
-	if full != 40 {
-		t.Errorf("max bar has %d hashes, want 40", full)
-	}
-	if half != 20 {
-		t.Errorf("half bar has %d hashes, want 20", half)
-	}
-	if strings.Count(lines[3], "#") != 0 {
-		t.Error("zero bar should have no hashes")
-	}
-	if !strings.Contains(lines[2], "20.00") {
-		t.Error("value missing from bar line")
-	}
-}
-
 func TestGroupedBarChart(t *testing.T) {
 	var buf bytes.Buffer
 	err := textplot.GroupedBarChart(&buf, "fig1",

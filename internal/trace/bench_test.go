@@ -255,18 +255,3 @@ func BenchmarkWriteText(b *testing.B) {
 	}
 	b.SetBytes(int64(buf.Len()))
 }
-
-func BenchmarkMerge(b *testing.B) {
-	parts := make([]*trace.Trace, 8)
-	for p := range parts {
-		parts[p] = benchTrace(10000)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := trace.Merge(parts...)
-		if m.Len() != 80000 {
-			b.Fatal("bad merge length")
-		}
-	}
-}

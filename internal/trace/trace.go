@@ -174,31 +174,6 @@ func (t *Trace) CountKind(k Kind) int {
 	return n
 }
 
-// Merge combines several traces into one sorted trace. The processor count
-// of the result is the maximum of the inputs'. The output buffer is sized
-// exactly in one allocation; the inputs are never modified.
-func Merge(traces ...*Trace) *Trace {
-	procs, total := 0, 0
-	for _, t := range traces {
-		if t == nil {
-			continue
-		}
-		if t.Procs > procs {
-			procs = t.Procs
-		}
-		total += len(t.Events)
-	}
-	out := NewWithCap(procs, total)
-	for _, t := range traces {
-		if t == nil {
-			continue
-		}
-		out.Events = append(out.Events, t.Events...)
-	}
-	out.Sort()
-	return out
-}
-
 // Typed trace errors. ErrMalformedTrace is the umbrella sentinel: every
 // structural defect reported by Validate, the codecs and the sanitizer
 // wraps it, so callers can gate on errors.Is(err, ErrMalformedTrace)

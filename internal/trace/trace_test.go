@@ -133,20 +133,6 @@ func TestByProcAndFilter(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := trace.New(2)
-	a.Append(ev(5, 0, 0, trace.KindCompute))
-	b := trace.New(4)
-	b.Append(ev(1, 3, 1, trace.KindCompute))
-	m := trace.Merge(a, nil, b)
-	if m.Procs != 4 {
-		t.Errorf("merged procs = %d, want 4", m.Procs)
-	}
-	if m.Len() != 2 || m.Events[0].Time != 1 {
-		t.Errorf("merged = %v", m.Events)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	a := trace.New(1)
 	a.Append(ev(1, 0, 0, trace.KindCompute))
@@ -251,27 +237,6 @@ func TestGrowReservesSpace(t *testing.T) {
 	tr.Grow(-3) // no-ops must not shrink or panic
 	if tr.Len() != 65 {
 		t.Fatalf("len = %d, want 65", tr.Len())
-	}
-}
-
-func TestMergeAllocatesExactly(t *testing.T) {
-	a := trace.New(2)
-	b := trace.New(3)
-	for i := 0; i < 10; i++ {
-		a.Append(trace.Event{Time: trace.Time(2 * i), Proc: 1, Kind: trace.KindCompute})
-		b.Append(trace.Event{Time: trace.Time(2*i + 1), Proc: 2, Kind: trace.KindCompute})
-	}
-	m := trace.Merge(a, nil, b)
-	if m.Procs != 3 || m.Len() != 20 {
-		t.Fatalf("merge shape: procs=%d len=%d", m.Procs, m.Len())
-	}
-	if cap(m.Events) != 20 {
-		t.Fatalf("merge cap = %d, want exactly 20", cap(m.Events))
-	}
-	for i := 1; i < m.Len(); i++ {
-		if m.Events[i].Time < m.Events[i-1].Time {
-			t.Fatal("merge output not sorted")
-		}
 	}
 }
 
