@@ -12,6 +12,7 @@ import (
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/machine"
+	"perturb/internal/order"
 	"perturb/internal/testgen"
 	"perturb/internal/trace"
 )
@@ -130,7 +131,10 @@ func TestEventBasedOrphanBarrierRelease(t *testing.T) {
 // fed whole, one event at a time or in random chunks, with LowMemory on
 // or off; event-based inputs also run the degraded analysis without the
 // sanitizer. Every run must equal the oracle or fail with an exported
-// sentinel error; it must never panic.
+// sentinel error; it must never panic. An event-based batch run of an
+// unmutated program without repair must also be a feasible execution
+// (§4.1): its approximation keeps the measured trace's happened-before
+// order.
 func FuzzAnalyze(f *testing.F) {
 	for knobs := 0; knobs < 64; knobs += 5 {
 		f.Add(int64(knobs), uint8(knobs))
@@ -156,6 +160,15 @@ func FuzzAnalyze(f *testing.F) {
 		assertSameApproximation(t, "batch", want, wantErr, got, gotErr)
 		if gotErr == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
 			t.Fatalf("batch: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
+		}
+		if gotErr == nil && c.mode == core.ModeEventBased && knobs&2 == 0 && !c.repair {
+			rel, err := order.Build(c.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.Check(got.Trace); err != nil {
+				t.Fatalf("batch: infeasible approximation: %v", err)
+			}
 		}
 		if c.mode == core.ModeEventBased {
 			checkDegraded(t, "degraded", c.m, cal)

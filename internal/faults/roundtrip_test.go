@@ -1,11 +1,15 @@
 package faults_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"perturb/internal/core"
 	"perturb/internal/faults"
 	"perturb/internal/instr"
+	"perturb/internal/machine"
+	"perturb/internal/order"
+	"perturb/internal/testgen"
 	"perturb/internal/trace"
 )
 
@@ -69,6 +73,58 @@ func TestFaultClassRoundTrip(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRepairOrdersReorderedBarrier: a reorder fault that swaps a
+// processor's barrier arrival and release is a reordered bracket. In
+// testgen program 119 under 2% uniform faults, p0's release is recorded
+// at 140,501 ns and its arrival at 142,242 ns. Repair swaps them back, so
+// the degraded analysis resolves the barrier without a forced resolution
+// and its approximation is feasible.
+func TestRepairOrdersReorderedBarrier(t *testing.T) {
+	r := rand.New(rand.NewSource(119))
+	l, cfg, ovh := testgen.Loop(r), testgen.Config(r), testgen.Overheads(r)
+	res, err := machine.Run(l, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged, _ := faults.Inject(res.Trace, faults.Uniform(0.02, 119))
+	barrier := func(tr *trace.Trace) (arrive, release trace.Time) {
+		for _, e := range tr.Events {
+			switch {
+			case e.Proc != 0:
+			case e.Kind == trace.KindBarrierArrive:
+				arrive = e.Time
+			case e.Kind == trace.KindBarrierRelease:
+				release = e.Time
+			}
+		}
+		return arrive, release
+	}
+	if arrive, release := barrier(damaged); arrive != 142242 || release != 140501 {
+		t.Fatalf("damaged p0 barrier: arrival %d, release %d; want the reordered 142242, 140501", arrive, release)
+	}
+	repaired, rep := trace.Repair(damaged)
+	if arrive, release := barrier(repaired); arrive > release {
+		t.Fatalf("repaired p0 barrier: arrival %d after release %d\nrepair: %s", arrive, release, rep.Summary())
+	}
+	cal := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+	a, err := core.Analyze(damaged, cal, core.Options{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range a.Confidence {
+		if c.Forced != 0 {
+			t.Errorf("p%d: %d forced resolutions", c.Proc, c.Forced)
+		}
+	}
+	rel, err := order.Build(repaired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Check(a.Trace); err != nil {
+		t.Errorf("degraded approximation is infeasible: %v", err)
 	}
 }
 

@@ -28,13 +28,15 @@ func (iv Interval) Dur() trace.Time { return iv.End - iv.Start }
 
 // procWalk is one processor's state in the trace-order walk: its
 // position (the end of its classified timeline so far), its previous
-// event, the interval being coalesced (empty before the first), and
-// Table 3's sums.
+// event, the time of the latest fork since then (when forked), the
+// interval being coalesced (empty before the first), and Table 3's sums.
 type procWalk struct {
 	pos      trace.Time
 	prevKind trace.Kind
 	prevTime trace.Time
 	havePrev bool
+	forked   bool
+	fork     trace.Time
 	cur      Interval
 
 	await, barrier, busy trace.Time
@@ -45,13 +47,16 @@ type procWalk struct {
 // pass: it returns the error Validate would, except that every processor
 // must lie in [0, Procs), also when Procs is 0 (see
 // trace.NewBoundedValidator). Each processor's activity is anchored at
-// the first loop-begin event (fork) for processors that join the
-// concurrent loop, and at time zero for the processor executing the
-// sequential head. Waiting comes from two sources: an awaitE or lock-acq
-// whose span from its awaitB or lock-req exceeds the no-wait processing
-// cost (the tail s_wait of the span is busy, as synchronization
-// processing), and a barrier release (arrival to release, minus the
-// release cost itself).
+// time zero and at its events' fork edges as package order has them (the
+// event-based engine's basis rule): a loop-begin since the processor's
+// previous event moves its position up to the latest such loop-begin's
+// time and closes its open interval, so the idle time before a phase is
+// neither busy nor waiting; a barrier release, which its arrivals time,
+// has no fork edge and keeps its wait. Waiting comes from two sources: an
+// awaitE or lock-acq whose span from its awaitB or lock-req exceeds the
+// no-wait processing cost (the tail s_wait of the span is busy, as
+// synchronization processing), and a barrier release (arrival to
+// release, minus the release cost itself).
 //
 // emit, when non-nil, receives each processor's coalesced intervals as
 // they close: in timeline order per processor, interleaved across
@@ -62,22 +67,19 @@ func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) 
 		return nil, err
 	}
 	ps := make([]procWalk, t.Procs)
-	for _, f := range t.Events {
-		if f.Kind == trace.KindLoopBegin {
-			for p := range ps {
-				if p != f.Proc {
-					ps[p].pos = f.Time
-				}
-			}
-			break
-		}
-	}
 	thr := waitThreshold(cal)
 	for _, e := range t.Events {
 		if err := v.Check(e); err != nil {
 			return nil, err
 		}
 		s := &ps[e.Proc]
+		if s.forked {
+			s.forked = false
+			if e.Kind != trace.KindBarrierRelease && s.pos < s.fork {
+				s.flush(e.Proc, emit)
+				s.pos = s.fork
+			}
+		}
 		switch {
 		case s.havePrev && waitEnd(e.Kind, s.prevKind):
 			if span := e.Time - s.prevTime; span > thr {
@@ -92,13 +94,24 @@ func walk(t *trace.Trace, cal instr.Calibration, emit func(p int, iv Interval)) 
 		}
 		s.add(e.Proc, e.Time, false, emit)
 		s.prevKind, s.prevTime, s.havePrev = e.Kind, e.Time, true
-	}
-	for p, s := range ps {
-		if s.cur.End > s.cur.Start && emit != nil {
-			emit(p, s.cur)
+		if e.Kind == trace.KindLoopBegin { // a no-op mark on e.Proc itself
+			for p := range ps {
+				ps[p].fork, ps[p].forked = e.Time, true
+			}
 		}
 	}
+	for p := range ps {
+		ps[p].flush(p, emit)
+	}
 	return ps, nil
+}
+
+// flush emits processor p's open interval, if any, and closes it.
+func (s *procWalk) flush(p int, emit func(int, Interval)) {
+	if s.cur.End > s.cur.Start && emit != nil {
+		emit(p, s.cur)
+	}
+	s.cur = Interval{}
 }
 
 // add extends processor p's timeline to end, classified as waiting or
@@ -112,12 +125,10 @@ func (s *procWalk) add(p int, end trace.Time, waiting bool, emit func(int, Inter
 	if !waiting {
 		s.busy += end - s.pos
 	}
-	if open := s.cur.End > s.cur.Start; open && s.cur.Waiting == waiting {
+	if s.cur.End > s.cur.Start && s.cur.Waiting == waiting {
 		s.cur.End = end
 	} else {
-		if open && emit != nil {
-			emit(p, s.cur)
-		}
+		s.flush(p, emit)
 		s.cur = Interval{Start: s.pos, End: end, Waiting: waiting}
 	}
 	s.pos = end

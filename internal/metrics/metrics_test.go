@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"perturb/internal/core"
 	"perturb/internal/instr"
+	"perturb/internal/loops"
 	"perturb/internal/machine"
 	"perturb/internal/metrics"
 	"perturb/internal/program"
@@ -159,6 +161,105 @@ func TestWaitingMatchesSimulatorGroundTruth(t *testing.T) {
 		}
 		if math.Abs(got-want)/want > 0.02 {
 			t.Errorf("proc %d: await wait %v, simulator ground truth %v", p, got, want)
+		}
+	}
+}
+
+// TestBusyAddsUpAcrossPhases: on the actual LL3+LL17+LL4 run, each
+// processor's Busy differs from the simulator's busy time by the sum of
+// its differences with the three loops run alone. The idle time before
+// each phase's fork counts neither as busy nor as waiting.
+func TestBusyAddsUpAcrossPhases(t *testing.T) {
+	cfg := machine.Alliant()
+	c := instr.Exact(instr.Zero, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+	busyError := func(phases ...*program.Loop) []trace.Time {
+		res, err := machine.RunProgram(program.NewProgram("phases", phases...), instr.NonePlan(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := metrics.Waiting(res.Trace, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]trace.Time, len(ws))
+		for p, w := range ws {
+			out[p] = w.Busy - res.Busy[p]
+		}
+		return out
+	}
+	phases := []*program.Loop{loops.MustGet(3).Loop, loops.MustGet(17).Loop, loops.MustGet(4).Loop}
+	want := make([]trace.Time, cfg.Procs)
+	for _, l := range phases {
+		for p, e := range busyError(l) {
+			want[p] += e
+		}
+	}
+	for p, got := range busyError(phases...) {
+		if got != want[p] {
+			t.Errorf("p%d: Busy error %d ns, the phases alone sum to %d ns", p, got, want[p])
+		}
+	}
+}
+
+// TestBarrierWaitBeforeNextFork: two DOALL phases with no tail and no head
+// between them, approximated under the exact calibration. Without probes
+// the forking processor's next loop-begin lands at the barrier's release
+// time and sorts before the other processors' releases; a processor
+// inside the barrier stays there, so its Timeline waiting equals
+// Await+Barrier and its Busy error adds up across the phases.
+func TestBarrierWaitBeforeNextFork(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	c := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+	busyError := func(phases ...*program.Loop) []trace.Time {
+		actual, err := machine.RunProgram(program.NewProgram("doall", phases...), instr.NonePlan(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measured, err := machine.RunProgram(program.NewProgram("doall", phases...), instr.FullPlan(ovh, true), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := core.Analyze(measured.Trace, c, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := metrics.Waiting(a.Trace, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := metrics.Timeline(a.Trace, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]trace.Time, len(ws))
+		for p, w := range ws {
+			var waiting trace.Time
+			for _, iv := range tl[p] {
+				if iv.Waiting {
+					waiting += iv.Dur()
+				}
+			}
+			if waiting != w.Total() {
+				t.Errorf("%d phases, p%d: Timeline waits %d ns, Await+Barrier is %d ns", len(phases), p, waiting, w.Total())
+			}
+			out[p] = w.Busy - actual.Busy[p]
+		}
+		return out
+	}
+	phases := []*program.Loop{
+		program.NewBuilder("uneven", 0, program.DOALL, 20).ComputeJitter("s", 3000, 1500).Loop(),
+		program.NewBuilder("even", 0, program.DOALL, 16).Compute("s", 2000).Loop(),
+	}
+	want := make([]trace.Time, cfg.Procs)
+	for _, l := range phases {
+		for p, e := range busyError(l) {
+			want[p] += e
+		}
+	}
+	for p, got := range busyError(phases...) {
+		if got != want[p] {
+			t.Errorf("p%d: Busy error %d ns, the phases alone sum to %d ns", p, got, want[p])
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 // The reference implementations below are the per-processor derivations
 // the one-pass walker replaced: each splits the trace with Trace.ByProc
 // and walks every processor's events on their own. They are kept as
-// test oracles; metrics must match them exactly.
+// test oracles, with the event-based engine's fork rule; metrics must
+// match them exactly.
 
 func refWaitEnd(e, prev trace.Event, havePrev bool) bool {
 	if !havePrev {
@@ -46,12 +47,28 @@ func refTimeline(t *trace.Trace, cal instr.Calibration) ([][]metrics.Interval, e
 	perProc := t.ByProc()
 	out := make([][]metrics.Interval, t.Procs)
 
-	var forkTime trace.Time
-	forkProc := -1
-	for _, e := range t.Events {
+	// forks[p][k] is the time of the latest loop-begin on another
+	// processor between processor p's events k-1 and k in trace order (the
+	// engine's fork edge), or 0, also for a barrier release, which its
+	// arrivals time.
+	forks := make([][]trace.Time, t.Procs)
+	last := make([]int, t.Procs)
+	for p := range last {
+		last[p] = -1
+	}
+	var fences []int
+	for i, e := range t.Events {
+		var at trace.Time
+		for k := len(fences) - 1; k >= 0 && fences[k] > last[e.Proc] && e.Kind != trace.KindBarrierRelease; k-- {
+			if f := t.Events[fences[k]]; f.Proc != e.Proc {
+				at = f.Time
+				break
+			}
+		}
+		forks[e.Proc] = append(forks[e.Proc], at)
+		last[e.Proc] = i
 		if e.Kind == trace.KindLoopBegin {
-			forkTime, forkProc = e.Time, e.Proc
-			break
+			fences = append(fences, i)
 		}
 	}
 
@@ -59,10 +76,7 @@ func refTimeline(t *trace.Trace, cal instr.Calibration) ([][]metrics.Interval, e
 		if len(evs) == 0 {
 			continue
 		}
-		pos := forkTime
-		if forkProc < 0 || p == forkProc {
-			pos = 0
-		}
+		var pos trace.Time
 		var ivs []metrics.Interval
 		add := func(end trace.Time, waiting bool) {
 			if end < pos {
@@ -81,7 +95,8 @@ func refTimeline(t *trace.Trace, cal instr.Calibration) ([][]metrics.Interval, e
 		}
 		var prev trace.Event
 		havePrev := false
-		for _, e := range evs {
+		for k, e := range evs {
+			pos = max(pos, forks[p][k])
 			switch {
 			case refWaitEnd(e, prev, havePrev):
 				span := e.Time - prev.Time

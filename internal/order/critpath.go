@@ -25,19 +25,18 @@ type Path struct {
 
 // CriticalPath extracts a critical path of the trace: starting from the
 // latest event (the last in trace order among equals), it repeatedly
-// follows the binding predecessor — the feasibility-view predecessor with
-// the latest time, then one on the event's own processor, then the lowest
-// index — which is the dependence that actually determined the event's
-// time. The result explains what the execution's duration was spent on:
-// per-processor computation and cross-processor synchronization. Its
+// follows the binding predecessor (see the package comment), the
+// dependence that actually determined the event's time, until an event
+// has none. The result explains what the execution's duration was spent
+// on: per-processor computation and cross-processor synchronization. Its
 // Steps are indices into t.Events, so the path costs 4 bytes per step.
 //
 // The walk is O(path) after the O(n) index build, which validates the
 // trace (see Build). Binding predecessors can form a cycle in a valid
-// trace (two awaitEs, each released by an advance the other processor
-// records at the same time); such a trace has no critical path, and the
-// walk reports the first event it would revisit, with an error wrapping
-// trace.ErrMalformedTrace.
+// trace only through equal times (two awaitEs, each released by an
+// advance the other processor records at the same time); such a trace
+// has no critical path, and the walk reports the first event it would
+// revisit, with an error wrapping trace.ErrMalformedTrace.
 //
 // The trace must be in canonical sorted order with valid times (an actual
 // or approximated trace; measured traces work too and include probe time).
@@ -97,22 +96,19 @@ func CriticalPath(t *trace.Trace) (*Path, error) {
 }
 
 // binding returns event v's binding predecessor, or -1 when v has no
-// predecessor: the latest-timed one, then one on v's own processor, then
-// the lowest index.
+// predecessor timed at or before it: the latest-timed one, then one on
+// v's own processor, then the lowest index.
 func (r *Relation) binding(v int) int {
-	ev, own := r.tr.Events, r.tr.Events[v].Proc
-	prev, dep, arrivals := r.preds(v)
-	best := int32(-1)
-	if prev < 0 && r.fork >= 0 && ev[r.fork].Proc != own {
-		best = int32(r.fork)
-	}
-	for _, u := range [2]int32{prev, dep} {
-		if u >= 0 && (best < 0 || binds(ev, own, u, best)) {
+	ev, own, at := r.tr.Events, r.tr.Events[v].Proc, r.tr.Events[v].Time
+	prev, fork, dep, arrivals := r.preds(v)
+	best := prev // timed no later than v: Build validates per-processor order
+	for _, u := range [2]int32{fork, dep} {
+		if u >= 0 && ev[u].Time <= at && (best < 0 || binds(ev, own, u, best)) {
 			best = u
 		}
 	}
 	for _, u := range arrivals {
-		if best < 0 || binds(ev, own, u, best) {
+		if ev[u].Time <= at && (best < 0 || binds(ev, own, u, best)) {
 			best = u
 		}
 	}

@@ -14,8 +14,9 @@ import (
 )
 
 // corpus returns the shared derived-statistics corpus plus random
-// synthetic traces, whose awaits, locks and barriers need not pair and
-// whose binding predecessors can form cycles.
+// synthetic traces, whose awaits, locks and barriers need not pair, and
+// the cyclic trace of TestCriticalPathCycle, whose binding predecessors
+// form a cycle.
 func corpus(t *testing.T) []testgen.Case {
 	t.Helper()
 	cases, err := testgen.Corpus("../../testdata/golden")
@@ -26,7 +27,26 @@ func corpus(t *testing.T) []testgen.Case {
 	for i := 0; i < 500; i++ {
 		cases = append(cases, testgen.Case{Name: fmt.Sprintf("synthetic%d", i), Trace: testgen.Trace(r)})
 	}
-	return cases
+	return append(cases, testgen.Case{Name: "cyclic", Trace: cyclicTrace(t)})
+}
+
+// cyclicTrace returns a valid, feasible trace without a critical path:
+// each processor's awaitE is released by the other processor's advance,
+// timed together, so the binding predecessors form a cycle.
+func cyclicTrace(t *testing.T) *trace.Trace {
+	t.Helper()
+	tr, err := trace.ReadText(strings.NewReader(`# perturb-trace v1 procs=2
+4 p0 s1 awaitB i0 v0
+4 p1 s1 awaitB i0 v1
+5 p0 s1 awaitE i0 v0
+5 p0 s2 advance i0 v1
+5 p1 s1 awaitE i0 v1
+5 p1 s2 advance i0 v0
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // TestCriticalPathMatchesReference: on every trace the reference walk
@@ -118,25 +138,14 @@ func TestEngineViewMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCriticalPathCycle: each processor's awaitE is released by the other
-// processor's advance, timed together, so the binding predecessors form
-// a cycle. The trace is valid and feasible, but has no critical path.
+// TestCriticalPathCycle: the cyclic trace is valid and feasible, but has
+// no critical path.
 func TestCriticalPathCycle(t *testing.T) {
-	tr, err := trace.ReadText(strings.NewReader(`# perturb-trace v1 procs=2
-4 p0 s1 awaitB i0 v0
-4 p1 s1 awaitB i0 v1
-5 p0 s1 awaitE i0 v0
-5 p0 s2 advance i0 v1
-5 p1 s1 awaitE i0 v1
-5 p1 s2 advance i0 v0
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := cyclicTrace(t)
 	if err := order.CheckSelf(tr); err != nil {
 		t.Fatalf("the cyclic trace is feasible: %v", err)
 	}
-	_, err = order.CriticalPath(tr)
+	_, err := order.CriticalPath(tr)
 	if !errors.Is(err, trace.ErrMalformedTrace) || !strings.Contains(err.Error(), "advance") {
 		t.Fatalf("CriticalPath = %v, want an ErrMalformedTrace naming the revisited event", err)
 	}

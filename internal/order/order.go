@@ -26,34 +26,39 @@
 // (trace.PairTable): per-variable tables indexed by iteration, and a map
 // for keys too sparse for a table.
 //
-// # Two views
+// # One edge set
 //
-// The index serves two rule sets, which differ on fences and barriers.
-// The feasibility view (Check, CriticalPath) has these edges:
+// The relation has the edges the event-based engine resolves over, and
+// Check, CriticalPath and trace slicing all read them:
 //
 //   - program order: prev happens before the event;
+//   - fork order: the latest loop-begin strictly between the event and
+//     prev in trace order (necessarily on another processor) happens
+//     before it; Basis returns that fence, else prev. Check and
+//     CriticalPath search for it only when a fence follows prev, so an
+//     event past the last fence costs one comparison. A barrier release
+//     has no fork edge: the engine times it by its arrivals alone, and in
+//     an approximation the next phase's loop-begin can tie with the
+//     releases and sort before them (Basis still returns that fence, from
+//     which the engine measures the release's wait, and slicing follows
+//     it);
 //   - synchronization order: an advance happens before the awaitE it
-//     releases;
+//     releases (Dep);
 //   - lock order: each lock release happens before the next acquisition
-//     of the same lock;
-//   - barrier order: every arrival happens before each release of the same
-//     barrier pairing key that follows it in trace order;
-//   - fork order: only the first loop-begin forks; it happens before the
-//     first event of every other processor.
-//
-// The engine view (Basis, Dep, Arrivals; read by trace slicing) has the
-// edges the event-based engine resolves over: an event's basis is the
-// latest loop-begin between the event and its same-processor predecessor,
-// else that predecessor; dep as above; and a barrier release depends on
-// every arrival with its pairing key, before or after it.
+//     of the same lock (Dep);
+//   - barrier order: every arrival with a release's barrier pairing key,
+//     before or after it in trace order, happens before the release
+//     (Arrivals).
 //
 // # The binding rule
 //
 // CriticalPath follows, from the latest event, each event's binding
-// predecessor in the feasibility view: the predecessor with the latest
-// time, then one on the event's own processor, then the lowest index.
-// The path it returns holds the events it passes as 32-bit indices into
-// the trace, like the index itself.
+// predecessor: among its predecessors timed no later than the event, the
+// one with the latest time, then one on the event's own processor, then
+// the lowest index. A predecessor timed after the event is a violation,
+// which Check reports, and never binds. The path it returns holds the
+// events it passes as 32-bit indices into the trace, like the index
+// itself.
 package order
 
 import (
@@ -72,9 +77,9 @@ type Relation struct {
 	dep  []int32
 	// Group g's members are flat[off[g]:off[g+1]]; group 0 holds the
 	// loop-begin fences, the others barrier arrivals.
-	off  []int32
-	flat []int32
-	fork int // the first loop-begin, -1 for none
+	off       []int32
+	flat      []int32
+	lastFence int32 // the last loop-begin, -1 for none
 }
 
 // Build constructs the happened-before relation for the trace in one pass
@@ -90,7 +95,7 @@ func Build(t *trace.Trace) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{tr: t, prev: make([]int32, n), dep: make([]int32, n)}
+	r := &Relation{tr: t, prev: make([]int32, n), dep: make([]int32, n), lastFence: -1}
 	last := make([]int32, t.Procs)
 	for p := range last {
 		last[p] = -1
@@ -112,6 +117,7 @@ func Build(t *trace.Trace) (*Relation, error) {
 		r.dep[i] = -1
 		switch e.Kind {
 		case trace.KindLoopBegin:
+			r.lastFence = i32
 			members = append(members, i32, 0)
 			count[0]++
 		case trace.KindAdvance:
@@ -158,10 +164,6 @@ func Build(t *trace.Trace) (*Relation, error) {
 		r.flat[fill[g]] = members[k]
 		fill[g]++
 	}
-	r.fork = -1
-	if r.off[1] > 0 {
-		r.fork = int(r.flat[0])
-	}
 	return r, nil
 }
 
@@ -201,21 +203,25 @@ func (r *Relation) Arrivals(i int) []int32 {
 	return r.group(r.dep[i])
 }
 
-// preds returns event v's feasibility-view predecessors except the fork
-// edge: its same-processor predecessor and its dependence, each -1 when
-// there is none, and for a barrier release the arrivals before it in
-// trace order, shared with the relation.
-func (r *Relation) preds(v int) (prev, dep int32, arrivals []int32) {
-	prev, dep = r.prev[v], -1
+// preds returns event v's predecessors (see the package comment): its
+// same-processor predecessor, its fork edge (Basis, when that is not
+// prev) and its dependence (Dep), each -1 when there is none, and for a
+// barrier release every arrival of its barrier (Arrivals), shared with
+// the relation, in place of a fork edge.
+func (r *Relation) preds(v int) (prev, fork, dep int32, arrivals []int32) {
+	prev, fork, dep = r.prev[v], -1, -1
 	switch r.tr.Events[v].Kind {
 	case trace.KindAwaitE, trace.KindLockAcq:
 		dep = r.dep[v]
 	case trace.KindBarrierRelease:
-		arrivals = r.group(r.dep[v])
-		k, _ := slices.BinarySearch(arrivals, int32(v))
-		arrivals = arrivals[:k]
+		return prev, fork, dep, r.group(r.dep[v])
 	}
-	return prev, dep, arrivals
+	if r.lastFence > prev { // else no fence follows prev: one comparison
+		if b := int32(r.Basis(v)); b != prev {
+			fork = b
+		}
+	}
+	return prev, fork, dep, nil
 }
 
 // Violation describes a happened-before edge whose endpoint times are out
@@ -228,15 +234,13 @@ func (v Violation) Error() string {
 	return fmt.Sprintf("order: %v must happen before %v but is timed later", v.From, v.To)
 }
 
-// Check verifies that the times in the given trace respect this relation's
-// feasibility view. The candidate trace must contain the same events
-// (identified by (Proc, Stmt, Kind, Iter, Var) and per-processor order)
-// as the trace the relation was built from; typically it is an
-// approximation produced by package core from that measured trace. It
-// returns the first violation found, or nil: the one whose earlier event
-// comes first in trace order, then, among its edges, program,
-// synchronization, lock and barrier edges by later event before the fork
-// edges by processor.
+// Check verifies that the times in the given trace respect this relation.
+// The candidate trace must contain the same events (identified by (Proc,
+// Stmt, Kind, Iter, Var) and per-processor order) as the trace the
+// relation was built from; typically it is an approximation produced by
+// package core from that measured trace. It returns the first violation
+// found, or nil: the one whose earlier event comes first in trace order,
+// then, among its edges, the one whose later event does.
 //
 // Events related by happened-before must satisfy time(from) <= time(to):
 // perturbation analysis removes probe costs but never reorders dependent
@@ -249,29 +253,18 @@ func (r *Relation) Check(candidate *trace.Trace) error {
 	}
 	ev := candidate.Events
 	from, to := -1, -1
-	note := func(u, v int) {
-		if ev[match[u]].Time > ev[match[v]].Time && (from < 0 || u < from) {
+	note := func(u, v int) { // u < 0: no edge
+		if u >= 0 && ev[match[u]].Time > ev[match[v]].Time && (from < 0 || u < from) {
 			from, to = u, v
 		}
 	}
-	first := make([]int, r.tr.Procs)
 	for v := range r.prev {
-		prev, dep, arrivals := r.preds(v)
-		for _, u := range [2]int32{prev, dep} {
-			if u >= 0 {
-				note(int(u), v)
-			}
+		prev, fork, dep, arrivals := r.preds(v)
+		for _, u := range [3]int32{prev, fork, dep} {
+			note(int(u), v)
 		}
 		for _, u := range arrivals {
 			note(int(u), v)
-		}
-		if r.prev[v] < 0 {
-			first[r.tr.Events[v].Proc] = v + 1
-		}
-	}
-	for p, v := range first {
-		if v > 0 && r.fork >= 0 && p != r.tr.Events[r.fork].Proc {
-			note(r.fork, v-1)
 		}
 	}
 	if from < 0 {

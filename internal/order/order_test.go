@@ -4,9 +4,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"perturb/internal/core"
 	"perturb/internal/instr"
+	"perturb/internal/loops"
 	"perturb/internal/machine"
 	"perturb/internal/order"
+	"perturb/internal/program"
 	"perturb/internal/testgen"
 	"perturb/internal/trace"
 )
@@ -117,6 +120,52 @@ func TestForkEdges(t *testing.T) {
 	bad.Events[1].Time = 5
 	if err := rel.Check(bad); err == nil {
 		t.Fatal("expected a fork violation")
+	}
+}
+
+// TestForkEdgesEveryPhase: every phase's loop-begin forks. In the
+// approximation of the measured LL3+LL17 program (Alliant, paper probes),
+// p3's first phase-2 event moved 10 µs before the phase-2 fork at
+// 3,956,930 ns is flagged against that fork.
+func TestForkEdgesEveryPhase(t *testing.T) {
+	prog := program.NewProgram("LL3+LL17", loops.MustGet(3).Loop, loops.MustGet(17).Loop)
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	res, err := machine.RunProgram(prog, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(res.Trace, instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := order.Build(res.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.Check(a.Trace); err != nil {
+		t.Fatalf("the approximation is infeasible: %v", err)
+	}
+	var forks []int
+	moved := -1
+	for i, e := range a.Trace.Events {
+		if e.Kind == trace.KindLoopBegin {
+			forks = append(forks, i)
+		}
+		if len(forks) == 2 && e.Proc == 3 {
+			moved = i
+			break
+		}
+	}
+	fork := a.Trace.Events[forks[len(forks)-1]]
+	if moved < 0 || fork.Time != 3956930 {
+		t.Fatalf("no phase-2 fork at 3956930 ns followed by a p3 event (fork %v, p3 event %d)", fork, moved)
+	}
+	bad := a.Trace.Clone()
+	bad.Events[moved].Time = fork.Time - 10000
+	want := order.Violation{From: fork, To: bad.Events[moved]}
+	if err := rel.Check(bad); err != want {
+		t.Fatalf("Check = %v, want %v", err, want)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 
 // The reference implementations below are the ones the flat index
 // replaced, kept as test oracles: the successor-list relation with its
-// Check and critical path (the feasibility view), and the engine-edge
-// builder trace slicing used to read from package core (the engine view).
+// Check and critical path, and the engine-edge builder trace slicing used
+// to read from package core. The successor lists hold the engine's fork
+// and barrier edges, as refEdges builds them, except that a barrier
+// release has no fork edge.
 
 // refRelation is the happened-before relation as one successor list per
 // event.
@@ -29,26 +31,36 @@ func refBuild(t *trace.Trace) (*refRelation, error) {
 	for p := range lastOnProc {
 		lastOnProc[p] = -1
 	}
-	advIdx := make(map[trace.PairKey]int) // first advance per key
+	advIdx := make(map[trace.PairKey]int)    // first advance per key
+	arrives := make(map[trace.PairKey][]int) // every arrival per key
 	for i, e := range t.Events {
 		if _, dup := advIdx[e.Pair()]; e.Kind == trace.KindAdvance && !dup {
 			advIdx[e.Pair()] = i
 		}
+		if e.Kind == trace.KindBarrierArrive {
+			arrives[e.Pair()] = append(arrives[e.Pair()], i)
+		}
 	}
-	arrives := make(map[trace.PairKey][]int)
 	lastRel := make(map[int]int)
-	forkIdx := -1
+	var fences []int
 
 	for i, e := range t.Events {
-		if prev := lastOnProc[e.Proc]; prev >= 0 {
+		prev := lastOnProc[e.Proc]
+		if prev >= 0 {
 			addEdge(prev, i)
+		}
+		// The latest fence between the event and its predecessor forks
+		// it, unless it is a barrier release, which its arrivals time.
+		for k := len(fences) - 1; k >= 0 && fences[k] > prev && e.Kind != trace.KindBarrierRelease; k-- {
+			if f := fences[k]; t.Events[f].Proc != e.Proc {
+				addEdge(f, i)
+				break
+			}
 		}
 		lastOnProc[e.Proc] = i
 		switch e.Kind {
 		case trace.KindLoopBegin:
-			if forkIdx < 0 {
-				forkIdx = i
-			}
+			fences = append(fences, i)
 		case trace.KindAwaitE:
 			if ai, ok := advIdx[e.Pair()]; ok {
 				addEdge(ai, i)
@@ -59,30 +71,11 @@ func refBuild(t *trace.Trace) (*refRelation, error) {
 			}
 		case trace.KindLockRel:
 			lastRel[e.Var] = i
-		case trace.KindBarrierArrive:
-			arrives[e.Pair()] = append(arrives[e.Pair()], i)
 		case trace.KindBarrierRelease:
 			for _, ai := range arrives[e.Pair()] {
 				if ai != i {
 					addEdge(ai, i)
 				}
-			}
-		}
-	}
-	if forkIdx >= 0 {
-		forkProc := t.Events[forkIdx].Proc
-		first := make([]int, t.Procs)
-		for p := range first {
-			first[p] = -1
-		}
-		for i, e := range t.Events {
-			if first[e.Proc] < 0 {
-				first[e.Proc] = i
-			}
-		}
-		for p, fi := range first {
-			if p != forkProc && fi >= 0 {
-				addEdge(forkIdx, fi)
 			}
 		}
 	}
@@ -140,15 +133,23 @@ func refCriticalPath(t *trace.Trace) (p *order.Path, cyclic bool, err error) {
 		}
 		e := t.Events[cur]
 		p.Steps = append(p.Steps, int32(cur))
-		if len(preds[cur]) == 0 {
-			break
-		}
-		best := preds[cur][0]
-		for _, u := range preds[cur][1:] {
-			ue, be := t.Events[u], t.Events[best]
+		best := -1
+		for _, u := range preds[cur] {
+			ue := t.Events[u]
+			if ue.Time > e.Time {
+				continue // a violated edge never binds
+			}
+			if best < 0 {
+				best = u
+				continue
+			}
+			be := t.Events[best]
 			if ue.Time > be.Time || (ue.Time == be.Time && ue.Proc == e.Proc && be.Proc != e.Proc) {
 				best = u
 			}
+		}
+		if best < 0 {
+			break
 		}
 		gap := e.Time - t.Events[best].Time
 		if t.Events[best].Proc != e.Proc {

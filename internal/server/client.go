@@ -296,20 +296,8 @@ func analyzeQuery(req Request) (string, error) {
 		q.Set("repair", "1")
 	}
 	if req.Cal != nil {
-		for _, p := range []struct {
-			name string
-			v    trace.Time
-		}{
-			{"event", req.Cal.Overheads.Event},
-			{"advance", req.Cal.Overheads.Advance},
-			{"awaitb", req.Cal.Overheads.AwaitB},
-			{"awaite", req.Cal.Overheads.AwaitE},
-			{"snowait", req.Cal.SNoWait},
-			{"swait", req.Cal.SWait},
-			{"advanceop", req.Cal.AdvanceOp},
-			{"barrier", req.Cal.Barrier},
-		} {
-			q.Set(p.name, strconv.FormatInt(int64(p.v), 10))
+		for _, p := range calParams(req.Cal) {
+			q.Set(p.name, strconv.FormatInt(int64(*p.dst), 10))
 		}
 	}
 	if len(q) == 0 {

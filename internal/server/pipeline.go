@@ -90,10 +90,7 @@ type request struct {
 	sc     *obs.Scope
 	line   requestLogLine
 
-	// The query stage's results.
-	opts          core.Options
-	cal           instr.Calibration
-	window, slide trace.Time
+	query // the query stage's result
 
 	// enc is set once NDJSON output has begun (the 200 is on the wire);
 	// windows counts the window lines written.
@@ -148,12 +145,7 @@ func (s *Server) pipeline(q *request) error {
 	q.sc.Phase(spAdmission)
 
 	var err error
-	if q.stream {
-		q.opts, q.cal, q.window, q.slide, err = parseStreamQuery(q.r.URL.Query())
-	} else {
-		q.opts, q.cal, err = parseQuery(q.r.URL.Query())
-	}
-	if err != nil {
+	if q.query, err = parseQuery(q.r.URL.Query(), q.stream); err != nil {
 		return errStatus(http.StatusBadRequest, "%v", err)
 	}
 	// A batch upload declaring more bytes than the memory budget is never

@@ -7,10 +7,11 @@ import (
 )
 
 // FuzzParseQuery feeds raw query strings through url.ParseQuery, as a
-// request's URL reaches the handlers, into the batch and stream query
-// parsers. Neither may panic; a query the stream parser accepts must
-// parse to the same options and calibration on the batch endpoint; and
-// every accepted calibration cost and window geometry is non-negative.
+// request's URL reaches the handlers, into parseQuery for the batch and
+// the stream endpoint. Neither may panic; a query the stream endpoint
+// accepts must parse to the same options and calibration on the batch
+// endpoint; and every accepted calibration cost and window geometry is
+// non-negative.
 func FuzzParseQuery(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -32,7 +33,8 @@ func FuzzParseQuery(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		q, _ := url.ParseQuery(raw) // URL.Query drops the error the same way
-		opts, cal, err := parseQuery(q)
+		batch, err := parseQuery(q, false)
+		opts, cal := batch.opts, batch.cal
 		if err == nil {
 			for name, v := range map[string]int64{
 				"event": int64(cal.Overheads.Event), "advance": int64(cal.Overheads.Advance),
@@ -45,7 +47,8 @@ func FuzzParseQuery(f *testing.F) {
 				}
 			}
 		}
-		sopts, scal, window, slide, serr := parseStreamQuery(q)
+		streamed, serr := parseQuery(q, true)
+		sopts, scal, window, slide := streamed.opts, streamed.cal, streamed.window, streamed.slide
 		if serr != nil {
 			return
 		}

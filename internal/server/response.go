@@ -143,8 +143,36 @@ func DefaultCalibration() instr.Calibration {
 	return instr.Exact(loops.PaperOverheads(), cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
 }
 
+// nsParam is a nanosecond query parameter with the value it names.
+type nsParam struct {
+	name string
+	dst  *trace.Time
+}
+
+// calParams lists c's query parameters: parseQuery reads them into c, and
+// the client's analyzeQuery writes them from c.
+func calParams(c *instr.Calibration) [8]nsParam {
+	return [8]nsParam{
+		{"event", &c.Overheads.Event},
+		{"advance", &c.Overheads.Advance},
+		{"awaitb", &c.Overheads.AwaitB},
+		{"awaite", &c.Overheads.AwaitE},
+		{"snowait", &c.SNoWait},
+		{"swait", &c.SWait},
+		{"advanceop", &c.AdvanceOp},
+		{"barrier", &c.Barrier},
+	}
+}
+
+// query is an analyze request's parsed query string.
+type query struct {
+	opts          core.Options
+	cal           instr.Calibration
+	window, slide trace.Time
+}
+
 // parseQuery maps an analyze request's query parameters onto analysis
-// options and a calibration:
+// options, a calibration and, for the stream endpoint, window geometry:
 //
 //	mode=event|time        analysis family (default event)
 //	repair=0|1             degraded-mode analysis of defective traces
@@ -153,35 +181,40 @@ func DefaultCalibration() instr.Calibration {
 //	awaitb=N awaite=N
 //	snowait=N swait=N      synchronization processing costs, ns
 //	advanceop=N barrier=N
+//	window=N               stream only: window length on the measured-time
+//	                       axis, ns; 0 (default) means a single cumulative
+//	                       window emitted at the end
+//	slide=N                stream only: window start spacing, ns; 0 means
+//	                       tumbling (slide=window)
 //
 // Calibration parameters left unset keep their DefaultCalibration values,
-// and unknown parameters are ignored. The liberal mode needs
-// loop-structure inputs a trace does not carry, so it is rejected here
-// rather than half-supported.
-func parseQuery(q url.Values) (core.Options, instr.Calibration, error) {
-	var opts core.Options
-	cal := DefaultCalibration()
-
+// and unknown parameters are ignored, as are window and slide on the
+// batch endpoint. The liberal mode needs loop-structure inputs a trace
+// does not carry, so it is rejected here rather than half-supported. A
+// window/slide ratio above core.MaxWindowsPerEvent is refused when the
+// stream session opens.
+func parseQuery(q url.Values, stream bool) (query, error) {
+	out := query{cal: DefaultCalibration()}
 	switch mode := q.Get("mode"); mode {
 	case "", "event":
-		opts.Mode = core.ModeEventBased
+		out.opts.Mode = core.ModeEventBased
 	case "time":
-		opts.Mode = core.ModeTimeBased
+		out.opts.Mode = core.ModeTimeBased
 	case "liberal":
-		return opts, cal, fmt.Errorf("mode=liberal needs loop structure (distance, schedule) and is not servable from a trace alone")
+		return out, fmt.Errorf("mode=liberal needs loop structure (distance, schedule) and is not servable from a trace alone")
 	default:
-		return opts, cal, fmt.Errorf("unknown mode %q (want event or time)", mode)
+		return out, fmt.Errorf("unknown mode %q (want event or time)", mode)
 	}
 
 	if v := q.Get("repair"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			return opts, cal, fmt.Errorf("bad repair %q (want 0 or 1)", v)
+			return out, fmt.Errorf("bad repair %q (want 0 or 1)", v)
 		}
-		opts.Repair = b
+		out.opts.Repair = b
 	}
 
-	timeParam := func(name string, dst *trace.Time) error {
+	nanos := func(name string, dst *trace.Time) error {
 		v := q.Get(name)
 		if v == "" {
 			return nil
@@ -193,33 +226,25 @@ func parseQuery(q url.Values) (core.Options, instr.Calibration, error) {
 		*dst = trace.Time(n)
 		return nil
 	}
-	var probe trace.Time = -1
-	if v := q.Get("probe"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return opts, cal, fmt.Errorf("bad probe %q (want a non-negative nanosecond count)", v)
-		}
-		probe = trace.Time(n)
+	probe := trace.Time(-1)
+	if err := nanos("probe", &probe); err != nil {
+		return out, err
 	}
 	if probe >= 0 {
-		cal.Overheads = instr.Uniform(probe)
+		out.cal.Overheads = instr.Uniform(probe)
 	}
-	for _, p := range []struct {
-		name string
-		dst  *trace.Time
-	}{
-		{"event", &cal.Overheads.Event},
-		{"advance", &cal.Overheads.Advance},
-		{"awaitb", &cal.Overheads.AwaitB},
-		{"awaite", &cal.Overheads.AwaitE},
-		{"snowait", &cal.SNoWait},
-		{"swait", &cal.SWait},
-		{"advanceop", &cal.AdvanceOp},
-		{"barrier", &cal.Barrier},
-	} {
-		if err := timeParam(p.name, p.dst); err != nil {
-			return opts, cal, err
+	for _, p := range calParams(&out.cal) {
+		if err := nanos(p.name, p.dst); err != nil {
+			return out, err
 		}
 	}
-	return opts, cal, nil
+	if stream {
+		if err := nanos("window", &out.window); err != nil {
+			return out, err
+		}
+		if err := nanos("slide", &out.slide); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }

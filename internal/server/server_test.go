@@ -435,7 +435,8 @@ func TestParseQueryCalibration(t *testing.T) {
 		}
 		return vals
 	}
-	opts, cal, err := parseQuery(q("mode=event&workers=3&repair=1&probe=100&snowait=50&swait=80&advanceop=30&barrier=40"))
+	parsed, err := parseQuery(q("mode=event&workers=3&repair=1&probe=100&snowait=50&swait=80&advanceop=30&barrier=40"), false)
+	opts, cal := parsed.opts, parsed.cal
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,8 +445,8 @@ func TestParseQueryCalibration(t *testing.T) {
 	}
 	// Unknown parameters such as the retired workers are ignored: the
 	// options, and so the cache key, are those of the query without it.
-	if plain, _, err := parseQuery(q("mode=event&repair=1")); err != nil || plain != opts {
-		t.Errorf("workers=3 changed the options: %+v, without it %+v (%v)", opts, plain, err)
+	if plain, err := parseQuery(q("mode=event&repair=1"), false); err != nil || plain.opts != opts {
+		t.Errorf("workers=3 changed the options: %+v, without it %+v (%v)", opts, plain.opts, err)
 	}
 	want := instr.Exact(instr.Uniform(100), 50, 80, 30, 40)
 	if cal != want {
@@ -453,19 +454,21 @@ func TestParseQueryCalibration(t *testing.T) {
 	}
 
 	// Per-kind overrides refine the uniform shorthand.
-	_, cal2, err := parseQuery(q("probe=100&advance=7"))
+	parsed, err = parseQuery(q("probe=100&advance=7"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cal2 := parsed.cal
 	if cal2.Overheads.Event != 100 || cal2.Overheads.Advance != 7 {
 		t.Errorf("cal2.Overheads = %+v", cal2.Overheads)
 	}
 
 	// Defaults reproduce the CLI's paper calibration.
-	_, cal3, err := parseQuery(q(""))
+	parsed, err = parseQuery(q(""), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cal3 := parsed.cal
 	if cal3 != DefaultCalibration() {
 		t.Errorf("default cal = %+v", cal3)
 	}

@@ -10,11 +10,8 @@ import (
 	"hash"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 
 	"perturb/internal/core"
-	"perturb/internal/instr"
 	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
@@ -221,40 +218,4 @@ func buildDegradedResponse(sess *core.Stream, a *core.Approximation) *Response {
 		WaitsIntroduced: a.WaitsIntroduced,
 		Degraded:        true,
 	}
-}
-
-// parseStreamQuery extends parseQuery with the streaming-only window
-// geometry:
-//
-//	window=N   window length on the measured-time axis, ns; 0 (default)
-//	           means a single cumulative window emitted at the end
-//	slide=N    window start spacing, ns; 0 means tumbling (slide=window)
-//
-// A window/slide ratio above core.MaxWindowsPerEvent is refused when the
-// stream session opens.
-func parseStreamQuery(q url.Values) (core.Options, instr.Calibration, trace.Time, trace.Time, error) {
-	opts, cal, err := parseQuery(q)
-	if err != nil {
-		return opts, cal, 0, 0, err
-	}
-	geom := func(name string) (trace.Time, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return 0, fmt.Errorf("bad %s %q (want a non-negative nanosecond count)", name, v)
-		}
-		return trace.Time(n), nil
-	}
-	window, err := geom("window")
-	if err != nil {
-		return opts, cal, 0, 0, err
-	}
-	slide, err := geom("slide")
-	if err != nil {
-		return opts, cal, 0, 0, err
-	}
-	return opts, cal, window, slide, nil
 }

@@ -11,9 +11,11 @@
 // event-based engine resolves over — same-processor program order and
 // fork fences (the basis chain), advance→awaitE pairing, lock
 // release→acquisition serialization, and barrier participation sets,
-// read from the engine view of package order's happened-before index — so
-// every value the engine reads when re-timing a sliced event is present
-// in the slice. Because basis chains are followed transitively, slices
+// read from package order's happened-before index (Basis, Dep, Arrivals):
+// the edges Check and CriticalPath also follow, plus a barrier release's
+// basis, which the engine reads only for the release's wait — so every
+// value the engine reads when re-timing a sliced event is present in the
+// slice. Because basis chains are followed transitively, slices
 // are prefix-closed per processor: each included processor keeps its full
 // history up to its last included event, which preserves the engine's
 // measured-gap anchoring.

@@ -36,7 +36,10 @@ type Case struct {
 //   - 500 seeded random programs, each measured, approximated and, after
 //     injected faults, repaired and approximated;
 //   - three-phase LL3+LL17+LL4 programs, measured and approximated,
-//     under static and dynamic schedules.
+//     under static and dynamic schedules;
+//   - 24 seeded programs of two or three random loops under one random
+//     configuration, measured and approximated, whose later phases fork
+//     again.
 //
 // Every trace is valid and time-sorted.
 func Corpus(goldenDir string) ([]Case, error) {
@@ -122,6 +125,23 @@ func Corpus(goldenDir string) ([]Case, error) {
 			return nil, err
 		}
 		if err := analyzed(fmt.Sprintf("LL3+LL17+LL4/%v", sched), res.Trace, paperCal, false); err != nil {
+			return nil, err
+		}
+	}
+
+	for seed := 0; seed < 24; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		phases := make([]*program.Loop, 2+r.Intn(2))
+		for i := range phases {
+			phases[i] = Loop(r)
+		}
+		cfg, ovh := Config(r), Overheads(r)
+		res, err := machine.RunProgram(program.NewProgram("phases", phases...), instr.FullPlan(ovh, true), cfg)
+		if err != nil {
+			return nil, err
+		}
+		cal := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+		if err := analyzed(fmt.Sprintf("program%d", seed), res.Trace, cal, false); err != nil {
 			return nil, err
 		}
 	}

@@ -42,8 +42,8 @@ const (
 	DefectDuplicate
 	// DefectReordered is a synchronization bracket recorded out of order
 	// on its processor (awaitE before its awaitB, lock-acq before its
-	// lock-req), the signature of in-buffer reordering. Repair swaps the
-	// two timestamps.
+	// lock-req, barrier release before its arrival), the signature of
+	// in-buffer reordering. Repair swaps the two timestamps.
 	DefectReordered
 	// DefectClockSkew is a per-processor clock offset, detected when
 	// several advance/await pairs on the same processor violate
@@ -374,8 +374,8 @@ type bracketKey struct {
 }
 
 // brackets collects, for the given processor event list, the positions of
-// opening and closing bracket events grouped by pairing key, for both the
-// await and lock families.
+// opening and closing bracket events grouped by pairing key, for the
+// await, lock and barrier families.
 func brackets(w *Trace, list []int) map[bracketKey]*bracketSet {
 	sets := make(map[bracketKey]*bracketSet)
 	get := func(k bracketKey) *bracketSet {
@@ -400,6 +400,12 @@ func brackets(w *Trace, list []int) map[bracketKey]*bracketSet {
 			s.opens = append(s.opens, pos)
 		case KindLockAcq:
 			s := get(bracketKey{e.Pair(), KindLockReq})
+			s.closes = append(s.closes, pos)
+		case KindBarrierArrive:
+			s := get(bracketKey{e.Pair(), KindBarrierArrive})
+			s.opens = append(s.opens, pos)
+		case KindBarrierRelease:
+			s := get(bracketKey{e.Pair(), KindBarrierArrive})
 			s.closes = append(s.closes, pos)
 		}
 	}
@@ -430,9 +436,10 @@ func sortedBracketKeys(sets map[bracketKey]*bracketSet) []bracketKey {
 
 // fixInversions repairs synchronization brackets recorded out of order on
 // their processor: an awaitE whose paired awaitB carries a later timestamp
-// (or a lock-acq before its lock-req) has the two timestamps swapped,
-// restoring the bracket order the analyses assume. Equal-time brackets are
-// left alone regardless of their tie-break order.
+// (or a lock-acq before its lock-req, or a barrier release before its
+// arrival) has the two timestamps swapped, restoring the bracket order the
+// analyses assume. Equal-time brackets are left alone regardless of their
+// tie-break order.
 func (r *repairer) fixInversions(w *Trace) {
 	procs, lists := procLists(w)
 	swapped := false
@@ -588,6 +595,9 @@ func (r *repairer) completeBrackets(w *Trace) {
 		list := lists[proc]
 		sets := brackets(w, list)
 		for _, bk := range sortedBracketKeys(sets) {
+			if bk.open == KindBarrierArrive {
+				continue // completeBarriers completes barriers
+			}
 			s := sets[bk]
 			closeKind := KindAwaitE
 			orphanClass, danglingClass := DefectOrphanAwaitE, DefectDanglingAwaitB
