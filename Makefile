@@ -61,7 +61,8 @@ bench-ledger:
 ledger-check:
 	bash scripts/ledger_check.sh
 
-# The parallel sweep runner must not change a single output byte.
+# The parallel sweep runner must not change a single output byte (also
+# CI's test job).
 workers-check:
 	$(GO) run ./cmd/experiments -exact -run all -workers 1 > /tmp/perturb-w1.txt
 	$(GO) run ./cmd/experiments -exact -run all -workers 8 > /tmp/perturb-w8.txt
@@ -108,11 +109,15 @@ cache-smoke:
 # Streaming endpoint check against a live daemon: a chunked upload to
 # /v1/analyze/stream must yield NDJSON window lines plus a final record
 # matching the batch /v1/analyze response exactly, and the retired
-# /analyze path must be a 404 (scripts/stream_smoke.sh, also CI's
-# stream-smoke job).
+# /analyze path must be a 404 (scripts/stream_smoke.sh). Then the
+# streaming acceptance tests: windows invariant to chunk boundaries on
+# all 24 kernels, no slot or goroutine leak on mid-stream cancellation,
+# and a window line out before the upload ends. CI's stream-smoke job.
 stream-smoke:
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	sh scripts/stream_smoke.sh /tmp/perturbd
+	$(GO) test -run 'TestStreamChunkInvarianceKernels' -count=1 -v ./internal/core/
+	$(GO) test -run 'TestStreamCancellationNoLeak|TestStreamWindowsBeforeUploadEnds' -count=1 -v ./internal/server/
 
 # Resilience check: the deterministic chaos suites under -race (seeded
 # netchaos fault injection, the three-instance fleet survival soak,
@@ -121,7 +126,7 @@ stream-smoke:
 # (scripts/chaos_smoke.sh, also CI's chaos-smoke job).
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/netchaos/
-	$(GO) test -race -count=1 \
+	$(GO) test -race -count=1 -v \
 		-run 'TestFleetSurvivalSoak|TestFleetHedgingUnderChaosLatency|TestStreamMidUploadDisconnect|TestMemoryBudget|TestClientBreaker|TestErrorMatrix|TestStreamVerifiesContentSHA|TestOneWayUploadCarriesContentSHA|TestBackoffCannotOverflow|TestHedgeChargesEachEndpoint|TestFleetHedgeSharesTraceID' \
 		./internal/server/
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
@@ -135,13 +140,15 @@ bench-cache:
 # Observability check against a live daemon: /metrics must pass the
 # Prometheus exposition checker and carry the request phase histograms,
 # the live and shutdown-written self-traces must audit clean, and the
-# request log must be JSON lines (scripts/metrics_smoke.sh, also CI's
-# metrics-smoke job).
+# request log must be JSON lines (scripts/metrics_smoke.sh). Then the
+# soak-driven self-trace must load through perturb.Analyze with every
+# request phase present. CI's metrics-smoke job.
 metrics-smoke:
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	$(GO) build -o /tmp/promcheck ./internal/tools/promcheck
 	$(GO) build -o /tmp/tracecat ./cmd/tracecat
 	sh scripts/metrics_smoke.sh /tmp/perturbd /tmp/promcheck /tmp/tracecat
+	$(GO) test -run 'TestSelfTraceAnalyzesOwnService' -count=1 -v .
 
 # Dogfooded audit: the obs layer's own perturbation of the analysis.
 selfperturb:
@@ -157,7 +164,8 @@ selftrace:
 api:
 	$(GO) run ./internal/tools/apidump > api.txt
 
-# CI gate: the exported API may only change together with api.txt.
+# CI gate (the test job): the exported API may only change together with
+# api.txt.
 api-check:
 	$(GO) run ./internal/tools/apidump > /tmp/perturb-api.txt
 	diff -u api.txt /tmp/perturb-api.txt && echo "api surface: OK"

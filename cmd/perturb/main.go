@@ -62,6 +62,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -69,6 +70,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -536,26 +538,33 @@ func remotePhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.T
 	if o.quiet {
 		return nil
 	}
-	fmt.Fprintf(w, "events: %d   waits kept %d, removed %d, introduced %d\n",
-		measured.Len(), resp.WaitsKept, resp.WaitsRemoved, resp.WaitsIntroduced)
+	repair := ""
 	if resp.Repair != nil {
-		fmt.Fprintf(w, "repair: %s\n", resp.Repair.Summary)
-		if len(resp.Confidence) > 0 {
-			worst := resp.Confidence[0]
-			for _, c := range resp.Confidence[1:] {
-				if c.Score < worst.Score {
-					worst = c
-				}
-			}
-			fmt.Fprintf(w, "confidence: worst proc %d at %.3f\n", worst.Proc, worst.Score)
-		}
+		repair = resp.Repair.Summary
 	}
+	printWaits(w, measured.Len(), resp.WaitsKept, resp.WaitsRemoved, resp.WaitsIntroduced, repair, resp.Confidence)
 	fmt.Fprintf(w, "approximation sha256: %s\n", resp.TraceSHA256)
 	if resp.InputSHA256 != "" {
 		cached := resp.Cached != nil && *resp.Cached
 		fmt.Fprintf(w, "input sha256: %s   served from cache: %v\n", resp.InputSHA256, cached)
 	}
 	return nil
+}
+
+// printWaits prints the events and Figure 2 line and, for a repaired run
+// (repair is the sanitizer's summary, empty without repair), the repair
+// line and the least confident processor: the summary a local and a
+// remote analysis share.
+func printWaits(w io.Writer, events, kept, removed, introduced int, repair string, conf []perturb.ProcConfidence) {
+	fmt.Fprintf(w, "events: %d   waits kept %d, removed %d, introduced %d\n", events, kept, removed, introduced)
+	if repair == "" {
+		return
+	}
+	fmt.Fprintf(w, "repair: %s\n", repair)
+	if len(conf) > 0 {
+		worst := slices.MinFunc(conf, func(a, b perturb.ProcConfidence) int { return cmp.Compare(a.Score, b.Score) })
+		fmt.Fprintf(w, "confidence: worst proc %d at %.3f\n", worst.Proc, worst.Score)
+	}
 }
 
 // metricsPhase derives every view the report will render: waiting
@@ -617,21 +626,11 @@ func reportPhase(w io.Writer, o options, loop *perturb.Loop, measured *perturb.T
 	if o.quiet {
 		return nil
 	}
-	fmt.Fprintf(w, "events: %d   waits kept %d, removed %d, introduced %d\n",
-		measured.Len(), approx.WaitsKept, approx.WaitsRemoved, approx.WaitsIntroduced)
-
+	repair := ""
 	if approx.Repair != nil {
-		fmt.Fprintf(w, "repair: %s\n", approx.Repair.Summary())
-		if len(approx.Confidence) > 0 {
-			worst := approx.Confidence[0]
-			for _, c := range approx.Confidence[1:] {
-				if c.Score < worst.Score {
-					worst = c
-				}
-			}
-			fmt.Fprintf(w, "confidence: worst proc %d at %.3f\n", worst.Proc, worst.Score)
-		}
+		repair = approx.Repair.Summary()
 	}
+	printWaits(w, measured.Len(), approx.WaitsKept, approx.WaitsRemoved, approx.WaitsIntroduced, repair, approx.Confidence)
 
 	if o.waiting {
 		fmt.Fprintln(w, "\nper-processor waiting (approximated execution):")

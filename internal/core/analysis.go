@@ -37,12 +37,10 @@ import (
 // trace re-timed to approximate the actual execution.
 type Approximation struct {
 	// Trace holds the input events with approximated times, re-sorted
-	// into canonical order.
+	// into canonical order. order.Align maps each input event to its
+	// counterpart here, matching each processor's events by statement,
+	// kind, iteration and variable, in order.
 	Trace *trace.Trace
-
-	// Times holds the approximated time of each input event, aligned
-	// with the input trace's event order (before re-sorting).
-	Times []trace.Time
 
 	// Duration is the approximated total execution time (last event
 	// time; the analysis normalizes the start to time zero).
@@ -70,23 +68,23 @@ type Approximation struct {
 }
 
 // ProcConfidence describes one processor's share of degraded-mode
-// approximation quality.
+// approximation quality. The json tags are perturbd's wire form.
 type ProcConfidence struct {
-	Proc int
+	Proc int `json:"proc"`
 	// Events is the number of events analyzed on the processor.
-	Events int
+	Events int `json:"events"`
 	// Placeholders counts synchronization events resolved with the
 	// conservative placeholder rule because their partner was missing
 	// (an awaitE whose advance was dropped keeps its measured wait).
-	Placeholders int
+	Placeholders int `json:"placeholders"`
 	// Forced counts events force-resolved by stall-breaking when
 	// constructive resolution could make no progress.
-	Forced int
+	Forced int `json:"forced"`
 	// Defects counts the sanitizer's repairs attributed to the processor.
-	Defects int
+	Defects int `json:"defects"`
 	// Score is 1 minus the impaired fraction of the processor's events,
 	// floored at zero: 1 means every event resolved from measured data.
-	Score float64
+	Score float64 `json:"score"`
 }
 
 // scoreConfidence fills in each entry's Score from its counts.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"perturb/internal/core"
+	"perturb/internal/faults"
 	"perturb/internal/instr"
 	"perturb/internal/machine"
 	"perturb/internal/order"
@@ -101,6 +102,31 @@ func TestFigure2WaitIntroduced(t *testing.T) {
 	got := findEvent(t, a.Trace, trace.KindAwaitE)
 	if got.Time != 12 {
 		t.Errorf("awaitE approximated at %d, want 12", got.Time)
+	}
+}
+
+// TestFigure2PlaceholderWaitKept: a degraded placeholder wait counts in
+// Figure 2 as every other wait does — kept when the approximation waits,
+// introduced as well when the measurement did not. Testgen seed 25 with
+// 1% of its probes dropped, then repaired, has one placeholder that waits
+// where the measurement did not: it is the introduced wait and one of
+// the three kept.
+func TestFigure2PlaceholderWaitKept(t *testing.T) {
+	const seed = 25
+	r := rand.New(rand.NewSource(seed))
+	l, cfg, ovh := testgen.Loop(r), testgen.Config(r), testgen.Overheads(r)
+	res, err := machine.Run(l, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+	damaged, _ := faults.Inject(res.Trace, faults.DropsOnly(0.01, seed))
+	a, err := core.Analyze(damaged, cal, core.Options{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WaitsKept != 3 || a.WaitsRemoved != 4 || a.WaitsIntroduced != 1 {
+		t.Errorf("waits kept/removed/introduced = %d/%d/%d, want 3/4/1", a.WaitsKept, a.WaitsRemoved, a.WaitsIntroduced)
 	}
 }
 

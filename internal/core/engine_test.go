@@ -18,8 +18,8 @@ import (
 )
 
 // assertSameApproximation fails unless two analysis outcomes are
-// byte-identical: same error text (or none), same approximated times, same
-// canonical event order, same waiting statistics.
+// byte-identical: same error text (or none), same canonical events with
+// their approximated times, same duration, same waiting statistics.
 func assertSameApproximation(t *testing.T, label string, want *core.Approximation, wantErr error, got *core.Approximation, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
@@ -33,14 +33,6 @@ func assertSameApproximation(t *testing.T, label string, want *core.Approximatio
 			t.Fatalf("%s: error text mismatch:\nwant: %v\ngot:  %v", label, wantErr, gotErr)
 		}
 		return
-	}
-	if len(got.Times) != len(want.Times) {
-		t.Fatalf("%s: times length %d, want %d", label, len(got.Times), len(want.Times))
-	}
-	for i := range want.Times {
-		if got.Times[i] != want.Times[i] {
-			t.Fatalf("%s: event %d approximated at %d, want %d", label, i, got.Times[i], want.Times[i])
-		}
 	}
 	if got.Trace.Procs != want.Trace.Procs || got.Trace.Len() != want.Trace.Len() {
 		t.Fatalf("%s: output trace shape mismatch", label)
@@ -58,6 +50,20 @@ func assertSameApproximation(t *testing.T, label string, want *core.Approximatio
 		t.Fatalf("%s: waits (%d,%d,%d), want (%d,%d,%d)", label,
 			got.WaitsKept, got.WaitsRemoved, got.WaitsIntroduced,
 			want.WaitsKept, want.WaitsRemoved, want.WaitsIntroduced)
+	}
+}
+
+// assertSameTimes fails unless the engine approximated each input event
+// (got, in input order) at the time the oracle did (want).
+func assertSameTimes(t *testing.T, label string, want, got []trace.Time) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: times length %d, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: event %d approximated at %d, want %d", label, i, got[i], want[i])
+		}
 	}
 }
 
@@ -89,17 +95,18 @@ func randomCase(r *rand.Rand) (*trace.Trace, instr.Calibration, string) {
 	return measured.Trace, cal, l.Name
 }
 
-// oracleFor is the oracle's answer to an oracleCase: on the repair path
-// it analyzes the sanitized trace (event-based in degraded mode) and
-// charges the sanitizer's defects to the processors' confidence.
-func oracleFor(c oracleCase) (*core.Approximation, error) {
+// oracleFor is the oracle's answer to an oracleCase, with each analyzed
+// event's approximated time: on the repair path it analyzes the sanitized
+// trace (event-based in degraded mode) and charges the sanitizer's
+// defects to the processors' confidence.
+func oracleFor(c oracleCase) (*core.Approximation, []trace.Time, error) {
 	if !c.repair {
 		return oracle(c.m, c.cal, c.mode, false)
 	}
 	repaired, rep := trace.Repair(c.m)
-	a, err := oracle(repaired, c.cal, c.mode, c.mode == core.ModeEventBased)
+	a, ta, err := oracle(repaired, c.cal, c.mode, c.mode == core.ModeEventBased)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if a.Confidence == nil {
 		a.Confidence = make([]core.ProcConfidence, repaired.Procs)
@@ -116,7 +123,22 @@ func oracleFor(c oracleCase) (*core.Approximation, error) {
 		}
 	}
 	oracleScore(a.Confidence)
-	return a, nil
+	return a, ta, nil
+}
+
+// engineTimes is the batch engine's approximated time of each event c
+// analyzes, in input order: the sanitized trace's on the repair path.
+func engineTimes(t *testing.T, c oracleCase) []trace.Time {
+	t.Helper()
+	m := c.m
+	if c.repair {
+		m, _ = trace.Repair(m)
+	}
+	ta, err := core.BatchTimes(m, c.cal, c.mode, c.repair && c.mode == core.ModeEventBased)
+	if err != nil {
+		t.Fatalf("%s: %v", c.label, err)
+	}
+	return ta
 }
 
 // checkOracle fails unless the engine's batch result equals the
@@ -124,11 +146,14 @@ func oracleFor(c oracleCase) (*core.Approximation, error) {
 // errors.
 func checkOracle(t *testing.T, c oracleCase) {
 	t.Helper()
-	want, wantErr := oracleFor(c)
+	want, wantTA, wantErr := oracleFor(c)
 	got, gotErr := core.Analyze(c.m, c.cal, core.Options{Mode: c.mode, Repair: c.repair})
 	assertSameApproximation(t, c.label, want, wantErr, got, gotErr)
-	if gotErr == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
-		t.Fatalf("%s: confidence %+v, oracle %+v", c.label, got.Confidence, want.Confidence)
+	if gotErr == nil {
+		assertSameTimes(t, c.label, wantTA, engineTimes(t, c))
+		if !reflect.DeepEqual(got.Confidence, want.Confidence) {
+			t.Fatalf("%s: confidence %+v, oracle %+v", c.label, got.Confidence, want.Confidence)
+		}
 	}
 }
 
@@ -136,11 +161,18 @@ func checkOracle(t *testing.T, c oracleCase) {
 // without the sanitizer, equals the oracle's.
 func checkDegraded(t *testing.T, label string, m *trace.Trace, cal instr.Calibration) {
 	t.Helper()
-	want, wantErr := oracle(m, cal, core.ModeEventBased, true)
+	want, wantTA, wantErr := oracle(m, cal, core.ModeEventBased, true)
 	got, gotErr := core.DegradedEventBased(m, cal)
 	assertSameApproximation(t, label, want, wantErr, got, gotErr)
-	if gotErr == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
-		t.Fatalf("%s: confidence %+v, oracle %+v", label, got.Confidence, want.Confidence)
+	if gotErr == nil {
+		gotTA, err := core.BatchTimes(m, cal, core.ModeEventBased, true)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		assertSameTimes(t, label, wantTA, gotTA)
+		if !reflect.DeepEqual(got.Confidence, want.Confidence) {
+			t.Fatalf("%s: confidence %+v, oracle %+v", label, got.Confidence, want.Confidence)
+		}
 	}
 }
 
@@ -393,7 +425,7 @@ func TestInterleavingPermutationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		baseline := perProcTimeline(measured.Trace, base.Times)
+		baseline := perProcTimeline(base.Trace)
 
 		perm := permuteInterleaving(r, measured.Trace)
 		if perm.Len() != measured.Trace.Len() {
@@ -403,7 +435,7 @@ func TestInterleavingPermutationInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("permuted trace: %v", err)
 		}
-		got := perProcTimeline(perm, a.Times)
+		got := perProcTimeline(a.Trace)
 		if len(got) != len(baseline) {
 			t.Fatal("proc count changed")
 		}
@@ -420,18 +452,13 @@ func TestInterleavingPermutationInvariance(t *testing.T) {
 	}
 }
 
-// timelineEntry is one step of a per-processor reconstructed timeline:
-// the event (measured time included, identifying it uniquely within its
-// processor's order) plus its approximated time.
-type timelineEntry struct {
-	ev trace.Event
-	ta trace.Time
-}
-
-func perProcTimeline(tr *trace.Trace, times []trace.Time) [][]timelineEntry {
-	out := make([][]timelineEntry, tr.Procs)
-	for i, e := range tr.Events {
-		out[e.Proc] = append(out[e.Proc], timelineEntry{ev: e, ta: times[i]})
+// perProcTimeline splits an approximated trace into each processor's
+// reconstructed timeline: its events, with their approximated times, in
+// canonical order.
+func perProcTimeline(tr *trace.Trace) [][]trace.Event {
+	out := make([][]trace.Event, tr.Procs)
+	for _, e := range tr.Events {
+		out[e.Proc] = append(out[e.Proc], e)
 	}
 	return out
 }

@@ -14,6 +14,36 @@ func DegradedEventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, 
 	return eventBased(context.Background(), m, cal, true)
 }
 
+// BatchTimes runs the batch engine over m as Analyze does (degraded: as
+// its repair path does once the sanitizer has run) and returns each
+// event's approximated time in input order: the engine's log, which holds
+// a batch trace as one chunk.
+func BatchTimes(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool) ([]trace.Time, error) {
+	g, err := batchEngine(m, cal, mode, degraded)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	if err := g.feed(ctx, m.Events); err != nil {
+		return nil, err
+	}
+	if _, err := g.close(ctx); err != nil {
+		return nil, err
+	}
+	return g.log.ta[0], nil
+}
+
+// StreamTimes returns the approximated time of each event a closed
+// session analyzed, in arrival order, from its engine's log; nil for a
+// low-memory session, which keeps none.
+func StreamTimes(s *Stream) []trace.Time {
+	var out []trace.Time
+	for _, ta := range s.g.log.ta {
+		out = append(out, ta...)
+	}
+	return out
+}
+
 // LiberalReference is the re-simulation the liberal analysis ran before
 // it fed the engine, kept as a test oracle (liberal_reference_test.go).
 var LiberalReference = liberalReference

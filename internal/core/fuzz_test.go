@@ -151,15 +151,18 @@ func FuzzAnalyze(f *testing.F) {
 		}
 		lowMem := knobs&4 != 0
 		c.repair = !lowMem && knobs&8 != 0
-		want, wantErr := oracleFor(c)
+		want, wantTA, wantErr := oracleFor(c)
 
 		got, gotErr := core.Analyze(c.m, cal, core.Options{Mode: c.mode, Repair: c.repair})
 		if gotErr != nil && !isSentinel(gotErr) {
 			t.Fatalf("batch: unexported error %v", gotErr)
 		}
 		assertSameApproximation(t, "batch", want, wantErr, got, gotErr)
-		if gotErr == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
-			t.Fatalf("batch: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
+		if gotErr == nil {
+			assertSameTimes(t, "batch", wantTA, engineTimes(t, c))
+			if !reflect.DeepEqual(got.Confidence, want.Confidence) {
+				t.Fatalf("batch: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
+			}
 		}
 		if gotErr == nil && c.mode == core.ModeEventBased && knobs&2 == 0 && !c.repair {
 			rel, err := order.Build(c.m)
@@ -221,7 +224,11 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		default:
 			assertSameApproximation(t, "stream", want, wantErr, got, err)
-			if err == nil && !reflect.DeepEqual(got.Confidence, want.Confidence) {
+			if err != nil {
+				break
+			}
+			assertSameTimes(t, "stream", wantTA, core.StreamTimes(s))
+			if !reflect.DeepEqual(got.Confidence, want.Confidence) {
 				t.Fatalf("stream: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
 			}
 		}

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
+	"perturb/internal/cancel"
 	"perturb/internal/instr"
 	"perturb/internal/program"
 	"perturb/internal/trace"
@@ -108,7 +109,7 @@ func liberal(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Li
 		return nil, nil, fmt.Errorf("%w: liberal analysis requires a loop-begin marker in the trace", ErrUnsupported)
 	}
 
-	ex, err := extractWork(m, cal, forkIdx, opts.Distance)
+	ex, err := extractWork(ctx, m, cal, forkIdx, opts.Distance)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,7 +190,7 @@ func liberal(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Li
 	if err != nil {
 		return nil, nil, err
 	}
-	a.Trace.Procs, a.Times = procs, nil
+	a.Trace.Procs = procs
 	a.Trace.Events = slices.DeleteFunc(a.Trace.Events, func(e trace.Event) bool { return e.Proc == procs })
 	return a, g, nil
 }
@@ -210,12 +211,20 @@ type segRec struct {
 
 // extractWork decomposes the measured trace into per-iteration work
 // profiles with instrumentation overheads removed, plus head/tail segments
-// and the fork gap (loop start offset).
-func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (*extraction, error) {
+// and the fork gap (loop start offset). Like the engine, it polls ctx every
+// cancel.CheckEvery events.
+func extractWork(ctx context.Context, m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (*extraction, error) {
 	ex := &extraction{}
 	forkEv := m.Events[forkIdx]
 	forkProc := forkEv.Proc
 	perProc := m.ByProc()
+	seen := 0 // events visited, for the context polls
+	poll := func() error {
+		if seen++; seen%cancel.CheckEvery == 0 {
+			return cancel.Err(ctx)
+		}
+		return nil
+	}
 
 	// Pass A: per-processor clean gaps.
 	recs := make([][]segRec, len(perProc))
@@ -226,6 +235,9 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 		}
 		recs[p] = make([]segRec, 0, len(evs))
 		for j, e := range evs {
+			if err := poll(); err != nil {
+				return nil, err
+			}
 			clean := e.Time - prev - cal.Overheads.ForKind(e.Kind)
 			if clean < 0 {
 				clean = 0
@@ -271,21 +283,32 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 
 	// Pass B: assemble iterations. Await events record the paper's
 	// await(A, i) argument — the *target* iteration — so the executing
-	// iteration is target + distance.
-	byIter := make(map[int]*iterWork)
+	// iteration is target + distance. The iterations must be exactly
+	// 0..N-1, each with an event of its own, so iteration i goes to
+	// ex.work[i] as it is found; the first outside [0, events) is noted
+	// in stray, and the events of any such are dropped.
+	var stray *iterWork
 	get := func(iter int) *iterWork {
-		w, ok := byIter[iter]
-		if !ok {
-			w = &iterWork{iter: iter}
-			byIter[iter] = w
+		if iter < 0 || iter >= m.Len() {
+			stray = cmp.Or(stray, &iterWork{iter: iter})
+			return &iterWork{}
 		}
-		return w
+		if iter >= len(ex.work) {
+			ex.work = append(ex.work, make([]*iterWork, iter+1-len(ex.work))...)
+		}
+		if ex.work[iter] == nil {
+			ex.work[iter] = &iterWork{iter: iter}
+		}
+		return ex.work[iter]
 	}
 	for p, rs := range recs {
 		beforeFork := p == forkProc
 		afterRelease := false
 		phase := make(map[int]int)
 		for _, r := range rs {
+			if err := poll(); err != nil {
+				return nil, err
+			}
 			e := r.ev
 			clean := r.clean
 			if r.firstOnProc && e.Kind == trace.KindCompute {
@@ -353,14 +376,12 @@ func extractWork(m *trace.Trace, cal instr.Calibration, forkIdx, distance int) (
 		}
 	}
 
-	ex.work = make([]*iterWork, 0, len(byIter))
-	for _, w := range byIter {
-		ex.work = append(ex.work, w)
+	if stray != nil {
+		return nil, fmt.Errorf("%w: liberal analysis: iteration %d outside the loop's 0..N-1", ErrUnsupported, stray.iter)
 	}
-	sort.Slice(ex.work, func(i, j int) bool { return ex.work[i].iter < ex.work[j].iter })
 	for n, w := range ex.work {
-		if n != w.iter {
-			return nil, fmt.Errorf("%w: liberal analysis: iteration %d missing from trace (found %d at position %d)", ErrUnsupported, n, w.iter, n)
+		if w == nil {
+			return nil, fmt.Errorf("%w: liberal analysis: iteration %d missing from trace", ErrUnsupported, n)
 		}
 		if w.hasSync && (w.awaitB.Kind != trace.KindAwaitB || w.awaitE.Kind != trace.KindAwaitE || w.advance.Kind != trace.KindAdvance) {
 			return nil, fmt.Errorf("%w: liberal analysis: iteration %d has incomplete synchronization events", ErrUnsupported, w.iter)

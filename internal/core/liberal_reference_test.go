@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"perturb/internal/instr"
@@ -37,7 +38,7 @@ func liberalReference(m *trace.Trace, cal instr.Calibration, opts LiberalOptions
 		return nil, fmt.Errorf("%w: liberal analysis requires a loop-begin marker in the trace", ErrUnsupported)
 	}
 
-	ex, err := extractWork(m, cal, forkIdx, opts.Distance)
+	ex, err := extractWork(context.Background(), m, cal, forkIdx, opts.Distance)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,10 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"perturb/internal/cancel"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/loops"
 	"perturb/internal/machine"
+	"perturb/internal/obs"
 	"perturb/internal/program"
 	"perturb/internal/trace"
 )
@@ -378,12 +381,12 @@ func TestLiberalFeedMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := oracle(fed, free, core.ModeEventBased, false)
+				want, _, err := oracle(fed, free, core.ModeEventBased, false)
 				if err != nil {
 					t.Fatalf("%+v: oracle: %v", opts, err)
 				}
 				want.Trace = want.Trace.Filter(func(e trace.Event) bool { return e.Proc < procs })
-				want.Trace.Procs, want.Times = procs, nil
+				want.Trace.Procs = procs
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%+v: liberal %d (waits %d/%d/%d), oracle on its feed %d (%d/%d/%d)", opts,
 						got.Duration, got.WaitsKept, got.WaitsRemoved, got.WaitsIntroduced,
@@ -392,4 +395,45 @@ func TestLiberalFeedMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLiberalExtractionHonoursContext: a context canceled once the call is
+// under way ends a liberal run during the extraction of the iterations'
+// costs, before the engine is fed: the call fails with ErrCanceled and
+// the engine's telemetry counts no fed event.
+func TestLiberalExtractionHonoursContext(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := instr.Uniform(5 * us)
+	cal := exactCalFor(cfg, ovh)
+	l := liberalLoop(2048, 0)
+	measured := runMeasured(t, l, cfg, ovh)
+	if n := measured.Trace.Len(); n < 2*cancel.CheckEvery {
+		t.Fatalf("%d events: extraction would not poll", n)
+	}
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
+	fed := obs.NewCounter("core.analysis.events")
+	before := fed.Value()
+	opts := core.Options{Mode: core.ModeLiberal, Liberal: core.LiberalOptions{Procs: cfg.Procs, Distance: l.Distance}}
+	_, err := core.AnalyzeContext(&canceledAfterEntry{Context: context.Background()}, measured.Trace, cal, opts)
+	if !errors.Is(err, cancel.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if n := fed.Value() - before; n != 0 {
+		t.Errorf("the engine was fed %d events before the cancellation was seen", n)
+	}
+}
+
+// canceledAfterEntry is a context that is live for its first Err call,
+// AnalyzeContext's check on entry, and canceled from the second on.
+type canceledAfterEntry struct {
+	context.Context
+	polls int
+}
+
+func (c *canceledAfterEntry) Err() error {
+	if c.polls++; c.polls == 1 {
+		return nil
+	}
+	return context.Canceled
 }

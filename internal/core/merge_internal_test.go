@@ -71,7 +71,7 @@ func monotoneWithRareDescents(r *rand.Rand, t trace.Time) trace.Time {
 func TestMergeRunsMatchesSort(t *testing.T) {
 	check := func(label string, events []trace.Event, ta []trace.Time, procs int, bits uint) {
 		t.Helper()
-		got := mergeRuns(mergeLog(events, ta, bits), ta, procs)
+		got := mergeRuns(mergeLog(events, ta, bits), procs)
 		if want := sortedTwin(events, ta, procs); len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: merged order differs from Trace.Sort's\ngot  %v\nwant %v", label, got, want)
 		}
@@ -148,7 +148,7 @@ func TestMergeRunsScale(t *testing.T) {
 	run := func(events []trace.Event, ta []trace.Time) ([]trace.Event, time.Duration) {
 		l := mergeLog(events, ta, logChunkBits)
 		start := time.Now()
-		out := mergeRuns(l, ta, procs)
+		out := mergeRuns(l, procs)
 		return out, time.Since(start)
 	}
 	check := func(label string, hard, easy []trace.Event, ta []trace.Time) {

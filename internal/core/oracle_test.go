@@ -21,9 +21,11 @@ import (
 // mode is core.ModeEventBased or core.ModeTimeBased; degraded applies the
 // repair-mode rules (placeholder waits for unpaired awaits, stall-breaking
 // in processor order) the engine documents on its degraded analysis.
-func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool) (*core.Approximation, error) {
+// Besides the approximation it returns ta, each input event's
+// approximated time in input order.
+func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool) (*core.Approximation, []trace.Time, error) {
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid input trace: %w", err)
+		return nil, nil, fmt.Errorf("core: invalid input trace: %w", err)
 	}
 	ev := m.Events
 	n := len(ev)
@@ -82,12 +84,11 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 	}
 	// classify tallies Figure 2's cases. The measurement waited iff the
 	// measured gap exceeds the no-wait cost plus the probe cost, with half
-	// a no-wait of slack. Kept counts the waits the approximation models
-	// (a placeholder only those the measurement showed too); removed and
-	// introduced count disagreements with the measurement.
-	classify := func(i int, tmB trace.Time, approx, placeholder bool) {
+	// a no-wait of slack. Kept counts the waits the approximation models;
+	// removed and introduced count disagreements with the measurement.
+	classify := func(i int, tmB trace.Time, approx bool) {
 		measured := ev[i].Time-tmB > cal.SNoWait+cal.Overheads.ForKind(ev[i].Kind)+cal.SNoWait/2
-		if approx && (measured || !placeholder) {
+		if approx {
 			kept++
 		}
 		if measured && !approx {
@@ -121,15 +122,15 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 				return false
 			case paired && ta[a] > taB:
 				ta[i] = ta[a] + cal.SWait
-				classify(i, tmB, true, false)
+				classify(i, tmB, true)
 			case !paired && degraded && e.Iter >= 0:
 				wait := oraclePlaceholder(cal, taB, tmB, e.Time)
 				ta[i] = taB + wait
 				placeholders[e.Proc]++
-				classify(i, tmB, wait > cal.SNoWait, true)
+				classify(i, tmB, wait > cal.SNoWait)
 			default:
 				ta[i] = taB + cal.SNoWait
-				classify(i, tmB, false, false)
+				classify(i, tmB, false)
 			}
 		case e.Kind == trace.KindLockAcq:
 			r := prevRelease(i)
@@ -138,10 +139,10 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 				return false
 			case r >= 0 && ta[r] > taB:
 				ta[i] = ta[r] + cal.SWait
-				classify(i, tmB, true, false)
+				classify(i, tmB, true)
 			default:
 				ta[i] = taB + cal.SNoWait
-				classify(i, tmB, false, false)
+				classify(i, tmB, false)
 			}
 		case e.Kind == trace.KindBarrierRelease:
 			var latest trace.Time
@@ -171,7 +172,7 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 			continue
 		}
 		if mode == core.ModeTimeBased || !degraded {
-			return nil, fmt.Errorf("%w: %d events unresolved (missing advance pair or barrier participant?)",
+			return nil, nil, fmt.Errorf("%w: %d events unresolved (missing advance pair or barrier participant?)",
 				core.ErrUnresolvable, left)
 		}
 		// Stall-breaking: the first unresolved event of the lowest
@@ -197,7 +198,6 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 
 	a := &core.Approximation{
 		Trace:           trace.New(m.Procs),
-		Times:           ta,
 		WaitsKept:       kept,
 		WaitsRemoved:    removed,
 		WaitsIntroduced: introduced,
@@ -218,7 +218,7 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 		}
 		oracleScore(a.Confidence)
 	}
-	return a, nil
+	return a, ta, nil
 }
 
 // oraclePlaceholder is the degraded-mode wait of an await whose advance

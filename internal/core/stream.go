@@ -286,11 +286,12 @@ type engine struct {
 const logChunkBits = 14
 
 // eventLog is a retained engine's input: the events in arrival order
-// with their approximated times. A stream appends to fixed-size chunks,
-// so the log never re-copies what it holds; only the first chunk grows,
-// by doubling up to the chunk size, so a short stream does not pay for
-// a whole chunk. A batch engine's log is the caller's slice, as one
-// chunk.
+// with their approximated times, the analysis's one record of ta(x). A
+// stream appends to fixed-size chunks, so the log never re-copies what
+// it holds; only the first chunk grows, by doubling up to the chunk
+// size, so a short stream does not pay for a whole chunk. A batch
+// engine's log is the caller's slice, as one chunk. Indices into the
+// log fit an int32 (maxLogEvents).
 type eventLog struct {
 	ev   [][]trace.Event
 	ta   [][]trace.Time
@@ -321,20 +322,9 @@ func (l *eventLog) add(e trace.Event) {
 // order.
 func (l *eventLog) time(i int) *trace.Time { return &l.ta[i>>l.bits][i&(1<<l.bits-1)] }
 
-// times returns the approximated times in arrival order, as one slice.
-func (l *eventLog) times() []trace.Time {
-	switch len(l.ta) {
-	case 0:
-		return nil
-	case 1:
-		return l.ta[0]
-	}
-	out := make([]trace.Time, 0, l.n)
-	for _, ta := range l.ta {
-		out = append(out, ta...)
-	}
-	return out
-}
+// maxLogEvents is the most events a retained log holds: mergeRuns links
+// them with int32 indices, as order.Build indexes a trace.
+const maxLogEvents = math.MaxInt32
 
 func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) (*engine, error) {
 	if !opts.fixedProcs {
@@ -435,6 +425,9 @@ func (g *engine) feed(ctx context.Context, events []trace.Event) error {
 			return fmt.Errorf("core: invalid input trace: %w", err)
 		}
 		seq := g.n
+		if g.opts.retain && seq == maxLogEvents {
+			return fmt.Errorf("%w: a retained analysis holds at most %d events (a low-memory stream has no limit)", ErrUnsupported, maxLogEvents)
+		}
 		g.n++
 		g.remaining++
 		if g.opts.retain && seq == g.log.n { // batch runs alias the events up front
@@ -711,8 +704,7 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 	}
 
 	switch e.Kind {
-	case trace.KindAwaitE:
-		taAwaitB := taBase // predecessor of awaitE is its awaitB
+	case trace.KindAwaitE: // the basis is the awaitB
 		r := pe.link
 		paired := r.fed > 0
 		if paired && !r.done {
@@ -724,69 +716,27 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 		if !paired && !g.closed {
 			r.sealed = true
 		}
-		taA := r.ta
-		// Classify against the measured behaviour (Figure 2): the
-		// await waited in the measurement iff its measured gap
-		// exceeds the no-wait processing plus probe cost.
-		measuredGap := e.Time - tmBase
-		waitedMeasured := measuredGap > cal.SNoWait+cal.Overheads.AwaitE+cal.SNoWait/2
 		if !paired && g.opts.degraded && e.Iter >= 0 {
 			// Conservative placeholder: the advance was dropped.
-			wait := placeholderWait(cal, taAwaitB, tmBase, e.Time)
-			note.ta = taAwaitB + wait
+			wait := placeholderWait(cal, taBase, tmBase, e.Time)
+			note.ta = taBase + wait
+			note.waiting = max(0, wait-cal.SWait)
 			note.impaired = true
 			g.confFor(e.Proc).Placeholders++
-			waitedApprox := wait > cal.SNoWait
-			if waitedMeasured && waitedApprox {
-				note.kept = 1
-			} else if waitedMeasured {
-				note.removed = 1
-			} else if waitedApprox {
-				note.introduced = 1
-			}
-			note.waiting = max(0, wait-cal.SWait)
-			return nil, false, true
+			g.classify(e, tmBase, wait > cal.SNoWait, note)
+			break
 		}
-		waitedApprox := paired && taA > taAwaitB
-		if waitedApprox {
-			note.ta = taA + cal.SWait
-			note.waiting = taA - taAwaitB
-			note.kept = 1
-		} else {
-			note.ta = taAwaitB + cal.SNoWait
+		if !paired {
+			r = nil // no advance to wait for
 		}
-		if waitedMeasured && !waitedApprox {
-			note.removed = 1
-		} else if !waitedMeasured && waitedApprox {
-			note.introduced = 1
-		}
+		g.block(e, taBase, tmBase, r, note)
 
-	case trace.KindLockAcq:
-		taReq := taBase // predecessor of lock-acq is its lock-req
+	case trace.KindLockAcq: // the basis is the lock-req
 		r := pe.link
-		held := r != nil
-		var taRel trace.Time
-		if held {
-			if !r.done {
-				return r, false, false // blocked on the previous holder's release
-			}
-			taRel = r.ta
+		if r != nil && !r.done {
+			return r, false, false // blocked on the previous holder's release
 		}
-		waitedApprox := held && taRel > taReq
-		if waitedApprox {
-			note.ta = taRel + cal.SWait
-			note.waiting = taRel - taReq
-			note.kept = 1
-		} else {
-			note.ta = taReq + cal.SNoWait
-		}
-		measuredGap := e.Time - tmBase
-		waitedMeasured := measuredGap > cal.SNoWait+cal.Overheads.ForKind(e.Kind)+cal.SNoWait/2
-		if waitedMeasured && !waitedApprox {
-			note.removed = 1
-		} else if !waitedMeasured && waitedApprox {
-			note.introduced = 1
-		}
+		g.block(e, taBase, tmBase, r, note)
 
 	case trace.KindBarrierRelease:
 		r := pe.link
@@ -806,6 +756,40 @@ func (g *engine) resolveHead(pe *pend, taBase, tmBase trace.Time, note *resolveN
 		g.resolveDefault(e, taBase, tmBase, note)
 	}
 	return nil, false, true
+}
+
+// block resolves an awaitE or a lock acquisition with its basis (the
+// awaitB or lock-req) at taBase: when the record it depends on (dep, nil
+// for none: the advance, the previous holder's release) resolved after
+// the basis, it waited and ends s_wait after that event; otherwise it
+// ends s_nowait after the basis.
+func (g *engine) block(e trace.Event, taBase, tmBase trace.Time, dep *rec, note *resolveNote) {
+	waited := dep != nil && dep.ta > taBase
+	if waited {
+		note.ta = dep.ta + g.cal.SWait
+		note.waiting = dep.ta - taBase
+	} else {
+		note.ta = taBase + g.cal.SNoWait
+	}
+	g.classify(e, tmBase, waited, note)
+}
+
+// classify tallies Figure 2's case of a blocking event: kept when the
+// approximation waits, removed or introduced when the measurement
+// disagrees. The measurement waited iff the measured gap from the basis
+// exceeds the no-wait processing plus the event's probe cost, with half a
+// no-wait of slack.
+func (g *engine) classify(e trace.Event, tmBase trace.Time, waited bool, note *resolveNote) {
+	measured := e.Time-tmBase > g.cal.SNoWait+g.overhead(e.Kind)+g.cal.SNoWait/2
+	switch {
+	case waited:
+		note.kept = 1
+		if !measured {
+			note.introduced = 1
+		}
+	case measured:
+		note.removed = 1
+	}
 }
 
 // resolveDefault applies the execution-timing rule: the approximated time
@@ -1277,13 +1261,17 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	return a, nil
 }
 
-// finish assembles the Approximation. With retention the events are
-// re-timed and put in canonical order, with Times aligned with arrival
-// order; without, it carries the summary only. The order comes from
-// mergeRuns: one arrival-order pass over the log and a merge of the
-// per-processor runs, no whole-trace sort.
+// finish assembles the Approximation. Duration is the latest resolved
+// time, which is the last canonical event's. With retention the events
+// are re-timed and put in canonical order; without, it carries the
+// summary only. The order comes from mergeRuns: one arrival-order pass
+// over the log and a merge of the per-processor runs, no whole-trace sort.
+// There is no renormalization: the basis rule anchors each thread at the
+// execution origin (time zero), so approximated times are already in
+// actual-execution coordinates.
 func (g *engine) finish() *Approximation {
 	a := &Approximation{
+		Duration:        g.maxTA,
 		WaitsKept:       g.stats.kept,
 		WaitsRemoved:    g.stats.removed,
 		WaitsIntroduced: g.stats.introduced,
@@ -1301,17 +1289,8 @@ func (g *engine) finish() *Approximation {
 		scoreConfidence(conf)
 		a.Confidence = conf
 	}
-	if !g.opts.retain {
-		a.Duration = g.maxTA
-		return a
-	}
-	// No renormalization: the basis rule anchors each thread at the
-	// execution origin (time zero), so approximated times are already in
-	// actual-execution coordinates.
-	a.Times = g.log.times()
-	a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(&g.log, a.Times, g.procs())}
-	if n := len(a.Trace.Events); n > 0 {
-		a.Duration = a.Trace.Events[n-1].Time // canonical order is by time
+	if g.opts.retain {
+		a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(&g.log, g.procs())}
 	}
 	return a
 }
@@ -1332,145 +1311,149 @@ type runLink struct {
 	sort         bool // the run is in arrival order and needs a stable sort
 }
 
-// mergeRuns re-times events with ta and puts them in the canonical (Time,
-// Proc, Stmt) order with arrival-order tie-breaking — exactly the
-// permutation Trace.Sort's stable sort produces.
+// mergeRuns returns the log's events re-timed with their approximated
+// times, in the canonical (Time, Proc, Stmt) order with arrival-order
+// tie-breaking — exactly the permutation Trace.Sort's stable sort
+// produces.
 //
 // One pass in arrival order reads the log sequentially and links each
-// event into its processor's run in (time, stmt) order. An event at a
-// later time than its run's tail, or at the tail's time with no lower
-// stmt, goes behind the tail. One that ties the tail's time with a lower
-// stmt — under the paper's calibration every DOACROSS iteration's awaitB
-// ties the advance before it — is spliced into the run's trailing
-// equal-time group after the group's last event whose stmt is at most its
-// own, which keeps equal keys in arrival order. A run whose time
-// decreases (a basis on another processor's fence, a forced resolution
-// anchored at the measured time) or whose group would outgrow spliceCap
-// keeps arrival order from there on and is stable-sorted after the pass;
-// its linked prefix is already the stable order of the events before, so
-// the sort's result is the same as from arrival order.
+// event into its processor's run in (time, stmt) order, with an int32
+// link per event. An event at a later time than its run's tail, or at the
+// tail's time with no lower stmt, goes behind the tail. One that ties the
+// tail's time with a lower stmt — under the paper's calibration every
+// DOACROSS iteration's awaitB ties the advance before it — is spliced
+// into the run's trailing equal-time group after the group's last event
+// whose stmt is at most its own, which keeps equal keys in arrival order.
+// A run whose time decreases (a basis on another processor's fence, a
+// forced resolution anchored at the measured time) or whose group would
+// outgrow spliceCap keeps arrival order from there on and is
+// stable-sorted after the pass; its linked prefix is already the stable
+// order of the events before, so the sort's result is the same as from
+// arrival order.
 //
 // Runs never share a processor, so the merge orders run heads by (time,
-// proc) alone, in a heap of the processors with events left: O(log procs)
-// per event.
-func mergeRuns(log *eventLog, ta []trace.Time, procs int) []trace.Event {
-	ev, bits := log.ev, log.bits
-	mask := 1<<bits - 1 // event i is ev[i>>bits][i&mask]
+// proc) alone, in a heap that holds each head's time: O(log procs) per
+// event.
+func mergeRuns(log *eventLog, procs int) []trace.Event {
+	ev, ta, bits := log.ev, log.ta, log.bits
+	mask := 1<<bits - 1 // event i is ev[i>>bits][i&mask], its time ta[i>>bits][i&mask]
+	stmt := func(i int) int { return ev[i>>bits][i&mask].Stmt }
+	time := func(i int32) trace.Time { return ta[i>>bits][int(i)&mask] }
 	// next links each event to the next one of its run.
-	next := make([]int, log.n)
+	next := make([]int32, log.n)
 	runs := make([]runLink, procs)
 	for p := range runs {
 		runs[p].head = -1
 	}
 	i := 0
-	for _, chunk := range ev {
+	for c, chunk := range ev {
 		for j := range chunk {
 			e := &chunk[j]
-			r, t := &runs[e.Proc], ta[i]
+			r, t := &runs[e.Proc], ta[c][j]
 			next[i] = -1
 			switch {
 			case r.head < 0:
 				r.head, r.tail, r.tTime, r.tStmt = i, i, t, e.Stmt
 				r.before, r.size = -1, 1
 			case r.sort:
-				next[r.tail], r.tail = i, i
+				next[r.tail], r.tail = int32(i), i
 			case t > r.tTime:
-				next[r.tail] = i
+				next[r.tail] = int32(i)
 				r.before, r.size = r.tail, 1
 				r.tail, r.tTime, r.tStmt = i, t, e.Stmt
 			case t == r.tTime && e.Stmt >= r.tStmt:
-				next[r.tail], r.tail, r.tStmt = i, i, e.Stmt
+				next[r.tail], r.tail, r.tStmt = int32(i), i, e.Stmt
 				r.size++
 			case t == r.tTime && r.size < spliceCap:
 				// The tail's stmt exceeds e's, so the walk stops inside
 				// the group.
 				prev, cur := r.before, r.head
 				if prev >= 0 {
-					cur = next[prev]
+					cur = int(next[prev])
 				}
-				for ev[cur>>bits][cur&mask].Stmt <= e.Stmt {
-					prev, cur = cur, next[cur]
+				for stmt(cur) <= e.Stmt {
+					prev, cur = cur, int(next[cur])
 				}
 				if prev < 0 {
 					r.head = i
 				} else {
-					next[prev] = i
+					next[prev] = int32(i)
 				}
-				next[i] = cur
+				next[i] = int32(cur)
 				r.size++
 			default: // time decreased, or the group is full
 				r.sort = true
-				next[r.tail], r.tail = i, i
+				next[r.tail], r.tail = int32(i), i
 			}
 			i++
 		}
 	}
-	head := make([]int, procs)
-	var run []int
+	var run []int32
 	for p := range runs {
-		head[p] = runs[p].head
 		if !runs[p].sort {
 			continue
 		}
 		run = run[:0]
-		for i := head[p]; i >= 0; i = next[i] {
+		for i := int32(runs[p].head); i >= 0; i = next[i] {
 			run = append(run, i)
 		}
-		slices.SortStableFunc(run, func(a, b int) int {
-			if c := cmp.Compare(ta[a], ta[b]); c != 0 {
+		slices.SortStableFunc(run, func(a, b int32) int {
+			if c := cmp.Compare(time(a), time(b)); c != 0 {
 				return c
 			}
-			return cmp.Compare(ev[a>>bits][a&mask].Stmt, ev[b>>bits][b&mask].Stmt)
+			return cmp.Compare(stmt(int(a)), stmt(int(b)))
 		})
-		head[p] = run[0]
+		runs[p].head = int(run[0])
 		for k, i := range run[:len(run)-1] {
 			next[i] = run[k+1]
 		}
 		next[run[len(run)-1]] = -1
 	}
-	h := procHeap{ta: ta, head: head}
-	for p, i := range head {
-		if i >= 0 {
-			h.procs = append(h.procs, p)
+	h := make(procHeap, 0, procs)
+	for p := range runs {
+		if i := int32(runs[p].head); i >= 0 {
+			h = append(h, runHead{t: time(i), i: i, proc: int32(p)})
 		}
 	}
-	for k := len(h.procs)/2 - 1; k >= 0; k-- {
+	for k := len(h)/2 - 1; k >= 0; k-- {
 		h.down(k)
 	}
 	out := make([]trace.Event, 0, log.n)
-	for len(h.procs) > 0 {
-		p := h.procs[0]
-		i := head[p]
-		e := ev[i>>bits][i&mask]
-		e.Time = ta[i]
+	for len(h) > 0 {
+		top := &h[0]
+		e := ev[top.i>>bits][int(top.i)&mask]
+		e.Time = top.t
 		out = append(out, e)
-		if head[p] = next[i]; head[p] < 0 { // run exhausted
-			last := len(h.procs) - 1
-			h.procs[0] = h.procs[last]
-			h.procs = h.procs[:last]
+		if top.i = next[top.i]; top.i >= 0 {
+			top.t = time(top.i)
+		} else { // run exhausted
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
 		h.down(0)
 	}
 	return out
 }
 
-// procHeap is a binary min-heap of processors ordered by the time of their
-// run's head event, ties toward the lower processor.
-type procHeap struct {
-	procs []int
-	ta    []trace.Time
-	head  []int // run head event per processor
+// runHead is a run's next event in the merge: its index in the log, its
+// approximated time and its processor.
+type runHead struct {
+	t    trace.Time
+	i    int32
+	proc int32
 }
 
-func (h *procHeap) less(a, b int) bool {
-	pa, pb := h.procs[a], h.procs[b]
-	ta, tb := h.ta[h.head[pa]], h.ta[h.head[pb]]
-	return ta < tb || ta == tb && pa < pb
+// procHeap is a binary min-heap of run heads ordered by time, ties toward
+// the lower processor.
+type procHeap []runHead
+
+func (h procHeap) less(a, b int) bool {
+	return h[a].t < h[b].t || h[a].t == h[b].t && h[a].proc < h[b].proc
 }
 
 // down restores the heap order below position k.
-func (h *procHeap) down(k int) {
-	n := len(h.procs)
+func (h procHeap) down(k int) {
+	n := len(h)
 	for {
 		c := 2*k + 1
 		if c >= n {
@@ -1482,7 +1465,7 @@ func (h *procHeap) down(k int) {
 		if !h.less(c, k) {
 			return
 		}
-		h.procs[k], h.procs[c] = h.procs[c], h.procs[k]
+		h[k], h[c] = h[c], h[k]
 		k = c
 	}
 }
@@ -1503,8 +1486,10 @@ type StreamOptions struct {
 
 	// LowMemory drops resolved events instead of retaining them: Close
 	// returns a summary-only Approximation (Duration, wait statistics,
-	// Confidence; nil Trace and Times), and memory stays proportional to
-	// the synchronization state in flight instead of the trace length.
+	// Confidence; nil Trace), and memory stays proportional to the
+	// synchronization state in flight instead of the trace length. A
+	// retained session holds at most math.MaxInt32 events; a low-memory
+	// one has no limit.
 	LowMemory bool
 
 	// Procs fixes the processor count, like Trace.Procs. Zero discovers

@@ -195,13 +195,11 @@ func (s *Server) admit(ctx context.Context, sc *obs.Scope) error {
 	default:
 		return errAtCapacity
 	}
-	s.inflight.Add(1)
 	defer sc.Wait(spQueue).End()
 	select {
 	case s.running <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		s.inflight.Add(-1)
 		<-s.slots
 		return errQueueTimeout
 	}
@@ -209,7 +207,6 @@ func (s *Server) admit(ctx context.Context, sc *obs.Scope) error {
 
 func (s *Server) release() {
 	<-s.running
-	s.inflight.Add(-1)
 	<-s.slots
 }
 

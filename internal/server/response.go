@@ -1,12 +1,11 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/url"
 	"strconv"
 
+	"perturb/internal/cache"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/loops"
@@ -56,7 +55,7 @@ type Response struct {
 	Repair *RepairSummary `json:"repair,omitempty"`
 	// Confidence carries the degraded-mode per-processor quality scores
 	// when present on the result.
-	Confidence []ProcConfidence `json:"confidence,omitempty"`
+	Confidence []core.ProcConfidence `json:"confidence,omitempty"`
 	// Degraded marks a summary-only response: the upload exceeded the
 	// service's memory budget, so the analysis ran through the LowMemory
 	// streaming engine — every summary field above is exact, but no
@@ -74,16 +73,6 @@ type RepairSummary struct {
 	Summary     string `json:"summary"`
 }
 
-// ProcConfidence is the wire form of a core.ProcConfidence.
-type ProcConfidence struct {
-	Proc         int     `json:"proc"`
-	Events       int     `json:"events"`
-	Placeholders int     `json:"placeholders"`
-	Forced       int     `json:"forced"`
-	Defects      int     `json:"defects"`
-	Score        float64 `json:"score"`
-}
-
 // errorBody is the JSON body of every non-2xx response. Code, when
 // present, is a machine-readable discriminator for errors whose remedy
 // differs from their status's default (a 400 checksum_mismatch is
@@ -95,13 +84,14 @@ type errorBody struct {
 }
 
 // BuildResponse converts an analysis result into the wire response,
-// fingerprinting the approximated trace. It is exported within the module
-// so callers comparing remote results against local Analyze runs build the
-// reference bytes through the same code path.
+// fingerprinting the approximated trace as the cache fingerprints an
+// input (cache.TraceSHA256). It is exported within the module so callers
+// comparing remote results against local Analyze runs build the reference
+// bytes through the same code path.
 func BuildResponse(a *core.Approximation) (*Response, error) {
-	h := sha256.New()
-	if err := a.Trace.WriteBinary(h); err != nil {
-		return nil, fmt.Errorf("server: fingerprinting approximation: %w", err)
+	sum, err := cache.TraceSHA256(a.Trace)
+	if err != nil {
+		return nil, err
 	}
 	resp := &Response{
 		APIVersion:      APIVersion,
@@ -111,7 +101,8 @@ func BuildResponse(a *core.Approximation) (*Response, error) {
 		WaitsKept:       a.WaitsKept,
 		WaitsRemoved:    a.WaitsRemoved,
 		WaitsIntroduced: a.WaitsIntroduced,
-		TraceSHA256:     hex.EncodeToString(h.Sum(nil)),
+		TraceSHA256:     sum,
+		Confidence:      a.Confidence,
 	}
 	if a.Repair != nil {
 		resp.Repair = &RepairSummary{
@@ -121,16 +112,6 @@ func BuildResponse(a *core.Approximation) (*Response, error) {
 			Retimed:     a.Repair.Retimed,
 			Summary:     a.Repair.Summary(),
 		}
-	}
-	for _, c := range a.Confidence {
-		resp.Confidence = append(resp.Confidence, ProcConfidence{
-			Proc:         c.Proc,
-			Events:       c.Events,
-			Placeholders: c.Placeholders,
-			Forced:       c.Forced,
-			Defects:      c.Defects,
-			Score:        c.Score,
-		})
 	}
 	return resp, nil
 }

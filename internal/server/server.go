@@ -150,7 +150,6 @@ type Server struct {
 	running chan struct{}
 
 	draining atomic.Bool
-	inflight atomic.Int64
 
 	// degradedActive counts memory-budget degraded analyses currently
 	// running; /readyz reports "degraded" while it is non-zero.
@@ -261,8 +260,9 @@ func (s *Server) Shutdown(ctx context.Context) (forced bool, err error) {
 	return true, nil
 }
 
-// Inflight reports requests currently admitted (queued or running).
-func (s *Server) Inflight() int64 { return s.inflight.Load() }
+// Inflight reports requests currently admitted (queued or running): the
+// admission slots held.
+func (s *Server) Inflight() int64 { return int64(len(s.slots)) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// Liveness: the process is up and serving. Stays 200 while draining.

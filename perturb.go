@@ -470,7 +470,6 @@ func approxSize(v any) int64 {
 	if ap.Trace != nil {
 		size += int64(len(ap.Trace.Events)) * perEvent
 	}
-	size += int64(len(ap.Times)) * 8
 	return size
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"perturb"
+	"perturb/internal/order"
 	"perturb/internal/testgen"
 )
 
@@ -41,13 +42,17 @@ func sliceQueries(tr *perturb.Trace) map[string]perturb.SliceQuery {
 }
 
 // restrictApprox projects the full-trace approximation onto the slice's
-// events (by input index) and renders it canonically.
-func restrictApprox(tr *perturb.Trace, full *perturb.Approximation, indices []int) *perturb.Trace {
+// events (by input index, mapped to the approximated trace with
+// order.Align) and renders it canonically.
+func restrictApprox(t *testing.T, tr *perturb.Trace, full *perturb.Approximation, indices []int) *perturb.Trace {
+	t.Helper()
+	match, err := order.Align(tr, full.Trace)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := perturb.NewTrace(tr.Procs)
 	for _, idx := range indices {
-		e := tr.Events[idx]
-		e.Time = full.Times[idx]
-		out.Append(e)
+		out.Append(full.Trace.Events[match[idx]])
 	}
 	out.Sort()
 	return out
@@ -92,7 +97,7 @@ func checkSliceAgainstFull(t *testing.T, tr *perturb.Trace, full *perturb.Approx
 	if err != nil {
 		t.Fatalf("analyzing slice: %v", err)
 	}
-	want := encodeText(t, restrictApprox(tr, full, rep.Indices))
+	want := encodeText(t, restrictApprox(t, tr, full, rep.Indices))
 	got := encodeText(t, approxSlice.Trace)
 	if !bytes.Equal(got, want) {
 		t.Errorf("slice analysis diverged from restricted full analysis\nslice (%d/%d events):\n%s\nwant:\n%s",
