@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test gates race bench bench-sim bench-engine bench-derived bench-ledger ledger-check bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test lines gates race bench bench-sim bench-engine bench-derived bench-ledger ledger-check bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -11,6 +11,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package and in total, perfbench excluded: the unit
+# ROADMAP.md and CHANGES.md count design progress in (scripts/lines.sh).
+lines:
+	sh scripts/lines.sh
 
 # Every two-sided timing gate, one package at a time so that the gates
 # do not load each other. Each logs its ratio on both clocks with the
@@ -111,13 +116,15 @@ cache-smoke:
 # matching the batch /v1/analyze response exactly, and the retired
 # /analyze path must be a 404 (scripts/stream_smoke.sh). Then the
 # streaming acceptance tests: windows invariant to chunk boundaries on
-# all 24 kernels, no slot or goroutine leak on mid-stream cancellation,
-# and a window line out before the upload ends. CI's stream-smoke job.
+# all 24 kernels, a repairing stream's result equal to the batch
+# repair's (in core and over the wire), no slot or goroutine leak on
+# mid-stream cancellation, and a window line out before the upload
+# ends. CI's stream-smoke job.
 stream-smoke:
 	$(GO) build -o /tmp/perturbd ./cmd/perturbd
 	sh scripts/stream_smoke.sh /tmp/perturbd
-	$(GO) test -run 'TestStreamChunkInvarianceKernels' -count=1 -v ./internal/core/
-	$(GO) test -run 'TestStreamCancellationNoLeak|TestStreamWindowsBeforeUploadEnds' -count=1 -v ./internal/server/
+	$(GO) test -run 'TestStreamChunkInvarianceKernels|TestStreamRepairMatchesAnalyze' -count=1 -v ./internal/core/
+	$(GO) test -run 'TestStreamRepairMatchesBatch|TestStreamCancellationNoLeak|TestStreamWindowsBeforeUploadEnds' -count=1 -v ./internal/server/
 
 # Resilience check: the deterministic chaos suites under -race (seeded
 # netchaos fault injection, the three-instance fleet survival soak,

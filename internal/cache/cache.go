@@ -197,34 +197,18 @@ func (c *Cache) Get(key string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Put stores val under key with the given size, evicting least recently
-// used entries until the budget holds. Values larger than the whole
-// budget are not stored. A repeated Put refreshes the value and size.
-func (c *Cache) Put(key string, val any, size int64) {
-	if c == nil || size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, val, size)
-}
-
-func (c *Cache) putLocked(key string, val any, size int64) {
-	if size < 0 {
-		size = 0
-	}
+// store holds a finished flight's value under its key, evicting least
+// recently used entries until the budget holds; a value larger than the
+// whole budget is not stored. Called with c.mu held. Only a flight
+// stores, and a flight starts only for a key that is not resident, so
+// the key is new.
+func (c *Cache) store(key string, val any, size int64) {
+	size = max(size, 0)
 	if size > c.maxBytes {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += size - e.size
-		e.val, e.size = val, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
-		c.bytes += size
-	}
+	c.entries[key] = c.ll.PushFront(&entry{key: key, val: val, size: size})
+	c.bytes += size
 	c.inserts.Add(1)
 	cInserts.Add(1)
 	for c.bytes > c.maxBytes {
@@ -300,7 +284,7 @@ func (c *Cache) run(fctx context.Context, key string, f *flight, size func(any) 
 	v, err := fn(fctx)
 	c.mu.Lock()
 	if err == nil {
-		c.putLocked(key, v, size(v))
+		c.store(key, v, size(v))
 	}
 	delete(c.flights, key)
 	f.val, f.err = v, err
@@ -343,14 +327,4 @@ func (c *Cache) Stats() Stats {
 		Entries:   entries,
 		MaxBytes:  c.maxBytes,
 	}
-}
-
-// Len returns the number of resident entries.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

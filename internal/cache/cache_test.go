@@ -15,6 +15,19 @@ import (
 
 func sizeOne(any) int64 { return 1 }
 
+// put stores val under key with the given size through Do, the cache's
+// one way in, and returns the value Do served.
+func put(t *testing.T, c *Cache, key string, val any, size int64) any {
+	t.Helper()
+	v, _, err := c.Do(context.Background(), key, func(any) int64 { return size }, func(context.Context) (any, error) {
+		return val, nil
+	})
+	if err != nil {
+		t.Fatalf("Do(%s): %v", key, err)
+	}
+	return v
+}
+
 func TestNilCache(t *testing.T) {
 	var c *Cache
 	if c2 := New(0); c2 != nil {
@@ -23,29 +36,28 @@ func TestNilCache(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Error("nil cache reported a hit")
 	}
-	c.Put("k", 1, 1)
 	v, cached, err := c.Do(context.Background(), "k", sizeOne, func(context.Context) (any, error) { return 42, nil })
 	if err != nil || cached || v.(int) != 42 {
 		t.Errorf("nil Do = (%v, %v, %v), want (42, false, nil)", v, cached, err)
 	}
+	if _, ok := c.Get("k"); ok {
+		t.Error("nil cache stored a value")
+	}
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil Stats = %+v, want zero", s)
-	}
-	if c.Len() != 0 {
-		t.Error("nil Len != 0")
 	}
 }
 
 func TestGetPutLRU(t *testing.T) {
 	c := New(3)
-	c.Put("a", "A", 1)
-	c.Put("b", "B", 1)
-	c.Put("c", "C", 1)
+	put(t, c, "a", "A", 1)
+	put(t, c, "b", "B", 1)
+	put(t, c, "c", "C", 1)
 	// Touch "a" so "b" is the least recently used.
 	if v, ok := c.Get("a"); !ok || v.(string) != "A" {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
-	c.Put("d", "D", 1) // evicts b
+	put(t, c, "d", "D", 1) // evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction; LRU order wrong")
 	}
@@ -60,27 +72,34 @@ func TestGetPutLRU(t *testing.T) {
 	}
 }
 
+// TestPutReplaceAndOversize: a resident value is served, not replaced,
+// by a later Do of its key; a value over the whole budget is returned but
+// not stored; a negative size is charged as zero.
 func TestPutReplaceAndOversize(t *testing.T) {
 	c := New(10)
-	c.Put("k", "small", 2)
-	c.Put("k", "bigger", 5) // replace adjusts bytes, no duplicate entry
-	if s := c.Stats(); s.Bytes != 5 || s.Entries != 1 {
-		t.Errorf("after replace: %+v, want bytes=5 entries=1", s)
+	put(t, c, "k", "small", 2)
+	if v := put(t, c, "k", "bigger", 5); v.(string) != "small" {
+		t.Errorf("repeat Do served %v, want the resident value", v)
 	}
-	c.Put("huge", "x", 11) // larger than the whole budget: not stored
+	if s := c.Stats(); s.Bytes != 2 || s.Entries != 1 || s.Hits != 1 {
+		t.Errorf("after repeat: %+v, want bytes=2 entries=1 hits=1", s)
+	}
+	if v := put(t, c, "huge", "x", 11); v.(string) != "x" {
+		t.Errorf("over-budget Do served %v, want x", v)
+	}
 	if _, ok := c.Get("huge"); ok {
 		t.Error("over-budget value was stored")
 	}
-	c.Put("neg", "y", -4) // negative sizes clamp to 0
-	if s := c.Stats(); s.Bytes != 5 {
-		t.Errorf("negative size changed bytes: %+v", s)
+	put(t, c, "neg", "y", -4) // negative sizes clamp to 0
+	if s := c.Stats(); s.Bytes != 2 || s.Entries != 2 {
+		t.Errorf("negative size: %+v, want bytes=2 entries=2", s)
 	}
 }
 
 func TestByteBudgetEvictsUntilFit(t *testing.T) {
 	c := New(100)
 	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i, 30)
+		put(t, c, fmt.Sprintf("k%d", i), i, 30)
 	}
 	s := c.Stats()
 	if s.Bytes > 100 {
@@ -298,7 +317,7 @@ func TestDoErrorNotCached(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("failed computation was cached")
 	}
 	v, cached, err := c.Do(context.Background(), "k", sizeOne, func(context.Context) (any, error) {

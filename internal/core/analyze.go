@@ -82,34 +82,39 @@ func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, 
 	if err := cancel.Err(ctx); err != nil {
 		return nil, err
 	}
-	var rep *trace.RepairReport
-	if opts.Repair {
-		m, rep = trace.Repair(m)
-		if err := cancel.Err(ctx); err != nil {
-			return nil, err
+	analyze := func(m *trace.Trace) (*Approximation, error) {
+		switch opts.Mode {
+		case ModeTimeBased:
+			return analyzeBatch(ctx, m, cal, ModeTimeBased, false)
+		case ModeLiberal:
+			a, _, err := liberal(ctx, m, cal, opts.Liberal)
+			return a, err
+		case ModeEventBased:
+			return eventBased(ctx, m, cal, opts.Repair)
 		}
-	}
-
-	var a *Approximation
-	var err error
-	switch opts.Mode {
-	case ModeTimeBased:
-		a, err = analyzeBatch(ctx, m, cal, ModeTimeBased, false)
-	case ModeLiberal:
-		a, _, err = liberal(ctx, m, cal, opts.Liberal)
-	case ModeEventBased:
-		a, err = eventBased(ctx, m, cal, opts.Repair)
-	default:
 		return nil, errors.New("core: unknown analysis mode")
 	}
+	if opts.Repair {
+		return analyzeRepaired(ctx, m, analyze)
+	}
+	return analyze(m)
+}
+
+// analyzeRepaired is the one repair path, under AnalyzeContext and a
+// repairing Stream's Close: it sanitizes m with trace.Repair, runs
+// analyze over the repaired copy, and attaches the report and its
+// per-processor defects to the result.
+func analyzeRepaired(ctx context.Context, m *trace.Trace, analyze func(*trace.Trace) (*Approximation, error)) (*Approximation, error) {
+	repaired, rep := trace.Repair(m)
+	if err := cancel.Err(ctx); err != nil {
+		return nil, err
+	}
+	a, err := analyze(repaired)
 	if err != nil {
 		return nil, err
 	}
-
-	if rep != nil {
-		a.Repair = rep
-		attachDefects(a, rep, m.Procs)
-	}
+	a.Repair = rep
+	attachDefects(a, rep, repaired.Procs)
 	return a, nil
 }
 

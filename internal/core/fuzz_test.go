@@ -241,21 +241,17 @@ func FuzzAnalyze(f *testing.F) {
 // emits each index once, so must the whole sequence. Prompt feeding
 // rests on this: a session's output may not depend on how its input
 // arrived.
+//
+// Tumbling windows must also add up: over the latest emission per index,
+// their events sum to the events the engine analyzed (the repaired trace
+// in repair mode) and their waiting to the single window of the session
+// run with Window 0. An event at a negative measured time falls in no
+// tumbling window, while the single window holds it; a feed with one,
+// which a time-skewing mutation or repair's clock shift can make, is
+// left out of the sums.
 func checkWindows(t *testing.T, m *trace.Trace, cal instr.Calibration, opts core.StreamOptions, got []core.WindowResult) {
 	t.Helper()
-	ctx := context.Background()
-	ref, err := core.NewStream(cal, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Feed(ctx, m.Events); err != nil {
-		t.Fatalf("whole-trace session: %v", err)
-	}
-	want := ref.Windows()
-	if _, err := ref.Close(ctx); err != nil {
-		t.Fatalf("whole-trace session: %v", err)
-	}
-	want = append(want, ref.Windows()...)
+	want := wholeTraceWindows(t, m, cal, opts)
 	sorted := slices.IsSortedFunc(m.Events, func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) })
 	if sorted && !reflect.DeepEqual(got, want) {
 		t.Fatalf("window sequence differs from the whole-trace session's:\n got %+v\nwant %+v", got, want)
@@ -270,6 +266,47 @@ func checkWindows(t *testing.T, m *trace.Trace, cal instr.Calibration, opts core
 	if g, w := latest(got), latest(want); !reflect.DeepEqual(g, w) {
 		t.Fatalf("latest window per index differs from the whole-trace session's:\n got %+v\nwant %+v", g, w)
 	}
+
+	fed := m
+	if opts.Repair {
+		fed, _ = trace.Repair(m)
+	}
+	if opts.Window <= 0 || opts.Slide != 0 || slices.ContainsFunc(fed.Events, func(e trace.Event) bool { return e.Time < 0 }) {
+		return
+	}
+	sum := func(ws map[int]core.WindowResult) (events int, waiting trace.Time) {
+		for _, w := range ws {
+			events, waiting = events+w.Events, waiting+w.Waiting
+		}
+		return events, waiting
+	}
+	single := opts
+	single.Window = 0
+	events, waiting := sum(latest(got))
+	wantEvents, wantWaiting := sum(latest(wholeTraceWindows(t, m, cal, single)))
+	if events != fed.Len() || events != wantEvents || waiting != wantWaiting {
+		t.Fatalf("tumbling windows hold %d events and %d ns waiting; %d events fed, and the single window holds %d and %d ns",
+			events, waiting, fed.Len(), wantEvents, wantWaiting)
+	}
+}
+
+// wholeTraceWindows returns every window a session with opts emits when
+// fed the whole trace at once and closed.
+func wholeTraceWindows(t *testing.T, m *trace.Trace, cal instr.Calibration, opts core.StreamOptions) []core.WindowResult {
+	t.Helper()
+	ctx := context.Background()
+	ref, err := core.NewStream(cal, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Feed(ctx, m.Events); err != nil {
+		t.Fatalf("whole-trace session: %v", err)
+	}
+	ws := ref.Windows()
+	if _, err := ref.Close(ctx); err != nil {
+		t.Fatalf("whole-trace session: %v", err)
+	}
+	return append(ws, ref.Windows()...)
 }
 
 // isSentinel reports whether err matches one of the exported analysis or

@@ -382,8 +382,13 @@ func analyzeBatch(ctx context.Context, m *trace.Trace, cal instr.Calibration, mo
 	if err != nil {
 		return nil, err
 	}
+	return g.analyze(ctx, m.Events)
+}
+
+// analyze feeds a whole trace's events, then closes.
+func (g *engine) analyze(ctx context.Context, events []trace.Event) (*Approximation, error) {
 	defer g.flushTelemetry()
-	if err := g.feed(ctx, m.Events); err != nil {
+	if err := g.feed(ctx, events); err != nil {
 		return nil, err
 	}
 	return g.close(ctx)
@@ -1478,10 +1483,11 @@ type StreamOptions struct {
 	// rejects it.
 	Mode Mode
 
-	// Repair buffers the feed and sanitizes it with trace.Repair at
-	// Close, then analyzes in degraded mode — the streaming counterpart
-	// of Options.Repair. Windows are all emitted at Close, since repair
-	// needs the complete feed. Incompatible with LowMemory.
+	// Repair buffers the feed and, at Close, runs it through the repair
+	// path AnalyzeContext takes under Options.Repair (analyzeRepaired):
+	// trace.Repair, then the degraded analysis of the repaired trace.
+	// Windows are all emitted at Close, since repair needs the complete
+	// feed. Incompatible with LowMemory.
 	Repair bool
 
 	// LowMemory drops resolved events instead of retaining them: Close
@@ -1595,9 +1601,10 @@ func (s *Stream) Windows() []WindowResult {
 }
 
 // Close ends the stream and returns the final Approximation — identical
-// to batch Analyze over the same events. Remaining windows become
-// available via Windows afterwards. Close is idempotent: repeated calls
-// return the same result.
+// to batch Analyze over the same events. A repairing session takes
+// AnalyzeContext's own repair path (analyzeRepaired) over its buffered
+// feed. Remaining windows become available via Windows afterwards. Close
+// is idempotent: repeated calls return the same result.
 func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 	if s.closed {
 		if s.result == nil {
@@ -1606,62 +1613,41 @@ func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 		return s.result, nil
 	}
 	s.closed = true
-	var repaired *trace.Trace
-	var rep *trace.RepairReport
+	var a *Approximation
+	var err error
 	if s.buf != nil {
-		// Repair mode: sanitize the buffered feed, then run the engine
-		// in degraded mode over the repaired trace — exactly
-		// AnalyzeContext's repair path. The feed order is preserved (no
-		// sort): it is the trace order batch Analyze would see.
-		if s.buf.Procs == 0 {
-			for _, e := range s.buf.Events {
-				if e.Proc >= s.buf.Procs {
-					s.buf.Procs = e.Proc + 1
-				}
+		// Repair mode: AnalyzeContext's repair path over the buffered
+		// feed, analyzed by the batch engine with the session's windows.
+		a, err = analyzeRepaired(ctx, s.buf, func(m *trace.Trace) (*Approximation, error) {
+			g, err := batchEngine(m, s.cal, s.opts.Mode, s.opts.Mode == ModeEventBased)
+			if err != nil {
+				return nil, err
 			}
-		}
-		repaired, rep = trace.Repair(s.buf)
-		g, err := batchEngine(repaired, s.cal, s.opts.Mode, s.opts.Mode == ModeEventBased)
-		if err != nil {
-			return nil, err
-		}
-		s.g = g
-		s.g.setWindows(s.opts.Window, s.opts.Slide)
+			g.setWindows(s.opts.Window, s.opts.Slide)
+			s.g = g
+			return g.analyze(ctx, m.Events)
+		})
+	} else {
+		defer s.g.flushTelemetry()
+		a, err = s.g.close(ctx)
 	}
-	defer s.g.flushTelemetry()
-	if repaired != nil {
-		if err := s.g.feed(ctx, repaired.Events); err != nil {
-			return nil, err
-		}
-	}
-	a, err := s.g.close(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if rep != nil {
-		a.Repair = rep
-		attachDefects(a, rep, repaired.Procs)
 	}
 	s.result = a
 	return a, nil
 }
 
 // Procs reports the processor count seen so far: the fixed count when
-// StreamOptions.Procs was set, the discovered count otherwise.
+// StreamOptions.Procs was set, the discovered count otherwise. A
+// repairing session discovers its processors at Close, where
+// trace.Repair counts those of the events it keeps; until then it
+// reports StreamOptions.Procs.
 func (s *Stream) Procs() int {
-	if s.g != nil {
-		return s.g.procs()
-	}
-	if s.buf == nil {
+	if s.g == nil {
 		return s.opts.Procs
 	}
-	procs := s.buf.Procs
-	for _, e := range s.buf.Events {
-		if e.Proc >= procs {
-			procs = e.Proc + 1
-		}
-	}
-	return procs
+	return s.g.procs()
 }
 
 // Events reports how many events have been fed so far.

@@ -614,6 +614,40 @@ func TestWindowWaitingPlaceholder(t *testing.T) {
 	}
 }
 
+// TestStreamRepairMatchesAnalyze: a repairing session and AnalyzeContext
+// with Repair take one repair path. The trace discovers its processors
+// (Procs 0), and its only event on p5 has an undefined kind, which
+// repair drops: neither side may count p5.
+func TestStreamRepairMatchesAnalyze(t *testing.T) {
+	cfg := machine.Alliant()
+	cfg.Procs = 2
+	ovh := loops.PaperOverheads()
+	cal := exactCalFor(cfg, ovh)
+	run, err := machine.Run(loops.MustGet(3).Loop, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &trace.Trace{Events: slices.Clone(run.Trace.Events)}
+	m.Events = append(m.Events, trace.Event{Time: m.End() / 2, Proc: 5, Kind: trace.Kind(200), Var: trace.NoVar})
+	want, err := core.AnalyzeContext(context.Background(), m, cal, core.Options{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got := feedChunks(t, wholeChunk(m.Events), cal, core.StreamOptions{Repair: true})
+	if got.Trace.Procs != 2 || want.Trace.Procs != 2 {
+		t.Errorf("procs: stream %d, batch %d, want 2", got.Trace.Procs, want.Trace.Procs)
+	}
+	if !reflect.DeepEqual(got.Trace, want.Trace) {
+		t.Error("stream and batch repair approximate different traces")
+	}
+	if !reflect.DeepEqual(got.Confidence, want.Confidence) {
+		t.Errorf("confidence: stream %+v, batch %+v", got.Confidence, want.Confidence)
+	}
+	if got.Repair.Summary() != want.Repair.Summary() || len(got.Repair.Defects) != 1 {
+		t.Errorf("repair: stream %q, batch %q, want the one dropped event", got.Repair.Summary(), want.Repair.Summary())
+	}
+}
+
 // TestStreamRetainedMemoryPerEvent bounds what a retained session
 // allocates per event, from NewStream through Close, on a simulated
 // DOACROSS program of over 200k events fed in 4096-event batches with
@@ -661,5 +695,59 @@ func TestStreamRetainedMemoryPerEvent(t *testing.T) {
 	t.Logf("%d events: %.1f B/event allocated", m.Len(), perEvent)
 	if perEvent > 200 {
 		t.Errorf("retained session allocated %.1f B/event, bound 200", perEvent)
+	}
+}
+
+// TestStreamLowMemoryPerEvent bounds a low-memory session's memory per
+// event on the program TestStreamRetainedMemoryPerEvent feeds, in the
+// same 4096-event batches: the bytes allocated from NewStream through
+// Close, and the live heap before Close, read after a GC. The session
+// keeps no log, so what stays live is the synchronization state in
+// flight and the pairing records, which grow with the iterations. Not
+// parallel: it reads the process-wide allocation counter.
+func TestStreamLowMemoryPerEvent(t *testing.T) {
+	cfg := machine.Alliant()
+	ovh := loops.PaperOverheads()
+	l := *loops.MustGet(17).Loop
+	l.Iters = 24000
+	run, err := machine.Run(&l, instr.FullPlan(ovh, true), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := run.Trace
+	ctx := context.Background()
+	var before, live, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := core.NewStream(exactCalFor(cfg, ovh), core.StreamOptions{Procs: m.Procs, LowMemory: true, Window: m.End()/400 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < m.Len(); lo += 4096 {
+		if err := s.Feed(ctx, m.Events[lo:min(lo+4096, m.Len())]); err != nil {
+			t.Fatal(err)
+		}
+		s.Windows()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	a, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Windows()
+	runtime.ReadMemStats(&after)
+	if a.Trace != nil || a.Duration <= 0 {
+		t.Fatalf("low-memory result: trace %v, duration %d; want a summary only", a.Trace, a.Duration)
+	}
+	n := float64(m.Len())
+	allocated := float64(after.TotalAlloc-before.TotalAlloc) / n
+	held := (float64(live.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%d events: %.1f B/event allocated, %.1f B/event live before Close", m.Len(), allocated, held)
+	if allocated > 16 {
+		t.Errorf("low-memory session allocated %.1f B/event, bound 16", allocated)
+	}
+	if held > 7.5 {
+		t.Errorf("low-memory session held %.1f B/event live, bound 7.5", held)
 	}
 }

@@ -128,6 +128,47 @@ func TestRepairOrdersReorderedBarrier(t *testing.T) {
 	}
 }
 
+// TestRepairedRunsKeepProgramOrder: repair leaves each processor one
+// arrival, then one release, per barrier, and its loop-end after the
+// release. On 500 seeded programs under 2% uniform faults the degraded
+// analysis is a feasible execution of itself: with a second arrival
+// after the release, seeds 289 and 466 stall-broke the barrier and timed
+// a release before an arrival. On seeds 100, 146 and 385 a reorder put
+// p0's loop-end before its release, and the approximation must also be
+// feasible against the repaired measured trace: the loop-end's gap from
+// the arrival carried the whole barrier wait.
+func TestRepairedRunsKeepProgramOrder(t *testing.T) {
+	measuredCheck := map[int]bool{100: true, 146: true, 385: true}
+	for seed := 0; seed < 500; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		l, cfg, ovh := testgen.Loop(r), testgen.Config(r), testgen.Overheads(r)
+		res, err := machine.Run(l, instr.FullPlan(ovh, true), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := instr.Exact(ovh, cfg.SNoWait, cfg.SWait, cfg.AdvanceOp, cfg.Barrier)
+		damaged, _ := faults.Inject(res.Trace, faults.Uniform(0.02, uint64(seed)))
+		a, err := core.Analyze(damaged, cal, core.Options{Repair: true})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := order.CheckSelf(a.Trace); err != nil {
+			t.Errorf("seed %d: approximation infeasible against itself: %v", seed, err)
+		}
+		if !measuredCheck[seed] {
+			continue
+		}
+		repaired, _ := trace.Repair(damaged)
+		rel, err := order.Build(repaired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.Check(a.Trace); err != nil {
+			t.Errorf("seed %d: approximation infeasible against the repaired trace: %v", seed, err)
+		}
+	}
+}
+
 // TestFaultFreeAnalyzeByteIdentical: with injection disabled, the whole
 // pipeline — inject (no-op), analyze with and without repair — produces
 // results byte-identical to analyzing the pristine trace.

@@ -56,13 +56,11 @@ type Request struct {
 	// TraceID travels as the X-Perturb-Trace-Id header, correlating
 	// retries, failovers and hedges of one logical request in the
 	// service's request log. Empty means each Analyze call mints one, so
-	// every wire attempt of the same logical request shares an id.
+	// every wire attempt of the same logical request shares an id. Each
+	// attempt also carries an X-Perturb-Attempt tag, "try<n>" with n
+	// counting the call's wire attempts across rounds and endpoints from
+	// 0; a hedge of attempt n is "try<n>-hedge".
 	TraceID string
-	// Attempt travels as the X-Perturb-Attempt header: a per-wire-attempt
-	// tag distinguishing attempts that share a TraceID. The retry loop
-	// fills it with "try<n>", n counting the call's wire attempts across
-	// rounds and endpoints from 0; a hedge of attempt n is "try<n>-hedge".
-	Attempt string
 }
 
 // StatusError is a non-2xx response from the service whose error body
@@ -143,23 +141,24 @@ func (c *Client) analyze(ctx context.Context, req Request, body []byte, replayab
 		maxDelay:  c.MaxDelay,
 		endpoints: []*endpoint{newEndpoint(c.BaseURL, c.HTTPClient, c.Breaker, 0)},
 	}
-	return f.analyze(ctx, f.endpoints, rounds, req, body)
+	return f.analyze(ctx, f.endpoints, rounds, req, body, bodySHA(body))
 }
 
 // upload is one call's body with what every attempt stamps on it,
 // computed once per call.
 type upload struct {
-	body             []byte
-	query            string // the /v1/analyze query, with its "?", or ""
-	sha, contentType string
+	body                      []byte
+	query                     string // the /v1/analyze query, with its "?", or ""
+	sha, contentType, traceID string
 }
 
 // post runs one exchange against e: it builds the request, stamps the
-// content hash, trace id and attempt tag, verifies the response, and
-// records the outcome in e's breaker. Cancelled attempts (a hedge that
-// lost the race, a caller that gave up) say nothing about e's health and
-// are not recorded. It also returns the response's Retry-After hint.
-func (e *endpoint) post(ctx context.Context, req Request, up upload) (*Response, time.Duration, error) {
+// content hash, trace id and the attempt's tag, verifies the response,
+// and records the outcome in e's breaker. Cancelled attempts (a hedge
+// that lost the race, a caller that gave up) say nothing about e's
+// health and are not recorded. It also returns the response's
+// Retry-After hint.
+func (e *endpoint) post(ctx context.Context, up upload, attempt string) (*Response, time.Duration, error) {
 	u := strings.TrimSuffix(e.base, "/") + "/v1/analyze" + up.query
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(up.body))
 	if err != nil {
@@ -167,8 +166,8 @@ func (e *endpoint) post(ctx context.Context, req Request, up upload) (*Response,
 	}
 	hreq.Header.Set("Content-Type", up.contentType)
 	hreq.Header.Set(contentSHAHeader, up.sha)
-	hreq.Header.Set(traceIDHeader, req.TraceID)
-	hreq.Header.Set(attemptHeader, req.Attempt)
+	hreq.Header.Set(traceIDHeader, up.traceID)
+	hreq.Header.Set(attemptHeader, attempt)
 	start := time.Now()
 	resp, wait, err := readResponse(e.httpc.Do(hreq))
 	if err == nil {
@@ -180,8 +179,8 @@ func (e *endpoint) post(ctx context.Context, req Request, up upload) (*Response,
 	return resp, wait, err
 }
 
-// bodySHA is the hex SHA-256 a request stamps on its upload for
-// server-side verification.
+// bodySHA is the hex SHA-256 of a body: the upload's and the response's
+// integrity headers, and the server's wire-byte alias.
 func bodySHA(body []byte) string {
 	sum := sha256.Sum256(body)
 	return hex.EncodeToString(sum[:])

@@ -14,6 +14,11 @@ import (
 	"perturb/internal/instr"
 )
 
+// writeError writes a perturbd error body, as the service's fail does.
+func writeError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, errorBody{APIVersion: APIVersion, Error: msg})
+}
+
 // fastClient returns a client with near-zero backoff so retry tests run in
 // milliseconds.
 func fastClient(base string) *Client {

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"perturb/internal/cache"
 	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
@@ -181,15 +180,14 @@ func (f *Fleet) route(traceSHA string) []*endpoint {
 // requests to the next-choice replica. The response is exactly what a
 // single Client.Analyze against the chosen endpoint would return.
 func (f *Fleet) Analyze(ctx context.Context, t *trace.Trace, req Request) (*Response, error) {
-	traceSHA, err := cache.TraceSHA256(t)
-	if err != nil {
-		return nil, err
-	}
 	var body bytes.Buffer
 	if err := t.WriteBinary(&body); err != nil {
 		return nil, fmt.Errorf("encoding trace: %w", err)
 	}
-	return f.analyze(ctx, f.route(traceSHA), fleetRounds, req, body.Bytes())
+	// The body is the encoding cache.TraceSHA256 hashes, so its hash is
+	// the trace's content address.
+	sha := bodySHA(body.Bytes())
+	return f.analyze(ctx, f.route(sha), fleetRounds, req, body.Bytes(), sha)
 }
 
 // analyze is the one retry loop, under Fleet.Analyze and every Client
@@ -197,17 +195,17 @@ func (f *Fleet) Analyze(ctx context.Context, t *trace.Trace, req Request) (*Resp
 // healthy endpoints before cooling ones, skips those whose breakers
 // refuse, fails over on anything retryable and hedges when enabled;
 // between rounds it backs off. A lone endpoint whose breaker refuses
-// burns the round with ErrBreakerOpen.
-func (f *Fleet) analyze(ctx context.Context, prefs []*endpoint, rounds int, req Request, body []byte) (*Response, error) {
+// burns the round with ErrBreakerOpen. sha is body's hex SHA-256.
+func (f *Fleet) analyze(ctx context.Context, prefs []*endpoint, rounds int, req Request, body []byte, sha string) (*Response, error) {
 	query, err := analyzeQuery(req)
 	if err != nil {
 		return nil, err
 	}
-	up := upload{body: body, query: query, sha: bodySHA(body), contentType: traceContentType(body)}
 	// One trace id covers every attempt of the call, each with a distinct
 	// attempt tag, so the endpoints' request logs reconstruct the fan-out.
-	if req.TraceID == "" {
-		req.TraceID = NewTraceID()
+	up := upload{body: body, query: query, sha: sha, contentType: traceContentType(body), traceID: req.TraceID}
+	if up.traceID == "" {
+		up.traceID = NewTraceID()
 	}
 
 	var (
@@ -255,9 +253,9 @@ func (f *Fleet) analyze(ctx context.Context, prefs []*endpoint, rounds int, req 
 			if f.cfg.Hedge && i+1 < len(willing) {
 				next = willing[i+1]
 			}
-			req.Attempt = "try" + strconv.Itoa(tries)
+			tag := "try" + strconv.Itoa(tries)
 			tries++
-			resp, retryAfter, err := f.attempt(ctx, ep, next, req, up)
+			resp, retryAfter, err := f.attempt(ctx, ep, next, up, tag)
 			if err == nil {
 				return resp, nil
 			}
@@ -297,13 +295,13 @@ func (f *Fleet) backoff(k int, wait time.Duration) time.Duration {
 	return max(d, wait)
 }
 
-// attempt runs one request against ep, hedging to next (when non-nil)
-// after the hedge delay. The first answer wins; the loser's context is
-// cancelled. The duration is the longest Retry-After either answer
-// asked for.
-func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, up upload) (*Response, time.Duration, error) {
+// attempt runs one request, tagged tag, against ep, hedging to next
+// (when non-nil) after the hedge delay. The first answer wins; the
+// loser's context is cancelled. The duration is the longest Retry-After
+// either answer asked for.
+func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, up upload, tag string) (*Response, time.Duration, error) {
 	if next == nil {
-		return ep.post(ctx, req, up)
+		return ep.post(ctx, up, tag)
 	}
 
 	hctx, cancelHedge := context.WithCancel(ctx)
@@ -316,14 +314,12 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, up
 	}
 	results := make(chan result, 2)
 	launch := func(target *endpoint, tag string) {
-		r := req
-		r.Attempt = tag
 		go func() {
-			resp, wait, err := target.post(hctx, r, up)
+			resp, wait, err := target.post(hctx, up, tag)
 			results <- result{resp, wait, err, target}
 		}()
 	}
-	launch(ep, req.Attempt)
+	launch(ep, tag)
 	timer := time.NewTimer(f.hedgeDelay(ep))
 	defer timer.Stop()
 
@@ -359,7 +355,7 @@ func (f *Fleet) attempt(ctx context.Context, ep, next *endpoint, req Request, up
 				cFleetHedges.Add(1)
 				// The hedge shares the trace id with a distinct tag, so
 				// the two endpoints' logs show one request, two attempts.
-				launch(next, req.Attempt+"-hedge")
+				launch(next, tag+"-hedge")
 			}
 		}
 	}

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,10 +27,11 @@ import (
 //     cut by a forced shutdown) and the request's self-trace scope;
 //   - query: options, calibration and window geometry, parsed before
 //     admission so a malformed query is a 400 at any load;
-//   - engine: batch (buffer and verify the upload, look it up in the
-//     cache, decode, then one flight that admits, analyzes and encodes)
-//     or streamed (admit, feed the incremental engine while hashing the
-//     upload, verify at EOF, close);
+//   - engine: batch (buffer and verify the upload, resolve its content
+//     address, then serve the resident result or join the one flight
+//     that admits, analyzes and encodes) or streamed (admit, feed the
+//     incremental engine while hashing the upload, verify at EOF,
+//     close);
 //   - respond: the JSON or NDJSON success body, or one error → status
 //     mapping for every engine (fail).
 //
@@ -57,24 +56,25 @@ var (
 	spDrain     = obs.NewSpan("server.drain")
 )
 
-// Pipeline sentinels, mapped onto statuses by fail. Every other failure
-// is an *httpError carrying its own status, a cancel sentinel from the
-// request's deadline or disconnect, or an analysis error (422).
-var (
-	errDraining     = errors.New("server is draining")
-	errAtCapacity   = errors.New("server at capacity, retry later")
-	errQueueTimeout = errors.New("timed out waiting for an analysis slot")
-	errInternal     = errors.New("internal error during analysis")
-)
-
-// httpError is a request failure that carries its status, plus a
-// machine-readable code for errors whose remedy differs from the
-// status's default.
+// httpError is a request failure that carries its status, whether it
+// counts as shed, and a machine-readable code for errors whose remedy
+// differs from the status's default. Every other failure is a cancel
+// sentinel from the request's deadline or disconnect, or an analysis
+// error (422).
 type httpError struct {
 	status int
+	shed   bool
 	code   string
 	msg    string
 }
+
+// The pipeline's fixed failures.
+var (
+	errDraining     = &httpError{status: http.StatusServiceUnavailable, shed: true, msg: "server is draining"}
+	errAtCapacity   = &httpError{status: http.StatusTooManyRequests, shed: true, msg: "server at capacity, retry later"}
+	errQueueTimeout = &httpError{status: http.StatusServiceUnavailable, shed: true, msg: "timed out waiting for an analysis slot"}
+	errInternal     = &httpError{status: http.StatusInternalServerError, msg: "internal error during analysis"}
+)
 
 func (e *httpError) Error() string { return e.msg }
 
@@ -210,11 +210,10 @@ func (s *Server) release() {
 	<-s.slots
 }
 
-// fail is the respond stage of a failed request, the one mapping from
-// error to status: status-carrying errors keep theirs, sentinels and
-// cancellations map here, and shed, deadline and canceled requests are
-// counted here. Every 429 and 503 carries Retry-After. Once NDJSON
-// output has begun the 200 is already on the wire, so the failure
+// fail is the respond stage of a failed request: status-carrying errors
+// keep theirs, cancellations map here, and shed, deadline and canceled
+// requests are counted here. Every 429 and 503 carries Retry-After. Once
+// NDJSON output has begun the 200 is already on the wire, so the failure
 // becomes an in-band error line.
 func (s *Server) fail(q *request, err error) {
 	var he *httpError
@@ -222,14 +221,9 @@ func (s *Server) fail(q *request, err error) {
 	switch {
 	case errors.As(err, &he):
 		status = he.status
-	case errors.Is(err, errAtCapacity):
-		status = http.StatusTooManyRequests
-		cShed.Add(1)
-	case errors.Is(err, errDraining), errors.Is(err, errQueueTimeout):
-		status = http.StatusServiceUnavailable
-		cShed.Add(1)
-	case errors.Is(err, errInternal):
-		status = http.StatusInternalServerError
+		if he.shed {
+			cShed.Add(1)
+		}
 	case errors.Is(err, cancel.ErrDeadlineExceeded):
 		status = http.StatusGatewayTimeout
 		cDeadline.Add(1)
@@ -262,11 +256,13 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(int(d / time.Second))
 }
 
-// batch is the buffered engine: read the upload, verify it, serve a
-// resident result, or decode and join the one flight analyzing this
-// content address. With the cache off every lookup misses on the nil
-// cache, the flight runs inline, and the response carries no cache
-// fields.
+// batch is the buffered engine. Its decode phase reads and verifies the
+// upload and resolves its content address: the wire-byte alias of a
+// repeat of the exact same bytes, else the hash of the decoded events.
+// Its lookup phase serves a resident result or joins the one flight
+// analyzing this content address. With the cache off every lookup misses
+// on the nil cache, the flight runs inline, and the response carries no
+// cache fields.
 func (s *Server) batch(ctx context.Context, q *request) error {
 	if s.cache == nil {
 		q.line.Cache = "off"
@@ -282,39 +278,41 @@ func (s *Server) batch(ctx context.Context, q *request) error {
 	// One hash per upload verifies the client's checksum and keys the
 	// wire-byte alias. The checksum goes first: transit damage to the
 	// codec magic is a retryable mismatch, not a terminal 415.
-	sum := sha256.Sum256(raw)
-	wire := hex.EncodeToString(sum[:])
+	wire := bodySHA(raw)
 	if err := verifyContentSHA(q.r, wire); err != nil {
 		return err
 	}
 	if err := checkTraceContentType(q.r.Header.Get("Content-Type"), raw); err != nil {
 		return err
 	}
+	var tr *trace.Trace
+	var err error
+	inputSHA, aliased := s.cache.Alias(wire)
+	if !aliased {
+		if tr, err = decodeTrace(ctx, raw); err != nil {
+			return readError(ctx, err)
+		}
+		if s.cache != nil {
+			if inputSHA, err = cache.TraceSHA256(tr); err != nil {
+				return err
+			}
+			s.cache.PutAlias(wire, inputSHA)
+		}
+	}
 
-	// Wire-byte fast path: a repeat upload of the exact same bytes skips
-	// the decode, and a resident result for this (trace, calibration,
-	// options) key is served straight from the LRU.
 	q.sc.Phase(spLookup)
-	var key, inputSHA string
-	if resolved, ok := s.cache.Alias(wire); ok {
-		key, inputSHA = cache.KeyFromTraceSHA(resolved, q.cal, q.opts), resolved
-		if v, hit := s.cache.Get(key); hit {
-			q.line.Cache = "hit"
-			s.respondBatch(q, v, true)
-			return nil
-		}
+	key := cache.KeyFromTraceSHA(inputSHA, q.cal, q.opts)
+	if v, hit := s.cache.Get(key); hit {
+		q.line.Cache = "hit"
+		s.respondBatch(q, v, true)
+		return nil
 	}
-	q.sc.Phase(spDecode)
-	tr, err := decodeTrace(ctx, raw)
-	if err != nil {
-		return readError(ctx, err)
-	}
-	q.sc.Phase(spLookup)
-	if key == "" && s.cache != nil {
-		if key, inputSHA, err = cache.Key(tr, q.cal, q.opts); err != nil {
-			return err
+	if tr == nil { // the alias outlived the result it led to
+		q.sc.Phase(spDecode)
+		if tr, err = decodeTrace(ctx, raw); err != nil {
+			return readError(ctx, err)
 		}
-		s.cache.PutAlias(wire, inputSHA)
+		q.sc.Phase(spLookup)
 	}
 
 	// The singleflight wait is a server.flight interval, exported as an

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
 
@@ -197,5 +200,88 @@ func TestRequestLogCacheOutcome(t *testing.T) {
 		if e.Status != http.StatusOK || e.Cache != want[tg.name] {
 			t.Errorf("%s: logged status %d cache %q, want 200 %q", tg.name, e.Status, e.Cache, want[tg.name])
 		}
+	}
+}
+
+// TestStreamRepairMatchesBatch: with the cache off, as stream-smoke runs
+// it, a repairing stream's final result is the batch response to the
+// same upload. The binary header declares no processors, and the only
+// event on a processor past the others has an undefined kind, which
+// repair drops.
+func TestStreamRepairMatchesBatch(t *testing.T) {
+	tr := testTrace(t, 3)
+	damaged := &trace.Trace{Events: slices.Clone(tr.Events)}
+	damaged.Events = append(damaged.Events, trace.Event{Time: tr.End() / 2, Proc: tr.Procs + 5, Kind: trace.Kind(200), Var: trace.NoVar})
+	body := traceBody(t, damaged)
+	_, base := startServer(t, Config{CacheBytes: -1})
+
+	resp, raw := post(t, base+"/v1/analyze?repair=1", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d body %s", resp.StatusCode, raw)
+	}
+	var batch Response
+	if err := json.Unmarshal(raw, &batch); err != nil {
+		t.Fatal(err)
+	}
+	resp, lines := postStream(t, base+"/v1/analyze/stream?repair=1", body)
+	final := lines[len(lines)-1]
+	if resp.StatusCode != http.StatusOK || !final.Final || final.Result == nil {
+		t.Fatalf("stream: status %d, last line %+v", resp.StatusCode, final)
+	}
+	if batch.Procs != tr.Procs || !reflect.DeepEqual(*final.Result, batch) {
+		t.Errorf("stream result differs from the batch body (%d procs):\n got %+v\nwant %+v", tr.Procs, *final.Result, batch)
+	}
+}
+
+// TestBatchPhasesOncePerRequest: a batch miss and a hit of the same
+// upload each pass the decode and the lookup phase once.
+func TestBatchPhasesOncePerRequest(t *testing.T) {
+	obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(false) })
+	_, base := startServer(t, Config{})
+	body := traceBody(t, testTrace(t, 3))
+	before := spanCounts(t, base)
+	for i := 0; i < 2; i++ {
+		if resp, raw := post(t, base+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d body %s", i, resp.StatusCode, raw)
+		}
+	}
+	after := spanCounts(t, base)
+	for _, phase := range []string{"decode", "lookup"} {
+		name := "perturb_server_" + phase + "_ns_count"
+		if got := after[name] - before[name]; got != 2 {
+			t.Errorf("%s rose by %d over a miss and a hit, want 2", name, got)
+		}
+	}
+}
+
+// TestRequestLogCrossCodecHit: the same trace uploaded in binary, then as
+// text, resolves to one content address; the second request is a
+// resident hit in the request log and in the cache's own count.
+func TestRequestLogCrossCodecHit(t *testing.T) {
+	tr := testTrace(t, 3)
+	var text bytes.Buffer
+	if err := tr.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	var log syncBuffer
+	s, base := startServer(t, Config{RequestLog: &log})
+	for _, body := range [][]byte{traceBody(t, tr), text.Bytes()} {
+		if resp, raw := post(t, base+"/v1/analyze", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d body %s", resp.StatusCode, raw)
+		}
+	}
+	var outcomes []string
+	for _, l := range log.waitLines(t, 2) {
+		var e requestLogLine
+		if err := json.Unmarshal([]byte(l), &e); err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, e.Cache)
+	}
+	st, _ := s.CacheStats()
+	if !slices.Equal(outcomes, []string{"miss", "hit"}) || st.Misses != 1 || st.Hits != 1 || st.Coalesced != 0 {
+		t.Errorf("logged %q, cache counted %d misses, %d hits, %d coalesced; want miss then hit, 1/1/0",
+			outcomes, st.Misses, st.Hits, st.Coalesced)
 	}
 }

@@ -93,17 +93,8 @@ func BuildResponse(a *core.Approximation) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
-		APIVersion:      APIVersion,
-		Procs:           a.Trace.Procs,
-		Events:          a.Trace.Len(),
-		Duration:        a.Duration,
-		WaitsKept:       a.WaitsKept,
-		WaitsRemoved:    a.WaitsRemoved,
-		WaitsIntroduced: a.WaitsIntroduced,
-		TraceSHA256:     sum,
-		Confidence:      a.Confidence,
-	}
+	resp := summaryResponse(a, a.Trace.Procs, a.Trace.Len())
+	resp.TraceSHA256, resp.Confidence = sum, a.Confidence
 	if a.Repair != nil {
 		resp.Repair = &RepairSummary{
 			Defects:     len(a.Repair.Defects),
@@ -114,6 +105,20 @@ func BuildResponse(a *core.Approximation) (*Response, error) {
 		}
 	}
 	return resp, nil
+}
+
+// summaryResponse holds the fields of a response that every analysis,
+// the summary-only low-memory one included, fills in.
+func summaryResponse(a *core.Approximation, procs, events int) *Response {
+	return &Response{
+		APIVersion:      APIVersion,
+		Procs:           procs,
+		Events:          events,
+		Duration:        a.Duration,
+		WaitsKept:       a.WaitsKept,
+		WaitsRemoved:    a.WaitsRemoved,
+		WaitsIntroduced: a.WaitsIntroduced,
+	}
 }
 
 // DefaultCalibration is the calibration an analyze request gets when it

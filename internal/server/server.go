@@ -31,7 +31,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -65,7 +64,7 @@ var (
 	cPanics   = obs.NewCounter("server.panics")
 )
 
-// Config sizes the service. The zero value is usable: Normalize fills in
+// Config sizes the service. The zero value is usable: New fills in
 // defaults.
 type Config struct {
 	// MaxConcurrency caps analyses running simultaneously. Default:
@@ -112,31 +111,6 @@ type Config struct {
 // order of a million distinct results.
 const DefaultCacheBytes = 256 << 20
 
-// Normalize fills zero fields with defaults and returns the result.
-func (c Config) Normalize() Config {
-	if c.MaxConcurrency <= 0 {
-		c.MaxConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth < 0 {
-		c.QueueDepth = 0
-	} else if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.MaxConcurrency
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.CacheBytes == 0 {
-		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.Logger == nil {
-		c.Logger = log.Default()
-	}
-	return c
-}
-
 // Server is the perturbd HTTP service. Create with New, serve with Serve,
 // stop with Shutdown.
 type Server struct {
@@ -181,18 +155,32 @@ type Server struct {
 	hookAnalyze func(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts core.Options) (*core.Approximation, error)
 }
 
-// New builds a Server from cfg (normalized first).
+// New builds a Server from cfg, filling its zero fields with defaults.
 func New(cfg Config) *Server {
-	cfg = cfg.Normalize()
-	budget := cfg.CacheBytes
-	if budget < 0 {
-		budget = 0 // cache.New(0) is the nil always-miss cache
+	if cfg.MaxConcurrency <= 0 {
+		cfg.MaxConcurrency = runtime.GOMAXPROCS(0)
+	}
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 2 * cfg.MaxConcurrency
+	}
+	cfg.QueueDepth = max(cfg.QueueDepth, 0)
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = 64 << 20
+	}
+	if cfg.CacheBytes == 0 {
+		cfg.CacheBytes = DefaultCacheBytes
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = log.Default()
 	}
 	s := &Server{
 		cfg:     cfg,
 		slots:   make(chan struct{}, cfg.MaxConcurrency+cfg.QueueDepth),
 		running: make(chan struct{}, cfg.MaxConcurrency),
-		cache:   cache.New(budget),
+		cache:   cache.New(cfg.CacheBytes), // nil, always missing, when disabled
 	}
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	s.build = buildinfo.Resolve()
@@ -436,13 +424,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, "encoding response", http.StatusInternalServerError)
 		return
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	w.Header().Set(bodySHAHeader, hex.EncodeToString(sum[:]))
+	w.Header().Set(bodySHAHeader, bodySHA(buf.Bytes()))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(buf.Bytes())
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{APIVersion: APIVersion, Error: msg})
 }

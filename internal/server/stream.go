@@ -208,14 +208,7 @@ func (q *request) emit(l streamLine) {
 // no approximated trace to fingerprint, so TraceSHA256 is absent and
 // Degraded marks the response as summary-only.
 func buildDegradedResponse(sess *core.Stream, a *core.Approximation) *Response {
-	return &Response{
-		APIVersion:      APIVersion,
-		Procs:           sess.Procs(),
-		Events:          sess.Events(),
-		Duration:        a.Duration,
-		WaitsKept:       a.WaitsKept,
-		WaitsRemoved:    a.WaitsRemoved,
-		WaitsIntroduced: a.WaitsIntroduced,
-		Degraded:        true,
-	}
+	resp := summaryResponse(a, sess.Procs(), sess.Events())
+	resp.Degraded = true
+	return resp
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -328,6 +330,7 @@ func (r *repairer) run(t *Trace) *Trace {
 	r.clampCausality(w)
 	r.completeBrackets(w)
 	r.completeBarriers(w)
+	r.orderBarriers(w)
 	r.completeIterations(w)
 	r.flagUnmatchedAwaits(w)
 	w.Sort()
@@ -670,17 +673,15 @@ func (r *repairer) synthAfter(w *Trace, list []int, pos int, kind Kind, e Event)
 // completeBarriers makes every barrier's participant set consistent: a
 // processor with a release but no arrival gets the arrival synthesized at
 // its preceding event; a processor with an arrival but no release gets the
-// release synthesized at the barrier's common release time; a processor
-// that participated in the phase but has neither — the truncated-tail
-// signature — gets both.
+// release synthesized at the barrier's common release time, never before
+// its latest arrival; a processor that participated in the phase but has
+// neither — the truncated-tail signature — gets both.
 func (r *repairer) completeBarriers(w *Trace) {
 	type barrier struct {
-		key        PairKey
-		arrive     map[int]bool
-		release    map[int]bool
-		maxRelease Time
-		minArrive  Time
-		haveTimes  bool
+		key                   PairKey
+		arrive                map[int]bool
+		release               map[int]bool
+		maxRelease, maxArrive Time
 	}
 	byKey := make(map[PairKey]*barrier)
 	var order []*barrier
@@ -696,16 +697,11 @@ func (r *repairer) completeBarriers(w *Trace) {
 		}
 		if e.Kind == KindBarrierArrive {
 			b.arrive[e.Proc] = true
-			if !b.haveTimes || e.Time < b.minArrive {
-				b.minArrive = e.Time
-			}
+			b.maxArrive = max(b.maxArrive, e.Time)
 		} else {
 			b.release[e.Proc] = true
-			if e.Time > b.maxRelease {
-				b.maxRelease = e.Time
-			}
+			b.maxRelease = max(b.maxRelease, e.Time)
 		}
-		b.haveTimes = true
 	}
 
 	var synth []Event
@@ -722,18 +718,16 @@ func (r *repairer) completeBarriers(w *Trace) {
 		}
 		return last
 	}
-	sorted := func(m map[int]bool) []int {
-		ps := make([]int, 0, len(m))
-		for p := range m {
-			ps = append(ps, p)
-		}
-		sort.Ints(ps)
-		return ps
-	}
-
 	for _, b := range order {
+		// The barrier's common release time: its latest release, or just
+		// after its latest arrival when every release was lost or came
+		// before that arrival.
+		release := b.maxRelease
+		if len(b.release) == 0 || b.maxRelease < b.maxArrive {
+			release = b.maxArrive + 1
+		}
 		// Arrival missing on a processor that was released.
-		for _, p := range sorted(b.release) {
+		for _, p := range slices.Sorted(maps.Keys(b.release)) {
 			if !b.arrive[p] {
 				t := b.maxRelease
 				if lt := lastBefore(p, b.maxRelease); lt >= 0 && lt+1 < t {
@@ -746,36 +740,31 @@ func (r *repairer) completeBarriers(w *Trace) {
 			}
 		}
 		// Release missing on a processor that arrived.
-		if len(b.release) > 0 {
-			for _, p := range sorted(b.arrive) {
-				if !b.release[p] {
-					synth = append(synth, Event{Time: b.maxRelease, Stmt: SynthStmt, Proc: p,
-						Kind: KindBarrierRelease, Iter: b.key.Iter, Var: b.key.Var})
-					r.note(Defect{Class: DefectMissingRelease, Action: ActionSynthesized,
-						Proc: p, Key: b.key, Detail: "barrier release synthesized"})
-				}
+		for _, p := range slices.Sorted(maps.Keys(b.arrive)) {
+			if !b.release[p] {
+				synth = append(synth, Event{Time: release, Stmt: SynthStmt, Proc: p,
+					Kind: KindBarrierRelease, Iter: b.key.Iter, Var: b.key.Var})
+				r.note(Defect{Class: DefectMissingRelease, Action: ActionSynthesized,
+					Proc: p, Key: b.key, Detail: "barrier release synthesized"})
 			}
 		}
 		// Truncated tails: a processor with phase work before the barrier
 		// but no participation at all.
-		if len(b.release) == 0 {
-			continue
-		}
 		for _, p := range procs {
 			if b.arrive[p] || b.release[p] {
 				continue
 			}
-			if !r.workedBefore(w, lists[p], b.maxRelease) {
+			if !r.workedBefore(w, lists[p], release) {
 				continue
 			}
-			t := b.maxRelease
-			if lt := lastBefore(p, b.maxRelease); lt >= 0 && lt+1 < t {
+			t := release
+			if lt := lastBefore(p, release); lt >= 0 && lt+1 < t {
 				t = lt + 1
 			}
 			synth = append(synth,
 				Event{Time: t, Stmt: SynthStmt, Proc: p, Kind: KindBarrierArrive,
 					Iter: b.key.Iter, Var: b.key.Var},
-				Event{Time: b.maxRelease, Stmt: SynthStmt, Proc: p, Kind: KindBarrierRelease,
+				Event{Time: release, Stmt: SynthStmt, Proc: p, Kind: KindBarrierRelease,
 					Iter: b.key.Iter, Var: b.key.Var})
 			r.note(Defect{Class: DefectTruncatedTail, Action: ActionSynthesized,
 				Proc: p, Key: b.key,
@@ -783,6 +772,69 @@ func (r *repairer) completeBarriers(w *Trace) {
 		}
 	}
 	r.insert(w, synth)
+}
+
+// orderBarriers leaves each processor one arrival, then one release, of
+// each barrier, and its loop-end after the release: the engine times a
+// release from the arrivals alone, so an event between them in program
+// order could be timed after it. A reorder fault swaps the times of two
+// adjacent records; each fix swaps two records' places back (records of
+// equal time are left in Sort's order). An arrival after the last
+// release, a duplicate the reorder hid from dedup, swaps with it; every
+// arrival but the first and release but the last is then dropped as a
+// duplicate; a loop-end between the two swaps with the release.
+func (r *repairer) orderBarriers(w *Trace) {
+	drop := make(map[int]bool)
+	defects := len(r.rep.Defects)
+	procs, lists := procLists(w, KindBarrierArrive, KindBarrierRelease, KindLoopEnd)
+	for _, proc := range procs {
+		list := lists[proc]
+		sets := brackets(w, list)
+		for _, bk := range sortedBracketKeys(sets) {
+			s := sets[bk]
+			if bk.open != KindBarrierArrive || len(s.opens) == 0 || len(s.closes) == 0 {
+				continue
+			}
+			arrivals, releases := slices.Clone(s.opens), slices.Clone(s.closes)
+			rel := &releases[len(releases)-1]
+			if last := &arrivals[len(arrivals)-1]; *last > *rel && w.Events[list[*last]].Time > w.Events[list[*rel]].Time {
+				r.swapPlaces(w, list[*rel], list[*last], bk.key, "barrier release recorded before an arrival")
+				*last, *rel = *rel, *last
+				slices.Sort(arrivals)
+			}
+			for _, pos := range append(arrivals[1:], releases[:len(releases)-1]...) {
+				drop[list[pos]] = true
+				r.note(Defect{Class: DefectDuplicate, Action: ActionDropped, Proc: proc, Key: bk.key,
+					Detail: fmt.Sprintf("second %v of its barrier", w.Events[list[pos]])})
+			}
+			for pos := arrivals[0] + 1; pos < *rel; pos++ {
+				if e := w.Events[list[pos]]; e.Kind == KindLoopEnd && e.Time < w.Events[list[*rel]].Time {
+					r.swapPlaces(w, list[pos], list[*rel], bk.key, "loop-end recorded before its barrier release")
+					break
+				}
+			}
+		}
+	}
+	if len(r.rep.Defects) == defects { // nothing swapped or dropped
+		return
+	}
+	out := w.Events[:0]
+	for i, e := range w.Events {
+		if !drop[i] {
+			out = append(out, e)
+		}
+	}
+	w.Events = out
+	w.Sort()
+}
+
+// swapPlaces exchanges two same-processor events' places in w, each
+// taking the other's time, and notes the reorder of barrier key it undoes.
+func (r *repairer) swapPlaces(w *Trace, i, j int, key PairKey, detail string) {
+	a, b := &w.Events[i], &w.Events[j]
+	a.Time, b.Time = b.Time, a.Time
+	*a, *b = *b, *a
+	r.note(Defect{Class: DefectReordered, Action: ActionRetimed, Proc: a.Proc, Key: key, Detail: detail})
 }
 
 // workedBefore reports whether the processor has loop-body work (an event
@@ -1046,13 +1098,17 @@ func (r *repairer) insert(w *Trace, synth []Event) {
 }
 
 // procLists returns the processors that actually have events, in
-// ascending order, and each one's event indices in trace order. Repair
-// scales with the events present, never with the trace's claimed
-// processor count (a corrupt header can claim billions).
-func procLists(w *Trace) ([]int, map[int][]int) {
+// ascending order, and each one's event indices in trace order, only of
+// the given kinds when any are named. Repair scales with the events
+// present, never with the trace's claimed processor count (a corrupt
+// header can claim billions).
+func procLists(w *Trace, kinds ...Kind) ([]int, map[int][]int) {
 	lists := make(map[int][]int)
 	var procs []int
 	for i, e := range w.Events {
+		if len(kinds) > 0 && !slices.Contains(kinds, e.Kind) {
+			continue
+		}
 		if _, ok := lists[e.Proc]; !ok {
 			procs = append(procs, e.Proc)
 		}

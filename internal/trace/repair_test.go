@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"perturb/internal/trace"
@@ -277,6 +278,76 @@ func TestRepairCompletesBarrier(t *testing.T) {
 		if out.CountKind(trace.KindBarrierArrive) != 3 || out.CountKind(trace.KindBarrierRelease) != 3 {
 			t.Fatalf("barrier not completed: %d arrive / %d release",
 				out.CountKind(trace.KindBarrierArrive), out.CountKind(trace.KindBarrierRelease))
+		}
+	})
+}
+
+// TestRepairOrdersBarrierSides: repair leaves each processor one
+// arrival, then one release, per barrier, and its loop-end after the
+// release, and a second pass finds nothing more to do.
+func TestRepairOrdersBarrierSides(t *testing.T) {
+	const arrive, release, loopEnd = trace.KindBarrierArrive, trace.KindBarrierRelease, trace.KindLoopEnd
+	cases := []struct {
+		name   string
+		events []trace.Event // p0's; p1 arrives at 15 and is released at 30
+		want   []trace.Event // p0's after repair
+	}{
+		{
+			// A duplicated arrival that a reorder then swapped with the
+			// release: the release keeps the later time.
+			name: "arrival after release",
+			events: []trace.Event{
+				sev(20, 0, -2, arrive, 0, 0), sev(20, 0, -2, release, 0, 0), sev(30, 0, -2, arrive, 0, 0),
+			},
+			want: []trace.Event{sev(20, 0, -2, arrive, 0, 0), sev(30, 0, -2, release, 0, 0)},
+		},
+		{
+			name: "loop-end before release",
+			events: []trace.Event{
+				sev(20, 0, -2, arrive, 0, 0), sev(30, 0, -1, loopEnd, -1, trace.NoVar), sev(32, 0, -2, release, 0, 0),
+			},
+			want: []trace.Event{
+				sev(20, 0, -2, arrive, 0, 0), sev(30, 0, -2, release, 0, 0), sev(32, 0, -1, loopEnd, -1, trace.NoVar),
+			},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := trace.New(2)
+			tr.Events = append(c.events, sev(15, 1, -2, arrive, 0, 0), sev(30, 1, -2, release, 0, 0))
+			tr.Sort()
+			out, rep := trace.Repair(tr)
+			var got []trace.Event
+			for _, e := range out.Events {
+				if e.Proc == 0 {
+					got = append(got, e)
+				}
+			}
+			if !slices.Equal(got, c.want) || rep.CountClass(trace.DefectReordered) != 1 {
+				t.Errorf("p0 repaired to %v (%s), want %v after one reorder", got, rep.Summary(), c.want)
+			}
+			if _, rep2 := trace.Repair(out); rep2.Modified() {
+				t.Errorf("second repair: %s", rep2.Summary())
+			}
+		})
+	}
+
+	t.Run("every release lost", func(t *testing.T) {
+		tr := trace.New(2)
+		tr.Events = []trace.Event{
+			sev(10, 1, 1, trace.KindCompute, 0, trace.NoVar), sev(20, 0, -2, arrive, 0, 0), sev(25, 1, -2, arrive, 0, 0),
+		}
+		out, rep := trace.Repair(tr)
+		if got := rep.CountClass(trace.DefectMissingRelease); got != 2 {
+			t.Fatalf("missing-release = %d, want 2: %v", got, rep.Summary())
+		}
+		for _, e := range out.Events {
+			if e.Kind == release && e.Time != 26 {
+				t.Errorf("synthesized %v, want it just after the last arrival", e)
+			}
+		}
+		if _, rep2 := trace.Repair(out); rep2.Modified() {
+			t.Errorf("second repair: %s", rep2.Summary())
 		}
 	})
 }
