@@ -39,10 +39,11 @@ bench-sim:
 
 # Event-based engine benchmarks: default Analyze (under the uniform and
 # the paper's calibration) and the low-memory stream on the million-event
-# backward wave, plus the small-trace throughput of both batch modes —
-# the numbers EXPERIMENTS.md's engine section quotes.
+# backward wave, the sanitizer (trace.Repair) on damaged and adversarial
+# traces, plus the small-trace throughput of both batch modes — the
+# numbers EXPERIMENTS.md's engine section quotes.
 bench-engine:
-	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion' -benchmem -count 5 .
+	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedMillionSequential|BenchmarkStreamMillion|BenchmarkRepair' -benchmem -count 5 .
 	$(GO) test -run '^$$' -bench 'BenchmarkEventBasedThroughput|BenchmarkTimeBasedThroughput|BenchmarkLiberalThroughput' -benchmem -count 5 ./internal/core/
 
 # Derived statistics on the approximated million-event wave: Table 3's

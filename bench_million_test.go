@@ -3,6 +3,8 @@ package perturb_test
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"perturb"
 	"perturb/internal/obs"
 	"perturb/internal/testgen"
+	"perturb/internal/trace"
 )
 
 // Million-event benchmarks for the event-based engine, batch and
@@ -322,5 +325,105 @@ func TestAnalyzeAllocationPerEvent(t *testing.T) {
 	t.Logf("Analyze: %.1f B/event on %d events", perEvent, tr.Len())
 	if perEvent > 84 {
 		t.Errorf("Analyze allocated %.1f B per event on %d events, want at most 84", perEvent, tr.Len())
+	}
+}
+
+// TestRepairAllocationPerEvent gates what one RepairTrace allocates per
+// event: on LL3 with 1% of its records dropped, where the sanitizer
+// synthesizes brackets and probe records, and on the clean 100k-event
+// backward wave, where it only reads. Repair's working copy of the trace
+// is 48 B per event.
+func TestRepairAllocationPerEvent(t *testing.T) {
+	for name, tr := range map[string]*perturb.Trace{
+		"LL3-drops": droppedLL3(t),
+		"wave":      testgen.BackwardWave(8, 25000),
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		perturb.RepairTrace(tr)
+		runtime.ReadMemStats(&after)
+		perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+		t.Logf("%s: %.1f B/event on %d events", name, perEvent, tr.Len())
+		if perEvent > 240 {
+			t.Errorf("%s: RepairTrace allocated %.1f B per event on %d events, want at most 240", name, perEvent, tr.Len())
+		}
+	}
+}
+
+// droppedLL3 is LL3 simulated on the Alliant with every probe costing
+// 2 µs, under 1% dropped probe and sync records (15,884 events).
+func droppedLL3(tb testing.TB) *perturb.Trace {
+	tb.Helper()
+	l, err := perturb.LivermoreLoop(3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := perturb.Simulate(l, perturb.FullInstrumentation(perturb.UniformOverheads(2000), true), perturb.Alliant())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	damaged, _ := perturb.InjectFaults(res.Trace, perturb.DropFaults(0.01, 3))
+	return damaged
+}
+
+// probeLoop returns one loop phase of iters iterations, dealt round robin
+// to 8 processors, each running 10 computes, with a seeded 1% of the
+// compute records dropped: Repair's roster vote finds every one.
+func probeLoop(iters int) *perturb.Trace {
+	const procs, stmts = 8, 10
+	r := rand.New(rand.NewSource(1))
+	tr := perturb.NewTrace(procs)
+	tr.Append(trace.Event{Stmt: -1, Kind: trace.KindLoopBegin, Iter: trace.NoIter, Var: trace.NoVar})
+	clock := make([]perturb.Time, procs)
+	for it := range iters {
+		p := it % procs
+		for s := range stmts {
+			clock[p] += 100
+			if r.Intn(100) != 0 {
+				tr.Append(trace.Event{Time: clock[p], Stmt: s, Proc: p, Kind: trace.KindCompute, Iter: it, Var: trace.NoVar})
+			}
+		}
+	}
+	tr.Sort()
+	return tr
+}
+
+// tieGroup returns n distinct computes that share a time, processor and
+// statement: one tie group of the trace order.
+func tieGroup(n int) *perturb.Trace {
+	tr := perturb.NewTrace(1)
+	for it := range n {
+		tr.Append(trace.Event{Time: 1000, Stmt: 1, Kind: trace.KindCompute, Iter: it, Var: trace.NoVar})
+	}
+	return tr
+}
+
+// repairSink keeps BenchmarkRepair's result alive.
+var repairSink *perturb.Trace
+
+// BenchmarkRepair times RepairTrace on LL3 with dropped records, the
+// clean 100k-event backward wave, the dropped-probe loop at two sizes
+// (its time per event should not grow with the trace) and a
+// 40,000-event tie group.
+func BenchmarkRepair(b *testing.B) {
+	cases := []struct {
+		name string
+		tr   *perturb.Trace
+	}{
+		{"LL3-drops", droppedLL3(b)},
+		{"wave", testgen.BackwardWave(8, 25000)},
+		{"probe-loop-54k", probeLoop(5500)},
+		{"probe-loop-436k", probeLoop(44000)},
+		{"ties-40k", tieGroup(40000)},
+	}
+	for _, c := range cases {
+		b.Run(fmt.Sprintf("%s/events=%d", c.name, c.tr.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				repairSink, _ = perturb.RepairTrace(c.tr)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.tr.Len()), "ns/event")
+		})
 	}
 }

@@ -64,6 +64,8 @@ type Approximation struct {
 	// rests on measured events versus conservative placeholders. It is
 	// populated only by degraded-mode event-based analysis (Repair
 	// enabled); nil for exact runs, whose confidence is 1 by definition.
+	// An event raised to its processor's previous approximated time (the
+	// program-order rule every run applies) does not count as impaired.
 	Confidence []ProcConfidence
 }
 

@@ -78,6 +78,14 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 		}
 		return -1
 	}
+	// keepOrder raises i's time to its same-processor predecessor's:
+	// the approximation keeps program order (§4.1) also where i's basis
+	// is another processor's fork fence.
+	keepOrder := func(i int) {
+		if u := pred(i); u >= 0 {
+			ta[i] = max(ta[i], ta[u])
+		}
+	}
 	timing := func(i int, taB, tmB trace.Time) trace.Time {
 		gap := ev[i].Time - tmB - cal.Overheads.ForKind(ev[i].Kind)
 		return taB + max(gap, 0)
@@ -156,6 +164,7 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 		default:
 			ta[i] = timing(i, taB, tmB)
 		}
+		keepOrder(i)
 		done[i] = true
 		return true
 	}
@@ -191,6 +200,7 @@ func oracle(m *trace.Trace, cal instr.Calibration, mode core.Mode, degraded bool
 			taB, tmB = ta[b], ev[b].Time
 		}
 		ta[i] = timing(i, taB, tmB)
+		keepOrder(i)
 		done[i] = true
 		forced[ev[i].Proc]++
 		left--

@@ -809,11 +809,17 @@ func (g *engine) resolveDefault(e trace.Event, taBase, tmBase trace.Time, note *
 	note.ta = taBase + gap
 }
 
-// commit finalizes a resolution: records the approximated time, resolves
+// commit finalizes a resolution: keeps the event no earlier than its
+// processor's previous event (program order, which a fork fence as the
+// basis does not otherwise keep), records the approximated time, resolves
 // the event's dependency record (waking the heads parked on it), advances
 // the processor frontier and accumulates the event into its windows.
 func (g *engine) commit(p int, pe *pend, note *resolveNote) {
 	e := pe.ev
+	ps := &g.ps[p]
+	if ps.prevSeq >= 0 && note.ta < ps.taPrev {
+		note.ta = ps.taPrev
+	}
 	ta := note.ta
 
 	if g.opts.retain {
@@ -843,7 +849,6 @@ func (g *engine) commit(p int, pe *pend, note *resolveNote) {
 		g.foldWindow(note)
 	}
 
-	ps := &g.ps[p]
 	ps.prevSeq = pe.seq
 	ps.taPrev = ta
 	ps.tmPrev = e.Time

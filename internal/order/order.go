@@ -31,7 +31,9 @@
 // The relation has the edges the event-based engine resolves over, and
 // Check, CriticalPath and trace slicing all read them:
 //
-//   - program order: prev happens before the event;
+//   - program order: prev happens before the event (Prev), and the
+//     engine keeps every event no earlier than prev, also where its basis
+//     is a fork fence;
 //   - fork order: the latest loop-begin strictly between the event and
 //     prev in trace order (necessarily on another processor) happens
 //     before it; Basis returns that fence, else prev. Check and
@@ -169,6 +171,11 @@ func Build(t *trace.Trace) (*Relation, error) {
 
 // group returns group g's members.
 func (r *Relation) group(g int32) []int32 { return r.flat[r.off[g]:r.off[g+1]] }
+
+// Prev returns event i's same-processor predecessor, -1 for a
+// processor's first event. The engine keeps every event no earlier than
+// it, also when Basis is a fork fence.
+func (r *Relation) Prev(i int) int { return int(r.prev[i]) }
 
 // Basis returns the event the engine anchors event i on: the latest
 // loop-begin strictly between i and its same-processor predecessor in

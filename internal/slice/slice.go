@@ -11,14 +11,16 @@
 // event-based engine resolves over — same-processor program order and
 // fork fences (the basis chain), advance→awaitE pairing, lock
 // release→acquisition serialization, and barrier participation sets,
-// read from package order's happened-before index (Basis, Dep, Arrivals):
-// the edges Check and CriticalPath also follow, plus a barrier release's
-// basis, which the engine reads only for the release's wait — so every
-// value the engine reads when re-timing a sliced event is present in the
-// slice. Because basis chains are followed transitively, slices
-// are prefix-closed per processor: each included processor keeps its full
-// history up to its last included event, which preserves the engine's
-// measured-gap anchoring.
+// read from package order's happened-before index (Prev, Basis, Dep,
+// Arrivals): the edges Check and CriticalPath also follow, plus a barrier
+// release's basis, which the engine reads only for the release's wait —
+// so every value the engine reads when re-timing a sliced event is
+// present in the slice. The engine keeps an event no earlier than its
+// same-processor predecessor even when the basis is another processor's
+// fence, so the predecessor is followed too, and slices are prefix-closed
+// per processor: each included processor keeps its full history up to
+// its last included event, which preserves the engine's measured-gap
+// anchoring.
 //
 // Read slices straight from an encoded stream. For columnar input with a
 // windowed query it pushes a block filter into the reader: blocks whose
@@ -190,6 +192,7 @@ func Slice(t *trace.Trace, q Query) (*trace.Trace, *Report, error) {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		push(rel.Prev(i))
 		push(rel.Basis(i))
 		push(rel.Dep(i))
 		for _, ai := range rel.Arrivals(i) {

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"maps"
 	"slices"
 	"sort"
@@ -24,6 +26,12 @@ import (
 // classified; reconstructing the lost waiting needs the analysis'
 // calibrated cost model, so the event-based analysis handles them in its
 // degraded mode (see internal/core).
+//
+// The passes read one index of each processor's events, int32 positions
+// in the trace, which stays sorted between passes; it is built when a
+// pass first needs it and dropped when a pass re-sorts. No rule reads an
+// absolute time, so Repair commutes with a time shift: repairing a trace
+// shifted by d gives its repair shifted by d, short of overflow.
 
 // SynthStmt is the statement id of events the sanitizer synthesizes. It is
 // distinct from every simulator-emitted id (statements are >= 0, loop
@@ -264,18 +272,27 @@ func Audit(t *Trace) []Defect {
 // when run in degraded mode.
 func Repair(t *Trace) (*Trace, *RepairReport) {
 	r := &repairer{rep: &RepairReport{}}
-	out := r.run(t)
+	r.run(t)
 	r.rep.PerProc = make(map[int]int)
 	for _, d := range r.rep.Defects {
 		if d.Proc >= 0 {
 			r.rep.PerProc[d.Proc]++
 		}
 	}
-	return out, r.rep
+	return r.w, r.rep
 }
 
+// repairer holds the trace under repair, sorted between passes, and the
+// index of each processor's events in it.
 type repairer struct {
 	rep *RepairReport
+	w   *Trace
+	// procs lists the processors that have events, ascending; no pass
+	// changes the set. Processor procs[k]'s events are w.Events[i] for i
+	// in at[off[k]:off[k+1]], in trace order. off is nil until a pass
+	// needs the index, and sort drops it.
+	procs   []int
+	off, at []int32
 }
 
 func (r *repairer) note(d Defect) {
@@ -290,8 +307,55 @@ func (r *repairer) note(d Defect) {
 	}
 }
 
-func (r *repairer) run(t *Trace) *Trace {
+// index builds the processor index unless it is current. It scales with
+// the events present, never with the trace's claimed processor count (a
+// corrupt header can claim billions).
+func (r *repairer) index() {
+	if r.off != nil {
+		return
+	}
+	evs := r.w.Events
+	r.off = make([]int32, len(r.procs)+1)
+	for _, e := range evs {
+		r.off[r.slot(e.Proc)+1]++
+	}
+	for k := range r.procs {
+		r.off[k+1] += r.off[k]
+	}
+	r.at = slices.Grow(r.at[:0], len(evs))[:len(evs)]
+	fill := slices.Clone(r.off)
+	for i, e := range evs {
+		k := r.slot(e.Proc)
+		r.at[fill[k]], fill[k] = int32(i), fill[k]+1
+	}
+}
+
+// slot returns the position in procs of processor p, which has events.
+func (r *repairer) slot(p int) int {
+	k, _ := slices.BinarySearch(r.procs, p)
+	return k
+}
+
+// list returns the trace indices of processor procs[k]'s events.
+func (r *repairer) list(k int) []int32 {
+	r.index()
+	return r.at[r.off[k]:r.off[k+1]]
+}
+
+// before returns the prefix of list whose events come before limit.
+func (r *repairer) before(list []int32, limit Time) []int32 {
+	return list[:sort.Search(len(list), func(i int) bool { return r.w.Events[list[i]].Time >= limit })]
+}
+
+// sort restores the trace order after a pass changed it; the index goes.
+func (r *repairer) sort() {
+	r.w.Sort()
+	r.off = nil
+}
+
+func (r *repairer) run(t *Trace) {
 	w := &Trace{Procs: t.Procs, Events: make([]Event, 0, len(t.Events))}
+	r.procs = make([]int, 0, len(t.Events))
 	if w.Procs < 0 {
 		w.Procs = 0
 	}
@@ -321,26 +385,29 @@ func (r *repairer) run(t *Trace) *Trace {
 			w.Procs = e.Proc + 1
 		}
 		w.Events = append(w.Events, e)
+		r.procs = append(r.procs, e.Proc)
 	}
-	w.Sort()
+	slices.Sort(r.procs)
+	r.procs = slices.Compact(r.procs)
+	r.w = w
+	r.sort()
 
-	r.dedup(w)
-	r.fixInversions(w)
-	r.fixClockSkew(w)
-	r.clampCausality(w)
-	r.completeBrackets(w)
-	r.completeBarriers(w)
-	r.orderBarriers(w)
-	r.completeIterations(w)
-	r.flagUnmatchedAwaits(w)
-	w.Sort()
-	return w
+	// Every pass leaves the trace sorted.
+	r.dedup()
+	r.fixInversions()
+	r.fixClockSkew()
+	r.clampCausality()
+	r.completeBrackets()
+	r.completeBarriers()
+	r.orderBarriers()
+	r.completeIterations()
+	r.flagUnmatchedAwaits()
 }
 
 // dedup removes exact duplicates, keeping the first occurrence. The trace
 // is sorted, so duplicates share a (Time, Proc, Stmt) tie group.
-func (r *repairer) dedup(w *Trace) {
-	evs := w.Events
+func (r *repairer) dedup() {
+	evs := r.w.Events
 	out := evs[:0]
 	for i := 0; i < len(evs); {
 		j := i + 1
@@ -349,92 +416,92 @@ func (r *repairer) dedup(w *Trace) {
 			j++
 		}
 		// Within the tie group, keep each distinct event once.
-		for k := i; k < j; k++ {
-			dup := false
-			for m := i; m < k; m++ {
-				if evs[m] == evs[k] {
-					dup = true
-					break
-				}
-			}
-			if dup {
+		var seen map[Event]bool
+		if j-i > 1 {
+			seen = make(map[Event]bool, j-i)
+		}
+		for _, e := range evs[i:j] {
+			if seen[e] {
 				r.note(Defect{Class: DefectDuplicate, Action: ActionDropped,
-					Proc: evs[k].Proc, Key: evs[k].Pair(),
-					Detail: fmt.Sprintf("duplicate of %v", evs[k])})
+					Proc: e.Proc, Key: e.Pair(),
+					Detail: fmt.Sprintf("duplicate of %v", e)})
 				continue
 			}
-			out = append(out, evs[k])
+			if seen != nil {
+				seen[e] = true
+			}
+			out = append(out, e)
 		}
 		i = j
 	}
-	w.Events = out
+	r.w.Events = out
 }
 
-// bracketKey groups bracket events of one family on one processor.
-type bracketKey struct {
-	key  PairKey
-	open Kind
+// bracketGroup is one processor's bracket events of one family and
+// pairing key. opens and closes hold their positions in list, the
+// processor's trace indices, each in trace order.
+type bracketGroup struct {
+	list          []int32
+	open          Kind // the family's opening kind
+	key           PairKey
+	opens, closes []int32
 }
 
-// brackets collects, for the given processor event list, the positions of
-// opening and closing bracket events grouped by pairing key, for the
-// await, lock and barrier families.
-func brackets(w *Trace, list []int) map[bracketKey]*bracketSet {
-	sets := make(map[bracketKey]*bracketSet)
-	get := func(k bracketKey) *bracketSet {
-		s := sets[k]
-		if s == nil {
-			s = &bracketSet{}
-			sets[k] = s
-		}
-		return s
+// opener returns the opening kind of the bracket family k belongs to:
+// awaitB, barrier-arrive or lock-req, each an even kind one below its
+// closing kind; KindCompute if k is no bracket side.
+func opener(k Kind) Kind {
+	if k < KindAwaitB || k > KindLockAcq {
+		return KindCompute
 	}
-	for pos, idx := range list {
-		e := w.Events[idx]
-		switch e.Kind {
-		case KindAwaitB:
-			s := get(bracketKey{e.Pair(), KindAwaitB})
-			s.opens = append(s.opens, pos)
-		case KindAwaitE:
-			s := get(bracketKey{e.Pair(), KindAwaitB})
-			s.closes = append(s.closes, pos)
-		case KindLockReq:
-			s := get(bracketKey{e.Pair(), KindLockReq})
-			s.opens = append(s.opens, pos)
-		case KindLockAcq:
-			s := get(bracketKey{e.Pair(), KindLockReq})
-			s.closes = append(s.closes, pos)
-		case KindBarrierArrive:
-			s := get(bracketKey{e.Pair(), KindBarrierArrive})
-			s.opens = append(s.opens, pos)
-		case KindBarrierRelease:
-			s := get(bracketKey{e.Pair(), KindBarrierArrive})
-			s.closes = append(s.closes, pos)
-		}
-	}
-	return sets
+	return k &^ 1
 }
 
-type bracketSet struct{ opens, closes []int }
-
-// sortedBracketKeys returns the map's keys in a deterministic order so
-// defect reports do not depend on map iteration.
-func sortedBracketKeys(sets map[bracketKey]*bracketSet) []bracketKey {
-	keys := make([]bracketKey, 0, len(sets))
-	for k := range sets {
-		keys = append(keys, k)
+// brackets yields the await, lock and barrier bracket groups of each
+// processor, processors ascending and each one's groups in (family, Var,
+// Iter) order, so defect reports depend on the trace alone. A group's
+// slices are valid until the next group is yielded.
+func (r *repairer) brackets() iter.Seq[bracketGroup] {
+	return func(yield func(bracketGroup) bool) {
+		var pos []int32
+		for k := range r.procs {
+			list := r.list(k)
+			ev := func(p int32) *Event { return &r.w.Events[list[p]] }
+			pos = pos[:0]
+			for p, i := range list {
+				if opener(r.w.Events[i].Kind) != KindCompute {
+					pos = append(pos, int32(p))
+				}
+			}
+			slices.SortFunc(pos, func(a, b int32) int {
+				x, y := ev(a), ev(b)
+				if c := cmp.Compare(opener(x.Kind), opener(y.Kind)); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(x.Var, y.Var); c != 0 {
+					return c
+				}
+				if c := cmp.Compare(x.Iter, y.Iter); c != 0 {
+					return c
+				}
+				return cmp.Or(cmp.Compare(x.Kind, y.Kind), cmp.Compare(a, b)) // opens first
+			})
+			for s := 0; s < len(pos); {
+				g := bracketGroup{list: list, open: opener(ev(pos[s]).Kind), key: ev(pos[s]).Pair()}
+				m, e := s, s
+				for ; e < len(pos) && opener(ev(pos[e]).Kind) == g.open && ev(pos[e]).Pair() == g.key; e++ {
+					if ev(pos[e]).Kind == g.open {
+						m = e + 1
+					}
+				}
+				g.opens, g.closes = pos[s:m], pos[m:e]
+				if !yield(g) {
+					return
+				}
+				s = e
+			}
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.open != b.open {
-			return a.open < b.open
-		}
-		if a.key.Var != b.key.Var {
-			return a.key.Var < b.key.Var
-		}
-		return a.key.Iter < b.key.Iter
-	})
-	return keys
 }
 
 // fixInversions repairs synchronization brackets recorded out of order on
@@ -443,34 +510,30 @@ func sortedBracketKeys(sets map[bracketKey]*bracketSet) []bracketKey {
 // arrival) has the two timestamps swapped, restoring the bracket order the
 // analyses assume. Equal-time brackets are left alone regardless of their
 // tie-break order.
-func (r *repairer) fixInversions(w *Trace) {
-	procs, lists := procLists(w)
+func (r *repairer) fixInversions() {
 	swapped := false
-	for _, proc := range procs {
-		sets := brackets(w, lists[proc])
-		list := lists[proc]
-		for _, bk := range sortedBracketKeys(sets) {
-			s := sets[bk]
-			n := len(s.opens)
-			if len(s.closes) < n {
-				n = len(s.closes)
-			}
-			for i := 0; i < n; i++ {
-				o := &w.Events[list[s.opens[i]]]
-				c := &w.Events[list[s.closes[i]]]
-				if c.Time < o.Time {
-					o.Time, c.Time = c.Time, o.Time
-					r.note(Defect{Class: DefectReordered, Action: ActionRetimed,
-						Proc: o.Proc, Key: bk.key,
-						Detail: fmt.Sprintf("%v recorded before its %v", c.Kind, o.Kind)})
-					swapped = true
-				}
+	for g := range r.brackets() {
+		for i := range min(len(g.opens), len(g.closes)) {
+			o, c := &r.w.Events[g.list[g.opens[i]]], &r.w.Events[g.list[g.closes[i]]]
+			if c.Time < o.Time {
+				o.Time, c.Time = c.Time, o.Time
+				r.note(Defect{Class: DefectReordered, Action: ActionRetimed,
+					Proc: o.Proc, Key: g.key,
+					Detail: fmt.Sprintf("%v recorded before its %v", c.Kind, o.Kind)})
+				swapped = true
 			}
 		}
 	}
 	if swapped {
-		w.Sort()
+		r.sort()
 	}
+}
+
+// skew gathers the causality violations that implicate one processor:
+// how many, and the largest.
+type skew struct {
+	n   int
+	max Time
 }
 
 // fixClockSkew estimates per-processor clock offsets from advance/await
@@ -479,110 +542,80 @@ func (r *repairer) fixInversions(w *Trace) {
 // shifted when at least two independent pairs implicate it — a single
 // violation is clamped by clampCausality instead — and each processor is
 // shifted at most once, which bounds the pass and makes it idempotent.
-func (r *repairer) fixClockSkew(w *Trace) {
-	shifted := make(map[int]bool)
-	procs, _ := procLists(w)
-	for round := 0; round < len(procs); round++ {
-		adv := advanceIndex(w)
-		// back[p]: largest violation whose advance is on p (p's clock
-		// runs ahead; shift p back). fwd[p]: largest violation whose
-		// awaitE is on p (p's clock runs behind; shift p forward).
-		back := make(map[int]Time)
-		fwd := make(map[int]Time)
-		backN := make(map[int]int)
-		fwdN := make(map[int]int)
-		for _, e := range w.Events {
-			if e.Kind != KindAwaitE {
-				continue
+func (r *repairer) fixClockSkew() {
+	shifted := make([]bool, len(r.procs))
+rounds:
+	for range r.procs {
+		// by[0][k]: violations whose advance is on procs[k] (its clock
+		// runs ahead; shift it back). by[1][k]: violations whose awaitE
+		// is on procs[k] (its clock runs behind; shift it forward).
+		by := [2][]skew{make([]skew, len(r.procs)), make([]skew, len(r.procs))}
+		for e, a := range r.violations() {
+			for side, p := range [2]int{a.Proc, e.Proc} {
+				s := &by[side][r.slot(p)]
+				s.n++
+				s.max = max(s.max, a.Time-e.Time)
 			}
-			ai := *adv.Slot(e.Pair()) - 1
-			if ai < 0 {
-				continue
-			}
-			a := w.Events[ai]
-			if a.Proc == e.Proc || a.Time <= e.Time {
-				continue
-			}
-			v := a.Time - e.Time
-			if v > back[a.Proc] {
-				back[a.Proc] = v
-			}
-			backN[a.Proc]++
-			if v > fwd[e.Proc] {
-				fwd[e.Proc] = v
-			}
-			fwdN[e.Proc]++
 		}
-		// Pick the strongest consistently-implicated processor,
+		// Shift the strongest consistently-implicated processor,
 		// preferring to shift the advancing side back (it keeps await
 		// gaps, which the degraded analysis interprets as waiting).
-		bestProc, bestShift, bestPairs := -1, Time(0), 0
-		for _, p := range procs {
-			if shifted[p] {
-				continue
+		for side, sign := range [2]Time{-1, 1} {
+			best, top := -1, Time(0)
+			for k, s := range by[side] {
+				if !shifted[k] && s.n >= 2 && s.max > top {
+					best, top = k, s.max
+				}
 			}
-			if backN[p] >= 2 && back[p] > bestShift {
-				bestProc, bestShift, bestPairs = p, back[p], backN[p]
-			}
-		}
-		if bestProc >= 0 {
-			r.shiftProc(w, bestProc, -bestShift, bestPairs)
-			shifted[bestProc] = true
-			continue
-		}
-		for _, p := range procs {
-			if shifted[p] {
-				continue
-			}
-			if fwdN[p] >= 2 && fwd[p] > bestShift {
-				bestProc, bestShift, bestPairs = p, fwd[p], fwdN[p]
+			if best >= 0 {
+				r.shiftProc(best, sign*top, by[side][best].n)
+				shifted[best] = true
+				continue rounds
 			}
 		}
-		if bestProc < 0 {
-			return
-		}
-		r.shiftProc(w, bestProc, bestShift, bestPairs)
-		shifted[bestProc] = true
+		return
 	}
 }
 
-func (r *repairer) shiftProc(w *Trace, proc int, delta Time, pairs int) {
-	for i := range w.Events {
-		if w.Events[i].Proc == proc {
-			w.Events[i].Time += delta
+func (r *repairer) shiftProc(k int, delta Time, pairs int) {
+	for _, i := range r.list(k) {
+		r.w.Events[i].Time += delta
+	}
+	r.note(Defect{Class: DefectClockSkew, Action: ActionRetimed, Proc: r.procs[k],
+		Detail: fmt.Sprintf("clock offset %dns estimated from %d causality violations", int64(-delta), pairs)})
+	r.sort()
+}
+
+// violations yields each awaitE timed before the advance it consumed,
+// the first with its pairing key, on another processor, and the advance.
+func (r *repairer) violations() iter.Seq2[*Event, Event] {
+	return func(yield func(*Event, Event) bool) {
+		adv := advanceIndex(r.w)
+		for i := range r.w.Events {
+			if e := &r.w.Events[i]; e.Kind == KindAwaitE {
+				if ai := *adv.Slot(e.Pair()) - 1; ai >= 0 {
+					if a := r.w.Events[ai]; a.Proc != e.Proc && a.Time > e.Time && !yield(e, a) {
+						return
+					}
+				}
+			}
 		}
 	}
-	r.note(Defect{Class: DefectClockSkew, Action: ActionRetimed, Proc: proc,
-		Detail: fmt.Sprintf("clock offset %dns estimated from %d causality violations", int64(-delta), pairs)})
-	w.Sort()
 }
 
 // clampCausality removes residual causality violations: every awaitE with
 // a paired advance is moved to no earlier than the advance. Advance times
 // are never changed, so one pass suffices and the result is stable.
-func (r *repairer) clampCausality(w *Trace) {
-	adv := advanceIndex(w)
+func (r *repairer) clampCausality() {
 	clamped := false
-	for i := range w.Events {
-		e := &w.Events[i]
-		if e.Kind != KindAwaitE {
-			continue
-		}
-		ai := *adv.Slot(e.Pair()) - 1
-		if ai < 0 {
-			continue
-		}
-		a := w.Events[ai]
-		if a.Proc == e.Proc || a.Time <= e.Time {
-			continue
-		}
+	for e, a := range r.violations() {
 		r.note(Defect{Class: DefectCausality, Action: ActionRetimed, Proc: e.Proc, Key: e.Pair(),
 			Detail: fmt.Sprintf("awaitE at %d before its advance at %d", int64(e.Time), int64(a.Time))})
 		e.Time = a.Time
 		clamped = true
 	}
 	if clamped {
-		w.Sort()
+		r.sort()
 	}
 }
 
@@ -590,82 +623,65 @@ func (r *repairer) clampCausality(w *Trace) {
 // brackets: an awaitE without its awaitB gets an awaitB just before it, an
 // awaitB never closed gets an awaitE just after it, and likewise for
 // lock-req/lock-acq.
-func (r *repairer) completeBrackets(w *Trace) {
+func (r *repairer) completeBrackets() {
 	var synth []Event
-	adv := advanceIndex(w)
-	procs, lists := procLists(w)
-	for _, proc := range procs {
-		list := lists[proc]
-		sets := brackets(w, list)
-		for _, bk := range sortedBracketKeys(sets) {
-			if bk.open == KindBarrierArrive {
-				continue // completeBarriers completes barriers
+	adv := advanceIndex(r.w)
+	for g := range r.brackets() {
+		if g.open == KindBarrierArrive {
+			continue // completeBarriers completes barriers
+		}
+		closeKind := g.open + 1
+		orphanClass, danglingClass := DefectOrphanAwaitE, DefectDanglingAwaitB
+		if g.open == KindLockReq {
+			orphanClass, danglingClass = DefectOrphanLockAcq, DefectDanglingLockReq
+		}
+		n := min(len(g.opens), len(g.closes))
+		// Closers beyond the matched prefix are orphans: synthesize
+		// their opening bracket just before each.
+		for _, pos := range g.closes[n:] {
+			e := r.w.Events[g.list[pos]]
+			synth = append(synth, r.synthBefore(g.list, pos, g.open, e))
+			r.note(Defect{Class: orphanClass, Action: ActionSynthesized,
+				Proc: e.Proc, Key: g.key,
+				Detail: fmt.Sprintf("%v synthesized for %v", g.open, e)})
+		}
+		// Openers beyond the matched prefix are dangling: synthesize
+		// the closing bracket just after each. A synthesized awaitE
+		// must not precede its paired advance, or the next pass's
+		// causality clamp would move it.
+		for _, pos := range g.opens[n:] {
+			e := r.w.Events[g.list[pos]]
+			se := r.synthAfter(g.list, pos, closeKind, e)
+			if ai := *adv.Slot(g.key) - 1; closeKind == KindAwaitE && ai >= 0 && r.w.Events[ai].Proc != se.Proc {
+				se.Time = max(se.Time, r.w.Events[ai].Time)
 			}
-			s := sets[bk]
-			closeKind := KindAwaitE
-			orphanClass, danglingClass := DefectOrphanAwaitE, DefectDanglingAwaitB
-			if bk.open == KindLockReq {
-				closeKind = KindLockAcq
-				orphanClass, danglingClass = DefectOrphanLockAcq, DefectDanglingLockReq
-			}
-			n := len(s.opens)
-			if len(s.closes) < n {
-				n = len(s.closes)
-			}
-			// Closers beyond the matched prefix are orphans: synthesize
-			// their opening bracket just before each.
-			for _, pos := range s.closes[n:] {
-				e := w.Events[list[pos]]
-				synth = append(synth, r.synthBefore(w, list, pos, bk.open, e))
-				r.note(Defect{Class: orphanClass, Action: ActionSynthesized,
-					Proc: proc, Key: bk.key,
-					Detail: fmt.Sprintf("%v synthesized for %v", bk.open, e)})
-			}
-			// Openers beyond the matched prefix are dangling: synthesize
-			// the closing bracket just after each. A synthesized awaitE
-			// must not precede its paired advance, or the next pass's
-			// causality clamp would move it.
-			for _, pos := range s.opens[n:] {
-				e := w.Events[list[pos]]
-				se := r.synthAfter(w, list, pos, closeKind, e)
-				if closeKind == KindAwaitE {
-					if ai := *adv.Slot(bk.key) - 1; ai >= 0 && w.Events[ai].Proc != se.Proc &&
-						w.Events[ai].Time > se.Time {
-						se.Time = w.Events[ai].Time
-					}
-				}
-				synth = append(synth, se)
-				r.note(Defect{Class: danglingClass, Action: ActionSynthesized,
-					Proc: proc, Key: bk.key,
-					Detail: fmt.Sprintf("%v synthesized for %v", closeKind, e)})
-			}
+			synth = append(synth, se)
+			r.note(Defect{Class: danglingClass, Action: ActionSynthesized,
+				Proc: e.Proc, Key: g.key,
+				Detail: fmt.Sprintf("%v synthesized for %v", closeKind, e)})
 		}
 	}
-	r.insert(w, synth)
+	r.insert(synth)
 }
 
 // synthBefore builds the opening-bracket placeholder for the event at
 // position pos of the processor's list: timestamped just after the
 // previous same-processor event (the arrival approximation), capped at the
 // orphan's own time.
-func (r *repairer) synthBefore(w *Trace, list []int, pos int, kind Kind, e Event) Event {
+func (r *repairer) synthBefore(list []int32, pos int32, kind Kind, e Event) Event {
 	t := e.Time
 	if pos > 0 {
-		if pt := w.Events[list[pos-1]].Time + 1; pt < t {
-			t = pt
-		}
+		t = min(t, r.w.Events[list[pos-1]].Time+1)
 	}
 	return Event{Time: t, Stmt: SynthStmt, Proc: e.Proc, Kind: kind, Iter: e.Iter, Var: e.Var}
 }
 
 // synthAfter builds the closing-bracket placeholder: timestamped just
 // before the next same-processor event, floored at the opener's own time.
-func (r *repairer) synthAfter(w *Trace, list []int, pos int, kind Kind, e Event) Event {
+func (r *repairer) synthAfter(list []int32, pos int32, kind Kind, e Event) Event {
 	t := e.Time
-	if pos+1 < len(list) {
-		if nt := w.Events[list[pos+1]].Time - 1; nt > t {
-			t = nt
-		}
+	if int(pos)+1 < len(list) {
+		t = max(t, r.w.Events[list[pos+1]].Time-1)
 	}
 	return Event{Time: t, Stmt: SynthStmt, Proc: e.Proc, Kind: kind, Iter: e.Iter, Var: e.Var}
 }
@@ -676,25 +692,25 @@ func (r *repairer) synthAfter(w *Trace, list []int, pos int, kind Kind, e Event)
 // release synthesized at the barrier's common release time, never before
 // its latest arrival; a processor that participated in the phase but has
 // neither — the truncated-tail signature — gets both.
-func (r *repairer) completeBarriers(w *Trace) {
+func (r *repairer) completeBarriers() {
 	type barrier struct {
 		key                   PairKey
-		arrive                map[int]bool
-		release               map[int]bool
+		arrive, release       map[int]bool
 		maxRelease, maxArrive Time
 	}
-	byKey := make(map[PairKey]*barrier)
-	var order []*barrier
-	for _, e := range w.Events {
+	var barriers []barrier
+	var byKey PairTable[int] // a key's position in barriers, plus one
+	for _, e := range r.w.Events {
 		if e.Kind != KindBarrierArrive && e.Kind != KindBarrierRelease {
 			continue
 		}
-		b := byKey[e.Pair()]
-		if b == nil {
-			b = &barrier{key: e.Pair(), arrive: map[int]bool{}, release: map[int]bool{}}
-			byKey[e.Pair()] = b
-			order = append(order, b)
+		at := byKey.Slot(e.Pair())
+		if *at == 0 { // the barrier's earliest event: no side is later
+			barriers = append(barriers, barrier{key: e.Pair(), arrive: map[int]bool{}, release: map[int]bool{},
+				maxArrive: e.Time, maxRelease: e.Time})
+			*at = len(barriers)
 		}
+		b := &barriers[*at-1]
 		if e.Kind == KindBarrierArrive {
 			b.arrive[e.Proc] = true
 			b.maxArrive = max(b.maxArrive, e.Time)
@@ -704,21 +720,27 @@ func (r *repairer) completeBarriers(w *Trace) {
 		}
 	}
 
-	var synth []Event
-	procs, lists := procLists(w)
-	// lastBefore returns the time of proc's latest event strictly before
-	// limit, or -1 if none.
-	lastBefore := func(proc int, limit Time) Time {
-		last := Time(-1)
-		for _, idx := range lists[proc] {
-			if w.Events[idx].Time >= limit {
-				break
-			}
-			last = w.Events[idx].Time
-		}
-		return last
+	// work[k] is the position in procs[k]'s list of its first loop-body
+	// event (one with an iteration number, barrier sides aside): the
+	// evidence that it took part in the phases closed after it.
+	work := make([]int, len(r.procs))
+	for k := range r.procs {
+		list := r.list(k)
+		work[k] = slices.IndexFunc(list, func(i int32) bool {
+			e := &r.w.Events[i]
+			return e.Iter >= 0 && e.Kind != KindBarrierArrive && e.Kind != KindBarrierRelease
+		})
 	}
-	for _, b := range order {
+	// arriveAt times a synthesized arrival on a processor before limit:
+	// just after its latest event before, or at limit if it has none.
+	arriveAt := func(prefix []int32, limit Time) Time {
+		if n := len(prefix); n > 0 {
+			return r.w.Events[prefix[n-1]].Time + 1
+		}
+		return limit
+	}
+	var synth []Event
+	for _, b := range barriers {
 		// The barrier's common release time: its latest release, or just
 		// after its latest arrival when every release was lost or came
 		// before that arrival.
@@ -729,12 +751,8 @@ func (r *repairer) completeBarriers(w *Trace) {
 		// Arrival missing on a processor that was released.
 		for _, p := range slices.Sorted(maps.Keys(b.release)) {
 			if !b.arrive[p] {
-				t := b.maxRelease
-				if lt := lastBefore(p, b.maxRelease); lt >= 0 && lt+1 < t {
-					t = lt + 1
-				}
-				synth = append(synth, Event{Time: t, Stmt: SynthStmt, Proc: p,
-					Kind: KindBarrierArrive, Iter: b.key.Iter, Var: b.key.Var})
+				synth = append(synth, Event{Time: arriveAt(r.before(r.list(r.slot(p)), b.maxRelease), b.maxRelease),
+					Stmt: SynthStmt, Proc: p, Kind: KindBarrierArrive, Iter: b.key.Iter, Var: b.key.Var})
 				r.note(Defect{Class: DefectMissingArrival, Action: ActionSynthesized,
 					Proc: p, Key: b.key, Detail: "barrier arrival synthesized"})
 			}
@@ -750,19 +768,16 @@ func (r *repairer) completeBarriers(w *Trace) {
 		}
 		// Truncated tails: a processor with phase work before the barrier
 		// but no participation at all.
-		for _, p := range procs {
+		for k, p := range r.procs {
 			if b.arrive[p] || b.release[p] {
 				continue
 			}
-			if !r.workedBefore(w, lists[p], release) {
+			prefix := r.before(r.list(k), release)
+			if work[k] < 0 || work[k] >= len(prefix) {
 				continue
 			}
-			t := release
-			if lt := lastBefore(p, release); lt >= 0 && lt+1 < t {
-				t = lt + 1
-			}
 			synth = append(synth,
-				Event{Time: t, Stmt: SynthStmt, Proc: p, Kind: KindBarrierArrive,
+				Event{Time: arriveAt(prefix, release), Stmt: SynthStmt, Proc: p, Kind: KindBarrierArrive,
 					Iter: b.key.Iter, Var: b.key.Var},
 				Event{Time: release, Stmt: SynthStmt, Proc: p, Kind: KindBarrierRelease,
 					Iter: b.key.Iter, Var: b.key.Var})
@@ -771,7 +786,7 @@ func (r *repairer) completeBarriers(w *Trace) {
 				Detail: "processor stream ends before the barrier; participation synthesized"})
 		}
 	}
-	r.insert(w, synth)
+	r.insert(synth)
 }
 
 // orderBarriers leaves each processor one arrival, then one release, of
@@ -783,74 +798,59 @@ func (r *repairer) completeBarriers(w *Trace) {
 // release, a duplicate the reorder hid from dedup, swaps with it; every
 // arrival but the first and release but the last is then dropped as a
 // duplicate; a loop-end between the two swaps with the release.
-func (r *repairer) orderBarriers(w *Trace) {
-	drop := make(map[int]bool)
+func (r *repairer) orderBarriers() {
+	var drop []int32 // trace indices
 	defects := len(r.rep.Defects)
-	procs, lists := procLists(w, KindBarrierArrive, KindBarrierRelease, KindLoopEnd)
-	for _, proc := range procs {
-		list := lists[proc]
-		sets := brackets(w, list)
-		for _, bk := range sortedBracketKeys(sets) {
-			s := sets[bk]
-			if bk.open != KindBarrierArrive || len(s.opens) == 0 || len(s.closes) == 0 {
-				continue
+	for g := range r.brackets() {
+		if g.open != KindBarrierArrive || len(g.opens) == 0 || len(g.closes) == 0 {
+			continue
+		}
+		arrivals, releases, list := g.opens, g.closes, g.list
+		rel := &releases[len(releases)-1]
+		if last := &arrivals[len(arrivals)-1]; *last > *rel && r.w.Events[list[*last]].Time > r.w.Events[list[*rel]].Time {
+			r.swapPlaces(list[*rel], list[*last], g.key, "barrier release recorded before an arrival")
+			*last, *rel = *rel, *last
+			slices.Sort(arrivals)
+		}
+		for _, extra := range [2][]int32{arrivals[1:], releases[:len(releases)-1]} {
+			for _, pos := range extra {
+				e := r.w.Events[list[pos]]
+				drop = append(drop, list[pos])
+				r.note(Defect{Class: DefectDuplicate, Action: ActionDropped, Proc: e.Proc, Key: g.key,
+					Detail: fmt.Sprintf("second %v of its barrier", e)})
 			}
-			arrivals, releases := slices.Clone(s.opens), slices.Clone(s.closes)
-			rel := &releases[len(releases)-1]
-			if last := &arrivals[len(arrivals)-1]; *last > *rel && w.Events[list[*last]].Time > w.Events[list[*rel]].Time {
-				r.swapPlaces(w, list[*rel], list[*last], bk.key, "barrier release recorded before an arrival")
-				*last, *rel = *rel, *last
-				slices.Sort(arrivals)
-			}
-			for _, pos := range append(arrivals[1:], releases[:len(releases)-1]...) {
-				drop[list[pos]] = true
-				r.note(Defect{Class: DefectDuplicate, Action: ActionDropped, Proc: proc, Key: bk.key,
-					Detail: fmt.Sprintf("second %v of its barrier", w.Events[list[pos]])})
-			}
-			for pos := arrivals[0] + 1; pos < *rel; pos++ {
-				if e := w.Events[list[pos]]; e.Kind == KindLoopEnd && e.Time < w.Events[list[*rel]].Time {
-					r.swapPlaces(w, list[pos], list[*rel], bk.key, "loop-end recorded before its barrier release")
-					break
-				}
+		}
+		for pos := arrivals[0] + 1; pos < *rel; pos++ {
+			if e := r.w.Events[list[pos]]; e.Kind == KindLoopEnd && e.Time < r.w.Events[list[*rel]].Time {
+				r.swapPlaces(list[pos], list[*rel], g.key, "loop-end recorded before its barrier release")
+				break
 			}
 		}
 	}
 	if len(r.rep.Defects) == defects { // nothing swapped or dropped
 		return
 	}
-	out := w.Events[:0]
-	for i, e := range w.Events {
-		if !drop[i] {
-			out = append(out, e)
+	slices.Sort(drop)
+	out := r.w.Events[:0]
+	for i, e := range r.w.Events {
+		if len(drop) > 0 && int(drop[0]) == i {
+			drop = drop[1:]
+			continue
 		}
+		out = append(out, e)
 	}
-	w.Events = out
-	w.Sort()
+	r.w.Events = out
+	r.sort()
 }
 
-// swapPlaces exchanges two same-processor events' places in w, each
-// taking the other's time, and notes the reorder of barrier key it undoes.
-func (r *repairer) swapPlaces(w *Trace, i, j int, key PairKey, detail string) {
-	a, b := &w.Events[i], &w.Events[j]
+// swapPlaces exchanges two same-processor events' places in the trace,
+// each taking the other's time, and notes the reorder of barrier key it
+// undoes.
+func (r *repairer) swapPlaces(i, j int32, key PairKey, detail string) {
+	a, b := &r.w.Events[i], &r.w.Events[j]
 	a.Time, b.Time = b.Time, a.Time
 	*a, *b = *b, *a
 	r.note(Defect{Class: DefectReordered, Action: ActionRetimed, Proc: a.Proc, Key: key, Detail: detail})
-}
-
-// workedBefore reports whether the processor has loop-body work (an event
-// with an iteration number) before the given time — the evidence that it
-// participated in the phase the barrier closes.
-func (r *repairer) workedBefore(w *Trace, list []int, limit Time) bool {
-	for _, idx := range list {
-		e := w.Events[idx]
-		if e.Time >= limit {
-			return false
-		}
-		if e.Iter >= 0 && e.Kind != KindBarrierArrive && e.Kind != KindBarrierRelease {
-			return true
-		}
-	}
-	return false
 }
 
 // completeIterations detects computation probe records dropped from loop
@@ -872,64 +872,74 @@ func (r *repairer) workedBefore(w *Trace, list []int, limit Time) bool {
 // midway between its surviving in-iteration neighbours: the analyses'
 // overhead subtraction telescopes across the split gap, so any placement
 // that avoids the negative-gap clamp reconstructs the same total.
-func (r *repairer) completeIterations(w *Trace) {
+func (r *repairer) completeIterations() {
 	const minRosterIters = 8
 
 	// Segment boundaries: the loop phase markers, in time order.
 	var bounds []Time
-	for _, e := range w.Events {
+	for _, e := range r.w.Events {
 		if e.Kind == KindLoopBegin {
 			bounds = append(bounds, e.Time)
 		}
 	}
-	segment := func(t Time) int {
-		return sort.Search(len(bounds), func(i int) bool { return bounds[i] > t })
-	}
 
-	// Roster per (segment, iteration): which statements ran, and who owns
-	// the iteration (the processor with the most computes there).
-	type iterKey struct{ seg, iter int }
+	// Roster per (segment, iteration) with computes: its computes say
+	// which statements ran and who owns the iteration (the processor
+	// with the most computes there); they and its advances and awaitEs
+	// bound where a dropped record sat.
 	type roster struct {
-		stmts     map[int]bool
-		procCount map[int]int
+		seg, iter int
+		events    []int32 // trace indices: computes by statement, then the rest
+		computes  int
 	}
-	rosters := make(map[iterKey]*roster)
-	segIters := make(map[int][]int) // distinct iterations per segment
-	for _, e := range w.Events {
-		if e.Kind != KindCompute || e.Iter < 0 || e.Stmt < 0 {
+	var rosters []roster
+	var at PairTable[int32] // a (segment, iteration)'s position in rosters, plus one
+	evs := r.w.Events
+	for i, e := range evs {
+		if e.Iter < 0 || (e.Kind != KindCompute || e.Stmt < 0) && e.Kind != KindAdvance && e.Kind != KindAwaitE {
 			continue
 		}
-		k := iterKey{segment(e.Time), e.Iter}
-		ro := rosters[k]
-		if ro == nil {
-			ro = &roster{stmts: map[int]bool{}, procCount: map[int]int{}}
-			rosters[k] = ro
-			segIters[k.seg] = append(segIters[k.seg], k.iter)
+		seg := sort.Search(len(bounds), func(j int) bool { return bounds[j] > e.Time })
+		slot := at.Slot(PairKey{Var: seg, Iter: e.Iter})
+		if *slot == 0 {
+			rosters = append(rosters, roster{seg: seg, iter: e.Iter})
+			*slot = int32(len(rosters))
 		}
-		ro.stmts[e.Stmt] = true
-		ro.procCount[e.Proc]++
+		ro := &rosters[*slot-1]
+		ro.events = append(ro.events, int32(i))
 	}
-
-	var segs []int
-	for s := range segIters {
-		segs = append(segs, s)
+	for k := range rosters {
+		ro := &rosters[k]
+		slices.SortFunc(ro.events, func(a, b int32) int { // KindCompute sorts first
+			return cmp.Or(cmp.Compare(evs[a].Kind, evs[b].Kind), cmp.Compare(evs[a].Stmt, evs[b].Stmt))
+		})
+		ro.computes = sort.Search(len(ro.events), func(j int) bool { return evs[ro.events[j]].Kind != KindCompute })
 	}
-	sort.Ints(segs)
+	rosters = slices.DeleteFunc(rosters, func(ro roster) bool { return ro.computes == 0 })
+	slices.SortFunc(rosters, func(a, b roster) int {
+		return cmp.Or(cmp.Compare(a.seg, b.seg), cmp.Compare(a.iter, b.iter))
+	})
+	byStmt := func(i int32, s int) int { return cmp.Compare(evs[i].Stmt, s) }
 
 	var synth []Event
-	_, lists := procLists(w)
-	for _, seg := range segs {
-		iters := segIters[seg]
+	for len(rosters) > 0 {
+		n := 1
+		for n < len(rosters) && rosters[n].seg == rosters[0].seg {
+			n++
+		}
+		iters := rosters[:n]
+		rosters = rosters[n:]
 		if len(iters) < minRosterIters {
 			continue
 		}
-		sort.Ints(iters)
 		// Vote: statements present in at least 90% of the segment's
 		// iterations belong to the roster.
 		present := make(map[int]int)
-		for _, it := range iters {
-			for s := range rosters[iterKey{seg, it}].stmts {
-				present[s]++
+		for _, ro := range iters {
+			for j, i := range ro.events[:ro.computes] {
+				if j == 0 || evs[i].Stmt != evs[ro.events[j-1]].Stmt {
+					present[evs[i].Stmt]++
+				}
 			}
 		}
 		var rosterStmts []int
@@ -941,30 +951,31 @@ func (r *repairer) completeIterations(w *Trace) {
 		sort.Ints(rosterStmts)
 
 		for _, s := range rosterStmts {
-			for _, it := range iters {
-				ro := rosters[iterKey{seg, it}]
-				if ro.stmts[s] {
+			for k := range iters {
+				ro := &iters[k]
+				if _, ran := slices.BinarySearchFunc(ro.events[:ro.computes], s, byStmt); ran {
 					continue
 				}
+				count := make(map[int]int) // computes per processor
+				for _, i := range ro.events[:ro.computes] {
+					count[evs[i].Proc]++
+				}
 				owner, best := -1, 0
-				for p, n := range ro.procCount {
-					if n > best || (n == best && (owner < 0 || p < owner)) {
+				for p, n := range count {
+					if n > best || n == best && p < owner {
 						owner, best = p, n
 					}
 				}
-				if owner < 0 {
-					continue
-				}
-				if e, ok := r.placeDroppedProbe(w, lists[owner], seg, segment, it, s, owner); ok {
+				if e, ok := r.placeDroppedProbe(ro.events, ro.iter, s, owner); ok {
 					synth = append(synth, e)
 					r.note(Defect{Class: DefectDroppedProbe, Action: ActionSynthesized,
 						Proc:   owner,
-						Detail: fmt.Sprintf("computation probe stmt %d missing from iteration %d; record synthesized", s, it)})
+						Detail: fmt.Sprintf("computation probe stmt %d missing from iteration %d; record synthesized", s, ro.iter)})
 				}
 			}
 		}
 	}
-	r.insert(w, synth)
+	r.insert(synth)
 }
 
 // placeDroppedProbe picks a timestamp for the synthesized computation:
@@ -976,14 +987,17 @@ func (r *repairer) completeIterations(w *Trace) {
 // the analyses' overhead subtraction. Placing anywhere wider — say
 // midway between the surviving in-iteration neighbours — can land the
 // record inside an await's wait interval that separates them, which the
-// analyses would misread as that much computation.
-func (r *repairer) placeDroppedProbe(w *Trace, list []int, seg int, segment func(Time) int, iter, stmt, proc int) (Event, bool) {
-	// The in-iteration successor: the earliest same-iteration event known
-	// to execute after the dropped statement.
-	hi, haveHi := Time(-1), false
-	for _, idx := range list {
-		e := w.Events[idx]
-		if e.Iter != iter || segment(e.Time) != seg {
+// analyses would misread as that much computation. iterEvents are the
+// iteration's computes, advances and awaitEs.
+func (r *repairer) placeDroppedProbe(iterEvents []int32, iter, stmt, proc int) (Event, bool) {
+	// The in-iteration successor is the earliest same-iteration event
+	// known to execute after the dropped statement; the latest one known
+	// to execute before it is the fallback when no successor survived.
+	var hi, lo Time
+	haveHi, haveLo := false, false
+	for _, i := range iterEvents {
+		e := r.w.Events[i]
+		if e.Proc != proc {
 			continue
 		}
 		if (e.Kind == KindCompute && e.Stmt > stmt) || e.Kind == KindAdvance {
@@ -991,22 +1005,13 @@ func (r *repairer) placeDroppedProbe(w *Trace, list []int, seg int, segment func
 				hi, haveHi = e.Time, true
 			}
 		}
-	}
-	if !haveHi {
-		// No successor survived: fall back to just after the latest
-		// same-iteration predecessor.
-		lo, haveLo := Time(-1), false
-		for _, idx := range list {
-			e := w.Events[idx]
-			if e.Iter != iter || segment(e.Time) != seg {
-				continue
-			}
-			if (e.Kind == KindCompute && e.Stmt >= 0 && e.Stmt < stmt) || e.Kind == KindAwaitE {
-				if !haveLo || e.Time > lo {
-					lo, haveLo = e.Time, true
-				}
+		if (e.Kind == KindCompute && e.Stmt < stmt) || e.Kind == KindAwaitE {
+			if !haveLo || e.Time > lo {
+				lo, haveLo = e.Time, true
 			}
 		}
+	}
+	if !haveHi {
 		if !haveLo {
 			return Event{}, false
 		}
@@ -1014,22 +1019,11 @@ func (r *repairer) placeDroppedProbe(w *Trace, list []int, seg int, segment func
 	}
 	// The processor's latest event strictly before the successor bounds
 	// the gap the dropped record lived in.
-	lo, haveLo := Time(-1), false
-	for _, idx := range list {
-		e := w.Events[idx]
-		if e.Time >= hi {
-			break
-		}
-		lo, haveLo = e.Time, true
+	lo = hi - 2
+	if before := r.before(r.list(r.slot(proc)), hi); len(before) > 0 {
+		lo = r.w.Events[before[len(before)-1]].Time
 	}
-	if !haveLo {
-		lo = hi - 2
-	}
-	t := lo + (hi-lo)/2
-	if t <= lo {
-		t = lo + 1
-	}
-	return Event{Time: t, Stmt: stmt, Proc: proc, Kind: KindCompute, Iter: iter, Var: NoVar}, true
+	return Event{Time: max(lo+(hi-lo)/2, lo+1), Stmt: stmt, Proc: proc, Kind: KindCompute, Iter: iter, Var: NoVar}, true
 }
 
 // advanceIndex maps each pairing key to the index in w of the first
@@ -1050,37 +1044,47 @@ func advanceIndex(w *Trace) *PairTable[int] {
 // entire trace. Awaits of pre-advanced iterations (negative iteration
 // numbers, the DOACROSS warm-up) legitimately have no advance event and
 // are not defects.
-func (r *repairer) flagUnmatchedAwaits(w *Trace) {
-	adv := advanceIndex(w)
-	seen := make(map[PairKey]bool)
-	for _, e := range w.Events {
+func (r *repairer) flagUnmatchedAwaits() {
+	adv := advanceIndex(r.w)
+	for _, e := range r.w.Events {
 		if e.Kind != KindAwaitE || e.Iter < 0 {
 			continue
 		}
-		if *adv.Slot(e.Pair()) != 0 {
-			continue
+		// A key without an advance is flagged once; its slot then reads -1.
+		if a := adv.Slot(e.Pair()); *a == 0 {
+			*a = -1
+			r.note(Defect{Class: DefectUnmatchedAwait, Action: ActionFlagged,
+				Proc: e.Proc, Key: e.Pair(),
+				Detail: fmt.Sprintf("no advance for %v anywhere in the trace", e)})
 		}
-		if seen[e.Pair()] {
-			continue
-		}
-		seen[e.Pair()] = true
-		r.note(Defect{Class: DefectUnmatchedAwait, Action: ActionFlagged,
-			Proc: e.Proc, Key: e.Pair(),
-			Detail: fmt.Sprintf("no advance for %v anywhere in the trace", e)})
 	}
 }
 
 // insert merges synthesized events into the trace and re-sorts. Each
 // synthesized event is nudged until it differs from every existing event:
 // an exact duplicate of a measured event would be removed by the next
-// repair pass's dedup, breaking idempotence.
-func (r *repairer) insert(w *Trace, synth []Event) {
+// repair pass's dedup, breaking idempotence. A nudge changes only Time,
+// so only events equal to a synthesized one in every other field can
+// block it; the set holds just those.
+func (r *repairer) insert(synth []Event) {
 	if len(synth) == 0 {
 		return
 	}
-	seen := make(map[Event]bool, len(w.Events)+len(synth))
-	for _, e := range w.Events {
-		seen[e] = true
+	timeless := func(e Event) Event {
+		e.Time = 0
+		return e
+	}
+	var kinds uint16
+	shapes := make(map[Event]bool, len(synth))
+	for _, e := range synth {
+		kinds |= 1 << e.Kind
+		shapes[timeless(e)] = true
+	}
+	seen := make(map[Event]bool, len(synth))
+	for _, e := range r.w.Events {
+		if kinds>>e.Kind&1 != 0 && shapes[timeless(e)] {
+			seen[e] = true
+		}
 	}
 	for _, e := range synth {
 		for seen[e] {
@@ -1092,28 +1096,7 @@ func (r *repairer) insert(w *Trace, synth []Event) {
 			}
 		}
 		seen[e] = true
-		w.Events = append(w.Events, e)
+		r.w.Events = append(r.w.Events, e)
 	}
-	w.Sort()
-}
-
-// procLists returns the processors that actually have events, in
-// ascending order, and each one's event indices in trace order, only of
-// the given kinds when any are named. Repair scales with the events
-// present, never with the trace's claimed processor count (a corrupt
-// header can claim billions).
-func procLists(w *Trace, kinds ...Kind) ([]int, map[int][]int) {
-	lists := make(map[int][]int)
-	var procs []int
-	for i, e := range w.Events {
-		if len(kinds) > 0 && !slices.Contains(kinds, e.Kind) {
-			continue
-		}
-		if _, ok := lists[e.Proc]; !ok {
-			procs = append(procs, e.Proc)
-		}
-		lists[e.Proc] = append(lists[e.Proc], i)
-	}
-	sort.Ints(procs)
-	return procs, lists
+	r.sort()
 }

@@ -2,16 +2,19 @@ package trace_test
 
 import (
 	"bytes"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"perturb/internal/trace"
 )
 
 // FuzzRepair holds the sanitizer's contract over arbitrary decodable
-// input: Repair never panics, its output always passes Validate, and
+// input: Repair never panics, its output always passes Validate,
 // repairing its own output performs no further modifications (repair is
-// idempotent). The corpus reuses the text-codec seeds so the fuzzer
-// explores realistic traces, not just headers.
+// idempotent), and repair commutes with a time shift. The corpus reuses
+// the text-codec seeds so the fuzzer explores realistic traces, not just
+// headers.
 func FuzzRepair(f *testing.F) {
 	seedGolden(f, ".txt")
 	f.Add([]byte("ptrace1 procs=2\n10 p0 s1 compute i0 v-1\n20 p0 s2 advance i0 v7\n12 p1 s3 awaitB i0 v7\n25 p1 s3 awaitE i0 v7\n"))
@@ -42,5 +45,52 @@ func FuzzRepair(f *testing.F) {
 					i, once.Events[i], twice.Events[i])
 			}
 		}
+		// The shift comes from the input's bytes (the committed corpus
+		// holds single-argument entries): up to 2^10 ns either way, which
+		// moves times across zero, and up to 2^43.
+		h := fnv.New64a()
+		h.Write(data)
+		for _, d := range []trace.Time{trace.Time(int64(h.Sum64()) >> 53), trace.Time(int64(h.Sum64()) >> 20)} {
+			checkShift(t, tr, once, rep1, d)
+		}
 	})
+}
+
+// checkShift fails t unless repairing tr shifted by d gives its repair
+// out, with report rep, shifted by d: the same events and processor
+// count, the same modification counts, and the same defects but for
+// their Details, which print times. A trace with a time beyond ±2^60 is
+// skipped, so that neither the shift nor repair's arithmetic overflows.
+func checkShift(t *testing.T, tr, out *trace.Trace, rep *trace.RepairReport, d trace.Time) {
+	t.Helper()
+	shift := func(tr *trace.Trace) *trace.Trace {
+		c := tr.Clone()
+		for i := range c.Events {
+			c.Events[i].Time += d
+		}
+		return c
+	}
+	for _, e := range tr.Events {
+		if e.Time > math.MaxInt64>>3 || e.Time < math.MinInt64>>3 {
+			return
+		}
+	}
+	got, grep := trace.Repair(shift(tr))
+	want := shift(out)
+	if got.Procs != want.Procs || len(got.Events) != len(want.Events) ||
+		grep.Removed != rep.Removed || grep.Synthesized != rep.Synthesized || grep.Retimed != rep.Retimed ||
+		len(grep.Defects) != len(rep.Defects) {
+		t.Fatalf("shifted by %d: %d events on %d procs (%s), want %d on %d (%s)", d,
+			len(got.Events), got.Procs, grep.Summary(), len(want.Events), want.Procs, rep.Summary())
+	}
+	for i := range want.Events {
+		if got.Events[i] != want.Events[i] {
+			t.Fatalf("shifted by %d: event %d is %v, want %v", d, i, got.Events[i], want.Events[i])
+		}
+	}
+	for i, w := range rep.Defects {
+		if g := grep.Defects[i]; g.Class != w.Class || g.Action != w.Action || g.Proc != w.Proc || g.Key != w.Key {
+			t.Fatalf("shifted by %d: defect %d is %v, want %v", d, i, g, w)
+		}
+	}
 }

@@ -102,6 +102,23 @@ func TestRepairDedupsExactDuplicates(t *testing.T) {
 	}
 }
 
+// TestRepairDedupsAfterADrop: a copy is found across its tie group, also
+// when a duplicate dropped earlier in the trace has moved the events kept
+// so far. The two p0 advances share a time and statement but not an
+// iteration, so they sit between the copies of the first.
+func TestRepairDedupsAfterADrop(t *testing.T) {
+	early := sev(1, 0, 1, trace.KindCompute, 0, trace.NoVar)
+	a, b := sev(6, 0, 2, trace.KindAdvance, 0, 7), sev(6, 0, 2, trace.KindAdvance, 1, 7)
+	tr := &trace.Trace{Procs: 1, Events: []trace.Event{early, early, a, b, a}}
+	out, rep := trace.Repair(tr)
+	if got := rep.CountClass(trace.DefectDuplicate); got != 2 {
+		t.Errorf("duplicate defects = %d, want 2: %v", got, rep.Summary())
+	}
+	if want := []trace.Event{early, a, b}; !slices.Equal(out.Events, want) {
+		t.Errorf("repaired events %v, want %v", out.Events, want)
+	}
+}
+
 func TestRepairFixesInvertedBracket(t *testing.T) {
 	tr := healthyTrace()
 	// Swap the timestamps of one awaitB/awaitE pair so the awaitE is
@@ -280,6 +297,33 @@ func TestRepairCompletesBarrier(t *testing.T) {
 				out.CountKind(trace.KindBarrierArrive), out.CountKind(trace.KindBarrierRelease))
 		}
 	})
+}
+
+// TestRepairBarrierBelowTimeZero: repair commutes with a time shift. p1
+// was released from p0's barrier but lost its arrival, which is
+// synthesized just after p1's compute wherever the trace lies in time:
+// also when every time is negative, as Validate allows and clock-skew
+// repair produces.
+func TestRepairBarrierBelowTimeZero(t *testing.T) {
+	for _, base := range []trace.Time{100, 0, -100} {
+		tr := &trace.Trace{Procs: 2, Events: []trace.Event{
+			sev(base, 0, 1, trace.KindCompute, 0, trace.NoVar),
+			sev(base+5, 1, 1, trace.KindCompute, 0, trace.NoVar),
+			sev(base+10, 0, -2, trace.KindBarrierArrive, 0, 0),
+			sev(base+20, 0, -2, trace.KindBarrierRelease, 0, 0),
+			sev(base+20, 1, -2, trace.KindBarrierRelease, 0, 0),
+		}}
+		out, rep := trace.Repair(tr)
+		if got := rep.Summary(); got != "1 defects: missing-arrival x1" {
+			t.Errorf("base %d: %s, want only the missing arrival", base, got)
+		}
+		want := map[trace.Kind]trace.Time{trace.KindBarrierArrive: base + 6, trace.KindBarrierRelease: base + 20}
+		for _, e := range out.Events {
+			if w, ok := want[e.Kind]; ok && e.Proc == 1 && e.Time != w {
+				t.Errorf("base %d: p1's %v at %d, want %d", base, e.Kind, e.Time, w)
+			}
+		}
+	}
 }
 
 // TestRepairOrdersBarrierSides: repair leaves each processor one
