@@ -8,9 +8,12 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"perturb"
+	"perturb/internal/core"
 	"perturb/internal/obs"
+	"perturb/internal/server"
 	"perturb/internal/testgen"
 	"perturb/internal/trace"
 )
@@ -326,6 +329,61 @@ func TestAnalyzeAllocationPerEvent(t *testing.T) {
 	if perEvent > 84 {
 		t.Errorf("Analyze allocated %.1f B per event on %d events, want at most 84", perEvent, tr.Len())
 	}
+}
+
+// TestUncollectedAnalysisAllocationPerEvent gates perturbd's batch form
+// of the analysis TestAnalyzeAllocationPerEvent gates, on the same wave
+// and calibration: core.AnalyzeUncollected and server.BuildResponse,
+// whose fingerprint streams the canonical merge into SHA-256 instead of
+// collecting the 48 B per event of a re-timed trace. Not parallel, like
+// the bound beside it.
+func TestUncollectedAnalysisAllocationPerEvent(t *testing.T) {
+	tr := testgen.BackwardWave(8, 25000)
+	cal := benchCals[1].cal
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := core.AnalyzeUncollected(context.Background(), tr, cal, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := server.BuildResponse(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if a.Trace != nil || resp.Events != tr.Len() {
+		t.Fatalf("uncollected analysis: trace %v, response of %d events; want no trace and %d events", a.Trace, resp.Events, tr.Len())
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+	t.Logf("AnalyzeUncollected and BuildResponse: %.1f B/event on %d events", perEvent, tr.Len())
+	if perEvent > 40 {
+		t.Errorf("AnalyzeUncollected and BuildResponse allocated %.1f B per event on %d events, want at most 40", perEvent, tr.Len())
+	}
+}
+
+// TestAnalyzeResultHoldsOnlyItsTrace: a collected Approximation keeps its
+// re-timed trace alive (48 B per event) and not the engine's log behind
+// it. The live heap the result adds, read after a GC, may exceed the
+// trace by 10%. Not parallel: it reads the process-wide heap.
+func TestAnalyzeResultHoldsOnlyItsTrace(t *testing.T) {
+	tr := testgen.BackwardWave(8, 25000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	a, err := perturb.Analyze(tr, benchCals[1].cal, perturb.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	limit := 1.1 * float64(a.Trace.Len()) * float64(unsafe.Sizeof(trace.Event{}))
+	t.Logf("the result holds %.0f bytes live, %.1f B/event", held, held/float64(tr.Len()))
+	if held > limit {
+		t.Errorf("the result holds %.0f bytes live, its trace's events plus 10%% is %.0f", held, limit)
+	}
+	runtime.KeepAlive(tr)
 }
 
 // TestRepairAllocationPerEvent gates what one RepairTrace allocates per

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"iter"
+	"slices"
 
 	"perturb/internal/core"
 	"perturb/internal/instr"
@@ -16,8 +18,17 @@ import (
 // bytes, the same trace uploaded in any codec (text, binary, columnar)
 // fingerprints identically — the content address of the analysis input.
 func TraceSHA256(t *trace.Trace) (string, error) {
+	return EventsSHA256(t.Procs, t.Len(), slices.Values(t.Events))
+}
+
+// EventsSHA256 is TraceSHA256 of the trace of procs processors whose n
+// events the sequence yields: the encoding streams into the hash, so a
+// trace that was never collected (an analysis's canonical merge) is
+// fingerprinted as it is read. It fails when events yields other than n
+// events.
+func EventsSHA256(procs, n int, events iter.Seq[trace.Event]) (string, error) {
 	h := sha256.New()
-	if err := t.WriteBinary(h); err != nil {
+	if err := trace.WriteBinarySeq(h, procs, n, events); err != nil {
 		return "", fmt.Errorf("cache: fingerprinting trace: %w", err)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

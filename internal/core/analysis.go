@@ -40,6 +40,14 @@ type Approximation struct {
 	// into canonical order. order.Align maps each input event to its
 	// counterpart here, matching each processor's events by statement,
 	// kind, iteration and variable, in order.
+	//
+	// The draining entries fill it: Analyze, AnalyzeContext, EventBased,
+	// TimeBased, LiberalEventBased and Stream.Close. AnalyzeUncollected
+	// and Stream.CloseUncollected leave it nil, and Events reads the same
+	// events from the engine's log instead; perturbd serves every
+	// response through those two, so no perturbd path builds it. A
+	// low-memory stream's result keeps no events, so its Trace is nil
+	// too.
 	Trace *trace.Trace
 
 	// Duration is the approximated total execution time (last event
@@ -67,6 +75,10 @@ type Approximation struct {
 	// An event raised to its processor's previous approximated time (the
 	// program-order rule every run applies) does not count as impaired.
 	Confidence []ProcConfidence
+
+	// canon is the approximated trace before it is collected into Trace;
+	// nil once collected, and for a result that kept no events.
+	canon *canonical
 }
 
 // ProcConfidence describes one processor's share of degraded-mode

@@ -79,6 +79,16 @@ func Analyze(m *trace.Trace, cal instr.Calibration, opts Options) (*Approximatio
 // returning a partial Approximation. A background context reproduces
 // Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
+	return collect(AnalyzeUncollected(ctx, m, cal, opts))
+}
+
+// AnalyzeUncollected is AnalyzeContext without collecting the
+// approximated trace: the result's Trace is nil, and Events reads its
+// events in canonical order from the engine's log, merging them as it
+// goes. The log holds m's events, so m must not change while the result
+// is read. perturbd's batch analyses run this way: a response needs
+// only the counts and the fingerprint.
+func AnalyzeUncollected(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
 	if err := cancel.Err(ctx); err != nil {
 		return nil, err
 	}
@@ -121,18 +131,15 @@ func analyzeRepaired(ctx context.Context, m *trace.Trace, analyze func(*trace.Tr
 // attachDefects folds the sanitizer's per-processor repair counts into the
 // Confidence summary and re-scores it. Time-based and liberal analyses do
 // not populate Confidence themselves; repair-mode runs of those modes get
-// a summary built from the repair counts alone.
+// a summary built from the repair counts alone, over the engine's event
+// count of each processor.
 func attachDefects(a *Approximation, rep *trace.RepairReport, procs int) {
 	if a.Confidence == nil {
 		a.Confidence = make([]ProcConfidence, procs)
 		for p := range a.Confidence {
 			a.Confidence[p].Proc = p
-		}
-		if a.Trace != nil {
-			for _, e := range a.Trace.Events {
-				if e.Proc >= 0 && e.Proc < procs {
-					a.Confidence[e.Proc].Events++
-				}
+			if p < len(a.canon.events) {
+				a.Confidence[p].Events = a.canon.events[p]
 			}
 		}
 	}

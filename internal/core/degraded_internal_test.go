@@ -34,7 +34,7 @@ func TestDegradedStallBreaking(t *testing.T) {
 		t.Fatalf("exact mode: got %v, want ErrUnresolvable", err)
 	}
 
-	a, err := eventBased(context.Background(), tr, cal, true)
+	a, err := collect(eventBased(context.Background(), tr, cal, true))
 	if err != nil {
 		t.Fatalf("degraded mode failed on cycle: %v", err)
 	}

@@ -39,7 +39,7 @@ import (
 // analysis terminates when all events are resolved or no progress is
 // possible (ErrUnresolvable).
 func EventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
-	return eventBased(context.Background(), m, cal, false)
+	return collect(eventBased(context.Background(), m, cal, false))
 }
 
 // eventBased is the event-based analysis over a whole trace: a

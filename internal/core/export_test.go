@@ -11,7 +11,7 @@ import (
 // in front of it, so the oracle tests can reach stall-breaking, which
 // repaired traces rarely need.
 func DegradedEventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
-	return eventBased(context.Background(), m, cal, true)
+	return collect(eventBased(context.Background(), m, cal, true))
 }
 
 // BatchTimes runs the batch engine over m as Analyze does (degraded: as
@@ -52,7 +52,7 @@ var LiberalReference = liberalReference
 // engine, whose processor opts.Procs carries the warm-up advances.
 func LiberalFed(m *trace.Trace, cal instr.Calibration, opts LiberalOptions) (*Approximation, *trace.Trace, error) {
 	a, g, err := liberal(context.Background(), m, cal, opts)
-	if err != nil {
+	if a, err = collect(a, err); err != nil {
 		return nil, nil, err
 	}
 	fed := &trace.Trace{Procs: opts.Procs + 1}

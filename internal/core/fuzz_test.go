@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"perturb/internal/cache"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/machine"
@@ -131,11 +132,15 @@ func TestEventBasedOrphanBarrierRelease(t *testing.T) {
 // fed whole, one event at a time or in random chunks, with LowMemory on
 // or off; event-based inputs also run the degraded analysis without the
 // sanitizer. Every run must equal the oracle or fail with an exported
-// sentinel error; it must never panic. An event-based batch run without
-// a forced resolution must also be a feasible execution (§4.1): its
-// approximation keeps the happened-before order of the trace it analyzed,
-// the repaired trace for a repaired run. A forced resolution is exempt:
-// it breaks a cycle of the relation, which holds no feasible execution.
+// sentinel error; it must never panic. Each run is also read the way
+// perturbd reads it, uncollected (AnalyzeUncollected, CloseUncollected):
+// its fingerprint, event count and processor count must be those of the
+// collected trace, and a low-memory result must refuse to be read. An
+// event-based batch run without a forced resolution must also be a
+// feasible execution (§4.1): its approximation keeps the happened-before
+// order of the trace it analyzed, the repaired trace for a repaired run.
+// A forced resolution is exempt: it breaks a cycle of the relation,
+// which holds no feasible execution.
 func FuzzAnalyze(f *testing.F) {
 	for knobs := 0; knobs < 64; knobs += 5 {
 		f.Add(int64(knobs), uint8(knobs))
@@ -165,7 +170,17 @@ func FuzzAnalyze(f *testing.F) {
 			t.Fatalf("batch: unexported error %v", gotErr)
 		}
 		assertSameApproximation(t, "batch", want, wantErr, got, gotErr)
+		u, uErr := core.AnalyzeUncollected(context.Background(), c.m, cal, core.Options{Mode: c.mode, Repair: c.repair})
+		if (uErr == nil) != (gotErr == nil) {
+			t.Fatalf("batch: uncollected error %v, collected %v", uErr, gotErr)
+		}
 		if gotErr == nil {
+			if u.Trace != nil {
+				t.Fatal("batch: AnalyzeUncollected collected the trace")
+			}
+			if p, err := readFingerprint(u); err != nil || p != traceFingerprint(t, got.Trace) {
+				t.Fatalf("batch: uncollected result reads as %+v (%v), the collected trace as %+v", p, err, traceFingerprint(t, got.Trace))
+			}
 			assertSameTimes(t, "batch", wantTA, engineTimes(t, c))
 			if !reflect.DeepEqual(got.Confidence, want.Confidence) {
 				t.Fatalf("batch: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
@@ -212,12 +227,24 @@ func FuzzAnalyze(f *testing.F) {
 			}
 			wins = append(wins, s.Windows()...)
 		}
+		var closed *core.Approximation
 		if err == nil {
-			got, err = s.Close(context.Background())
+			closed, err = s.CloseUncollected(context.Background())
 			wins = append(wins, s.Windows()...)
 		}
 		if err == nil {
+			// Read before Close collects the same result in place.
+			p, pErr := readFingerprint(closed)
+			if got, err = s.Close(context.Background()); got != closed || err != nil {
+				t.Fatalf("stream: Close after CloseUncollected returned %p, %v; want the same result %p", got, err, closed)
+			}
 			checkWindows(t, c.m, cal, opts, wins)
+			if lowMem && pErr == nil {
+				t.Fatalf("stream: a low-memory result reads as %+v", p)
+			}
+			if !lowMem && (pErr != nil || p != traceFingerprint(t, got.Trace)) {
+				t.Fatalf("stream: uncollected result reads as %+v (%v), the collected trace as %+v", p, pErr, traceFingerprint(t, got.Trace))
+			}
 		}
 		switch {
 		case err != nil && !isSentinel(err):
@@ -245,6 +272,34 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fingerprint is what perturbd reads from a result: the processor and
+// event counts and the hex SHA-256 of the binary encoding.
+type fingerprint struct {
+	procs, events int
+	sha256        string
+}
+
+// readFingerprint reads a result the way server.BuildResponse does.
+func readFingerprint(a *core.Approximation) (fingerprint, error) {
+	procs, n, events, err := core.Events(a)
+	if err != nil {
+		return fingerprint{}, err
+	}
+	sum, err := cache.EventsSHA256(procs, n, events)
+	return fingerprint{procs, n, sum}, err
+}
+
+// traceFingerprint is the fingerprint of a collected trace, through
+// cache.TraceSHA256.
+func traceFingerprint(t *testing.T, tr *trace.Trace) fingerprint {
+	t.Helper()
+	sum, err := cache.TraceSHA256(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fingerprint{tr.Procs, tr.Len(), sum}
 }
 
 // checkWindows compares the windows a session drained with those of a

@@ -64,7 +64,7 @@ type iterWork struct {
 // required for DOACROSS inputs.
 func LiberalEventBased(m *trace.Trace, cal instr.Calibration, opts LiberalOptions) (*Approximation, error) {
 	a, _, err := liberal(context.Background(), m, cal, opts)
-	return a, err
+	return collect(a, err)
 }
 
 // liberal is LiberalEventBased under ctx; it also returns the engine it fed.
@@ -190,8 +190,7 @@ func liberal(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Li
 	if err != nil {
 		return nil, nil, err
 	}
-	a.Trace.Procs = procs
-	a.Trace.Events = slices.DeleteFunc(a.Trace.Events, func(e trace.Event) bool { return e.Proc == procs })
+	a.canon.events = a.canon.events[:procs] // the warm-up processor is not the result's
 	return a, g, nil
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -1272,13 +1274,13 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 }
 
 // finish assembles the Approximation. Duration is the latest resolved
-// time, which is the last canonical event's. With retention the events
-// are re-timed and put in canonical order; without, it carries the
-// summary only. The order comes from mergeRuns: one arrival-order pass
-// over the log and a merge of the per-processor runs, no whole-trace sort.
-// There is no renormalization: the basis rule anchors each thread at the
-// execution origin (time zero), so approximated times are already in
-// actual-execution coordinates.
+// time, which is the last canonical event's. With retention it records
+// the approximated trace uncollected: the log, which mergeRuns reads in
+// canonical order, and each processor's event count. Only the draining
+// entries collect it (collect); without retention the result carries the
+// summary only. There is no renormalization: the basis rule anchors each
+// thread at the execution origin (time zero), so approximated times are
+// already in actual-execution coordinates.
 func (g *engine) finish() *Approximation {
 	a := &Approximation{
 		Duration:        g.maxTA,
@@ -1300,9 +1302,66 @@ func (g *engine) finish() *Approximation {
 		a.Confidence = conf
 	}
 	if g.opts.retain {
-		a.Trace = &trace.Trace{Procs: g.procs(), Events: mergeRuns(&g.log, g.procs())}
+		events := make([]int, g.procs())
+		for p := range events {
+			events[p] = g.ps[p].events
+		}
+		a.canon = &canonical{log: g.log, events: events}
 	}
 	return a
+}
+
+// canonical is an approximated trace that no draining entry has
+// collected: the engine's log, which mergeRuns reads in canonical order,
+// and the event count of each processor the result keeps. A liberal
+// analysis's warm-up processor lies past them and is left out.
+type canonical struct {
+	log    eventLog
+	events []int
+}
+
+// count is the number of events the canonical order holds.
+func (c *canonical) count() int {
+	n := 0
+	for _, k := range c.events {
+		n += k
+	}
+	return n
+}
+
+// all is the canonical order, merged afresh on every pass.
+func (c *canonical) all() iter.Seq[trace.Event] {
+	return func(yield func(trace.Event) bool) { mergeRuns(&c.log, len(c.events), yield) }
+}
+
+// collect is the draining entries' last step: it builds a's Trace from
+// the canonical order and drops a's reference to the engine's log, so a
+// collected result holds its trace and not the log as well. A result
+// collected already, or one that kept no events, passes through.
+func collect(a *Approximation, err error) (*Approximation, error) {
+	if err != nil || a.canon == nil {
+		return a, err
+	}
+	c := a.canon
+	a.Trace = &trace.Trace{Procs: len(c.events), Events: slices.AppendSeq(make([]trace.Event, 0, c.count()), c.all())}
+	a.canon = nil
+	return a, nil
+}
+
+// Events returns a's approximated trace as its processor count, its
+// event count and its events in canonical order: Trace's when a draining
+// entry built it, and otherwise the engine's log, merged as it is read
+// (each pass merges again). perturbd fingerprints results this way
+// without collecting them. A result that kept no events, a low-memory
+// stream's, is an error and never an empty trace.
+func Events(a *Approximation) (procs, n int, events iter.Seq[trace.Event], err error) {
+	switch {
+	case a.Trace != nil:
+		return a.Trace.Procs, a.Trace.Len(), slices.Values(a.Trace.Events), nil
+	case a.canon != nil:
+		return len(a.canon.events), a.canon.count(), a.canon.all(), nil
+	}
+	return 0, 0, nil, errors.New("core: the analysis kept no events to read (a low-memory stream's result is a summary)")
 }
 
 // spliceCap bounds the equal-time group mergeRuns splices an event into:
@@ -1321,10 +1380,12 @@ type runLink struct {
 	sort         bool // the run is in arrival order and needs a stable sort
 }
 
-// mergeRuns returns the log's events re-timed with their approximated
+// mergeRuns yields the log's events re-timed with their approximated
 // times, in the canonical (Time, Proc, Stmt) order with arrival-order
 // tie-breaking — exactly the permutation Trace.Sort's stable sort
-// produces.
+// produces — until yield returns false: the push form of the canonical
+// order (canonical.all). Events of processors procs and above (a liberal
+// analysis's warm-up processor) are left out.
 //
 // One pass in arrival order reads the log sequentially and links each
 // event into its processor's run in (time, stmt) order, with an int32
@@ -1343,8 +1404,8 @@ type runLink struct {
 //
 // Runs never share a processor, so the merge orders run heads by (time,
 // proc) alone, in a heap that holds each head's time: O(log procs) per
-// event.
-func mergeRuns(log *eventLog, procs int) []trace.Event {
+// event. The links and the heap last one pass.
+func mergeRuns(log *eventLog, procs int, yield func(trace.Event) bool) {
 	ev, ta, bits := log.ev, log.ta, log.bits
 	mask := 1<<bits - 1 // event i is ev[i>>bits][i&mask], its time ta[i>>bits][i&mask]
 	stmt := func(i int) int { return ev[i>>bits][i&mask].Stmt }
@@ -1355,10 +1416,13 @@ func mergeRuns(log *eventLog, procs int) []trace.Event {
 	for p := range runs {
 		runs[p].head = -1
 	}
-	i := 0
 	for c, chunk := range ev {
 		for j := range chunk {
 			e := &chunk[j]
+			if e.Proc >= procs {
+				continue
+			}
+			i := c<<bits | j
 			r, t := &runs[e.Proc], ta[c][j]
 			next[i] = -1
 			switch {
@@ -1395,7 +1459,6 @@ func mergeRuns(log *eventLog, procs int) []trace.Event {
 				r.sort = true
 				next[r.tail], r.tail = int32(i), i
 			}
-			i++
 		}
 	}
 	var run []int32
@@ -1428,12 +1491,13 @@ func mergeRuns(log *eventLog, procs int) []trace.Event {
 	for k := len(h)/2 - 1; k >= 0; k-- {
 		h.down(k)
 	}
-	out := make([]trace.Event, 0, log.n)
 	for len(h) > 0 {
 		top := &h[0]
 		e := ev[top.i>>bits][int(top.i)&mask]
 		e.Time = top.t
-		out = append(out, e)
+		if !yield(e) {
+			return
+		}
 		if top.i = next[top.i]; top.i >= 0 {
 			top.t = time(top.i)
 		} else { // run exhausted
@@ -1442,7 +1506,6 @@ func mergeRuns(log *eventLog, procs int) []trace.Event {
 		}
 		h.down(0)
 	}
-	return out
 }
 
 // runHead is a run's next event in the merge: its index in the log, its
@@ -1609,8 +1672,17 @@ func (s *Stream) Windows() []WindowResult {
 // to batch Analyze over the same events. A repairing session takes
 // AnalyzeContext's own repair path (analyzeRepaired) over its buffered
 // feed. Remaining windows become available via Windows afterwards. Close
-// is idempotent: repeated calls return the same result.
+// is idempotent: repeated calls return the same result, and after
+// CloseUncollected it collects that result's trace.
 func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
+	return collect(s.CloseUncollected(ctx))
+}
+
+// CloseUncollected is Close without collecting the approximated trace:
+// the result's Trace is nil, and Events reads its events in canonical
+// order from the session's log. perturbd closes its streams this way,
+// since a response needs only the counts and the fingerprint.
+func (s *Stream) CloseUncollected(ctx context.Context) (*Approximation, error) {
 	if s.closed {
 		if s.result == nil {
 			return nil, fmt.Errorf("core: stream session is closed")

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"perturb/internal/cache"
 	"perturb/internal/core"
 	"perturb/internal/instr"
 	"perturb/internal/loops"
@@ -648,14 +649,11 @@ func TestStreamRepairMatchesAnalyze(t *testing.T) {
 	}
 }
 
-// TestStreamRetainedMemoryPerEvent bounds what a retained session
-// allocates per event, from NewStream through Close, on a simulated
-// DOACROSS program of over 200k events fed in 4096-event batches with
-// about 400 windows. The retained log is most of it: each event and its
-// approximated time are kept once, and Close builds the re-timed trace
-// with an int32 link per event. Not parallel: it reads the process-wide
-// allocation counter.
-func TestStreamRetainedMemoryPerEvent(t *testing.T) {
+// memoryProgram is the simulated DOACROSS program the memory bounds feed:
+// LL17 at 24,000 iterations (216,022 events), with the exact calibration
+// of its probes.
+func memoryProgram(t *testing.T) (*trace.Trace, instr.Calibration) {
+	t.Helper()
 	cfg := machine.Alliant()
 	ovh := loops.PaperOverheads()
 	l := *loops.MustGet(17).Loop
@@ -664,25 +662,43 @@ func TestStreamRetainedMemoryPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := run.Trace
-	if m.Len() < 200000 {
-		t.Fatalf("program has %d events, want at least 200k", m.Len())
+	if run.Trace.Len() < 200000 {
+		t.Fatalf("program has %d events, want at least 200k", run.Trace.Len())
 	}
-	ctx := context.Background()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s, err := core.NewStream(exactCalFor(cfg, ovh), core.StreamOptions{Procs: m.Procs, Window: m.End()/400 + 1})
+	return run.Trace, exactCalFor(cfg, ovh)
+}
+
+// feedMemoryProgram runs a session over m in 4096-event batches with
+// about 400 windows, draining the windows after each batch.
+func feedMemoryProgram(t *testing.T, m *trace.Trace, cal instr.Calibration, lowMemory bool) *core.Stream {
+	t.Helper()
+	s, err := core.NewStream(cal, core.StreamOptions{Procs: m.Procs, LowMemory: lowMemory, Window: m.End()/400 + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for lo := 0; lo < m.Len(); lo += 4096 {
-		if err := s.Feed(ctx, m.Events[lo:min(lo+4096, m.Len())]); err != nil {
+		if err := s.Feed(context.Background(), m.Events[lo:min(lo+4096, m.Len())]); err != nil {
 			t.Fatal(err)
 		}
 		s.Windows()
 	}
-	a, err := s.Close(ctx)
+	return s
+}
+
+// TestStreamRetainedMemoryPerEvent bounds what a retained session
+// allocates per event, from NewStream through Close, on a simulated
+// DOACROSS program of over 200k events fed in 4096-event batches with
+// about 400 windows. The retained log is most of it: each event and its
+// approximated time are kept once, and Close builds the re-timed trace
+// with an int32 link per event. Not parallel: it reads the process-wide
+// allocation counter.
+func TestStreamRetainedMemoryPerEvent(t *testing.T) {
+	m, cal := memoryProgram(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := feedMemoryProgram(t, m, cal, false)
+	a, err := s.Close(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,6 +714,49 @@ func TestStreamRetainedMemoryPerEvent(t *testing.T) {
 	}
 }
 
+// TestStreamUncollectedMemoryPerEvent bounds perturbd's form of a
+// retained session on the same program: NewStream, Feed,
+// CloseUncollected and the fingerprint of the final line, which streams
+// the canonical merge into SHA-256 instead of collecting the 48 B per
+// event of a re-timed trace. The fingerprint must equal that of the trace
+// Close then collects. Not parallel: it reads the process-wide allocation
+// counter.
+func TestStreamUncollectedMemoryPerEvent(t *testing.T) {
+	m, cal := memoryProgram(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := feedMemoryProgram(t, m, cal, false)
+	a, err := s.CloseUncollected(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Windows()
+	procs, n, events, err := core.Events(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := cache.EventsSHA256(procs, n, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if a.Trace != nil || n != m.Len() || procs != m.Procs {
+		t.Fatalf("uncollected result: trace %v, %d events on %d procs; want no trace, %d events on %d procs", a.Trace, n, procs, m.Len(), m.Procs)
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(m.Len())
+	t.Logf("%d events: %.1f B/event allocated", m.Len(), perEvent)
+	if perEvent > 90 {
+		t.Errorf("uncollected session and fingerprint allocated %.1f B/event, bound 90", perEvent)
+	}
+	if a, err = s.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if want, err := cache.TraceSHA256(a.Trace); err != nil || sum != want {
+		t.Errorf("fingerprint of the merge %s, of the collected trace %s (%v)", sum, want, err)
+	}
+}
+
 // TestStreamLowMemoryPerEvent bounds a low-memory session's memory per
 // event on the program TestStreamRetainedMemoryPerEvent feeds, in the
 // same 4096-event batches: the bytes allocated from NewStream through
@@ -706,32 +765,14 @@ func TestStreamRetainedMemoryPerEvent(t *testing.T) {
 // flight and the pairing records, which grow with the iterations. Not
 // parallel: it reads the process-wide allocation counter.
 func TestStreamLowMemoryPerEvent(t *testing.T) {
-	cfg := machine.Alliant()
-	ovh := loops.PaperOverheads()
-	l := *loops.MustGet(17).Loop
-	l.Iters = 24000
-	run, err := machine.Run(&l, instr.FullPlan(ovh, true), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := run.Trace
-	ctx := context.Background()
+	m, cal := memoryProgram(t)
 	var before, live, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, err := core.NewStream(exactCalFor(cfg, ovh), core.StreamOptions{Procs: m.Procs, LowMemory: true, Window: m.End()/400 + 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for lo := 0; lo < m.Len(); lo += 4096 {
-		if err := s.Feed(ctx, m.Events[lo:min(lo+4096, m.Len())]); err != nil {
-			t.Fatal(err)
-		}
-		s.Windows()
-	}
+	s := feedMemoryProgram(t, m, cal, true)
 	runtime.GC()
 	runtime.ReadMemStats(&live)
-	a, err := s.Close(ctx)
+	a, err := s.Close(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,5 +23,5 @@ func TimeBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 	// A feed-everything-then-close run of the engine (stream.go) in
 	// time-based mode: every event resolves with the execution-timing
 	// rule, the fork fences ordering resolution across processors.
-	return analyzeBatch(context.Background(), m, cal, ModeTimeBased, false)
+	return collect(analyzeBatch(context.Background(), m, cal, ModeTimeBased, false))
 }

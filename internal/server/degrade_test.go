@@ -87,6 +87,28 @@ func TestMemoryBudgetDegradation(t *testing.T) {
 	}
 }
 
+// TestBuildResponseSummaryOnly: a low-memory session's result keeps no
+// events, so BuildResponse has nothing to fingerprint. It must refuse the
+// result with an error, not panic, and never fingerprint it as an empty
+// trace.
+func TestBuildResponseSummaryOnly(t *testing.T) {
+	tr := testTrace(t, 17)
+	sess, err := core.NewStream(DefaultCalibration(), core.StreamOptions{Procs: tr.Procs, LowMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Feed(context.Background(), tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	a, err := sess.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := BuildResponse(a); err == nil {
+		t.Fatalf("BuildResponse of a summary-only result = %+v, want an error", resp)
+	}
+}
+
 // TestMemoryBudgetUnderLimitUnaffected: uploads within the budget take
 // the normal cached path and are byte-identical to a budget-less server.
 func TestMemoryBudgetUnderLimitUnaffected(t *testing.T) {

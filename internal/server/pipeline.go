@@ -352,11 +352,13 @@ func responseSize(v any) int64 {
 }
 
 // flight is the one analysis behind a cache key: admission, analysis and
-// encoding on the flight's own self-trace timeline. Admission is held
-// only here, so cache hits and coalesced followers never take a slot; the
-// flight context stays live while any coalesced request still waits, so
-// a queued analysis keeps its place even if the request that started it
-// gives up.
+// encoding on the flight's own self-trace timeline. The analysis leaves
+// its trace uncollected, since the response reads it only to hash it:
+// the encode phase runs the canonical merge straight into the
+// fingerprint. Admission is held only here, so cache hits and coalesced
+// followers never take a slot; the flight context stays live while any
+// coalesced request still waits, so a queued analysis keeps its place
+// even if the request that started it gives up.
 func (s *Server) flight(ctx context.Context, tr *trace.Trace, cal instr.Calibration, opts core.Options, inputSHA string) (*Response, error) {
 	sc := s.cfg.Recorder.Begin()
 	defer sc.End()
@@ -366,7 +368,7 @@ func (s *Server) flight(ctx context.Context, tr *trace.Trace, cal instr.Calibrat
 	}
 	defer s.release()
 	sc.Phase(spAnalyze)
-	analyzeFn := core.AnalyzeContext
+	analyzeFn := core.AnalyzeUncollected
 	if s.hookAnalyze != nil {
 		analyzeFn = s.hookAnalyze
 	}

@@ -37,8 +37,10 @@ type Response struct {
 	WaitsIntroduced int `json:"waits_introduced"`
 	// TraceSHA256 is the hex SHA-256 of the approximated trace's binary
 	// encoding: a byte-exact fingerprint of the full analysis output
-	// without shipping every event back. Absent only on degraded
-	// responses, where the approximated trace was never materialized.
+	// without shipping every event back. perturbd never collects that
+	// trace: the encoding streams into the hash from the engine's
+	// canonical merge (core.Events). Absent only on degraded responses,
+	// whose low-memory analysis keeps no events.
 	TraceSHA256 string `json:"trace_sha256,omitempty"`
 	// InputSHA256 is the content address of the request: the hex SHA-256
 	// of the uploaded trace's decoded events (codec-independent — the
@@ -85,15 +87,22 @@ type errorBody struct {
 
 // BuildResponse converts an analysis result into the wire response,
 // fingerprinting the approximated trace as the cache fingerprints an
-// input (cache.TraceSHA256). It is exported within the module so callers
-// comparing remote results against local Analyze runs build the reference
-// bytes through the same code path.
+// input (cache.TraceSHA256): a collected result's Trace, or else the
+// engine's canonical merge as it runs, which gives the same bytes. It is
+// exported within the module so callers comparing remote results against
+// local Analyze runs build the reference bytes through the same code
+// path. A result that kept no events (a low-memory stream's) is an
+// error.
 func BuildResponse(a *core.Approximation) (*Response, error) {
-	sum, err := cache.TraceSHA256(a.Trace)
+	procs, n, events, err := core.Events(a)
 	if err != nil {
 		return nil, err
 	}
-	resp := summaryResponse(a, a.Trace.Procs, a.Trace.Len())
+	sum, err := cache.EventsSHA256(procs, n, events)
+	if err != nil {
+		return nil, err
+	}
+	resp := summaryResponse(a, procs, n)
 	resp.TraceSHA256, resp.Confidence = sum, a.Confidence
 	if a.Repair != nil {
 		resp.Repair = &RepairSummary{

@@ -50,8 +50,12 @@ const streamBatchLen = 4096
 // streamed is the incremental engine. It holds an analysis slot for the
 // whole upload and feeds core.Stream as the body arrives, hashing the
 // bytes on the way through, so the client's checksum is verified at EOF
-// without buffering. The result cache is bypassed: its value is a whole
-// decoded trace, which this engine never materializes.
+// without buffering. The result cache is bypassed: it holds *Response
+// values keyed by the hash of the decoded upload, which is known only
+// once the whole upload has been read, and this engine analyzes the
+// upload while it arrives. Close leaves the approximated trace
+// uncollected, and the final line's fingerprint reads it from the
+// engine's canonical merge.
 //
 // On /v1/analyze/stream it writes NDJSON windows while the upload is
 // still in flight, then the batch-identical final line. A batch upload
@@ -149,7 +153,7 @@ func (s *Server) streamed(ctx context.Context, q *request) error {
 	}
 
 	q.sc.Phase(spClose)
-	approx, err := sess.Close(ctx)
+	approx, err := sess.CloseUncollected(ctx)
 	if err != nil {
 		return fmt.Errorf("analysis failed: %w", err)
 	}

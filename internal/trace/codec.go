@@ -1,9 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"iter"
+	"slices"
 )
 
 // Text codec
@@ -57,15 +59,12 @@ var binMagic = [8]byte{'P', 'T', 'R', 'A', 'C', 'E', '1', 0}
 // eventSize is the encoded size of one binary event record.
 const eventSize = 25
 
-func writeBinaryHeader(bw *bufio.Writer, procs int, count uint64) error {
-	if _, err := bw.Write(binMagic[:]); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(procs))
-	binary.LittleEndian.PutUint64(hdr[4:], count)
-	_, err := bw.Write(hdr[:])
-	return err
+// binaryHeader returns a 64 KB encoding buffer holding the binary
+// header.
+func binaryHeader(procs int, count uint64) []byte {
+	buf := append(make([]byte, 0, 1<<16), binMagic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(procs))
+	return binary.LittleEndian.AppendUint64(buf, count)
 }
 
 func encodeEvent(buf []byte, e *Event) {
@@ -92,20 +91,56 @@ func le32(b []byte) uint32 { return binary.LittleEndian.Uint32(b) }
 func le64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 // WriteBinary writes the trace in the binary format with an exact event
-// count in the header.
+// count in the header: WriteBinarySeq over the trace's own events.
 func (t *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeBinaryHeader(bw, t.Procs, uint64(len(t.Events))); err != nil {
+	return WriteBinarySeq(w, t.Procs, len(t.Events), slices.Values(t.Events))
+}
+
+// WriteBinarySeq writes a trace of procs processors in the binary format:
+// n as the header's event count, then one record per event events
+// yields, so a trace held in another order or form is encoded without
+// being collected first. It fails when events yields other than n
+// events.
+func WriteBinarySeq(w io.Writer, procs, n int, events iter.Seq[Event]) error {
+	buf, got, err := appendRecords(w, binaryHeader(procs, uint64(n)), events)
+	if err != nil {
 		return err
 	}
-	var buf [eventSize]byte
-	for i := range t.Events {
-		encodeEvent(buf[:], &t.Events[i])
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
+	if got != n {
+		return fmt.Errorf("trace: binary header counts %d events, the sequence yielded %d", n, got)
 	}
-	return bw.Flush()
+	return writeBuffered(w, buf)
+}
+
+// appendRecords is the binary codec's one encoding loop: it appends each
+// event of events to buf as one record, writing buf to w and starting
+// over whenever it is full, and returns the bytes left unwritten and how
+// many events it encoded.
+func appendRecords(w io.Writer, buf []byte, events iter.Seq[Event]) ([]byte, int, error) {
+	n := 0
+	for e := range events {
+		if len(buf) > cap(buf)-eventSize {
+			if err := writeBuffered(w, buf); err != nil {
+				return buf, n, err
+			}
+			buf = buf[:0]
+		}
+		k := len(buf)
+		buf = buf[:k+eventSize]
+		encodeEvent(buf[k:], &e)
+		n++
+	}
+	return buf, n, nil
+}
+
+// writeBuffered writes what an encoding buffer holds, if anything: an
+// empty write would block on a pipe until the reader takes it.
+func writeBuffered(w io.Writer, buf []byte) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // ReadBinary parses a trace in the binary format. It is the whole-trace

@@ -2,7 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,5 +193,66 @@ func TestBinaryStreamSentinel(t *testing.T) {
 	truncated := buf.Bytes()[:buf.Len()-7]
 	if _, err := trace.ReadBinary(bytes.NewReader(truncated)); err == nil {
 		t.Error("truncated streamed record: expected error")
+	}
+}
+
+// TestWriteBinarySeq: the sequence encoder writes WriteBinary's bytes
+// from any sequence of a trace's events, on every golden trace (and the
+// checked-in binary goldens byte for byte) and on testgen.Corpus, and it
+// refuses a header count the sequence does not yield.
+func TestWriteBinarySeq(t *testing.T) {
+	golden := filepath.Join("..", "..", "testdata", "golden")
+	corpus, err := testgen.Corpus(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, err := filepath.Glob(filepath.Join(golden, "*.bin"))
+	if err != nil || len(bins) == 0 {
+		t.Fatalf("no binary goldens (%v)", err)
+	}
+	wantBytes := map[string][]byte{} // golden name -> its checked-in encoding
+	for _, path := range bins {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBytes[strings.TrimSuffix(filepath.Base(path), ".bin")] = b
+	}
+	pinned := 0
+	for _, c := range corpus {
+		tr := c.Trace
+		// A sequence that is not the trace's own slice: a copy, yielded
+		// one event at a time.
+		events := func(yield func(trace.Event) bool) {
+			for _, e := range tr.Clone().Events {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+		var want, got bytes.Buffer
+		if err := tr.WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteBinarySeq(&got, tr.Procs, tr.Len(), events); err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: the sequence encoder's bytes differ from WriteBinary's", c.Name)
+		}
+		if b, ok := wantBytes[strings.TrimSuffix(c.Name, ".txt")]; ok {
+			pinned++
+			if !bytes.Equal(got.Bytes(), b) {
+				t.Errorf("%s: the sequence encoder's bytes differ from the binary golden", c.Name)
+			}
+		}
+		for _, n := range []int{tr.Len() - 1, tr.Len() + 1} {
+			if err := trace.WriteBinarySeq(io.Discard, tr.Procs, n, events); err == nil {
+				t.Fatalf("%s: a header count of %d for %d events was accepted", c.Name, n, tr.Len())
+			}
+		}
+	}
+	if pinned != len(bins) {
+		t.Errorf("compared %d binary goldens, want all %d", pinned, len(bins))
 	}
 }

@@ -542,30 +542,31 @@ func (b *binReader) endOfInput(got int, err error) error {
 	return fmt.Errorf("trace: event %d: %w", b.read, err)
 }
 
+// binWriter buffers encoded records for w, 64 KB at a time.
 type binWriter struct {
-	bw *bufio.Writer
+	w   io.Writer
+	buf []byte // encoded, not yet written
 }
 
 // NewBinaryWriter writes a binary stream header (with the unknown-length
 // sentinel count) and returns a streaming writer.
 func NewBinaryWriter(w io.Writer, procs int) (Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if err := writeBinaryHeader(bw, procs, streamCount); err != nil {
-		return nil, err
-	}
-	return &binWriter{bw: bw}, nil
+	return &binWriter{w: w, buf: binaryHeader(procs, streamCount)}, nil
 }
 
 func (b *binWriter) Write(batch []Event) error {
-	var rec [eventSize]byte
-	for i := range batch {
-		encodeEvent(rec[:], &batch[i])
-		if _, err := b.bw.Write(rec[:]); err != nil {
-			return err
-		}
+	var err error
+	if b.buf, _, err = appendRecords(b.w, b.buf, slices.Values(batch)); err != nil {
+		return err
 	}
 	noteWrite(len(batch), int64(len(batch))*eventSize)
 	return nil
 }
 
-func (b *binWriter) Flush() error { return b.bw.Flush() }
+func (b *binWriter) Flush() error {
+	if err := writeBuffered(b.w, b.buf); err != nil {
+		return err
+	}
+	b.buf = b.buf[:0]
+	return nil
+}
