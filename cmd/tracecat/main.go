@@ -87,20 +87,10 @@ func validateOptions(o options, args []string) error {
 	if o.proc < -1 {
 		return fmt.Errorf("-proc must be a processor number or -1 (no filter), got %d", o.proc)
 	}
-	if o.kind != "" && !knownKind(o.kind) {
+	if _, ok := kindNamed(o.kind); o.kind != "" && !ok {
 		return fmt.Errorf("unknown event kind %q (e.g. compute, advance, awaitB)", o.kind)
 	}
 	return nil
-}
-
-// knownKind reports whether name is one of the defined event kinds.
-func knownKind(name string) bool {
-	for k := perturb.Kind(0); k.Valid(); k++ {
-		if k.String() == name {
-			return true
-		}
-	}
-	return false
 }
 
 func run(w io.Writer, o options, path string) error {
@@ -197,7 +187,7 @@ func pushdown(o options) perturb.TraceBlockFilter {
 	return f
 }
 
-// kindNamed resolves a kind name, mirroring knownKind.
+// kindNamed resolves the name of a defined event kind.
 func kindNamed(name string) (perturb.Kind, bool) {
 	for k := perturb.Kind(0); k.Valid(); k++ {
 		if k.String() == name {

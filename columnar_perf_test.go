@@ -3,6 +3,7 @@ package perturb_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"perturb"
@@ -140,6 +141,39 @@ func TestColumnarDecodeThroughput(t *testing.T) {
 	t.Logf("columnar full-decode speedup over row binary: %v", res)
 	if res.Wall.Median < 2 {
 		t.Errorf("columnar full-decode speedup %.2fx (wall median) vs row binary, want >= 2x", res.Wall.Median)
+	}
+}
+
+// TestColumnarDecodeAllocationPerEvent bounds what a whole-trace decode
+// of the million-event trace allocates per event: the decoded events'
+// 48 B, plus the encoded payloads, each read into a slice of its own and
+// held until every block is decoded, and each decoding worker's column
+// scratch. Not parallel: it reads the process-wide allocation counter.
+func TestColumnarDecodeAllocationPerEvent(t *testing.T) {
+	tr, _ := bigWorkload()
+	var col bytes.Buffer
+	if err := tr.WriteColumnar(&col); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	r, err := perturb.NewTraceReader(bytes.NewReader(col.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := perturb.ReadTrace(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if dec.Len() != tr.Len() {
+		t.Fatalf("decoded %d events, want %d", dec.Len(), tr.Len())
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(tr.Len())
+	t.Logf("%d events, %d encoded bytes: %.2f B/event allocated", tr.Len(), col.Len(), perEvent)
+	if perEvent > 54 {
+		t.Errorf("whole-trace columnar decode allocated %.2f B/event, bound 54", perEvent)
 	}
 }
 

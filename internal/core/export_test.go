@@ -33,9 +33,10 @@ func BatchTimes(m *trace.Trace, cal instr.Calibration, mode Mode, degraded bool)
 	return g.log.ta[0], nil
 }
 
-// StreamTimes returns the approximated time of each event a closed
-// session analyzed, in arrival order, from its engine's log; nil for a
-// low-memory session, which keeps none.
+// StreamTimes returns the approximated time of each event a session
+// closed by CloseUncollected analyzed, in arrival order, from its
+// engine's log; nil for a low-memory session, which keeps none, and once
+// Close has collected the trace and let the log go.
 func StreamTimes(s *Stream) []trace.Time {
 	var out []trace.Time
 	for _, ta := range s.g.log.ta {

@@ -228,13 +228,16 @@ func FuzzAnalyze(f *testing.F) {
 			wins = append(wins, s.Windows()...)
 		}
 		var closed *core.Approximation
+		var times []trace.Time
 		if err == nil {
 			closed, err = s.CloseUncollected(context.Background())
 			wins = append(wins, s.Windows()...)
 		}
 		if err == nil {
-			// Read before Close collects the same result in place.
+			// Read before Close collects the same result in place and
+			// lets the engine's log go.
 			p, pErr := readFingerprint(closed)
+			times = core.StreamTimes(s)
 			if got, err = s.Close(context.Background()); got != closed || err != nil {
 				t.Fatalf("stream: Close after CloseUncollected returned %p, %v; want the same result %p", got, err, closed)
 			}
@@ -266,7 +269,7 @@ func FuzzAnalyze(f *testing.F) {
 			if err != nil {
 				break
 			}
-			assertSameTimes(t, "stream", wantTA, core.StreamTimes(s))
+			assertSameTimes(t, "stream", wantTA, times)
 			if !reflect.DeepEqual(got.Confidence, want.Confidence) {
 				t.Fatalf("stream: confidence %+v, oracle %+v", got.Confidence, want.Confidence)
 			}

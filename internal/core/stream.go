@@ -1673,9 +1673,15 @@ func (s *Stream) Windows() []WindowResult {
 // AnalyzeContext's own repair path (analyzeRepaired) over its buffered
 // feed. Remaining windows become available via Windows afterwards. Close
 // is idempotent: repeated calls return the same result, and after
-// CloseUncollected it collects that result's trace.
+// CloseUncollected it collects that result's trace. Once it has, the
+// session keeps only what Windows, Procs and Events read: the engine's
+// log, its resolution state and a repairing session's buffered feed go.
 func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
-	return collect(s.CloseUncollected(ctx))
+	a, err := collect(s.CloseUncollected(ctx))
+	if err == nil {
+		s.g, s.buf = &engine{ps: s.g.ps, n: s.g.n, winQ: s.g.winQ}, nil
+	}
+	return a, err
 }
 
 // CloseUncollected is Close without collecting the approximated trace:

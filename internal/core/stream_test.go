@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"perturb/internal/cache"
 	"perturb/internal/core"
@@ -711,6 +712,40 @@ func TestStreamRetainedMemoryPerEvent(t *testing.T) {
 	t.Logf("%d events: %.1f B/event allocated", m.Len(), perEvent)
 	if perEvent > 200 {
 		t.Errorf("retained session allocated %.1f B/event, bound 200", perEvent)
+	}
+}
+
+// TestClosedStreamHoldsOnlyItsTrace: a closed session keeps what
+// Windows, Procs and Events still read, and not the engine's log behind
+// the trace Close collected. With the session and its result held, the
+// live heap they add, read after a GC, may exceed the trace's 48 B per
+// event by 10%. Not parallel: it reads the process-wide heap.
+func TestClosedStreamHoldsOnlyItsTrace(t *testing.T) {
+	m, cal := memoryProgram(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := feedMemoryProgram(t, m, cal, false)
+	a, err := s.Close(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Windows()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	limit := 1.1 * float64(a.Trace.Len()) * float64(unsafe.Sizeof(trace.Event{}))
+	t.Logf("the closed session and its result hold %.0f bytes live, %.1f B/event", held, held/float64(m.Len()))
+	if held > limit {
+		t.Errorf("the closed session and its result hold %.0f bytes live, the trace's events plus 10%% is %.0f", held, limit)
+	}
+	if s.Procs() != m.Procs || s.Events() != m.Len() || len(s.Windows()) != 0 {
+		t.Errorf("closed session reports %d procs, %d events; want %d, %d and no windows left", s.Procs(), s.Events(), m.Procs, m.Len())
+	}
+	for _, again := range []func(context.Context) (*core.Approximation, error){s.Close, s.CloseUncollected} {
+		if b, err := again(context.Background()); b != a || err != nil {
+			t.Errorf("closing again gave %p, %v; want the first result %p", b, err, a)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // repairDigest is the SHA-256 of every repair in repairCorpus: each
 // repaired trace's binary encoding, each defect's String, the three
 // modification counts and PerProc in processor order.
-const repairDigest = "a83a61d6d296ff1c9aa640524f95953121d6a18c7b074ca3fbc629f682e9f90e"
+const repairDigest = "9deebf6092ea759af905ebc43354a7337de4c04e42458d42e2e20b8b62050a3a"
 
 // digestSpecs are the fault specs every simulated trace of the digest
 // corpus is damaged under: uniform faults at 1, 2 and 5%, drops alone at

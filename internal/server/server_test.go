@@ -245,6 +245,22 @@ func TestAnalyzeQueryErrors(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRefusesColumnarBlockFlags: a columnar upload whose block
+// sets the reserved flags byte is malformed input, a 400 like any other.
+func TestAnalyzeRefusesColumnarBlockFlags(t *testing.T) {
+	var buf bytes.Buffer
+	if err := testTrace(t, 3).WriteColumnar(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	body[12+1+30] = 1 // the first block's flags, after the magic, procs and marker
+	_, base := startServer(t, Config{MaxConcurrency: 2})
+	resp, b := post(t, base+"/v1/analyze", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "block flags") {
+		t.Errorf("status = %d (body %s), want 400 naming the block flags", resp.StatusCode, b)
+	}
+}
+
 func TestAnalyzeBodyTooLarge(t *testing.T) {
 	tr := testTrace(t, 3)
 	body := traceBody(t, tr)

@@ -3,13 +3,13 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -21,13 +21,13 @@ import (
 // The third trace format is columnar and block oriented, built for the
 // 10^8..10^9-event scale where the row codecs' fixed 25 bytes/event and
 // full-stream decode dominate analysis cost. Events are grouped into
-// fixed-size blocks (colBlockSize events); within a block each Event field
-// is stored as its own column stream with the cheapest of four integer
-// encodings (constant, delta varint, run-length delta, bit-packed), chosen
-// per column per block. Every block is prefixed with a small header
-// carrying a min/max index over time and processor plus an event-kind
-// bitmask, so a reader can decide from 36 bytes whether a block can
-// contain anything a query wants and skip the payload wholesale
+// blocks of colBlockSize events (the last may hold fewer); within a block
+// each Event field is stored as its own column stream with the cheapest of
+// four integer encodings (constant, delta varint, run-length delta,
+// bit-packed), chosen per column per block. Every block is prefixed with a
+// small header carrying a min/max index over time and processor plus an
+// event-kind bitmask, so a reader can decide from 36 bytes whether a block
+// can contain anything a query wants and skip the payload wholesale
 // (bufio.Discard, no decode, no allocation).
 //
 // Layout:
@@ -45,7 +45,7 @@ import (
 //	procMin    int32   minimum Proc in the block
 //	procMax    int32   maximum Proc in the block
 //	kindMask   uint16  bit k set iff some event has Kind k
-//	flags      uint8   bit 0: payload is DEFLATE-compressed
+//	flags      uint8   reserved, always 0; a reader refuses any other value
 //	payloadLen uint32  encoded payload bytes that follow
 //
 // The payload is six column sections in field order (Time, Stmt, Proc,
@@ -58,18 +58,14 @@ import (
 //
 // The column encodings are the compression: on simulator-shaped traces
 // they reach well past the 10x target without a general-purpose
-// compressor (see EXPERIMENTS.md). ColumnarOptions.Flate adds a per-block
-// DEFLATE layer on top for free-form traces; the flag travels in the
-// block header, so readers handle both transparently. The default (and
-// the golden fixtures) stay DEFLATE-free so the on-disk bytes cannot
-// drift with the standard library's compressor.
+// compressor (see EXPERIMENTS.md).
 
 var colMagic = [8]byte{'P', 'T', 'R', 'C', 'O', 'L', '1', 0}
 
 const (
-	// colBlockSize is the default events-per-block. 4096 matches the
-	// streaming batch size used throughout the repo: one Read of the
-	// default ReadAll batch consumes exactly one block.
+	// colBlockSize is the events per block. 4096 matches the streaming
+	// batch size used throughout the repo: one Read of the default ReadAll
+	// batch consumes exactly one block.
 	colBlockSize = 4096
 	// colMaxBlockEvents caps the per-block event count a reader will
 	// accept: a corrupt header must not provoke an unbounded allocation.
@@ -84,9 +80,6 @@ const (
 
 	colBlockMarker = 'B'
 	colEndMarker   = 'E'
-
-	// flag bits
-	colFlagFlate = 1 << 0
 )
 
 // Column encoding tags. The writer picks, per column per block, whichever
@@ -134,49 +127,28 @@ func uvarintLen(u uint64) int {
 	return n
 }
 
-// ColumnarOptions configures NewColumnarWriterOpts.
-type ColumnarOptions struct {
-	// BlockSize is the events-per-block target; 0 means the 4096 default.
-	// Smaller blocks index finer (better skipping) at more header
-	// overhead.
-	BlockSize int
-	// Flate adds a per-block DEFLATE layer over the column payload when
-	// it actually shrinks the block. Off by default: the column encodings
-	// alone meet the compression targets on simulator-shaped traces, and
-	// the golden fixtures must not depend on compress/flate's output
-	// bytes.
-	Flate bool
-}
-
 // ColumnarWriter streams events into the columnar block format. It
 // implements Writer; Flush terminates the stream with the end marker, so
 // it must be called exactly once, after the last Write.
 type ColumnarWriter struct {
 	bw    *bufio.Writer
-	opts  ColumnarOptions
+	size  int     // events per block
 	pend  []Event // buffered events of the unfinished block
 	cols  [colNumColumns][]int64
 	buf   []byte // reusable payload scratch
-	fbuf  bytes.Buffer
-	fw    *flate.Writer
 	done  bool
 	nblks int64
 }
 
-// NewColumnarWriter writes the columnar stream header with default
-// options and returns the streaming writer.
+// NewColumnarWriter writes the columnar stream header and returns the
+// streaming writer.
 func NewColumnarWriter(w io.Writer, procs int) (*ColumnarWriter, error) {
-	return NewColumnarWriterOpts(w, procs, ColumnarOptions{})
+	return newColumnarWriter(w, procs, colBlockSize)
 }
 
-// NewColumnarWriterOpts is NewColumnarWriter with explicit options.
-func NewColumnarWriterOpts(w io.Writer, procs int, opts ColumnarOptions) (*ColumnarWriter, error) {
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = colBlockSize
-	}
-	if opts.BlockSize > colMaxBlockEvents {
-		opts.BlockSize = colMaxBlockEvents
-	}
+// newColumnarWriter is NewColumnarWriter with blocks of size events, so
+// that tests cover multi-block streams on small traces.
+func newColumnarWriter(w io.Writer, procs, size int) (*ColumnarWriter, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(colMagic[:]); err != nil {
 		return nil, err
@@ -186,7 +158,7 @@ func NewColumnarWriterOpts(w io.Writer, procs int, opts ColumnarOptions) (*Colum
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &ColumnarWriter{bw: bw, opts: opts}, nil
+	return &ColumnarWriter{bw: bw, size: size}, nil
 }
 
 // Write buffers the batch and emits every complete block. Full blocks are
@@ -197,24 +169,24 @@ func (c *ColumnarWriter) Write(batch []Event) error {
 		return fmt.Errorf("trace: columnar writer already flushed")
 	}
 	if len(c.pend) > 0 {
-		need := c.opts.BlockSize - len(c.pend)
+		need := c.size - len(c.pend)
 		if need > len(batch) {
 			need = len(batch)
 		}
 		c.pend = append(c.pend, batch[:need]...)
 		batch = batch[need:]
-		if len(c.pend) == c.opts.BlockSize {
+		if len(c.pend) == c.size {
 			if err := c.writeBlock(c.pend); err != nil {
 				return err
 			}
 			c.pend = c.pend[:0]
 		}
 	}
-	for len(batch) >= c.opts.BlockSize {
-		if err := c.writeBlock(batch[:c.opts.BlockSize]); err != nil {
+	for len(batch) >= c.size {
+		if err := c.writeBlock(batch[:c.size]); err != nil {
 			return err
 		}
-		batch = batch[c.opts.BlockSize:]
+		batch = batch[c.size:]
 	}
 	c.pend = append(c.pend, batch...)
 	return nil
@@ -274,43 +246,14 @@ func (c *ColumnarWriter) writeBlock(events []Event) error {
 		if e.Proc > maxP {
 			maxP = e.Proc
 		}
-		if e.Kind < 16 {
-			kindMask |= 1 << e.Kind
-		} else {
-			// Undefined kinds (writable via a hand-built Event) share the
-			// top bit so the index never lies about what a block holds.
-			kindMask |= 1 << 15
-		}
+		kindMask |= kindBit(e.Kind)
 	}
 
 	payload := c.buf[:0]
 	for _, col := range c.cols {
 		payload = appendColumn(payload, col)
 	}
-
-	flags := uint8(0)
-	if c.opts.Flate {
-		c.fbuf.Reset()
-		if c.fw == nil {
-			c.fw, _ = flate.NewWriter(&c.fbuf, flate.BestSpeed)
-		} else {
-			c.fw.Reset(&c.fbuf)
-		}
-		if _, err := c.fw.Write(payload); err != nil {
-			return err
-		}
-		if err := c.fw.Close(); err != nil {
-			return err
-		}
-		if c.fbuf.Len() < len(payload) {
-			flags |= colFlagFlate
-			c.buf = payload // keep the scratch for the next block
-			payload = c.fbuf.Bytes()
-		}
-	}
-	if flags&colFlagFlate == 0 {
-		c.buf = payload
-	}
+	c.buf = payload
 
 	var hdr [1 + colHeaderLen]byte
 	hdr[0] = colBlockMarker
@@ -320,7 +263,6 @@ func (c *ColumnarWriter) writeBlock(events []Event) error {
 	binary.LittleEndian.PutUint32(hdr[21:], uint32(int32(clampInt32(minP))))
 	binary.LittleEndian.PutUint32(hdr[25:], uint32(int32(clampInt32(maxP))))
 	binary.LittleEndian.PutUint16(hdr[29:], kindMask)
-	hdr[31] = flags
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(len(payload)))
 	if _, err := c.bw.Write(hdr[:]); err != nil {
 		return err
@@ -513,47 +455,26 @@ type BlockFilter struct {
 	ForceKinds []Kind
 }
 
+// kindBit is kind k's bit in a block's kind mask. Undefined kinds
+// (writable via a hand-built Event) share the top bit, so the index never
+// lies about what a block holds.
+func kindBit(k Kind) uint16 {
+	return 1 << min(k, 15)
+}
+
 // keepBlock reports whether a block with the given index entries can
 // contain an event the filter wants.
 func (f *BlockFilter) keepBlock(minT, maxT Time, procMin, procMax int, kindMask uint16) bool {
-	for _, k := range f.ForceKinds {
-		if k < 16 && kindMask&(1<<k) != 0 {
-			return true
-		}
-		if k >= 16 && kindMask&(1<<15) != 0 {
-			return true
-		}
-	}
-	if f.HasWindow && (minT > f.To || maxT < f.From) {
+	inMask := func(k Kind) bool { return kindMask&kindBit(k) != 0 }
+	switch {
+	case slices.ContainsFunc(f.ForceKinds, inMask):
+		return true
+	case f.HasWindow && (minT > f.To || maxT < f.From):
 		return false
-	}
-	if f.Procs != nil {
-		ok := false
-		for _, p := range f.Procs {
-			if p >= procMin && p <= procMax {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if f.Kinds != nil {
-		ok := false
-		for _, k := range f.Kinds {
-			if k < 16 && kindMask&(1<<k) != 0 {
-				ok = true
-				break
-			}
-			if k >= 16 && kindMask&(1<<15) != 0 {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
+	case f.Procs != nil && !slices.ContainsFunc(f.Procs, func(p int) bool { return p >= procMin && p <= procMax }):
+		return false
+	case f.Kinds != nil && !slices.ContainsFunc(f.Kinds, inMask):
+		return false
 	}
 	return true
 }
@@ -567,21 +488,12 @@ type ColumnarReader struct {
 
 	blk     []Event // decoded current block
 	blkPos  int
-	payload []byte
-	dec     colDecoder
+	payload []byte  // the current block's payload
+	scratch []int64 // decodeBlockInto's columns
 
 	blocksRead int64
 	blocksSkip int64
-	skippedB   int64
 	err        error
-}
-
-// colDecoder holds the per-goroutine scratch state for decoding block
-// payloads; the bulk read path gives each worker its own.
-type colDecoder struct {
-	scratch []int64
-	fr      io.ReadCloser // reusable flate reader
-	raw     []byte        // flate output scratch
 }
 
 // NewColumnarReader parses the columnar header and returns a streaming
@@ -663,53 +575,49 @@ var errBlockPending = errors.New("trace: next block not yet buffered")
 // It returns the encoded bytes consumed (headers of skipped blocks
 // included; their discarded payloads are tallied separately).
 func (c *ColumnarReader) nextBlock(wait bool) (int64, error) {
-	payload, count, compressed, consumed, err := c.readBlockRaw(wait)
+	payload, count, consumed, err := c.readBlockRaw(wait, c.payload)
 	if err != nil {
 		return consumed, err
 	}
-	if compressed {
-		if payload, err = c.dec.inflate(payload); err != nil {
-			return consumed, err
-		}
-	}
+	c.payload = payload
 	if cap(c.blk) < count {
 		c.blk = make([]Event, count)
 	}
 	c.blk = c.blk[:count]
 	c.blkPos = 0
-	return consumed, c.dec.decodeBlockInto(payload, c.blk)
+	return consumed, decodeBlockInto(payload, c.blk, &c.scratch)
 }
 
 // readBlockRaw reads through the stream to the next block the filter
-// keeps and returns its still-encoded payload (scratch-backed, valid
-// until the next call), event count and compression flag, plus the
-// encoded bytes consumed. It returns io.EOF at the end marker. Unless
-// wait is set, it starts a block only once its marker, header and
-// payload are all buffered, and returns errBlockPending otherwise.
-func (c *ColumnarReader) readBlockRaw(wait bool) (payload []byte, count int, compressed bool, consumed int64, err error) {
+// keeps and returns its still-encoded payload, read into buf when it has
+// the capacity and into a new slice otherwise, and its event count, plus
+// the encoded bytes consumed. It returns io.EOF at the end marker. Unless
+// wait is set, it starts a block only once its marker, header and payload
+// are all buffered, and returns errBlockPending otherwise.
+func (c *ColumnarReader) readBlockRaw(wait bool, buf []byte) (payload []byte, count int, consumed int64, err error) {
 	for {
 		if !wait && !c.blockBuffered() {
-			return nil, 0, false, consumed, errBlockPending
+			return nil, 0, consumed, errBlockPending
 		}
 		marker, err := c.br.ReadByte()
 		if err != nil {
 			if err == io.EOF {
-				return nil, 0, false, consumed, fmt.Errorf("%w: missing end marker", ErrTruncatedTrace)
+				return nil, 0, consumed, fmt.Errorf("%w: missing end marker", ErrTruncatedTrace)
 			}
-			return nil, 0, false, consumed, err
+			return nil, 0, consumed, err
 		}
 		consumed++
 		switch marker {
 		case colEndMarker:
-			return nil, 0, false, consumed, io.EOF
+			return nil, 0, consumed, io.EOF
 		case colBlockMarker:
 		default:
-			return nil, 0, false, consumed, fmt.Errorf("%w: bad block marker 0x%02x", ErrMalformedTrace, marker)
+			return nil, 0, consumed, fmt.Errorf("%w: bad block marker 0x%02x", ErrMalformedTrace, marker)
 		}
 
 		var hdr [colHeaderLen]byte
 		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-			return nil, 0, false, consumed, fmt.Errorf("trace: block header: %w", err)
+			return nil, 0, consumed, fmt.Errorf("trace: block header: %w", err)
 		}
 		consumed += colHeaderLen
 		n := le32(hdr[0:])
@@ -718,21 +626,22 @@ func (c *ColumnarReader) readBlockRaw(wait bool) (payload []byte, count int, com
 		procMin := int(int32(le32(hdr[20:])))
 		procMax := int(int32(le32(hdr[24:])))
 		kindMask := binary.LittleEndian.Uint16(hdr[28:])
-		flags := hdr[30]
 		payloadLen := le32(hdr[31:])
+		if flags := hdr[30]; flags != 0 {
+			return nil, 0, consumed, fmt.Errorf("%w: block flags 0x%02x, want 0", ErrMalformedTrace, flags)
+		}
 		if n > colMaxBlockEvents {
-			return nil, 0, false, consumed, fmt.Errorf("%w: implausible block event count %d", ErrMalformedTrace, n)
+			return nil, 0, consumed, fmt.Errorf("%w: implausible block event count %d", ErrMalformedTrace, n)
 		}
 		if payloadLen > colMaxPayload {
-			return nil, 0, false, consumed, fmt.Errorf("%w: implausible block payload size %d", ErrMalformedTrace, payloadLen)
+			return nil, 0, consumed, fmt.Errorf("%w: implausible block payload size %d", ErrMalformedTrace, payloadLen)
 		}
 
 		if !c.filter.keepBlock(minT, maxT, procMin, procMax, kindMask) {
 			if _, err := c.br.Discard(int(payloadLen)); err != nil {
-				return nil, 0, false, consumed, fmt.Errorf("trace: skipping block: %w", err)
+				return nil, 0, consumed, fmt.Errorf("trace: skipping block: %w", err)
 			}
 			c.blocksSkip++
-			c.skippedB += int64(payloadLen)
 			if obs.Enabled() {
 				obsReadBlocksSkip.Add(1)
 				obsReadSkippedBytes.Add(int64(payloadLen))
@@ -740,19 +649,19 @@ func (c *ColumnarReader) readBlockRaw(wait bool) (payload []byte, count int, com
 			continue
 		}
 
-		if cap(c.payload) < int(payloadLen) {
-			c.payload = make([]byte, payloadLen)
+		if cap(buf) < int(payloadLen) {
+			buf = make([]byte, payloadLen)
 		}
-		c.payload = c.payload[:payloadLen]
-		if _, err := io.ReadFull(c.br, c.payload); err != nil {
-			return nil, 0, false, consumed, fmt.Errorf("trace: block payload: %w", err)
+		payload = buf[:payloadLen]
+		if _, err := io.ReadFull(c.br, payload); err != nil {
+			return nil, 0, consumed, fmt.Errorf("trace: block payload: %w", err)
 		}
 		consumed += int64(payloadLen)
 		c.blocksRead++
 		if obs.Enabled() {
 			obsReadBlocks.Add(1)
 		}
-		return c.payload, int(n), flags&colFlagFlate != 0, consumed, nil
+		return payload, int(n), consumed, nil
 	}
 }
 
@@ -772,30 +681,14 @@ func (c *ColumnarReader) blockBuffered() bool {
 	return uint64(len(buf)) >= 1+colHeaderLen+uint64(le32(buf[1+31:]))
 }
 
-// inflate decompresses a flate block payload into the reusable scratch
-// buffer, enforcing the payload size cap.
-func (d *colDecoder) inflate(payload []byte) ([]byte, error) {
-	if d.fr == nil {
-		d.fr = flate.NewReader(bytes.NewReader(payload))
-	} else {
-		d.fr.(flate.Resetter).Reset(bytes.NewReader(payload), nil)
-	}
-	d.raw = d.raw[:0]
-	var err error
-	if d.raw, err = readAllInto(d.raw, d.fr, colMaxPayload); err != nil {
-		return nil, fmt.Errorf("%w: inflating block: %v", ErrMalformedTrace, err)
-	}
-	return d.raw, nil
-}
-
 // readAllEvents is the whole-trace fast path ReadAllContext dispatches
 // to. Column decoding is cheap next to the allocator traffic a streaming
 // drain pays — growth reallocation alone copies the event slice several
-// times over — so this path first buffers the surviving blocks'
-// still-encoded payloads (costing about the encoded size, an order of
-// magnitude below the decoded events), learns the exact event count, and
-// then decodes every block straight into its final position in one
-// allocation.
+// times over — so this path first reads the surviving blocks' still-encoded
+// payloads, each into its own slice (together about the encoded size, an
+// order of magnitude below the decoded events), learns the exact event
+// count, and then decodes every block straight into its final position in
+// one allocation.
 func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 	t := New(c.procs)
 	// Events already decoded by interleaved streaming Reads come first.
@@ -808,14 +701,12 @@ func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 		}
 		return nil, c.err
 	}
-	type pend struct {
-		off, len   int
-		count      int
-		compressed bool
+	type block struct {
+		payload    []byte
+		start, end int // the block's range of t.Events
 	}
 	var (
-		pending  []pend
-		arena    []byte
+		blocks   []block
 		total    = len(head)
 		consumed int64
 	)
@@ -823,7 +714,7 @@ func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 		if err := check(); err != nil {
 			return nil, err
 		}
-		payload, n, compressed, b, err := c.readBlockRaw(true)
+		payload, n, b, err := c.readBlockRaw(true, nil)
 		consumed += b
 		if err == io.EOF {
 			break
@@ -832,67 +723,37 @@ func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 			c.err = err
 			return nil, err
 		}
-		pending = append(pending, pend{off: len(arena), len: len(payload), count: n, compressed: compressed})
-		arena = append(arena, payload...)
+		blocks = append(blocks, block{payload: payload, start: total, end: total + n})
 		total += n
 	}
 	c.err = io.EOF
 
 	t.Events = make([]Event, total)
 	copy(t.Events, head)
-	starts := make([]int, len(pending))
-	pos := len(head)
-	for i, p := range pending {
-		starts[i] = pos
-		pos += p.count
-	}
 
 	// Blocks are self-contained and land in disjoint ranges of the event
-	// slice, so phase two decodes them concurrently, each worker with its
-	// own scratch decoder.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers > colMaxDecodeWorkers {
-		workers = colMaxDecodeWorkers
-	}
+	// slice, so phase two decodes them concurrently: the workers take
+	// blocks from one cursor, each with its own column scratch and first
+	// error, and the caller is one of them. A failure moves the cursor
+	// past the last block, so every worker stops at its next take.
+	workers := min(runtime.GOMAXPROCS(0), len(blocks), colMaxDecodeWorkers)
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		errMu    sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
+		next atomic.Int64
+		errs = make([]error, workers)
+		wg   sync.WaitGroup
 	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	decode := func(d *colDecoder) {
-		for !stop.Load() {
+	decode := func(w int, scratch *[]int64) {
+		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(pending) {
+			if i >= len(blocks) {
 				return
 			}
-			if err := check(); err != nil {
-				fail(err)
-				return
+			b := blocks[i]
+			if errs[w] = check(); errs[w] == nil {
+				errs[w] = decodeBlockInto(b.payload, t.Events[b.start:b.end], scratch)
 			}
-			p := pending[i]
-			payload := arena[p.off : p.off+p.len]
-			if p.compressed {
-				var err error
-				if payload, err = d.inflate(payload); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if err := d.decodeBlockInto(payload, t.Events[starts[i]:starts[i]+p.count]); err != nil {
-				fail(err)
+			if errs[w] != nil {
+				next.Store(int64(len(blocks)))
 				return
 			}
 		}
@@ -901,52 +762,34 @@ func (c *ColumnarReader) readAllEvents(check func() error) (*Trace, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var d colDecoder
-			decode(&d)
+			var scratch []int64
+			decode(w, &scratch)
 		}()
 	}
 	if workers > 0 {
-		decode(&c.dec)
+		decode(0, &c.scratch)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		c.err = firstErr
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			c.err = err
+			return nil, err
+		}
 	}
 	noteRead(total, total, consumed)
 	return t, nil
 }
 
-// readAllInto drains r into buf with a hard size cap.
-func readAllInto(buf []byte, r io.Reader, max int) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if len(buf) > max {
-			return nil, fmt.Errorf("inflated payload exceeds %d bytes", max)
-		}
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-}
-
-// decodeBlockInto decodes the six column sections into the
-// caller-provided event slice (one slot per event of the block).
-func (d *colDecoder) decodeBlockInto(payload []byte, blk []Event) error {
+// decodeBlockInto decodes a block's six column sections into blk, one
+// slot per event of the block, through the column scratch *scratch.
+func decodeBlockInto(payload []byte, blk []Event, scratch *[]int64) error {
 	n := len(blk)
 	// One cache line of padding between columns: with the default block
 	// size the columns would otherwise sit exactly 32KiB apart and map to
 	// the same cache sets, making the assembly pass thrash.
 	stride := n + 8
-	if cap(d.scratch) < colNumColumns*stride {
-		d.scratch = make([]int64, colNumColumns*stride)
+	if cap(*scratch) < colNumColumns*stride {
+		*scratch = make([]int64, colNumColumns*stride)
 	}
 	// Decode each column into its own scratch slice, then assemble whole
 	// events in a single pass: one contiguous 48-byte store per event
@@ -954,7 +797,7 @@ func (d *colDecoder) decodeBlockInto(payload []byte, blk []Event) error {
 	var cols [colNumColumns][]int64
 	pos := 0
 	for ci := 0; ci < colNumColumns; ci++ {
-		cols[ci] = d.scratch[ci*stride : ci*stride+n : ci*stride+n]
+		cols[ci] = (*scratch)[ci*stride : ci*stride+n : ci*stride+n]
 		var err error
 		pos, err = decodeColumn(payload, pos, cols[ci])
 		if err != nil {
@@ -1183,24 +1026,7 @@ func decodePacked(data []byte, col []int64) error {
 	return nil
 }
 
-// NewFilteredReader is NewReader with columnar scan pushdown: when the
-// stream is columnar, blocks the filter rules out are skipped undecoded.
-// Text and binary input decode whole — the filter is block-granular and
-// advisory, so callers must row-filter the events they receive either way.
-func NewFilteredReader(r io.Reader, f BlockFilter) (Reader, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	magic, err := br.Peek(len(colMagic))
-	if err == nil && bytes.Equal(magic, colMagic[:]) {
-		return NewColumnarFilterReader(br, f)
-	}
-	return NewReader(br)
-}
-
-// WriteColumnar writes the trace in the columnar block format with
-// default options.
+// WriteColumnar writes the trace in the columnar block format.
 func (t *Trace) WriteColumnar(w io.Writer) error {
 	cw, err := NewColumnarWriter(w, t.Procs)
 	if err != nil {

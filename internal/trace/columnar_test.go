@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -10,12 +12,12 @@ import (
 	"perturb/internal/trace"
 )
 
-// colRoundTrip encodes with the given options and decodes whole, failing
-// on any drift.
-func colRoundTrip(t *testing.T, tr *trace.Trace, opts trace.ColumnarOptions) []byte {
+// colRoundTrip encodes in blocks of blockSize events and decodes whole,
+// failing on any drift.
+func colRoundTrip(t *testing.T, tr *trace.Trace, blockSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := trace.NewColumnarWriterOpts(&buf, tr.Procs, opts)
+	w, err := trace.NewColumnarWriterSize(&buf, tr.Procs, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +89,10 @@ func TestColumnarRoundTrip(t *testing.T) {
 	}
 	for name, tr := range cases {
 		t.Run(name, func(t *testing.T) {
-			colRoundTrip(t, tr, trace.ColumnarOptions{})
-			colRoundTrip(t, tr, trace.ColumnarOptions{Flate: true})
+			colRoundTrip(t, tr, trace.ColBlockSize)
 			if name == "tinyBlocks" {
-				colRoundTrip(t, tr, trace.ColumnarOptions{BlockSize: 7})
-				colRoundTrip(t, tr, trace.ColumnarOptions{BlockSize: 1})
+				colRoundTrip(t, tr, 7)
+				colRoundTrip(t, tr, 1)
 			}
 		})
 	}
@@ -100,7 +101,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 func TestColumnarStreamingParity(t *testing.T) {
 	tr := randColTrace(rand.New(rand.NewSource(11)), 9_000)
 	var buf bytes.Buffer
-	w, err := trace.NewColumnarWriterOpts(&buf, tr.Procs, trace.ColumnarOptions{BlockSize: 64})
+	w, err := trace.NewColumnarWriterSize(&buf, tr.Procs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestColumnarStreamingParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	var whole bytes.Buffer
-	ww, err := trace.NewColumnarWriterOpts(&whole, tr.Procs, trace.ColumnarOptions{BlockSize: 64})
+	ww, err := trace.NewColumnarWriterSize(&whole, tr.Procs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestColumnarBlockFilter(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	w, err := trace.NewColumnarWriterOpts(&buf, tr.Procs, trace.ColumnarOptions{BlockSize: 16})
+	w, err := trace.NewColumnarWriterSize(&buf, tr.Procs, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,5 +366,56 @@ func TestColumnarWriteAfterFlush(t *testing.T) {
 	}
 	if got.Len() != 0 || got.Procs != 1 {
 		t.Fatalf("empty stream decoded to %d events / %d procs", got.Len(), got.Procs)
+	}
+}
+
+// TestColumnarRefusesBlockFlags: the block header's flags byte is
+// reserved and written 0. A block that sets it is refused with
+// ErrMalformedTrace by the streaming Read, after the blocks before it,
+// by the whole-trace read, and by a filtered read that would skip it.
+func TestColumnarRefusesBlockFlags(t *testing.T) {
+	tr := randColTrace(rand.New(rand.NewSource(9)), 24)
+	var buf bytes.Buffer
+	w, err := trace.NewColumnarWriterSize(&buf, tr.Procs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(tr.Events); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The second block's flags byte: the stream header, the first block,
+	// then the marker and 30 bytes of the second block's header.
+	first := 12 + 1 + 35 + int(binary.LittleEndian.Uint32(buf.Bytes()[12+1+31:]))
+	for _, flags := range []byte{1, 0x80} {
+		data := bytes.Clone(buf.Bytes())
+		data[first+1+30] = flags
+
+		r, err := trace.NewColumnarReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]trace.Event, 5)
+		var got []trace.Event
+		for err == nil {
+			var n int
+			n, err = r.Read(dst)
+			got = append(got, dst[:n]...)
+		}
+		if !errors.Is(err, trace.ErrMalformedTrace) || len(got) != 8 {
+			t.Errorf("flags 0x%02x: streaming read gave %d events and %v, want the first block's 8 and ErrMalformedTrace", flags, len(got), err)
+		}
+		if _, err := trace.ReadColumnar(bytes.NewReader(data)); !errors.Is(err, trace.ErrMalformedTrace) {
+			t.Errorf("flags 0x%02x: whole-trace read gave %v, want ErrMalformedTrace", flags, err)
+		}
+		fr, err := trace.NewColumnarFilterReader(bytes.NewReader(data), trace.BlockFilter{HasWindow: true, From: -2, To: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := trace.ReadAll(fr); !errors.Is(err, trace.ErrMalformedTrace) {
+			t.Errorf("flags 0x%02x: filtered read gave %v, want ErrMalformedTrace", flags, err)
+		}
 	}
 }

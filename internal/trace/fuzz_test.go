@@ -116,20 +116,16 @@ func fitsBinary(tr *trace.Trace) bool {
 
 func FuzzColumnar(f *testing.F) {
 	seedGolden(f, ".col")
-	// Well-formed seeds: multi-block, single partial block, flate payloads.
+	// Well-formed seeds: multi-block and a single partial block.
 	{
 		tr := trace.New(3)
 		for i := 0; i < 20; i++ {
 			tr.Append(trace.Event{Time: trace.Time(i * 100), Proc: i % 3, Stmt: i % 5,
 				Kind: trace.Kind(i % 8), Iter: i, Var: i % 2})
 		}
-		for _, opts := range []trace.ColumnarOptions{
-			{BlockSize: 7},
-			{},
-			{BlockSize: 4, Flate: true},
-		} {
+		for _, size := range []int{7, trace.ColBlockSize, 4} {
 			var buf bytes.Buffer
-			w, err := trace.NewColumnarWriterOpts(&buf, tr.Procs, opts)
+			w, err := trace.NewColumnarWriterSize(&buf, tr.Procs, size)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -151,6 +147,12 @@ func FuzzColumnar(f *testing.F) {
 				bomb[i] = 0xff
 			}
 			f.Add(bomb)
+			if size == 4 {
+				// The reserved flags byte of the first block set.
+				flagged := append([]byte(nil), buf.Bytes()...)
+				flagged[13+30] = 1
+				f.Add(flagged)
+			}
 		}
 	}
 	f.Add([]byte("PTRCOL1\x00"))

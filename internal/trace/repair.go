@@ -692,6 +692,14 @@ func (r *repairer) synthAfter(list []int32, pos int32, kind Kind, e Event) Event
 // release synthesized at the barrier's common release time, never before
 // its latest arrival; a processor that participated in the phase but has
 // neither — the truncated-tail signature — gets both.
+//
+// Truncated tails assume phase barriers that every processor joins, and
+// such a trace records an arrival and a release for each processor and
+// barrier. So where barriers × processors exceeds twice the recorded
+// events (those not synthesized), the trace is not of that shape, and no
+// tail is synthesized: tails add at most 4 events per recorded event.
+// Repair adds no recorded event, so repairing the output synthesizes no
+// tail that the first repair left out.
 func (r *repairer) completeBarriers() {
 	type barrier struct {
 		key                   PairKey
@@ -700,7 +708,11 @@ func (r *repairer) completeBarriers() {
 	}
 	var barriers []barrier
 	var byKey PairTable[int] // a key's position in barriers, plus one
+	recorded := 0
 	for _, e := range r.w.Events {
+		if e.Stmt != SynthStmt {
+			recorded++
+		}
 		if e.Kind != KindBarrierArrive && e.Kind != KindBarrierRelease {
 			continue
 		}
@@ -739,6 +751,7 @@ func (r *repairer) completeBarriers() {
 		}
 		return limit
 	}
+	tails := len(barriers)*len(r.procs) <= 2*recorded
 	var synth []Event
 	for _, b := range barriers {
 		// The barrier's common release time: its latest release, or just
@@ -765,6 +778,9 @@ func (r *repairer) completeBarriers() {
 				r.note(Defect{Class: DefectMissingRelease, Action: ActionSynthesized,
 					Proc: p, Key: b.key, Detail: "barrier release synthesized"})
 			}
+		}
+		if !tails {
+			continue
 		}
 		// Truncated tails: a processor with phase work before the barrier
 		// but no participation at all.

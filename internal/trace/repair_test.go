@@ -648,3 +648,66 @@ func TestRepairDroppedProbeVoteIsConservative(t *testing.T) {
 		t.Fatalf("synthesized %d probes for a conditional statement, want 0", got)
 	}
 }
+
+// ownBarriers is n processors, processor p with one compute at 2p and an
+// arrival at barrier p at 2p+1: no barrier that every processor joins.
+func ownBarriers(n int) *trace.Trace {
+	tr := trace.New(n)
+	for p := 0; p < n; p++ {
+		tr.Events = append(tr.Events,
+			sev(trace.Time(2*p), p, 1, trace.KindCompute, 0, trace.NoVar),
+			sev(trace.Time(2*p+1), p, -2, trace.KindBarrierArrive, p, 0))
+	}
+	return tr
+}
+
+// TestRepairStaysLinearOnPrivateBarriers: truncated-tail synthesis
+// assumes barriers that every processor joins. On processors that each
+// arrive at a barrier of their own, it would give every processor with
+// work before a barrier both its sides, barriers × processors events;
+// repair instead completes each barrier's one participant with its
+// release.
+func TestRepairStaysLinearOnPrivateBarriers(t *testing.T) {
+	tr := ownBarriers(1000)
+	out, rep := trace.Repair(tr)
+	if out.Len() > 3000 || rep.CountClass(trace.DefectTruncatedTail) != 0 {
+		t.Fatalf("%d events repaired to %d (%s), want at most 3000 and no truncated tails", tr.Len(), out.Len(), rep.Summary())
+	}
+	if got := rep.CountClass(trace.DefectMissingRelease); got != 1000 {
+		t.Fatalf("%d releases synthesized, want 1000: %s", got, rep.Summary())
+	}
+}
+
+// sequentialBarriers is processor 0 arriving at barriers 0, 1 and 2, each
+// release lost, beside k processors that only compute.
+func sequentialBarriers(k int) *trace.Trace {
+	tr := trace.New(k + 1)
+	for b := 0; b < 3; b++ {
+		tr.Events = append(tr.Events, sev(trace.Time(10*b+5), 0, -2, trace.KindBarrierArrive, b, 0))
+	}
+	for p := 1; p <= k; p++ {
+		tr.Events = append(tr.Events, sev(trace.Time(p), p, 1, trace.KindCompute, 0, trace.NoVar))
+	}
+	return tr
+}
+
+// TestRepairTailChoiceIsIdempotent: whether truncated tails are
+// synthesized must not turn on what repair itself adds. The releases it
+// synthesizes for barriers that few processors joined grow the trace, and
+// a second repair of its output must still choose no tails.
+func TestRepairTailChoiceIsIdempotent(t *testing.T) {
+	var inputs []*trace.Trace
+	for n := 1; n <= 10; n++ {
+		inputs = append(inputs, ownBarriers(n))
+	}
+	for k := 1; k <= 12; k++ {
+		inputs = append(inputs, sequentialBarriers(k))
+	}
+	for _, tr := range inputs {
+		once, rep1 := trace.Repair(tr)
+		if _, rep2 := trace.Repair(once); rep2.Modified() {
+			t.Errorf("%d processors, %d events: second repair modified again\nfirst: %s\nsecond: %s",
+				tr.Procs, tr.Len(), rep1.Summary(), rep2.Summary())
+		}
+	}
+}

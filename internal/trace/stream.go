@@ -86,13 +86,21 @@ type Writer interface {
 // NewReader auto-detects the codec (text, binary or columnar) from the
 // stream's first bytes and returns the matching streaming reader.
 func NewReader(r io.Reader) (Reader, error) {
+	return NewFilteredReader(r, BlockFilter{})
+}
+
+// NewFilteredReader is NewReader with columnar scan pushdown: when the
+// stream is columnar, blocks the filter rules out are skipped undecoded.
+// Text and binary input decode whole — the filter is block-granular and
+// advisory, so callers must row-filter the events they receive either way.
+func NewFilteredReader(r io.Reader, f BlockFilter) (Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(len(binMagic))
-	if err == nil && bytes.Equal(magic, binMagic[:]) {
+	prefix, _ := br.Peek(len(binMagic))
+	switch SniffContentType(prefix) {
+	case ContentTypeBinary:
 		return NewBinaryReader(br)
-	}
-	if err == nil && bytes.Equal(magic, colMagic[:]) {
-		return NewColumnarReader(br)
+	case ContentTypeColumnar:
+		return NewColumnarFilterReader(br, f)
 	}
 	return NewTextReader(br)
 }

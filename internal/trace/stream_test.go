@@ -221,7 +221,7 @@ func codecInputs(t *testing.T, tr *trace.Trace, k int) []codecInput {
 		t.Fatal(err)
 	}
 	const blockSize = 8
-	cw, err := trace.NewColumnarWriterOpts(&col, tr.Procs, trace.ColumnarOptions{BlockSize: blockSize})
+	cw, err := trace.NewColumnarWriterSize(&col, tr.Procs, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,19 +409,7 @@ func TestBinaryEndOfInput(t *testing.T) {
 // events and the same error as one read of the whole buffer.
 func TestReadChunkingInvariance(t *testing.T) {
 	tr := promptTrace(200)
-	var flate bytes.Buffer
-	fw, err := trace.NewColumnarWriterOpts(&flate, tr.Procs, trace.ColumnarOptions{BlockSize: 16, Flate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Write(tr.Events); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	encodings := codecInputs(t, tr, 100)
-	encodings = append(encodings, codecInput{name: "columnar-flate", data: flate.Bytes()})
 	var text []byte
 	for _, in := range encodings {
 		if in.name == "text" {

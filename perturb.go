@@ -179,25 +179,15 @@ var (
 // min/max index per block over time, processor and event kind, so
 // windowed readers skip blocks without decoding them. See the README's
 // "Trace formats" section for how the three codecs compare.
-type (
-	// ColumnarOptions configures NewTraceColumnarWriterOpts (block size,
-	// optional per-block DEFLATE).
-	ColumnarOptions = trace.ColumnarOptions
-	// TraceBlockFilter selects which columnar blocks a filtered reader
-	// decodes; the zero value decodes everything.
-	TraceBlockFilter = trace.BlockFilter
-)
+
+// TraceBlockFilter selects which columnar blocks a filtered reader
+// decodes; the zero value decodes everything.
+type TraceBlockFilter = trace.BlockFilter
 
 // NewTraceColumnarWriter returns a streaming encoder for the columnar
-// block format with default options.
+// block format.
 func NewTraceColumnarWriter(w io.Writer, procs int) (TraceWriter, error) {
 	return trace.NewColumnarWriter(w, procs)
-}
-
-// NewTraceColumnarWriterOpts is NewTraceColumnarWriter with explicit
-// block size and compression options.
-func NewTraceColumnarWriterOpts(w io.Writer, procs int, opts ColumnarOptions) (TraceWriter, error) {
-	return trace.NewColumnarWriterOpts(w, procs, opts)
 }
 
 // NewFilteredTraceReader is NewTraceReader with columnar scan pushdown:

@@ -189,9 +189,9 @@ func TestSliceBackwardWave(t *testing.T) {
 // byte-identical to the slice of the fully decoded trace, and narrow
 // windows actually skip blocks.
 func TestSliceTraceColumnarPushdown(t *testing.T) {
-	tr := testgen.BackwardWave(4, 2000) // ~8000 events, several blocks
+	tr := testgen.BackwardWave(4, 16000) // ~64k events, 16 blocks
 	var buf bytes.Buffer
-	w, err := perturb.NewTraceColumnarWriterOpts(&buf, tr.Procs, perturb.ColumnarOptions{BlockSize: 512})
+	w, err := perturb.NewTraceColumnarWriter(&buf, tr.Procs)
 	if err != nil {
 		t.Fatal(err)
 	}
