@@ -261,10 +261,11 @@ func BenchmarkCriticalPathMillion(b *testing.B) {
 // TestDerivedStatisticsAllocation gates what the derived statistics
 // allocate on a backward wave of 100k events approximated under each of
 // benchCals: the metrics walk keeps per-processor state only, and the
-// critical path allocates a flat index of a few 32-bit words per event
-// plus its Steps, one 32-bit index per step. Under the paper's
-// calibration the path passes through nearly every event. The test is not
-// parallel, so TotalAlloc counts only the call it brackets.
+// critical path allocates one 32-bit binding predecessor and one bit per
+// event, its pairing tables, and its Steps, one 32-bit index per step.
+// Under the paper's calibration the path passes through nearly every
+// event. The test is not parallel, so TotalAlloc counts only the call it
+// brackets.
 func TestDerivedStatisticsAllocation(t *testing.T) {
 	allocated := func(t *testing.T, f func() error) uint64 {
 		t.Helper()
@@ -299,8 +300,8 @@ func TestDerivedStatisticsAllocation(t *testing.T) {
 			got := allocated(t, func() (err error) { path, err = perturb.AnalyzeCriticalPath(tr); return err })
 			perEvent := float64(got) / float64(tr.Len())
 			t.Logf("AnalyzeCriticalPath: %d B, %.1f B/event, %d steps", got, perEvent, len(path.Steps))
-			if perEvent > 20 {
-				t.Errorf("AnalyzeCriticalPath allocated %.1f B/event on %d events, want at most 20", perEvent, tr.Len())
+			if perEvent > 13 {
+				t.Errorf("AnalyzeCriticalPath allocated %.1f B/event on %d events, want at most 13", perEvent, tr.Len())
 			}
 		})
 	}

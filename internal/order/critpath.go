@@ -31,97 +31,92 @@ type Path struct {
 // on: per-processor computation and cross-processor synchronization. Its
 // Steps are indices into t.Events, so the path costs 4 bytes per step.
 //
-// The walk is O(path) after the O(n) index build, which validates the
-// trace (see Build). Binding predecessors can form a cycle in a valid
-// trace only through equal times (two awaitEs, each released by an
-// advance the other processor records at the same time); such a trace
-// has no critical path, and the walk reports the first event it would
-// revisit, with an error wrapping trace.ErrMalformedTrace.
+// One pass over the trace validates it (see Build) and records each
+// event's binding predecessor, 4 bytes per event, and the latest event;
+// the walk back from there reads only those records. Binding predecessors
+// can form a cycle in a valid trace only through equal times (two
+// awaitEs, each released by an advance the other processor records at the
+// same time); such a trace has no critical path, and the walk reports the
+// first event it would revisit, wrapping trace.ErrMalformedTrace.
 //
 // The trace must be in canonical sorted order with valid times (an actual
 // or approximated trace; measured traces work too and include probe time).
 func CriticalPath(t *trace.Trace) (*Path, error) {
-	r, err := Build(t)
+	x, err := newIndex(t)
 	if err != nil {
 		return nil, err
 	}
-	p := &Path{ProcTime: make([]trace.Time, t.Procs)}
 	ev := t.Events
-	if len(ev) == 0 {
-		return p, nil
-	}
-	end := 0
-	for i, e := range ev {
-		if e.Time >= ev[end].Time {
-			end = i
+	bind := make([]int32, len(ev))
+	end := int32(-1) // the latest event
+	for i := range ev {
+		prev, fork, dep, err := x.step(i)
+		if err != nil {
+			return nil, err
+		}
+		// prev is timed no later than i: the step validates per-processor order.
+		bind[i] = tighter(ev, int32(i), tighter(ev, int32(i), prev, fork), dep)
+		if end < 0 || ev[i].Time >= ev[end].Time {
+			end = int32(i)
 		}
 	}
-	// One walk finds each binding predecessor. It never returns to an
-	// event it has left (a revisit is the cycle error), and binding reads
-	// only the index slots of the event it is given, so the walk records
-	// each event's binding predecessor in its prev slot; Steps is then
-	// allocated once, at its length, and filled from the record. One bit
-	// per event marks the events walked.
+	for _, i := range x.late {
+		bind[i] = tighter(ev, i, bind[i], x.firstAdvance(i))
+	}
+	off, flat := x.groups()
+	for k := 0; k < len(x.releases); k += 2 {
+		i, g := x.releases[k], x.releases[k+1]
+		for _, u := range flat[off[g]:off[g+1]] {
+			bind[i] = tighter(ev, i, bind[i], u)
+		}
+	}
+	// The walk marks each event it passes with a bit and sums the path;
+	// Steps is then allocated at its length and filled from bind alone.
+	p := &Path{ProcTime: make([]trace.Time, t.Procs)}
 	seen := make([]uint64, (len(ev)+63)/64)
 	n := 0
-	for cur := end; cur >= 0; n++ {
+	for cur := end; cur >= 0; cur = bind[cur] {
 		if seen[cur/64]&(1<<(cur%64)) != 0 {
 			return nil, fmt.Errorf("order: critical path revisits event %d (%v), a dependence cycle: %w",
 				cur, ev[cur], trace.ErrMalformedTrace)
 		}
 		seen[cur/64] |= 1 << (cur % 64)
-		best := r.binding(cur)
-		r.prev[cur] = int32(best)
-		cur = best
+		n++
+		if u := bind[cur]; u >= 0 {
+			gap := ev[cur].Time - ev[u].Time
+			if p.Total += gap; ev[u].Proc != ev[cur].Proc {
+				p.SyncGap += gap
+			} else {
+				p.ProcTime[ev[cur].Proc] += gap
+			}
+		}
 	}
-	p.Steps = make([]int32, n)
-	for cur := int32(end); ; {
+	if n > 0 {
+		p.Steps = make([]int32, n)
+	}
+	for cur := end; cur >= 0; cur = bind[cur] {
 		n--
 		p.Steps[n] = cur
-		best := r.prev[cur]
-		if best < 0 {
-			break
-		}
-		e := &ev[cur]
-		gap := e.Time - ev[best].Time
-		if ev[best].Proc != e.Proc {
-			p.SyncGap += gap
-		} else {
-			p.ProcTime[e.Proc] += gap
-		}
-		p.Total += gap
-		cur = best
 	}
 	return p, nil
 }
 
-// binding returns event v's binding predecessor, or -1 when v has no
-// predecessor timed at or before it: the latest-timed one, then one on
-// v's own processor, then the lowest index.
-func (r *Relation) binding(v int) int {
-	ev, own, at := r.tr.Events, r.tr.Events[v].Proc, r.tr.Events[v].Time
-	prev, fork, dep, arrivals := r.preds(v)
-	best := prev // timed no later than v: Build validates per-processor order
-	for _, u := range [2]int32{fork, dep} {
-		if u >= 0 && ev[u].Time <= at && (best < 0 || binds(ev, own, u, best)) {
-			best = u
-		}
+// tighter returns whichever of best (timed no later than v, or -1) and
+// predecessor u binds event v by the package comment's rule; u never
+// binds when it is -1 or timed after v.
+func tighter(ev []trace.Event, v, best, u int32) int32 {
+	if u < 0 || ev[u].Time > ev[v].Time {
+		return best
 	}
-	for _, u := range arrivals {
-		if ev[u].Time <= at && (best < 0 || binds(ev, own, u, best)) {
-			best = u
-		}
+	if best < 0 {
+		return u
 	}
-	return int(best)
-}
-
-// binds reports whether event u binds an event on processor own more
-// tightly than event best does: u is later, or as late and on own while
-// best is not, or neither or both are on own and u comes first.
-func binds(ev []trace.Event, own int, u, best int32) bool {
-	a, b := &ev[u], &ev[best]
-	return a.Time > b.Time || a.Time == b.Time &&
-		(a.Proc == own && b.Proc != own || (a.Proc == own) == (b.Proc == own) && u < best)
+	a, b, own := &ev[u], &ev[best], ev[v].Proc
+	if a.Time > b.Time || a.Time == b.Time &&
+		(a.Proc == own && b.Proc != own || (a.Proc == own) == (b.Proc == own) && u < best) {
+		return u
+	}
+	return best
 }
 
 // String summarizes the path.

@@ -33,7 +33,7 @@ func corpus(t *testing.T) []testgen.Case {
 // cyclicTrace returns a valid, feasible trace without a critical path:
 // each processor's awaitE is released by the other processor's advance,
 // timed together, so the binding predecessors form a cycle.
-func cyclicTrace(t *testing.T) *trace.Trace {
+func cyclicTrace(t testing.TB) *trace.Trace {
 	t.Helper()
 	tr, err := trace.ReadText(strings.NewReader(`# perturb-trace v1 procs=2
 4 p0 s1 awaitB i0 v0

@@ -9,8 +9,9 @@
 //
 // # The flat index
 //
-// Build makes one pass over the trace in trace order, validating each
-// event as it indexes it, and stores, per event, two 32-bit indices:
+// Build and CriticalPath read the trace once, in trace order, through one
+// per-event step that validates each event and finds its edges among the
+// events read so far. Build stores, per event, two 32-bit indices:
 //
 //   - prev, the same-processor predecessor (-1 for a processor's first
 //     event);
@@ -36,9 +37,7 @@
 //     is a fork fence;
 //   - fork order: the latest loop-begin strictly between the event and
 //     prev in trace order (necessarily on another processor) happens
-//     before it; Basis returns that fence, else prev. Check and
-//     CriticalPath search for it only when a fence follows prev, so an
-//     event past the last fence costs one comparison. A barrier release
+//     before it; Basis returns that fence, else prev. A barrier release
 //     has no fork edge: the engine times it by its arrivals alone, and in
 //     an approximation the next phase's loop-begin can tie with the
 //     releases and sort before them (Basis still returns that fence, from
@@ -58,9 +57,10 @@
 // predecessor: among its predecessors timed no later than the event, the
 // one with the latest time, then one on the event's own processor, then
 // the lowest index. A predecessor timed after the event is a violation,
-// which Check reports, and never binds. The path it returns holds the
-// events it passes as 32-bit indices into the trace, like the index
-// itself.
+// which Check reports, and never binds. The step that indexes an event
+// binds it, except an awaitE read before its key's first advance and a
+// barrier release: a predecessor of theirs may follow them in trace order
+// at an equal time, so they are bound after the pass.
 package order
 
 import (
@@ -89,84 +89,132 @@ type Relation struct {
 // except that every processor must lie in [0, Procs), also when Procs is
 // 0 (see trace.NewBoundedValidator). The trace is not modified.
 func Build(t *trace.Trace) (*Relation, error) {
-	n := t.Len()
-	if n > math.MaxInt32 {
+	x, err := newIndex(t)
+	if err != nil {
+		return nil, err
+	}
+	r := &Relation{tr: t, prev: make([]int32, t.Len()), dep: make([]int32, t.Len())}
+	for i := range t.Events {
+		if r.prev[i], _, r.dep[i], err = x.step(i); err != nil {
+			return nil, err
+		}
+	}
+	for _, i := range x.late {
+		r.dep[i] = x.firstAdvance(i)
+	}
+	for k := 0; k < len(x.releases); k += 2 {
+		r.dep[x.releases[k]] = x.releases[k+1]
+	}
+	r.off, r.flat = x.groups()
+	r.lastFence = x.lastFence
+	return r, nil
+}
+
+// index is the per-event step Build and CriticalPath share: it validates
+// the trace in trace order and finds each event's edges among the events
+// read so far.
+type index struct {
+	ev        []trace.Event
+	v         *trace.EventValidator
+	last      []int32                 // each processor's last event, plus one
+	lastFence int32                   // the last loop-begin, -1 for none
+	adv       trace.PairTable[int32]  // first advance, plus one
+	late      []int32                 // awaitEs before their key's first advance
+	lastRel   map[int]int32           // each lock's last release, plus one
+	byKey     map[trace.PairKey]int32 // barrier key -> group
+	members   []int32                 // pairs of (arrival, group)
+	releases  []int32                 // pairs of (barrier release, group)
+	count     []int32                 // members per group
+}
+
+func newIndex(t *trace.Trace) (*index, error) {
+	if n := t.Len(); n > math.MaxInt32 {
 		return nil, fmt.Errorf("order: %d events exceed the index's limit of %d", n, math.MaxInt32)
 	}
 	v, err := trace.NewBoundedValidator(t.Procs)
 	if err != nil {
 		return nil, err
 	}
-	r := &Relation{tr: t, prev: make([]int32, n), dep: make([]int32, n), lastFence: -1}
-	last := make([]int32, t.Procs)
-	for p := range last {
-		last[p] = -1
+	return &index{ev: t.Events, v: v, last: make([]int32, t.Procs), lastFence: -1,
+		lastRel: make(map[int]int32), byKey: make(map[trace.PairKey]int32), count: []int32{0}}, nil
+}
+
+// step validates event i, the next in trace order, and returns its prev,
+// fork edge (forkOf) and dependence: an awaitE's first advance (-1 while
+// none has been read; it joins late), a lock-acq's previous release, else
+// -1. A barrier release joins releases with its group.
+func (x *index) step(i int) (prev, fork, dep int32, err error) {
+	e := &x.ev[i]
+	if err := x.v.Check(*e); err != nil {
+		return 0, 0, 0, err
 	}
-	var (
-		adv     trace.PairTable[int32] // first advance, plus one
-		late    []int32                // awaitEs before their key's first advance
-		lastRel = make(map[int]int32)
-		groups  = make(map[trace.PairKey]int32) // barrier key -> group
-		members []int32                         // pairs of (arrival, group)
-		count   = []int32{0}                    // members per group
-	)
-	for i, e := range t.Events {
-		if err := v.Check(e); err != nil {
-			return nil, err
+	i32 := int32(i)
+	prev, x.last[e.Proc] = x.last[e.Proc]-1, i32+1
+	fork, dep = forkOf(x.lastFence, prev, e.Kind), -1
+	switch e.Kind {
+	case trace.KindLoopBegin:
+		x.lastFence = i32
+		x.members = append(x.members, i32, 0)
+		x.count[0]++
+	case trace.KindAdvance:
+		if c := x.adv.Slot(e.Pair()); *c == 0 {
+			*c = i32 + 1
 		}
-		i32 := int32(i)
-		r.prev[i], last[e.Proc] = last[e.Proc], i32
-		r.dep[i] = -1
-		switch e.Kind {
-		case trace.KindLoopBegin:
-			r.lastFence = i32
-			members = append(members, i32, 0)
-			count[0]++
-		case trace.KindAdvance:
-			if c := adv.Slot(e.Pair()); *c == 0 {
-				*c = i32 + 1
-			}
-		case trace.KindAwaitE:
-			if r.dep[i] = *adv.Slot(e.Pair()) - 1; r.dep[i] < 0 {
-				late = append(late, i32)
-			}
-		case trace.KindLockAcq:
-			if ri, ok := lastRel[e.Var]; ok {
-				r.dep[i] = ri
-			}
-		case trace.KindLockRel:
-			lastRel[e.Var] = i32
-		case trace.KindBarrierArrive, trace.KindBarrierRelease:
-			g, ok := groups[e.Pair()]
-			if !ok {
-				g = int32(len(count))
-				groups[e.Pair()] = g
-				count = append(count, 0)
-			}
-			if e.Kind == trace.KindBarrierRelease {
-				r.dep[i] = g
-			} else {
-				members = append(members, i32, g)
-				count[g]++
-			}
+	case trace.KindAwaitE:
+		if dep = x.firstAdvance(i32); dep < 0 {
+			x.late = append(x.late, i32)
+		}
+	case trace.KindLockAcq:
+		dep = x.lastRel[e.Var] - 1
+	case trace.KindLockRel:
+		x.lastRel[e.Var] = i32 + 1
+	case trace.KindBarrierArrive, trace.KindBarrierRelease:
+		g, ok := x.byKey[e.Pair()]
+		if !ok {
+			g = int32(len(x.count))
+			x.byKey[e.Pair()] = g
+			x.count = append(x.count, 0)
+		}
+		if e.Kind == trace.KindBarrierRelease {
+			x.releases = append(x.releases, i32, g)
+		} else {
+			x.members = append(x.members, i32, g)
+			x.count[g]++
 		}
 	}
-	for _, i := range late {
-		r.dep[i] = *adv.Slot(t.Events[i].Pair()) - 1
+	return prev, fork, dep, nil
+}
+
+// forkOf is the fork-edge rule: an event of kind k gets fence, the latest
+// loop-begin before it in trace order, if that follows its prev and k is
+// not a barrier release; else -1.
+func forkOf(fence, prev int32, k trace.Kind) int32 {
+	if fence > prev && k != trace.KindBarrierRelease {
+		return fence
 	}
-	// Lay the groups out by a counting sort; members arrive in trace order.
-	r.off = make([]int32, len(count)+1)
-	for g, c := range count {
-		r.off[g+1] = r.off[g] + c
+	return -1
+}
+
+// firstAdvance returns the first advance of awaitE i's pairing key read so
+// far, -1 for none.
+func (x *index) firstAdvance(i int32) int32 { return *x.adv.Slot(x.ev[i].Pair()) - 1 }
+
+// groups lays the fences and barrier groups out in CSR form, group g's
+// members flat[off[g]:off[g+1]], by a counting sort; members arrive in
+// trace order.
+func (x *index) groups() (off, flat []int32) {
+	off = make([]int32, len(x.count)+1)
+	for g, c := range x.count {
+		off[g+1] = off[g] + c
 	}
-	r.flat = make([]int32, len(members)/2)
-	fill := slices.Clone(r.off[:len(count)])
-	for k := 0; k < len(members); k += 2 {
-		g := members[k+1]
-		r.flat[fill[g]] = members[k]
+	flat = make([]int32, len(x.members)/2)
+	fill := slices.Clone(off[:len(x.count)])
+	for k := 0; k < len(x.members); k += 2 {
+		g := x.members[k+1]
+		flat[fill[g]] = x.members[k]
 		fill[g]++
 	}
-	return r, nil
+	return off, flat
 }
 
 // group returns group g's members.
@@ -210,25 +258,22 @@ func (r *Relation) Arrivals(i int) []int32 {
 	return r.group(r.dep[i])
 }
 
-// preds returns event v's predecessors (see the package comment): its
-// same-processor predecessor, its fork edge (Basis, when that is not
-// prev) and its dependence (Dep), each -1 when there is none, and for a
-// barrier release every arrival of its barrier (Arrivals), shared with
-// the relation, in place of a fork edge.
+// preds returns event v's predecessors (see the package comment): prev,
+// its fork edge (forkOf) and its dependence (Dep), each -1 for none, and
+// a barrier release's arrivals (Arrivals), shared with the relation.
 func (r *Relation) preds(v int) (prev, fork, dep int32, arrivals []int32) {
 	prev, fork, dep = r.prev[v], -1, -1
-	switch r.tr.Events[v].Kind {
+	k := r.tr.Events[v].Kind
+	if r.lastFence > prev { // else no fence follows prev: one comparison
+		fork = forkOf(int32(r.Basis(v)), prev, k)
+	}
+	switch k {
 	case trace.KindAwaitE, trace.KindLockAcq:
 		dep = r.dep[v]
 	case trace.KindBarrierRelease:
-		return prev, fork, dep, r.group(r.dep[v])
+		arrivals = r.group(r.dep[v])
 	}
-	if r.lastFence > prev { // else no fence follows prev: one comparison
-		if b := int32(r.Basis(v)); b != prev {
-			fork = b
-		}
-	}
-	return prev, fork, dep, nil
+	return prev, fork, dep, arrivals
 }
 
 // Violation describes a happened-before edge whose endpoint times are out

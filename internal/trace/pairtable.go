@@ -1,17 +1,15 @@
 package trace
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // PairTable maps pairing keys to values of type T, the zero T standing
 // for none. A DOACROSS loop's iterations are dense, so each variable's
 // keys live in a table indexed by iteration; keys that would leave a
 // table mostly empty go to a map. With a map keyed by PairKey instead,
 // the event-based engine took 1.8x as long on the million-event wave,
-// and 1.4x with a packed uint64 key. The zero PairTable is empty and
-// ready to use.
+// and 1.4x with a packed uint64 key. A table grows to at least twice its
+// length, upward or downward, so filling it allocates less than twice
+// its final capacity. The zero PairTable is empty and ready to use.
 type PairTable[T comparable] struct {
 	vars   map[int]*iterTable[T]
 	sparse map[PairKey]*T
@@ -66,12 +64,16 @@ func (t *iterTable[T]) slot(it int) *T {
 	if hi-lo > 2*len(t.at)+1024 {
 		return nil
 	}
-	if lo == t.base {
-		t.at = slices.Grow(t.at, hi-lo-len(t.at))[:hi-lo]
-	} else {
+	switch {
+	case lo == t.base && hi-lo <= cap(t.at):
+		t.at = t.at[:hi-lo] // cells past len are still zero
+	case lo == t.base:
+		grown := make([]T, hi-lo, max(hi-lo, 2*cap(t.at)))
+		copy(grown, t.at)
+		t.at = grown
+	default:
 		// Leave as much room below as the table already spans, so a
-		// feed that walks iterations downward grows the table
-		// geometrically, as slices.Grow does upward.
+		// feed that walks iterations downward doubles the table too.
 		lo = max(min(lo, t.base-len(t.at)), math.MinInt32)
 		grown := make([]T, hi-lo)
 		copy(grown[t.base-lo:], t.at)

@@ -292,3 +292,26 @@ func TestPairTable(t *testing.T) {
 		}
 	}
 }
+
+// TestPairTableGrowthAllocation: a variable's table grows to at least
+// twice its capacity, so filling 1<<20 ascending iterations allocates
+// about twice the final table, where growing by a quarter allocated
+// about five times it. The test is not parallel, so TotalAlloc counts
+// only the calls it brackets.
+func TestPairTableGrowthAllocation(t *testing.T) {
+	const n = 1 << 20
+	var pt trace.PairTable[int32]
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for it := 0; it < n; it++ {
+		*pt.Slot(trace.PairKey{Var: 3, Iter: it}) = int32(it) + 1
+	}
+	runtime.ReadMemStats(&after)
+	final := uint64(n * unsafe.Sizeof(int32(0)))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated, %.2fx the final table's %d B", got, float64(got)/float64(final), final)
+	if got > final*5/2 {
+		t.Errorf("filling %d iterations allocated %d B, more than 2.5x the final table's %d B", n, got, final)
+	}
+}
